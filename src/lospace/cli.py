@@ -6,14 +6,13 @@ entry per line, as +m*2^e literals by default or as fixed decimals with
 --format decimal --decimal-digits D.  Eigenpairs and SVD columns stream as
 they are produced and are never re-read.
 
-Exit codes: 0 success, 1 SINGULAR input, 2 malformed input, 3 a
-probabilistic retry budget ran out.
+Exit codes: 0 success, 1 SINGULAR input, 2 malformed input or argument
+(including a value outside the L-bit float range), 3 a probabilistic
+retry budget ran out.
 
 bench writes one CSV row per size over seeded tridiagonal-plus-noise
 matrices (U pinned to 100, diagonally dominant so invertibility is
 guaranteed): n,nnz,ms,peak_bits,ratio where ratio = peak_bits/(n log2(nU)).
---backend pins the kernel backend, so two runs compare numba against the
-pure fallback on identical inputs.
 """
 
 from __future__ import annotations
@@ -27,12 +26,13 @@ import time
 
 from . import meter
 from .linop import (
+    DimensionMismatch,
     MatrixFormatError,
     SparseMatrix,
     read_matrix,
     read_vector,
 )
-from .numeric import FixedL, format_decimal, format_float2exp
+from .numeric import FixedL, FloatOverflow, format_decimal, format_float2exp
 from .primes import SamplingExhausted
 from .solver import SingularMatrix, determinant, lin_solve, linear_regression
 from .spectral import ResultCountMismatch, eigendecompose, spectrum, svd
@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_SINGULAR = 1
 EXIT_INPUT = 2
 EXIT_RETRIES = 3
+
+
+class ArgumentError(ValueError):
+    """A command-line argument outside its documented range."""
 
 
 def _load_matrix(path):
@@ -178,7 +182,7 @@ def bench_matrix(n: int, rng: random.Random) -> SparseMatrix:
         n, n, [(i, j, v) for (i, j), v in entries.items() if v])
 
 
-def bench_run(sizes, eps, seed, out, parallel=False):
+def bench_run(sizes, eps, seed, out):
     """One CSV row per size: n,nnz,ms,peak_bits,ratio."""
     out.write("n,nnz,ms,peak_bits,ratio\n")
     for n in sizes:
@@ -192,19 +196,23 @@ def bench_run(sizes, eps, seed, out, parallel=False):
         ms = (time.perf_counter() - t0) * 1000.0
         if outcome.singular:
             raise RetriesExhausted("bench generator produced a singular matrix")
-        assert m.current_bits == 0, "meter did not return to zero"
+        if m.current_bits != 0:
+            raise RuntimeError(f"meter did not return to zero: {m.current_bits} bits live")
         ratio = m.peak_bits / (n * math.log2(n * BENCH_U))
         out.write(f"{n},{a.nnz},{ms:.1f},{m.peak_bits},{ratio:.2f}\n")
     return EXIT_OK
 
 
 def _cmd_bench(args, out):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise ArgumentError(f"--sizes wants integers, got {args.sizes!r}") from None
     if not sizes:
-        raise MatrixFormatError(1, "empty --sizes")
-    if args.backend != "auto":
-        os.environ["LOSPACE_BACKEND"] = args.backend
-    return bench_run(sizes, args.epsilon, args.seed, out, parallel=args.parallel)
+        raise ArgumentError("empty --sizes")
+    if min(sizes) < 1:
+        raise ArgumentError(f"--sizes must be at least 1, got {min(sizes)}")
+    return bench_run(sizes, args.epsilon, args.seed, out)
 
 
 GLOBAL_DEFAULTS = {
@@ -253,8 +261,6 @@ def build_parser():
     p = sub.add_parser("bench", parents=[common], help="time/space scaling table")
     p.add_argument("--sizes", default="64,128,256")
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--backend", choices=["auto", "numba", "pure"],
-                   default="auto")
     p.set_defaults(func=_cmd_bench)
     return ap
 
@@ -270,12 +276,16 @@ def main(argv=None):
         args.format = "decimal"
     m = meter.WorkspaceMeter()
     try:
+        eps = getattr(args, "epsilon", None)  # det takes none
+        if eps is not None and not 0 < eps < 1:
+            raise ArgumentError(f"--epsilon must lie in (0, 1), got {eps}")
         with m.activate():
             code = args.func(args, sys.stdout)
         if m.current_bits != 0:
             print(f"warning: meter imbalance {m.current_bits} bits",
                   file=sys.stderr)
-    except MatrixFormatError as e:
+    except (MatrixFormatError, ArgumentError, DimensionMismatch,
+            FloatOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (RetriesExhausted, SamplingExhausted, ResultCountMismatch) as e:

@@ -1,282 +1,31 @@
-"""Mod-p vector kernels in two interchangeable backends.
+"""Mod-p vector kernels over Python integers.
 
-The numba backend packs residues into uint64 numpy arrays and works for
-any modulus below 2**62; products are reduced with a float-assisted
-Barrett step (31-bit splitting keeps the approximate quotient within one
-of the true quotient, so a correction loop makes it exact).  The pure
-backend stores Python integers and has no modulus limit; it doubles as
-the big-prime path, since moduli sampled for heavily scaled matrices
-routinely exceed 64 bits.
-
-Backend choice: LOSPACE_BACKEND=auto|numba|pure (default auto: numba
-whenever it is importable and the modulus fits).  Both backends run the
-same algorithms step for step, so all outputs are bit-identical; the test
-suite checks that.
+Vectors are lists of residues in [0, p).  Python integers have no width
+limit, so one code path serves every modulus, including the wide primes
+sampled for heavily scaled matrices.
 
 Everything here is deterministic; randomness stays in the callers.
 """
 
 from __future__ import annotations
 
-import os
 
-import numpy as np
-
-NUMBA_LIMIT = 1 << 62
-
-try:
-    from numba import njit, uint64, int64
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def backend_mode() -> str:
-    return os.environ.get("LOSPACE_BACKEND", "auto")
-
-
-def backend_for(p: int) -> str:
-    """Resolve the backend used for modulus p under the current env flag."""
-    mode = backend_mode()
-    if mode == "pure":
-        return "pure"
-    if mode == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("LOSPACE_BACKEND=numba but numba is unavailable")
-        if p >= NUMBA_LIMIT:
-            raise ValueError(f"modulus {p} needs >= 62 bits; use auto or pure")
-        return "numba"
-    if mode != "auto":
-        raise ValueError(f"unknown LOSPACE_BACKEND {mode!r}")
-    return "numba" if HAVE_NUMBA and p < NUMBA_LIMIT else "pure"
-
-
-# -- numba kernels ------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _MASK31 = np.uint64((1 << 31) - 1)
-    _SH31 = np.uint64(31)
-    _B31 = np.uint64(1 << 31)
-
-    @njit(cache=True, inline="always")
-    def _redc(x, b, p):
-        # x*b mod p, valid while x*b/p < 2**31 is float-representable
-        q = uint64(np.float64(x) * np.float64(b) / np.float64(p))
-        r = int64(x * b - q * p)
-        if r < 0:
-            r += int64(p)
-            if r < 0:
-                r += int64(p)
-        else:
-            if r >= int64(p):
-                r -= int64(p)
-            if r >= int64(p):
-                r -= int64(p)
-        return uint64(r)
-
-    @njit(cache=True, inline="always")
-    def _mulmod(a, b, p):
-        t = _redc(a >> _SH31, b, p)
-        t = _redc(t, _B31, p)
-        u = _redc(a & _MASK31, b, p)
-        s = t + u
-        if s >= p:
-            s -= p
-        return s
-
-    @njit(cache=True)
-    def _nb_mulmod_batch(a, b, p, out):
-        for i in range(a.shape[0]):
-            out[i] = _mulmod(a[i], b[i], p)
-
-    @njit(cache=True)
-    def _nb_matvec(rows, cols, vals, x, p, out):
-        for i in range(out.shape[0]):
-            out[i] = uint64(0)
-        for k in range(rows.shape[0]):
-            t = out[rows[k]] + _mulmod(vals[k], x[cols[k]], p)
-            if t >= p:
-                t -= p
-            out[rows[k]] = t
-
-    @njit(cache=True)
-    def _nb_gram_matvec(rows, cols, vals, x, p, out):
-        # one row-major pass; consumes each row's inner product immediately
-        for i in range(out.shape[0]):
-            out[i] = uint64(0)
-        nnz = rows.shape[0]
-        k = 0
-        while k < nnz:
-            row = rows[k]
-            k2 = k
-            inner = uint64(0)
-            while k2 < nnz and rows[k2] == row:
-                t = inner + _mulmod(vals[k2], x[cols[k2]], p)
-                if t >= p:
-                    t -= p
-                inner = t
-                k2 += 1
-            for t2 in range(k, k2):
-                s = out[cols[t2]] + _mulmod(vals[t2], inner, p)
-                if s >= p:
-                    s -= p
-                out[cols[t2]] = s
-            k = k2
-
-    @njit(cache=True)
-    def _nb_dot(x, y, p):
-        s = uint64(0)
-        for j in range(x.shape[0]):
-            t = s + _mulmod(x[j], y[j], p)
-            if t >= p:
-                t -= p
-            s = t
-        return s
-
-    @njit(cache=True)
-    def _nb_add_scaled(u, c, z, p, out):
-        for j in range(u.shape[0]):
-            t = u[j] + _mulmod(c, z[j], p)
-            if t >= p:
-                t -= p
-            out[j] = t
-
-    @njit(cache=True)
-    def _nb_scale(c, z, p, out):
-        for j in range(z.shape[0]):
-            out[j] = _mulmod(c, z[j], p)
-
-    @njit(cache=True)
-    def _nb_mul_elem(d, z, p, out):
-        for j in range(z.shape[0]):
-            out[j] = _mulmod(d[j], z[j], p)
-
-    @njit(cache=True)
-    def _nb_krylov(rows, cols, vals, diag, x, y, p, seq, tmp):
-        """seq[i] = x . y;  y <- diag * (A y).  diag of size 0 means identity."""
-        use_diag = diag.shape[0] > 0
-        for i in range(seq.shape[0]):
-            seq[i] = _nb_dot(x, y, p)
-            if i + 1 == seq.shape[0]:
-                break
-            _nb_matvec(rows, cols, vals, y, p, tmp)
-            if use_diag:
-                for j in range(y.shape[0]):
-                    y[j] = _mulmod(diag[j], tmp[j], p)
-            else:
-                for j in range(y.shape[0]):
-                    y[j] = tmp[j]
-
-    @njit(cache=True)
-    def _nb_horner(rows, cols, vals, coeffs, z, p, acc, tmp):
-        """acc <- sum coeffs[i] A^i z, by Horner with two live vectors."""
-        d = coeffs.shape[0] - 1
-        for j in range(z.shape[0]):
-            acc[j] = _mulmod(coeffs[d], z[j], p)
-        for i in range(d - 1, -1, -1):
-            _nb_matvec(rows, cols, vals, acc, p, tmp)
-            _nb_add_scaled(tmp, coeffs[i], z, p, acc)
-
-    @njit(cache=True)
-    def _nb_powmod(a, e, p):
-        r = uint64(1)
-        b = a
-        while e > uint64(0):
-            if e & uint64(1):
-                r = _mulmod(r, b, p)
-            b = _mulmod(b, b, p)
-            e >>= uint64(1)
-        return r
-
-    @njit(cache=True)
-    def _nb_bm(seq, p, C, B, T):
-        """Berlekamp-Massey; returns L. C holds the connection polynomial."""
-        n = seq.shape[0]
-        for j in range(n + 1):
-            C[j] = uint64(0)
-            B[j] = uint64(0)
-        C[0] = uint64(1)
-        B[0] = uint64(1)
-        L = 0
-        m = 1
-        b = uint64(1)
-        for i in range(n):
-            d = seq[i]
-            for j in range(1, L + 1):
-                t = d + _mulmod(C[j], seq[i - j], p)
-                if t >= p:
-                    t -= p
-                d = t
-            if d == uint64(0):
-                m += 1
-            else:
-                coef = _mulmod(d, _nb_powmod(b, p - uint64(2), p), p)
-                if 2 * L <= i:
-                    for j in range(n + 1):
-                        T[j] = C[j]
-                    for j in range(n + 1 - m):
-                        s = C[j + m] + p - _mulmod(coef, B[j], p)
-                        if s >= p:
-                            s -= p
-                        C[j + m] = s
-                    L = i + 1 - L
-                    for j in range(n + 1):
-                        B[j] = T[j]
-                    b = d
-                    m = 1
-                else:
-                    for j in range(n + 1 - m):
-                        s = C[j + m] + p - _mulmod(coef, B[j], p)
-                        if s >= p:
-                            s -= p
-                        C[j + m] = s
-                    m += 1
-        return L
-
-
-# -- pure-python kernels -------------------------------------------------------
-
-def _py_matvec(rows, cols, vals, x, p, n_out):
+def _matvec(rows, cols, vals, x, p, n_out):
+    # accumulate exactly and reduce once per output entry
     out = [0] * n_out
     for r, c, v in zip(rows, cols, vals):
-        out[r] = (out[r] + v * x[c]) % p
-    return out
+        out[r] += v * x[c]
+    return [o % p for o in out]
 
 
-def _py_gram_matvec(rows, cols, vals, x, p, n_out):
-    out = [0] * n_out
-    nnz = len(rows)
-    k = 0
-    while k < nnz:
-        row = rows[k]
-        k2 = k
-        inner = 0
-        while k2 < nnz and rows[k2] == row:
-            inner = (inner + vals[k2] * x[cols[k2]]) % p
-            k2 += 1
-        for t in range(k, k2):
-            out[cols[t]] = (out[cols[t]] + vals[t] * inner) % p
-        k = k2
-    return out
-
-
-def _py_bm(seq, p):
+def _bm(seq, p):
     n = len(seq)
     C = [0] * (n + 1)
     B = [0] * (n + 1)
     C[0] = B[0] = 1
     L, m, b = 0, 1, 1
     for i in range(n):
-        d = seq[i]
-        for j in range(1, L + 1):
-            d = (d + C[j] * seq[i - j]) % p
+        d = (seq[i] + sum(C[j] * seq[i - j] for j in range(1, L + 1))) % p
         if d == 0:
             m += 1
             continue
@@ -296,189 +45,91 @@ def _py_bm(seq, p):
     return C, L
 
 
-# -- field facade --------------------------------------------------------------
-
 class Field:
-    """Vector arithmetic over F_p for one backend; vectors are opaque handles.
+    """Vector arithmetic over F_p; vectors are lists of int."""
 
-    numba backend: uint64 numpy arrays.  pure backend: lists of int.
-    """
-
-    def __init__(self, p: int, backend: str | None = None):
+    def __init__(self, p: int):
         self.p = p
-        self.backend = backend or backend_for(p)
-        if self.backend == "numba":
-            self._p = np.uint64(p)
 
     # vectors -----------------------------------------------------------
-    def zeros(self, n):
-        if self.backend == "numba":
-            return np.zeros(n, dtype=np.uint64)
-        return [0] * n
-
     def vec(self, xs):
-        if self.backend == "numba":
-            return np.array([x % self.p for x in xs], dtype=np.uint64)
-        return [x % self.p for x in xs]
+        p = self.p
+        return [x % p for x in xs]
 
     def tolist(self, v):
-        if self.backend == "numba":
-            return [int(x) for x in v]
         return list(v)
-
-    def copy(self, v):
-        return v.copy() if self.backend == "numba" else list(v)
 
     def rand(self, n, rng):
         return self.vec([rng.randrange(self.p) for _ in range(n)])
 
     def vec_bits(self, v):
         """Model size of one vector for the workspace meter."""
-        if self.backend == "numba":
-            return int(v.nbytes) * 8
         return len(v) * (self.p.bit_length() + 1)
 
     # scalar / vector ops -------------------------------------------------
     def dot(self, x, y):
-        if self.backend == "numba":
-            return int(_nb_dot(x, y, self._p))
         return sum(a * b for a, b in zip(x, y)) % self.p
 
     def add_scaled(self, u, c, z):
         """u + c*z (new vector)."""
-        if self.backend == "numba":
-            out = np.empty_like(u)
-            _nb_add_scaled(u, np.uint64(c % self.p), z, self._p, out)
-            return out
-        c %= self.p
-        return [(a + c * b) % self.p for a, b in zip(u, z)]
+        p = self.p
+        c %= p
+        return [(a + c * b) % p for a, b in zip(u, z)]
 
     def scale(self, c, z):
-        if self.backend == "numba":
-            out = np.empty_like(z)
-            _nb_scale(np.uint64(c % self.p), z, self._p, out)
-            return out
-        c %= self.p
-        return [c * b % self.p for b in z]
+        p = self.p
+        c %= p
+        return [c * b % p for b in z]
 
     def mul_elem(self, d, z):
-        if self.backend == "numba":
-            out = np.empty_like(z)
-            _nb_mul_elem(d, z, self._p, out)
-            return out
-        return [a * b % self.p for a, b in zip(d, z)]
+        p = self.p
+        return [a * b % p for a, b in zip(d, z)]
 
     def is_zero(self, v):
-        if self.backend == "numba":
-            return not v.any()
         return not any(v)
-
-    def eq(self, u, v):
-        if self.backend == "numba":
-            return bool(np.array_equal(u, v))
-        return u == v
 
     def inv(self, a):
         return pow(a, -1, self.p)
 
     # structured kernels ---------------------------------------------------
     def coo(self, rows, cols, vals, shape):
-        """Backend form of a COO matrix already reduced mod p; rows sorted."""
-        if self.backend == "numba":
-            return (
-                np.asarray(rows, dtype=np.int32),
-                np.asarray(cols, dtype=np.int32),
-                np.array([v % self.p for v in vals], dtype=np.uint64),
-                shape,
-            )
+        """COO matrix with entries reduced mod p; rows sorted."""
         return (list(rows), list(cols), [v % self.p for v in vals], shape)
 
     def coo_bits(self, coo):
         rows, cols, vals, shape = coo
-        if self.backend == "numba":
-            return 8 * int(rows.nbytes + cols.nbytes + vals.nbytes)
         return len(rows) * (2 * max(shape).bit_length() + self.p.bit_length() + 1)
 
     def matvec(self, coo, x):
         rows, cols, vals, shape = coo
-        if self.backend == "numba":
-            out = np.empty(shape[0], dtype=np.uint64)
-            _nb_matvec(rows, cols, vals, x, self._p, out)
-            return out
-        return _py_matvec(rows, cols, vals, x, self.p, shape[0])
-
-    def gram_matvec(self, coo, x):
-        """(A^T A) x in one row-major pass and O(cols) working space."""
-        rows, cols, vals, shape = coo
-        if self.backend == "numba":
-            out = np.empty(shape[1], dtype=np.uint64)
-            _nb_gram_matvec(rows, cols, vals, x, self._p, out)
-            return out
-        return _py_gram_matvec(rows, cols, vals, x, self.p, shape[1])
+        return _matvec(rows, cols, vals, x, self.p, shape[0])
 
     def krylov(self, coo, diag, x, y, count):
         """[x.y, x.A'y, ..., x.A'^(count-1) y] where A' = diag(A .) or A."""
         rows, cols, vals, shape = coo
-        if self.backend == "numba":
-            seq = np.empty(count, dtype=np.uint64)
-            tmp = np.empty(shape[0], dtype=np.uint64)
-            dd = diag if diag is not None else np.empty(0, dtype=np.uint64)
-            yy = x.copy() if y is x else y.copy()
-            _nb_krylov(rows, cols, vals, dd, x, yy, self._p, seq, tmp)
-            return [int(s) for s in seq]
+        p = self.p
         seq = []
         yy = list(y)
         for i in range(count):
             seq.append(self.dot(x, yy))
             if i + 1 == count:
                 break
-            yy = _py_matvec(rows, cols, vals, yy, self.p, shape[0])
+            yy = _matvec(rows, cols, vals, yy, p, shape[0])
             if diag is not None:
-                yy = [a * b % self.p for a, b in zip(diag, yy)]
+                yy = [a * b % p for a, b in zip(diag, yy)]
         return seq
 
     def horner(self, coo, coeffs, z):
         """sum coeffs[i] A^i z with two live vectors."""
         rows, cols, vals, shape = coo
-        if self.backend == "numba":
-            cf = np.array([c % self.p for c in coeffs], dtype=np.uint64)
-            acc = np.empty(shape[0], dtype=np.uint64)
-            tmp = np.empty(shape[0], dtype=np.uint64)
-            _nb_horner(rows, cols, vals, cf, z, self._p, acc, tmp)
-            return acc
         acc = self.scale(coeffs[-1], z)
         for i in range(len(coeffs) - 2, -1, -1):
-            acc = _py_matvec(rows, cols, vals, acc, self.p, shape[0])
+            acc = _matvec(rows, cols, vals, acc, self.p, shape[0])
             acc = self.add_scaled(acc, coeffs[i], z)
         return acc
 
     def berlekamp_massey(self, seq):
         """Monic minimal linear recurrence of seq, lowest degree first."""
-        if self.backend == "numba":
-            s = np.array([x % self.p for x in seq], dtype=np.uint64)
-            n = len(seq)
-            C = np.empty(n + 1, dtype=np.uint64)
-            B = np.empty(n + 1, dtype=np.uint64)
-            T = np.empty(n + 1, dtype=np.uint64)
-            L = int(_nb_bm(s, self._p, C, B, T))
-            conn = [int(c) for c in C[: L + 1]]
-        else:
-            C, L = _py_bm([x % self.p for x in seq], self.p)
-            conn = C[: L + 1]
+        C, L = _bm([x % self.p for x in seq], self.p)
         # reverse the connection polynomial into the recurrence polynomial
-        return [conn[L - k] for k in range(L + 1)]
-
-
-def mulmod_reference(a: int, b: int, p: int) -> int:
-    return a * b % p
-
-
-def mulmod_numba(a: int, b: int, p: int) -> int:
-    """Expose the jitted mulmod for direct testing."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba unavailable")
-    out = np.empty(1, dtype=np.uint64)
-    _nb_mulmod_batch(
-        np.array([a], dtype=np.uint64), np.array([b], dtype=np.uint64),
-        np.uint64(p), out)
-    return int(out[0])
+        return [C[L - k] for k in range(L + 1)]

@@ -12,12 +12,12 @@ matrix with a composition descriptor:
     GRAM         A^T A                           (never materializes A x)
     GRAM_T       A A^T + c I                     (may hold one n-vector)
 
-``apply_mod`` computes over F_p on the chosen kernel backend; per-prime
-reduced copies are cached one prime at a time and charged to the meter.
-GRAM/GRAM_T stay on the pure backend so no O(nnz) reduced copy is ever
-materialized; their working space stays proportional to the output
-dimension.  ``apply_int`` is exact integer arithmetic; callers keep query
-entries within the documented n^6 U^2 bound.
+``apply_mod`` computes over F_p; per-prime reduced copies are cached one
+prime at a time and charged to the meter.  GRAM/GRAM_T reduce the entries
+on the fly instead, so no O(nnz) reduced copy is ever materialized; their
+working space stays proportional to the output dimension.  ``apply_int``
+is exact integer arithmetic; callers keep query entries within the
+documented n^6 U^2 bound.
 
 Text formats (1-indexed, decimal):
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import meter
-from .kernels import Field, backend_for
+from .kernels import Field
 
 BASE = "BASE"
 DIAG_SCALE = "DIAG_SCALE"
@@ -215,23 +215,13 @@ class LinearOperator:
             return self.base.m * u * u + abs(self.shift_c)
         raise AssertionError(self.kind)
 
-    @property
-    def forced_backend(self):
-        # Gram products stay pure: reducing A mod p on the fly per entry
-        # avoids an O(nnz) reduced copy and keeps working space O(dim out).
-        if self.kind in (GRAM, GRAM_T):
-            return "pure"
-        if not self.base_is_matrix:
-            return self.base.forced_backend
-        return None
-
     def field(self, p) -> Field:
-        return Field(p, self.forced_backend or backend_for(p))
+        return Field(p)
 
     # -- mod-p application ------------------------------------------------
 
     def _mod_data(self, f: Field):
-        if self._cache_p == (f.p, f.backend):
+        if self._cache_p == f.p:
             return self._cache
         self.drop_cache()
         data = {}
@@ -249,7 +239,7 @@ class LinearOperator:
             bits += f.vec_bits(data["bvec"])
         self._cache_meter = meter.current()
         self._cache_tok = self._cache_meter.alloc("linop.mod_cache", bits)
-        self._cache_p = (f.p, f.backend)
+        self._cache_p = f.p
         self._cache = data
         return data
 
@@ -264,7 +254,7 @@ class LinearOperator:
             self.base.drop_cache()
 
     def apply_mod(self, v, p, f: Field | None = None):
-        """Exact product mod p; v and result are backend vectors."""
+        """Exact product mod p of a residue vector."""
         f = f or self.field(p)
         if len(v) != self.m:
             raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
@@ -308,19 +298,10 @@ class LinearOperator:
             return f.mul_elem(d["diag"], base_apply(v))
         if self.kind == SHIFT:
             w = base_apply(v)
-            dd = d["diag"]
-            out = f.zeros(self.n)
-            for i in range(self.n):
-                out[i] = (int(w[i]) + int(dd[i]) * int(v[i])) % p
-            return out
+            return [(wi + di * vi) % p for wi, di, vi in zip(w, d["diag"], v)]
         if self.kind == AUGMENT:
             top = base_apply(v[: self.m - 1])
-            c = (-int(v[self.m - 1])) % p
-            top = f.add_scaled(top, c, d["bvec"])
-            out = f.zeros(self.n)
-            for i in range(self.n - 1):
-                out[i] = top[i]
-            return out
+            return f.add_scaled(top, -v[self.m - 1], d["bvec"]) + [0]
         raise AssertionError(self.kind)
 
     def krylov_scalars(self, x, y, count, p, f: Field):
@@ -331,7 +312,7 @@ class LinearOperator:
             d = self._mod_data(f)
             return f.krylov(d["coo"], d["diag"], x, y, count)
         seq = []
-        yy = f.copy(y)
+        yy = list(y)
         with meter.track("krylov.vec", 2 * f.vec_bits(yy)):
             for i in range(count):
                 seq.append(f.dot(x, yy))
@@ -409,6 +390,7 @@ def read_matrix(fp) -> SparseMatrix:
     if n < 0 or m < 0 or nnz < 0:
         raise MatrixFormatError(1, "negative dimension")
     entries = []
+    seen = set()
     for k in range(nnz):
         lineno = k + 2
         if lineno - 1 >= len(lines) or not lines[lineno - 1].strip():
@@ -422,11 +404,11 @@ def read_matrix(fp) -> SparseMatrix:
             raise MatrixFormatError(lineno, f"bad integers {lines[lineno - 1]!r}") from None
         if not (1 <= i <= n and 1 <= j <= m):
             raise MatrixFormatError(lineno, f"index ({i},{j}) outside {n}x{m}")
+        if (i, j) in seen:
+            raise MatrixFormatError(lineno, f"duplicate entry ({i},{j})")
+        seen.add((i, j))
         entries.append((i - 1, j - 1, v))
-    try:
-        return SparseMatrix.from_entries(n, m, entries)
-    except ValueError as e:
-        raise MatrixFormatError(1, str(e)) from None
+    return SparseMatrix.from_entries(n, m, entries)
 
 
 def write_vector(v, fp) -> None:

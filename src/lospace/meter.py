@@ -3,9 +3,9 @@
 The space model charges every live auxiliary buffer, in bits, and excludes
 the read-only input and the emitted output.  Core routines register their
 O(n)-sized buffers against the active meter; scalars and loop counters are
-not charged.  numpy buffers are charged at 8 bits per byte of payload,
-Python integers at their bit length, so the numbers reported here are the
-model's bit counts, not process RSS.
+not charged.  Integers are charged at their bit length (a residue vector
+mod p at p.bit_length() + 1 bits per entry), so the numbers reported here
+are the model's bit counts, not process RSS.
 
 A meter is installed with ``activate()`` and queried afterwards::
 

@@ -24,6 +24,7 @@ escaping it raise ``FloatOverflow``.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,8 +118,8 @@ def _round_half_even(num: int, den: int) -> int:
 def _canonical(mant: int, exp: int, L: int, merr: int | None) -> FloatL:
     if mant == 0:
         return FloatL(0, 0, L, merr)
-    shift = (mant & -mant).bit_length() - 1
-    if shift:
+    if not mant & 1:
+        shift = (mant & -mant).bit_length() - 1
         mant >>= shift
         exp += shift
     if abs(exp) > (1 << L) or abs(mant) > (1 << L):
@@ -137,6 +138,17 @@ def _round_to_l(num: int, den: int, shift: int, L: int, merr: int | None) -> Flo
         return FloatL(0, 0, L, merr)
     sign = 1 if num > 0 else -1
     n = abs(num)
+    if den == 1:
+        # integer fast path: the same nearest-even rounding on a bit shift
+        e = n.bit_length() - L
+        if e <= 0:
+            return _canonical(sign * n, shift, L, merr)
+        m = n >> e
+        r = n & ((1 << e) - 1)
+        half = 1 << (e - 1)
+        if r > half or (r == half and m & 1):
+            m += 1
+        return _canonical(sign * m, e + shift, L, merr)
     # choose e with 2^(L-1) <= n / (den * 2^e) < 2^L
     e = n.bit_length() - den.bit_length() - L
     while True:
@@ -183,18 +195,12 @@ def fl_from_bigratio(num: int, den: int, L: int) -> FloatL:
 
 def _is_exact_ratio(num, den, L):
     # exact iff den/gcd is a power of two and the reduced mantissa fits
-    g = _gcd(abs(num), den)
+    g = math.gcd(num, den)
     n, d = abs(num) // g, den // g
     if d & (d - 1):
         return False
     odd = n >> ((n & -n).bit_length() - 1)
     return odd.bit_length() <= L
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def fl_scale_pow2(x: FloatL, k: int) -> FloatL:
@@ -215,11 +221,11 @@ def fl_add_same_sign(x: FloatL, y: FloatL) -> FloatL:
     """
     if x.L != y.L:
         raise ValueError("operands carry different L")
-    if x.is_zero():
+    if x.mantissa == 0:
         return y if not _TRACKING else FloatL(y.mantissa, y.exponent, y.L, _merr(y.merr_ulps or 0, x.merr_ulps or 0))
-    if y.is_zero():
+    if y.mantissa == 0:
         return x if not _TRACKING else FloatL(x.mantissa, x.exponent, x.L, _merr(x.merr_ulps or 0, y.merr_ulps or 0))
-    if x.sign() * y.sign() < 0:
+    if (x.mantissa < 0) != (y.mantissa < 0):
         raise SignMismatch("fl_add_same_sign on opposite signs")
     L = x.L
     merr = _merr((x.merr_ulps or 0), (y.merr_ulps or 0))
@@ -241,7 +247,7 @@ def fl_mul(x: FloatL, y: FloatL) -> FloatL:
     merr = None
     if _TRACKING:
         merr = (x.merr_ulps or 0) + (y.merr_ulps or 0) + 1
-    if x.is_zero() or y.is_zero():
+    if x.mantissa == 0 or y.mantissa == 0:
         return FloatL(0, 0, x.L, 0 if _TRACKING else None)
     return _round_to_l(x.mantissa * y.mantissa, 1, x.exponent + y.exponent, x.L, merr)
 
@@ -287,7 +293,7 @@ def fl_sqrt(x: FloatL) -> FloatL:
     while True:
         t = e - 2 * es
         v = m << t  # t >= L - 3 > 0 for any canonical mantissa
-        s = _isqrt(v)
+        s = math.isqrt(v)
         if s >> L:
             es += 1
         elif not (s >> (L - 1)):
@@ -298,11 +304,6 @@ def fl_sqrt(x: FloatL) -> FloatL:
     if v - s * s > s:
         s += 1
     return _canonical(s, es, L, merr)
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)
 
 
 def fl_cmp(x: FloatL, y: FloatL) -> int:
@@ -384,7 +385,3 @@ class FixedL:
 
 def fixed_from_fraction(q: Fraction, L: int) -> FixedL:
     return FixedL(_round_half_even(q.numerator * (1 << L), q.denominator), L)
-
-
-def fixed_from_float(x: FloatL, L: int) -> FixedL:
-    return fixed_from_fraction(x.to_fraction(), L)

@@ -1,10 +1,9 @@
 """Randomized primality testing, uniform prime sampling, and CRT.
 
 Sampling draws uniform integers from [n, n^2] and rejects non-primes and
-repeats; conditioned on success the output is a uniform k-subset of the
-primes in the range.  The per-prime rejection budget comes from the prime
-density bound 1/(8*log2 n) for n >= 16, so the failure probability of a
-whole sample_primes call is at most n^-c for the configured c.
+repeats; conditioned on success the first k primes of a stream are a
+uniform k-subset of the primes in the range.  PrimePool keeps one seeded
+stream per range.
 
 CRT reconstruction is incremental (Garner style): only the running product
 and remainder are live, never the full residue table.
@@ -93,66 +92,22 @@ def _looks_prime(x, rounds, rng):
     return test_prime(x, rounds, rng) == PRIME
 
 
-def sample_primes(k: int, n: int, rng: random.Random, c: int = 2,
-                  rounds: int = 40) -> list[int]:
-    """k distinct primes drawn uniformly from [n, n^2]; see module docstring."""
-    if n < 16:
-        raise ValueError("sample_primes wants n >= 16")
-    if not 1 <= k <= n:
-        raise ValueError("k must lie in [1, n]")
-    budget = math.ceil(8 * (c + 2) * math.log2(n) ** 2)
-    seen = set()
-    out = []
-    m = meter.current()
-    tok = m.alloc("primes.sample", 0)
-    try:
-        for _ in range(k):
-            for _attempt in range(budget):
-                x = rng.randrange(n, n * n + 1)
-                if x in seen:
-                    continue
-                if _looks_prime(x, rounds, rng):
-                    seen.add(x)
-                    out.append(x)
-                    m.resize(tok, 2 * sum(v.bit_length() + 1 for v in out))
-                    break
-            else:
-                raise SamplingExhausted(
-                    f"no new prime in [{n}, {n * n}] after {budget} draws")
-    finally:
-        m.free(tok)
-    return out
+def _draw_prime(rng: random.Random, lower: int, seen: set, rounds: int = 40) -> int:
+    """One prime from [lower, lower^2] not in seen, by rejection; adds it to seen.
 
-
-def sample_primes_until(n: int, rng: random.Random, stop, c: int = 2,
-                        rounds: int = 40, limit: int | None = None) -> list[int]:
-    """Draw distinct primes from [n, n^2] until stop(primes) says done.
-
-    Same sequential procedure as sample_primes, just with a data-dependent
-    count; used where the needed modulus product depends on the primes
-    actually drawn.
+    The budget of draws comes from the prime density bound 1/(8*log2 n)
+    for n >= 16; exhausting it has probability below lower^-4.
     """
-    if n < 16:
-        raise ValueError("sample_primes_until wants n >= 16")
-    budget = math.ceil(8 * (c + 2) * math.log2(n) ** 2)
-    seen = set()
-    out = []
-    cap = limit if limit is not None else n
-    while not stop(out):
-        if len(out) >= cap:
-            break
-        for _attempt in range(budget):
-            x = rng.randrange(n, n * n + 1)
-            if x in seen:
-                continue
-            if _looks_prime(x, rounds, rng):
-                seen.add(x)
-                out.append(x)
-                break
-        else:
-            raise SamplingExhausted(
-                f"no new prime in [{n}, {n * n}] after {budget} draws")
-    return out
+    budget = math.ceil(8 * 4 * math.log2(lower) ** 2)
+    for _attempt in range(budget):
+        x = rng.randrange(lower, lower * lower + 1)
+        if x in seen:
+            continue
+        if _looks_prime(x, rounds, rng):
+            seen.add(x)
+            return x
+    raise SamplingExhausted(
+        f"no new prime in [{lower}, {lower ** 2}] after {budget} draws")
 
 
 class PrimePool:
@@ -179,19 +134,8 @@ class PrimePool:
                 "big")
             st = {"rng": random.Random(seed), "primes": [], "seen": set()}
             self._streams[lower] = st
-        budget = math.ceil(8 * 4 * math.log2(max(16, lower)) ** 2)
         while len(st["primes"]) < count:
-            for _attempt in range(budget):
-                x = st["rng"].randrange(lower, lower * lower + 1)
-                if x in st["seen"]:
-                    continue
-                if _looks_prime(x, rounds, st["rng"]):
-                    st["seen"].add(x)
-                    st["primes"].append(x)
-                    break
-            else:
-                raise SamplingExhausted(
-                    f"no new prime in [{lower}, {lower ** 2}] after {budget} draws")
+            st["primes"].append(_draw_prime(st["rng"], lower, st["seen"], rounds))
         return st["primes"][:count]
 
 

@@ -264,8 +264,8 @@ class RationalSolver:
                 yield digits
                 ay = self.op.apply_int(digits)
                 r_tilde = [(rj + aj) // p for rj, aj in zip(r_tilde, ay)]
-                for rj in r_tilde:
-                    assert abs(rj) <= bound_r, "carry bound exceeded"
+                if any(abs(rj) > bound_r for rj in r_tilde):
+                    raise RuntimeError("carry bound exceeded")
                 if ppow is not None:
                     ppow *= p
                     if ppow > maxbd:

@@ -279,7 +279,8 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
     mid = (lo + hi) / 2
     radius = (hi - lo) / 2
     m_scaled = mid * (1 << scale_pow)
-    assert m_scaled.denominator == 1, "midpoint off the dyadic grid"
+    if m_scaled.denominator != 1:
+        raise ValueError("midpoint off the dyadic grid")
     shifted = LinearOperator.shift(b_scaled, -int(m_scaled))
     delta_scaled = radius * (1 << scale_pow)
     try:
@@ -384,7 +385,8 @@ def _one_eigenvector(b_scaled, scale_pow, lam: Fraction, g5: Fraction,
                      delta: Fraction, vec_eps: float, rng):
     """Gap-mode inverse power against B - (lam + g5) I."""
     shift_val = (lam + g5) * (1 << scale_pow)
-    assert shift_val.denominator == 1
+    if shift_val.denominator != 1:
+        raise ValueError("eigenvector shift off the dyadic grid")
     shifted = LinearOperator.shift(b_scaled, -int(shift_val))
     try:
         _, v_fl = inv_power_gap(shifted, vec_eps, delta * (1 << scale_pow), rng)

@@ -57,7 +57,7 @@ def _one_wiedemann_trial(op, p, f, rng):
     """
     n = op.n
     count = 2 * n + 1
-    wordbits = 64 if f.backend == "numba" else p.bit_length() + 1
+    wordbits = p.bit_length() + 1
     seq_bits = count * wordbits
     with meter.track("wiedemann.seq", seq_bits):
         with meter.track("wiedemann.vecs", 3 * n * wordbits):
@@ -147,7 +147,7 @@ def linsolve_zp(a, b, p, delta=1e-9, rng=None, f=None):
     rng = rng or random.Random()
     f = f or op.field(p)
     n = op.n
-    bmod = [int(x) % p for x in b]
+    bmod = [x % p for x in b]
     aug = LinearOperator.augment(op.base if op.kind == BASE else op, bmod)
     try:
         for _ in range(6):
@@ -155,7 +155,7 @@ def linsolve_zp(a, b, p, delta=1e-9, rng=None, f=None):
                 ker = find_kernel(aug, p, delta / 2, rng, f)
             except RetriesExhausted:
                 continue
-            v = int(ker[n])
+            v = ker[n]
             if v == 0:
                 continue
             vinv = f.inv(v)
@@ -232,9 +232,10 @@ class FpSolver:
 
     def _refresh_poly(self, boost):
         g = minimal_polynomial(self.op, self.p, boost=boost, rng=self.rng, f=self.f)
-        if g[0] % self.p == 0:
-            # X divides every candidate factor only if A is singular mod p;
-            # for an invertible matrix this is a failed trial
+        if len(g) == 1 or g[0] % self.p == 0:
+            # a degree-0 recurrence (all-zero Krylov scalars) expresses no
+            # inverse, and X divides every candidate factor only if A is
+            # singular mod p; for an invertible matrix both are failed trials
             self._gbar = None
             return
         m = meter.current()
@@ -243,11 +244,12 @@ class FpSolver:
         self._poly_tok = m.alloc("fpsolver.poly", len(g) * (self.p.bit_length() + 1))
         self._meter = m
         self._gbar = g
+        self._c0inv = self.f.inv((-g[0]) % self.p)
 
     def solve(self, b):
         """x with A x = b (mod p), verified; raises RetriesExhausted."""
         f, p, op = self.f, self.p, self.op
-        bvec = f.vec(b) if isinstance(b, list) else b
+        bvec = f.vec(b)
         bmod = f.tolist(bvec)
         for attempt in range(self._budget):
             if self._gbar is None:
@@ -255,10 +257,9 @@ class FpSolver:
                 if self._gbar is None:
                     continue
             g = self._gbar
-            c0inv = f.inv((-g[0]) % p)
             with meter.track("fpsolver.vecs", 3 * f.vec_bits(bvec)):
                 acc = op.horner_apply(g[1:], bvec, p, f)
-                x = f.scale(c0inv, acc)
+                x = f.scale(self._c0inv, acc)
                 if f.tolist(op.apply_mod(x, p, f)) == bmod:
                     return x
             self._gbar = None

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+from lospace import cli
 from lospace.cli import main
+from lospace.linop import DimensionMismatch
+from lospace.numeric import FloatOverflow
 
 
 def run_cli(args, tmp_path=None):
@@ -62,6 +65,33 @@ def test_input_error_line_numbered(files, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "d24.mtx", "b13.vec", "--epsilon", "0"],
+    ["solve", "d24.mtx", "b13.vec", "--epsilon", "2"],
+    ["eigs", "sym.mtx", "--epsilon", "0"],
+    ["bench", "--sizes", "0"],
+    ["bench", "--sizes", "4,x"],
+])
+def test_bad_argument_exit_code(files, capsys, argv):
+    argv = [str(files / a) if a.endswith((".mtx", ".vec")) else a for a in argv]
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [FloatOverflow("exponent out of range"),
+                                 DimensionMismatch("vector length 3 != 2")])
+def test_domain_errors_exit_code(files, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "lin_solve", fail)
+    code, _ = run_cli(["solve", str(files / "d24.mtx"), str(files / "b13.vec")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_nonsquare_det_rejected(files):

@@ -185,6 +185,9 @@ def test_format_errors_carry_line_numbers():
         read_matrix(io.StringIO("2 2 1\n3 1 5\n"))
     assert "line 2" in str(e.value)
     with pytest.raises(MatrixFormatError) as e:
+        read_matrix(io.StringIO("3 3 3\n1 1 3\n1 1 4\n2 2 5\n"))
+    assert "line 3" in str(e.value) and "duplicate" in str(e.value)
+    with pytest.raises(MatrixFormatError) as e:
         read_vector(io.StringIO("2\n1\nxx\n"))
     assert "line 3" in str(e.value)
 

@@ -157,6 +157,22 @@ def test_round_trip_property():
         assert back == x
 
 
+def test_integer_rounding_matches_ratio_path():
+    """Integers round by a bit shift; that must agree with the general
+    division path on the same value, exact ties included."""
+    rnd = random.Random(13)
+    for _ in range(3000):
+        L = rnd.randrange(6, 70)  # 2^L bounds the exponent: no overflow
+        n = rnd.getrandbits(rnd.randrange(1, 3 * L)) | 1
+        k = rnd.randrange(0, L + 2)
+        if k:
+            # low bits exactly half an ulp about half the time
+            n = (n << k) | (rnd.randrange(2) << (k - 1))
+        if rnd.random() < 0.5:
+            n = -n
+        assert fl_from_int(n, L) == fl_from_bigratio(3 * n, 3, L), (n, L)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
        st.integers(min_value=1, max_value=10 ** 12),

@@ -6,9 +6,9 @@ from lospace.primes import (
     COMPOSITE,
     PRIME,
     DuplicatePrime,
+    PrimePool,
+    _draw_prime,
     crt_combine,
-    sample_primes,
-    sample_primes_until,
 )
 from lospace.primes import test_prime as check_prime
 
@@ -47,47 +47,47 @@ def test_prime_large_known():
     assert check_prime(512461, rng=rng) == COMPOSITE  # another Carmichael
 
 
+def _draw(k, lower, rng):
+    seen = set()
+    return [_draw_prime(rng, lower, seen) for _ in range(k)]
+
+
 def test_sample_basic_and_deterministic():
-    out = sample_primes(3, 16, random.Random(42))
+    out = _draw(3, 16, random.Random(42))
     assert len(out) == len(set(out)) == 3
     primes = set(sieve_upto(256))
     for p in out:
         assert 16 <= p <= 256 and p in primes
-    again = sample_primes(3, 16, random.Random(42))
+    again = _draw(3, 16, random.Random(42))
     assert out == again
+    pool = PrimePool().get(16, 3)
+    assert PrimePool().get(16, 3) == pool
+    assert PrimePool().get(16, 5)[:3] == pool
+    assert all(16 <= p <= 256 and p in primes for p in pool)
 
 
 def test_sample_outputs_pass_primality_and_distinct():
-    rng = random.Random(9)
-    out = sample_primes(20, 400, rng)
-    assert len(set(out)) == 20
+    out = _draw(20, 400, random.Random(9))
+    pooled = PrimePool().get(400, 20)  # lower snaps up to 512
     check = random.Random(10)
-    for p in out:
-        assert check_prime(p, 40, check) == PRIME
-        assert 400 <= p <= 160000
+    for lower, ps in ((400, out), (512, pooled)):
+        assert len(set(ps)) == 20
+        for p in ps:
+            assert check_prime(p, 40, check) == PRIME
+            assert lower <= p <= lower * lower
 
 
 def test_sample_uniformity_chi_square():
-    """Empirical distribution of (k=1, n=16) over 10^4 seeds is uniform at 1%."""
+    """Empirical distribution of one draw from [16, 256] over 10^4 seeds is uniform at 1%."""
     targets = [p for p in sieve_upto(256) if p >= 16]
     counts = {p: 0 for p in targets}
     for seed in range(10 ** 4):
-        (p,) = sample_primes(1, 16, random.Random(seed))
-        counts[p] += 1
+        counts[_draw_prime(random.Random(seed), 16, set())] += 1
     expected = 10 ** 4 / len(targets)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     from scipy.stats import chi2 as chi2_dist
     crit = chi2_dist.ppf(0.99, df=len(targets) - 1)
     assert chi2 < crit, (chi2, crit)
-
-
-def test_sample_until_product_target():
-    rng = random.Random(31)
-    target = 10 ** 40
-    out = sample_primes_until(1000, rng, lambda ps: _prod(ps) > target)
-    assert _prod(out) > target
-    assert _prod(out[:-1]) <= target
-    assert len(set(out)) == len(out)
 
 
 def _prod(ps):

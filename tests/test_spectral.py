@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 
@@ -130,6 +133,28 @@ def test_shift_invert_soundness_random():
             assert not strict, (a, lo, hi, eigs)
         else:
             assert widened, (a, lo, hi, eigs)
+
+
+def test_off_grid_midpoint_rejected_under_optimize():
+    """The dyadic-grid invariant is a raised check, so python -O keeps it."""
+    code = (
+        "import random\n"
+        "from fractions import Fraction\n"
+        "from lospace.linop import SparseMatrix\n"
+        "from lospace.spectral import shift_invert\n"
+        "try:\n"
+        "    shift_invert(SparseMatrix.from_dense([[1]]), 0, Fraction(0),\n"
+        "                 Fraction(1), random.Random(0))\n"
+        "except ValueError as e:\n"
+        "    print(e)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "midpoint off the dyadic grid\n"
 
 
 def test_spectrum_examples():

@@ -207,6 +207,15 @@ def test_fpsolver_repeated_rhs():
     solver.close()
 
 
+def test_fpsolver_degree_zero_recurrence_is_a_failed_trial():
+    # this seed draws an all-zero Krylov sequence first; its recurrence [1]
+    # has no coefficients left for Horner once the constant term is split off
+    solver = FpSolver(SparseMatrix.from_dense([[3]]), 5, random.Random(2))
+    x = solver.solve([1])
+    assert 3 * x[0] % 5 == 1
+    solver.close()
+
+
 def test_minpoly_workspace_linear():
     """Live field elements during minimal_polynomial stay within c*n."""
     rnd = random.Random(3)
