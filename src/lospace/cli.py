@@ -65,20 +65,10 @@ def _load_vector(path):
 
 
 def _fmt_value(x, args):
-    if isinstance(x, FixedL):
-        if args.format == "decimal":
-            q = x.to_fraction()
-            digits = args.decimal_digits or 6
-            scaled = q * 10 ** digits
-            r = scaled.numerator // scaled.denominator
-            if 2 * (scaled.numerator - r * scaled.denominator) >= scaled.denominator:
-                r += 1
-            sign = "-" if r < 0 else ""
-            r = abs(r)
-            return f"{sign}{r // 10 ** digits}.{r % 10 ** digits:0{digits}d}"
-        return f"{'+' if x.scaled >= 0 else '-'}{abs(x.scaled)}*2^-{x.L}"
     if args.format == "decimal":
         return format_decimal(x, args.decimal_digits or 6)
+    if isinstance(x, FixedL):
+        return f"{'+' if x.scaled >= 0 else '-'}{abs(x.scaled)}*2^-{x.L}"
     return format_float2exp(x)
 
 

@@ -81,10 +81,6 @@ class Field:
         c %= p
         return [c * b % p for b in z]
 
-    def mul_elem(self, d, z):
-        p = self.p
-        return [a * b % p for a, b in zip(d, z)]
-
     def is_zero(self, v):
         return not any(v)
 
@@ -99,10 +95,6 @@ class Field:
     def coo_bits(self, coo):
         rows, cols, vals, shape = coo
         return len(rows) * (2 * max(shape).bit_length() + self.p.bit_length() + 1)
-
-    def matvec(self, coo, x):
-        rows, cols, vals, shape = coo
-        return _matvec(rows, cols, vals, x, self.p, shape[0])
 
     def krylov(self, coo, diag, x, y, count):
         """[x.y, x.A'y, ..., x.A'^(count-1) y] where A' = diag(A .) or A."""

@@ -12,12 +12,14 @@ matrix with a composition descriptor:
     GRAM         A^T A                           (never materializes A x)
     GRAM_T       A A^T + c I                     (may hold one n-vector)
 
-``apply_mod`` computes over F_p; per-prime reduced copies are cached one
-prime at a time and charged to the meter.  GRAM/GRAM_T reduce the entries
-on the fly instead, so no O(nnz) reduced copy is ever materialized; their
-working space stays proportional to the output dimension.  ``apply_int``
-is exact integer arithmetic; callers keep query entries within the
-documented n^6 U^2 bound.
+``apply_int`` is exact integer arithmetic and the one implementation of
+each composition; callers keep query entries within the documented
+n^6 U^2 bound.  ``apply_mod`` is that product reduced mod p.  The fused
+Krylov/Horner kernels run on BASE and on DIAG_SCALE over a matrix; those
+two kinds cache a reduced copy of the matrix one prime at a time, charged
+to the meter and released by ``drop_cache``.  No other kind holds a
+cache, and GRAM/GRAM_T never materialize A x: their working space stays
+proportional to the output dimension.
 
 Text formats (1-indexed, decimal):
 
@@ -215,33 +217,26 @@ class LinearOperator:
             return self.base.m * u * u + abs(self.shift_c)
         raise AssertionError(self.kind)
 
-    def field(self, p) -> Field:
-        return Field(p)
-
     # -- mod-p application ------------------------------------------------
 
     def _mod_data(self, f: Field):
+        """(coo, diag) reduced mod f.p for the fused kernels, cached one
+        prime at a time and charged to the meter."""
         if self._cache_p == f.p:
             return self._cache
         self.drop_cache()
-        data = {}
-        bits = 0
-        if self.base_is_matrix:
-            a = self.base
-            coo = f.coo(a.rows, a.cols, a.vals, (a.n, a.m))
-            data["coo"] = coo
-            bits += f.coo_bits(coo)
-        if self.kind in (DIAG_SCALE, SHIFT):
-            data["diag"] = f.vec(self.diag)
-            bits += f.vec_bits(data["diag"])
-        if self.kind == AUGMENT:
-            data["bvec"] = f.vec(self.bvec)
-            bits += f.vec_bits(data["bvec"])
+        a = self.base
+        coo = f.coo(a.rows, a.cols, a.vals, (a.n, a.m))
+        bits = f.coo_bits(coo)
+        diag = None
+        if self.kind == DIAG_SCALE:
+            diag = f.vec(self.diag)
+            bits += f.vec_bits(diag)
         self._cache_meter = meter.current()
         self._cache_tok = self._cache_meter.alloc("linop.mod_cache", bits)
         self._cache_p = f.p
-        self._cache = data
-        return data
+        self._cache = (coo, diag)
+        return self._cache
 
     def drop_cache(self):
         if self._cache_tok is not None:
@@ -250,84 +245,33 @@ class LinearOperator:
         self._cache_meter = None
         self._cache_p = None
         self._cache = None
-        if not self.base_is_matrix and isinstance(self.base, LinearOperator):
-            self.base.drop_cache()
 
-    def apply_mod(self, v, p, f: Field | None = None):
-        """Exact product mod p of a residue vector."""
-        f = f or self.field(p)
-        if len(v) != self.m:
-            raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
-        if self.kind == GRAM:
-            # walk the original entries, reducing on the fly: no O(nnz) copy
-            a = self.base
-            out = [0] * a.m
-            nnz = a.nnz
-            k = 0
-            while k < nnz:
-                row = a.rows[k]
-                k2 = k
-                inner = 0
-                while k2 < nnz and a.rows[k2] == row:
-                    inner = (inner + a.vals[k2] * v[a.cols[k2]]) % p
-                    k2 += 1
-                for t in range(k, k2):
-                    out[a.cols[t]] = (out[a.cols[t]] + a.vals[t] * inner) % p
-                k = k2
-            return out
-        if self.kind == GRAM_T:
-            a = self.base
-            w = [0] * a.m
-            for i, j, x in zip(a.rows, a.cols, a.vals):
-                w[j] = (w[j] + x * v[i]) % p
-            out = [0] * a.n
-            for i, j, x in zip(a.rows, a.cols, a.vals):
-                out[i] = (out[i] + x * w[j]) % p
-            c = self.shift_c % p
-            return [(o + c * x) % p for o, x in zip(out, v)]
-        d = self._mod_data(f)
-
-        def base_apply(w):
-            if self.base_is_matrix:
-                return f.matvec(d["coo"], w)
-            return self.base.apply_mod(w, p, f)
-
-        if self.kind == BASE:
-            return f.matvec(d["coo"], v)
-        if self.kind == DIAG_SCALE:
-            return f.mul_elem(d["diag"], base_apply(v))
-        if self.kind == SHIFT:
-            w = base_apply(v)
-            return [(wi + di * vi) % p for wi, di, vi in zip(w, d["diag"], v)]
-        if self.kind == AUGMENT:
-            top = base_apply(v[: self.m - 1])
-            return f.add_scaled(top, -v[self.m - 1], d["bvec"]) + [0]
-        raise AssertionError(self.kind)
+    def apply_mod(self, v, p):
+        """Exact product mod p: the integer product, reduced."""
+        return [x % p for x in self.apply_int(v)]
 
     def krylov_scalars(self, x, y, count, p, f: Field):
         """[x.y, x.My, ..., x.M^(count-1)y] using the fused kernel if possible."""
-        if self.kind == BASE:
-            return f.krylov(self._mod_data(f)["coo"], None, x, y, count)
-        if self.kind == DIAG_SCALE and self.base_is_matrix:
-            d = self._mod_data(f)
-            return f.krylov(d["coo"], d["diag"], x, y, count)
+        if self.base_is_matrix and self.kind in (BASE, DIAG_SCALE):
+            coo, diag = self._mod_data(f)
+            return f.krylov(coo, diag, x, y, count)
         seq = []
         yy = list(y)
         with meter.track("krylov.vec", 2 * f.vec_bits(yy)):
             for i in range(count):
                 seq.append(f.dot(x, yy))
                 if i + 1 < count:
-                    yy = self.apply_mod(yy, p, f)
+                    yy = self.apply_mod(yy, p)
         return seq
 
     def horner_apply(self, coeffs, z, p, f: Field):
         """sum coeffs[i] M^i z with two live vectors."""
         if self.kind == BASE:
-            return f.horner(self._mod_data(f)["coo"], coeffs, z)
+            return f.horner(self._mod_data(f)[0], coeffs, z)
         acc = f.scale(coeffs[-1], z)
         with meter.track("horner.vec", 2 * f.vec_bits(z)):
             for i in range(len(coeffs) - 2, -1, -1):
-                acc = self.apply_mod(acc, p, f)
+                acc = self.apply_mod(acc, p)
                 acc = f.add_scaled(acc, coeffs[i], z)
         return acc
 

@@ -351,10 +351,15 @@ def parse_float2exp(text: str, L: int) -> FloatL:
     return _canonical(int(mant_s), int(exp_s), L, None)
 
 
-def format_decimal(x: FloatL, digits: int) -> str:
-    """Exact decimal rendering with `digits` fractional digits."""
-    neg = x.mantissa < 0
-    mant, exp = abs(x.mantissa), x.exponent
+def format_decimal(x, digits: int) -> str:
+    """A FloatL or FixedL in decimal with `digits` fractional digits,
+    rounded half to even."""
+    if isinstance(x, FixedL):
+        mant, exp = x.scaled, -x.L
+    else:
+        mant, exp = x.mantissa, x.exponent
+    neg = mant < 0
+    mant = abs(mant)
     scaled = mant * 10 ** digits
     if exp >= 0:
         scaled <<= exp

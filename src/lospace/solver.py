@@ -303,14 +303,15 @@ class RationalSolver:
             return SolveOutcome(True)
         n, p = self.n, self.prime
         T = self.lift_length(b)
-        # exponents reach T * log2(p); widen L until they are representable
-        while (1 << self.L) < T * (p.bit_length() + 1) + self.L + 64:
-            self.L += 8
+        # exponents reach T * log2(p); widen L until they are representable.
+        # The widening stays local, so a solve never depends on earlier ones
+        L = self.L
+        while (1 << L) < T * (p.bit_length() + 1) + L + 64:
+            L += 8
         if self._clamped:
             # below the clamp the accumulators must be exact: give the
             # mantissa room for every digit of p^T
-            self.L = max(self.L, T * (p.bit_length() + 1) + 8)
-        L = self.L
+            L = max(L, T * (p.bit_length() + 1) + 8)
         K = K or self.block_count()
         block = math.ceil(n / K)
         out = [None] * n

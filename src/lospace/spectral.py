@@ -20,8 +20,10 @@ integer again.  The pipeline:
                      vectors come from the live left vector only
 
 The base matrix may also be a black-box symmetric operator (the SVD path
-wraps its Gram product this way); scaling and shifting then compose
-operators instead of materializing anything.
+passes its ridged Gram product); scaling and shifting then compose
+operators instead of materializing anything.  A shifted operator holds no
+per-prime reduced copy: its products mod p are its exact products reduced,
+so only a plain matrix handed to inv_power has a cache to release.
 
 Probabilistic failures surface as ResultCountMismatch after one retry
 with a fresh perturbation.
@@ -93,8 +95,7 @@ class PerturbedMatrix:
                 d[(i, j)] = d.get((i, j), 0) + (v << s)
             return SparseMatrix.from_entries(
                 self.n, self.n, [(i, j, v) for (i, j), v in d.items() if v])
-        inner = getattr(self.base, "op", self.base)
-        scaled = LinearOperator.diag_scale([1 << s] * self.n, inner)
+        scaled = LinearOperator.diag_scale([1 << s] * self.n, self.base)
         return LinearOperator.shift(scaled, [v << shift for v in self.diag_scaled])
 
 
@@ -283,12 +284,9 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
         raise ValueError("midpoint off the dyadic grid")
     shifted = LinearOperator.shift(b_scaled, -int(m_scaled))
     delta_scaled = radius * (1 << scale_pow)
-    try:
-        res = _inverse_power(shifted, 0, 0.1, delta_scaled, rng,
-                             _t_cap(b_scaled.n, 0.1), 2.0 ** -40,
-                             hint=Fraction(12, 10) * delta_scaled)
-    finally:
-        shifted.drop_cache()
+    res = _inverse_power(shifted, 0, 0.1, delta_scaled, rng,
+                         _t_cap(b_scaled.n, 0.1), 2.0 ** -40,
+                         hint=Fraction(12, 10) * delta_scaled)
     if fl_cmp_fraction(res.lam, Fraction(12, 10) * delta_scaled) == LESS:
         return YES
     return NO
@@ -388,10 +386,7 @@ def _one_eigenvector(b_scaled, scale_pow, lam: Fraction, g5: Fraction,
     if shift_val.denominator != 1:
         raise ValueError("eigenvector shift off the dyadic grid")
     shifted = LinearOperator.shift(b_scaled, -int(shift_val))
-    try:
-        _, v_fl = inv_power_gap(shifted, vec_eps, delta * (1 << scale_pow), rng)
-    finally:
-        shifted.drop_cache()
+    _, v_fl = inv_power_gap(shifted, vec_eps, delta * (1 << scale_pow), rng)
     return v_fl
 
 
@@ -417,25 +412,6 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None, c: int = 2,
         yield fixed_from_fraction(lam, scale_pow), vec
 
 
-class _SymmetricOperatorView:
-    """The sliver of the matrix surface the eigen pipeline needs, for a
-    black-box symmetric operator (the SVD's ridged Gram product)."""
-
-    def __init__(self, op: LinearOperator, bound: int):
-        self.op = op
-        self.n = op.n
-        self.m = op.m
-        self._bound = bound
-
-    @property
-    def entry_bound(self):
-        return self._bound
-
-    @property
-    def rows(self):  # pragma: no cover - PerturbedMatrix never asks
-        raise TypeError("black-box operator has no entry list")
-
-
 def svd(a: SparseMatrix, eps: float, rng=None):
     """Yields (u_i, sigma_i, v_i) with sigma descending for i < m, then the
     remaining null-direction columns of U as (u_i, None, None).
@@ -454,12 +430,10 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     ridge = int(eps0 * (1 << (2 * t))) + 1
     gram = LinearOperator.gram_t(a_scaled, ridge)
     eps0_eff = Fraction(ridge, 1 << (2 * t))
-    bound = m * (u_bound << t) ** 2 + ridge
-    view = _SymmetricOperatorView(gram, bound)
     # targets on the scaled matrix: eigenvalues of 2^2t (A A^T + eps0 I)
     eps_scaled = float(eps0_eff / 10) * (1 << (2 * t))
     vec_eps = float(eps0_eff / 10) ** 2
-    bsc, vals, scale_pow, sep = _perturb_and_extract(view, eps_scaled, rng, vec_eps)
+    bsc, vals, scale_pow, sep = _perturb_and_extract(gram, eps_scaled, rng, vec_eps)
     g5 = _dyadic_at_least(sep / 5, scale_pow)
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
     L = 64
@@ -479,16 +453,10 @@ def svd(a: SparseMatrix, eps: float, rng=None):
             yield uvec, fl_zero(L), [FixedL(0, out_bits)] * m
             continue
         sigma = fl_sqrt(fl_from_bigratio(sig_sq.numerator, sig_sq.denominator, L))
-        atu = _apply_t_frac(a, [x.to_fraction() for x in v_fl])
+        atu = a.apply_transpose_int([x.to_fraction() for x in v_fl])
         inv_sigma = fl_recip(sigma)
         vvec = [fl_mul(fl_from_bigratio(x.numerator, x.denominator, L), inv_sigma)
                 for x in atu]
         yield uvec, sigma, [fixed_from_fraction(x.to_fraction(), out_bits)
                             for x in vvec]
 
-
-def _apply_t_frac(a: SparseMatrix, v):
-    out = [Fraction(0)] * a.m
-    for i, j, x in zip(a.rows, a.cols, a.vals):
-        out[j] += x * v[i]
-    return out

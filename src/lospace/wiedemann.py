@@ -79,7 +79,7 @@ def minimal_polynomial(a, p, boost=1, rng=None, f=None):
     """
     op = _as_op(a)
     rng = rng or random.Random()
-    f = f or op.field(p)
+    f = f or Field(p)
     best = [1]
     for _ in range(max(1, boost)):
         g = _one_wiedemann_trial(op, p, f, rng)
@@ -108,7 +108,7 @@ def find_kernel(a, p, delta=1e-9, rng=None, f=None):
     """
     op = _as_op(a)
     rng = rng or random.Random()
-    f = f or op.field(p)
+    f = f or Field(p)
     n = op.n
     inner_budget = max(2, math.ceil(math.log(2 / delta) / math.log(p))) + 1
     outer_budget = max(3, math.ceil(math.log2(1 / delta) / 4))
@@ -127,7 +127,7 @@ def find_kernel(a, p, delta=1e-9, rng=None, f=None):
                     continue
                 w = y
                 for _t in range(max(c, 1)):
-                    wn = op.apply_mod(w, p, f)
+                    wn = op.apply_mod(w, p)
                     if f.is_zero(wn):
                         return w
                     w = wn
@@ -145,26 +145,23 @@ def linsolve_zp(a, b, p, delta=1e-9, rng=None, f=None):
     if op.n != op.m:
         raise ValueError("linsolve_zp needs a square operator")
     rng = rng or random.Random()
-    f = f or op.field(p)
+    f = f or Field(p)
     n = op.n
     bmod = [x % p for x in b]
     aug = LinearOperator.augment(op.base if op.kind == BASE else op, bmod)
-    try:
-        for _ in range(6):
-            try:
-                ker = find_kernel(aug, p, delta / 2, rng, f)
-            except RetriesExhausted:
-                continue
-            v = ker[n]
-            if v == 0:
-                continue
-            vinv = f.inv(v)
-            x = f.scale(vinv, ker[:n])
-            lhs = op.apply_mod(x, p, f)
-            if f.tolist(lhs) == bmod:
-                return x
-    finally:
-        aug.drop_cache()
+    for _ in range(6):
+        try:
+            ker = find_kernel(aug, p, delta / 2, rng, f)
+        except RetriesExhausted:
+            continue
+        v = ker[n]
+        if v == 0:
+            continue
+        vinv = f.inv(v)
+        x = f.scale(vinv, ker[:n])
+        lhs = op.apply_mod(x, p)
+        if f.tolist(lhs) == bmod:
+            return x
     raise RetriesExhausted("linsolve_zp kept failing verification")
 
 
@@ -173,16 +170,15 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
 
     A degree-n recurrence for diag(d) A certifies the answer outright
     (it must be the characteristic polynomial, so det = (-1)^n f(0)/prod d).
-    A verified kernel vector certifies 0.  Only when neither certificate
-    appears within the budget does the routine fall back to reporting 0,
-    which is the single probabilistic branch and has probability <= delta
-    for an invertible input.
+    A verified kernel vector certifies 0.  Every answer is certified: when
+    neither certificate appears within the budget the routine raises
+    RetriesExhausted.
     """
     op = _as_op(a)
     if op.n != op.m:
         raise ValueError("determinant_zp needs a square operator")
     rng = rng or random.Random()
-    f = f or op.field(p)
+    f = f or Field(p)
     n = op.n
     runs = max(1, math.ceil(40 * math.log(1 / delta)))
     sign = -1 if n % 2 else 1
@@ -203,11 +199,11 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
             # three failed degree certificates: likely singular; try to
             # certify that with an explicit kernel vector
             try:
-                find_kernel(op, p, delta=0.05, rng=rng, f=f)
+                find_kernel(op, p, delta, rng, f)
                 return 0
             except RetriesExhausted:
                 pass
-    return 0
+    raise RetriesExhausted("determinant_zp found neither certificate")
 
 
 class FpSolver:
@@ -224,7 +220,7 @@ class FpSolver:
         self.op = _as_op(a)
         self.p = p
         self.rng = rng
-        self.f = f or self.op.field(p)
+        self.f = f or Field(p)
         self.delta = delta
         self._gbar = None
         self._budget = max(6, math.ceil(math.log2(1 / delta)))
@@ -260,7 +256,7 @@ class FpSolver:
             with meter.track("fpsolver.vecs", 3 * f.vec_bits(bvec)):
                 acc = op.horner_apply(g[1:], bvec, p, f)
                 x = f.scale(self._c0inv, acc)
-                if f.tolist(op.apply_mod(x, p, f)) == bmod:
+                if f.tolist(op.apply_mod(x, p)) == bmod:
                     return x
             self._gbar = None
         raise RetriesExhausted("FpSolver verification kept failing")

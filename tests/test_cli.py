@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from lospace import cli
 from lospace.cli import main
 from lospace.linop import DimensionMismatch
-from lospace.numeric import FloatOverflow
+from lospace.numeric import FixedL, FloatOverflow
 
 
 def run_cli(args, tmp_path=None):
@@ -58,6 +59,12 @@ def test_solve_float2exp_format(files):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].endswith("*2^-1")
+
+
+def test_fixed_point_decimal_ties_round_half_even():
+    args = argparse.Namespace(format="decimal", decimal_digits=2)
+    assert cli._fmt_value(FixedL(1, 3), args) == "0.12"
+    assert cli._fmt_value(FixedL(-3, 3), args) == "-0.38"
 
 
 def test_input_error_line_numbered(files, capsys):

@@ -48,7 +48,8 @@ def test_kernels_match_naive_reference(p):
         coo = f.coo(rows, cols, vals, (n, n))
         x = [rnd.randrange(p) for _ in range(n)]
         y = [rnd.randrange(p) for _ in range(n)]
-        assert f.matvec(coo, x) == _dense_apply(a, x, p)
+        op = LinearOperator.from_sparse(SparseMatrix(n, n, rows, cols, vals))
+        assert op.apply_mod(x, p) == _dense_apply(a, x, p)
         assert f.dot(x, y) == sum(xi * yi for xi, yi in zip(x, y)) % p
 
         count = 2 * n + 1
@@ -79,21 +80,20 @@ def test_kernels_match_naive_reference(p):
 def test_matvec_against_dense():
     rnd = random.Random(8)
     p = 10007
-    f = Field(p)
     for _ in range(50):
         n, m = rnd.randrange(1, 7), rnd.randrange(1, 7)
         nnz = rnd.randrange(0, n * m + 1)
         rows, cols, vals = _rand_coo(rnd, n, m, nnz, p)
         dense = _dense(rows, cols, vals, n, m)
+        mat = SparseMatrix(n, m, rows, cols, vals)
         x = [rnd.randrange(p) for _ in range(m)]
         want = [sum(dense[i][j] * x[j] for j in range(m)) % p for i in range(n)]
-        assert f.matvec(f.coo(rows, cols, vals, (n, m)), x) == want
+        assert LinearOperator.from_sparse(mat).apply_mod(x, p) == want
         gram_want = [
             sum(dense[i][a] * dense[i][b] * x[b] for i in range(n) for b in range(m)) % p
             for a in range(m)
         ]
-        gram = LinearOperator.gram(SparseMatrix(n, m, rows, cols, vals))
-        assert gram.apply_mod(x, p) == gram_want
+        assert LinearOperator.gram(mat).apply_mod(x, p) == gram_want
 
 
 def test_bm_known_sequences():

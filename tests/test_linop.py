@@ -20,16 +20,16 @@ from lospace.linop import (
 def test_apply_mod_examples():
     p = 7
     ident = LinearOperator.from_sparse(SparseMatrix.identity(2))
-    f = ident.field(p)
-    assert f.tolist(ident.apply_mod(f.vec([3, 5]), p, f)) == [3, 5]
+    f = Field(p)
+    assert f.tolist(ident.apply_mod(f.vec([3, 5]), p)) == [3, 5]
 
     a = LinearOperator.from_sparse(SparseMatrix.from_dense([[1, 2], [3, 4]]))
-    f5 = a.field(5)
-    assert f5.tolist(a.apply_mod(f5.vec([1, 1]), 5, f5)) == [3, 2]
+    f5 = Field(5)
+    assert f5.tolist(a.apply_mod(f5.vec([1, 1]), 5)) == [3, 2]
 
     d = LinearOperator.diag_scale([2, 3], SparseMatrix.identity(2))
-    f7 = d.field(7)
-    assert f7.tolist(d.apply_mod(f7.vec([1, 1]), 7, f7)) == [2, 3]
+    f7 = Field(7)
+    assert f7.tolist(d.apply_mod(f7.vec([1, 1]), 7)) == [2, 3]
 
 
 def test_apply_int_examples():
@@ -47,18 +47,18 @@ def test_augment_examples():
     assert aug.apply_int([4, 7, 0]) == [4, 7, 0]
     assert aug.apply_int([1, 1, 1]) == [0, 0, 0]  # kernel holds the solution
     p = 101
-    f = aug.field(p)
-    assert f.tolist(aug.apply_mod(f.vec([0, 0, 1]), p, f)) == [100, 100, 0]
+    f = Field(p)
+    assert f.tolist(aug.apply_mod(f.vec([0, 0, 1]), p)) == [100, 100, 0]
 
 
 def test_gram_examples():
     g = LinearOperator.gram(SparseMatrix.identity(3))
-    f = g.field(11)
-    assert f.tolist(g.apply_mod(f.vec([4, 5, 6]), 11, f)) == [4, 5, 6]
+    f = Field(11)
+    assert f.tolist(g.apply_mod(f.vec([4, 5, 6]), 11)) == [4, 5, 6]
     gt = LinearOperator.gram_t(SparseMatrix.from_dense([[3, 0], [0, 4]]), c=1)
     assert gt.apply_int([1, 0]) == [10, 0]
-    f2 = gt.field(101)
-    assert f2.tolist(gt.apply_mod(f2.vec([1, 0]), 101, f2)) == [10, 0]
+    f2 = Field(101)
+    assert f2.tolist(gt.apply_mod(f2.vec([1, 0]), 101)) == [10, 0]
 
 
 def test_shift_operator():
@@ -68,8 +68,8 @@ def test_shift_operator():
     sv = LinearOperator.shift(a, [10, 20])
     assert sv.apply_int([1, 1]) == [13, 27]
     p = 13
-    f = s.field(p)
-    assert f.tolist(s.apply_mod(f.vec([1, 1]), p, f)) == [(-2) % 13, 2]
+    f = Field(p)
+    assert f.tolist(s.apply_mod(f.vec([1, 1]), p)) == [(-2) % 13, 2]
 
 
 def _dense_mul(dense, v):
@@ -77,8 +77,12 @@ def _dense_mul(dense, v):
 
 
 def test_composition_against_dense_oracle():
+    """apply_int, apply_mod, krylov_scalars and horner_apply of every
+    composition kind against its dense matrix, including the DIAG_SCALE
+    over GRAM_T and SHIFT over that which the SVD path builds."""
     rnd = random.Random(21)
     p = 10007
+    f = Field(p)
     for _ in range(60):
         n = rnd.randrange(1, 8)
         m = rnd.randrange(1, 8)
@@ -88,17 +92,22 @@ def test_composition_against_dense_oracle():
         d = [rnd.randrange(-5, 6) for _ in range(n)]
         ops.append((LinearOperator.diag_scale(d, a),
                     [[d[i] * dense[i][j] for j in range(m)] for i in range(n)]))
-        at = [[dense[i][j] for i in range(n)] for j in range(m)]
         ops.append((LinearOperator.gram(a),
-                    [_dense_mul(at, col) for col in
-                     [[dense[i][j] for i in range(n)] for j in range(m)]]
-                    if False else
                     [[sum(dense[k][i] * dense[k][j] for k in range(n))
                       for j in range(m)] for i in range(m)]))
         c = rnd.randrange(-4, 5)
-        ops.append((LinearOperator.gram_t(a, c),
-                    [[sum(dense[i][k] * dense[j][k] for k in range(m))
-                      + (c if i == j else 0) for j in range(n)] for i in range(n)]))
+        gt = LinearOperator.gram_t(a, c)
+        gt_ref = [[sum(dense[i][k] * dense[j][k] for k in range(m))
+                   + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        ops.append((gt, gt_ref))
+        d2 = [rnd.randrange(-5, 6) for _ in range(n)]
+        scaled = LinearOperator.diag_scale(d2, gt)
+        scaled_ref = [[d2[i] * x for x in row] for i, row in enumerate(gt_ref)]
+        ops.append((scaled, scaled_ref))
+        s2 = [rnd.randrange(-7, 8) for _ in range(n)]
+        ops.append((LinearOperator.shift(scaled, s2),
+                    [[x + (s2[i] if i == j else 0) for j, x in enumerate(row)]
+                     for i, row in enumerate(scaled_ref)]))
         if n == m:
             s = rnd.randrange(-7, 8)
             ops.append((LinearOperator.shift(a, s),
@@ -112,9 +121,22 @@ def test_composition_against_dense_oracle():
             v = [rnd.randrange(-20, 21) for _ in range(op.m)]
             want = _dense_mul(ref, v)
             assert op.apply_int(v) == want
-            f = op.field(p)
-            got = f.tolist(op.apply_mod(f.vec(v), p, f))
-            assert got == [w % p for w in want]
+            assert op.apply_mod(f.vec(v), p) == [w % p for w in want]
+            if op.n != op.m:
+                continue
+            x, y = f.rand(op.n, rnd), f.rand(op.n, rnd)
+            count = 2 * op.n + 1
+            seq, w = [], y
+            for _ in range(count):
+                seq.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
+                w = [t % p for t in _dense_mul(ref, w)]
+            assert op.krylov_scalars(x, y, count, p, f) == seq
+            coeffs = [rnd.randrange(p) for _ in range(rnd.randrange(1, op.n + 2))]
+            acc, power = [0] * op.n, y
+            for k in coeffs:
+                acc = [(ai + k * pi) % p for ai, pi in zip(acc, power)]
+                power = [t % p for t in _dense_mul(ref, power)]
+            assert op.horner_apply(coeffs, y, p, f) == acc
 
 
 def test_apply_int_mod_consistency_random():
@@ -125,8 +147,8 @@ def test_apply_int_mod_consistency_random():
             dense = [[rnd.randrange(-50, 51) for _ in range(n)] for _ in range(n)]
             a = LinearOperator.from_sparse(SparseMatrix.from_dense(dense))
             v = [rnd.randrange(-100, 101) for _ in range(n)]
-            f = a.field(p)
-            got = f.tolist(a.apply_mod(f.vec(v), p, f))
+            f = Field(p)
+            got = f.tolist(a.apply_mod(f.vec(v), p))
             assert got == [w % p for w in a.apply_int(v)]
 
 
@@ -140,8 +162,8 @@ def test_gram_workspace_is_output_sized():
     m = meter.WorkspaceMeter()
     with m.activate():
         p = 10007
-        f = g.field(p)
-        out = g.apply_mod(f.vec(v), p, f)
+        f = Field(p)
+        out = g.apply_mod(f.vec(v), p)
     assert len(out) == d
     # pure path materializes no reduced copy: peak stays far below n words
     assert m.peak_bits < 64 * n / 4

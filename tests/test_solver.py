@@ -225,6 +225,18 @@ def test_determinism_same_seed():
            [(v.mantissa, v.exponent) for v in r2.x]
 
 
+def test_solve_independent_of_call_history():
+    a = SparseMatrix.from_dense([[3, 1, 0], [1, 4, 1], [0, 1, 5]])
+    fresh = RationalSolver(a, 1e-15, 0)
+    want = fresh.solve([1, 2, 3]).x
+    fresh.close()
+    used = RationalSolver(a, 1e-15, 0)
+    used.solve([10 ** 40, 1, 1])
+    got = used.solve([1, 2, 3]).x
+    used.close()
+    assert got == want
+
+
 def test_linear_regression_examples():
     x = linear_regression(SparseMatrix.from_dense([[1], [1]]), [1, 3], 1e-6, 0)
     assert _close_mult(x[0], Fraction(2), 1e-6)

@@ -1,7 +1,8 @@
 import random
 
+import pytest
 
-from lospace import meter
+from lospace import meter, wiedemann
 from lospace.kernels import Field
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.oracle import (
@@ -11,6 +12,7 @@ from lospace.oracle import (
 )
 from lospace.wiedemann import (
     FpSolver,
+    RetriesExhausted,
     berlekamp_massey,
     determinant_zp,
     find_kernel,
@@ -82,7 +84,7 @@ def test_minpoly_divides_charpoly_and_annihilates():
         assert _poly_divides(g, cp, p)
         # annihilates a fresh Krylov scalar sequence
         op = LinearOperator.from_sparse(a)
-        f = op.field(p)
+        f = Field(p)
         x, y = f.rand(n, rnd), f.rand(n, rnd)
         seq = op.krylov_scalars(x, y, 2 * n + 1, p, f)
         d = len(g) - 1
@@ -113,8 +115,7 @@ def test_find_kernel_examples():
     assert any(int(x) for x in v)
 
     a = SparseMatrix.from_dense([[0, 0], [0, 1]])
-    op = LinearOperator.from_sparse(a)
-    f = op.field(p)
+    f = Field(p)
     v = f.tolist(find_kernel(a, p, rng=rng, f=f))
     assert v[1] == 0 and v[0] != 0
 
@@ -134,10 +135,10 @@ def test_find_kernel_verified_random():
         dense[r1] = list(dense[r2])  # duplicate a row: singular
         a = SparseMatrix.from_dense(dense)
         op = LinearOperator.from_sparse(a)
-        f = op.field(p)
+        f = Field(p)
         v = find_kernel(a, p, rng=rnd, f=f)
         assert not f.is_zero(v)
-        assert f.is_zero(op.apply_mod(v, p, f))
+        assert f.is_zero(op.apply_mod(v, p))
 
 
 def test_linsolve_zp_examples():
@@ -163,9 +164,9 @@ def test_linsolve_zp_always_verified():
         b = [rnd.randrange(-50, 51) for _ in range(n)]
         a = SparseMatrix.from_dense(dense)
         op = LinearOperator.from_sparse(a)
-        f = op.field(p)
+        f = Field(p)
         x = linsolve_zp(a, b, p, rng=rnd, f=f)
-        assert f.tolist(op.apply_mod(x, p, f)) == [v % p for v in b]
+        assert f.tolist(op.apply_mod(x, p)) == [v % p for v in b]
 
 
 def test_determinant_zp_examples():
@@ -173,6 +174,19 @@ def test_determinant_zp_examples():
     assert determinant_zp(SparseMatrix.identity(2), 29, rng=rng) == 1
     assert determinant_zp(SparseMatrix.from_dense([[1, 2], [3, 4]]), 29, rng=rng) == 27
     assert determinant_zp(SparseMatrix.from_dense([[1, 1], [1, 1]]), 29, rng=rng) == 0
+
+
+def test_determinant_zp_never_returns_an_uncertified_zero(monkeypatch):
+    # diag(d) A has rank 1, so its minimal polynomial has degree <= 2 < n and
+    # no degree certificate exists; with the kernel hunt failing too, the
+    # routine has no certificate for its 0
+    def no_kernel(*args, **kwargs):
+        raise RetriesExhausted("no kernel vector found")
+
+    monkeypatch.setattr(wiedemann, "find_kernel", no_kernel)
+    ones = SparseMatrix.from_dense([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    with pytest.raises(RetriesExhausted):
+        determinant_zp(ones, 29, rng=random.Random(13))
 
 
 def test_determinant_zp_random_vs_oracle():
@@ -198,12 +212,12 @@ def test_fpsolver_repeated_rhs():
         dense = [[rnd.randrange(-9, 10) for _ in range(6)] for _ in range(6)]
     a = SparseMatrix.from_dense(dense)
     op = LinearOperator.from_sparse(a)
-    f = op.field(p)
+    f = Field(p)
     solver = FpSolver(a, p, rnd)
     for _ in range(10):
         b = [rnd.randrange(p) for _ in range(6)]
         x = solver.solve(b)
-        assert f.tolist(op.apply_mod(x, p, f)) == b
+        assert f.tolist(op.apply_mod(x, p)) == b
     solver.close()
 
 
