@@ -98,6 +98,8 @@ def _cmd_solve(args, out):
 
 def _cmd_regress(args, out):
     a = _load_matrix(args.matrix)
+    if a.n < a.m:
+        raise MatrixFormatError(1, f"regress wants n >= m, got {a.n}x{a.m}")
     b = _load_vector(args.vector)
     if len(b) != a.n:
         raise MatrixFormatError(1, f"vector length {len(b)} != {a.n}")

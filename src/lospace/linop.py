@@ -16,10 +16,15 @@ matrix with a composition descriptor:
 each composition; callers keep query entries within the documented
 n^6 U^2 bound.  ``apply_mod`` is that product reduced mod p.  The fused
 Krylov/Horner kernels run on BASE and on DIAG_SCALE over a matrix; those
-two kinds cache a reduced copy of the matrix one prime at a time, charged
-to the meter and released by ``drop_cache``.  No other kind holds a
-cache, and GRAM/GRAM_T never materialize A x: their working space stays
-proportional to the output dimension.
+two kinds cache a reduced copy of the matrix one prime at a time
+(``Field.coo``), charged to the meter and released by ``drop_cache``.
+For a word-size prime (``kernels.word_size``) the copy holds int64
+arrays: rows, cols, entries reduced mod p and the start of each nonempty
+row's segment; for a wider prime it holds the same rows, cols and
+reduced entries as Python-int lists.  A DIAG_SCALE cache adds the
+diagonal reduced mod p.  No other kind holds a cache, and GRAM/GRAM_T
+never materialize A x: their working space stays proportional to the
+output dimension.
 
 Text formats (1-indexed, decimal):
 

@@ -41,7 +41,7 @@ from .numeric import (
     fl_neg,
     fl_zero,
 )
-from .linop import LinearOperator, SparseMatrix
+from .linop import BASE, LinearOperator, SparseMatrix
 from .primes import crt_combine, shared_pool
 from .wiedemann import FpSolver, determinant_zp
 
@@ -125,7 +125,7 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
 
     def residue(i):
         # fresh wrapper per task: the per-prime reduction cache is not shared
-        local = LinearOperator.from_sparse(op.base) if op.kind == "BASE" else op
+        local = LinearOperator.from_sparse(op.base) if op.kind == BASE else op
         try:
             return determinant_zp(local, primes[i], delta, random.Random(seeds[i]))
         finally:

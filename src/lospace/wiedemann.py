@@ -185,7 +185,7 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
     for run in range(runs):
         d = [rng.randrange(1, p) for _ in range(n)]
         with meter.track("det.diag", n * (p.bit_length() + 1)):
-            da = LinearOperator.diag_scale(d, op.base if op.kind == "BASE" else op)
+            da = LinearOperator.diag_scale(d, op.base if op.kind == BASE else op)
             try:
                 g = _one_wiedemann_trial(da, p, f, rng)
             finally:

@@ -32,6 +32,7 @@ def files(tmp_path):
     (tmp_path / "b2.vec").write_text("2\n1\n2\n")
     (tmp_path / "sym.mtx").write_text("2 2 2\n1 1 1\n2 2 3\n")
     (tmp_path / "tall.mtx").write_text("2 1 2\n1 1 1\n2 1 1\n")
+    (tmp_path / "wide.mtx").write_text("2 3 3\n1 1 1\n2 2 1\n1 3 2\n")
     (tmp_path / "bad.mtx").write_text("2 2 1\n1 x 5\n")
     return tmp_path
 
@@ -80,6 +81,7 @@ def test_input_error_line_numbered(files, capsys):
     ["eigs", "sym.mtx", "--epsilon", "0"],
     ["bench", "--sizes", "0"],
     ["bench", "--sizes", "4,x"],
+    ["regress", "wide.mtx", "b13.vec"],
 ])
 def test_bad_argument_exit_code(files, capsys, argv):
     argv = [str(files / a) if a.endswith((".mtx", ".vec")) else a for a in argv]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lospace.kernels import Field
+from lospace.kernels import Field, word_size
 from lospace.linop import LinearOperator, SparseMatrix
 
 
@@ -33,7 +33,9 @@ def _dense_apply(a, x, p):
     return [sum(aij * xj for aij, xj in zip(row, x)) % p for row in a]
 
 
-PRIMES = [97, (1 << 31) - 1, (1 << 61) - 1]
+# the largest prime below the word bound 2^50 and the smallest above it
+# pin the boundary between the int64 and the Python-int kernels
+PRIMES = [97, (1 << 31) - 1, (1 << 50) - 27, (1 << 50) + 55, (1 << 61) - 1]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -43,8 +45,10 @@ def test_kernels_match_naive_reference(p):
     f = Field(p)
     for _ in range(10):
         n = rnd.randrange(2, 12)
-        rows, cols, vals = _rand_coo(rnd, n, n, rnd.randrange(n, n * n + 1), p)
+        # nnz from 0 up: all-zero matrices and empty rows included
+        rows, cols, vals = _rand_coo(rnd, n, n, rnd.randrange(0, n * n + 1), p)
         a = _dense(rows, cols, vals, n, n)
+        assert word_size(p, (n, n)) == (p < 1 << 50)
         coo = f.coo(rows, cols, vals, (n, n))
         x = [rnd.randrange(p) for _ in range(n)]
         y = [rnd.randrange(p) for _ in range(n)]
@@ -63,6 +67,7 @@ def test_kernels_match_naive_reference(p):
                     w = [di * wi % p for di, wi in zip(diag, w)]
             seq = f.krylov(coo, diag, x, y, count)
             assert seq == want
+            assert all(type(s) is int for s in seq)
             g = f.berlekamp_massey(seq)
             deg = len(g) - 1
             assert g[-1] == 1 and deg <= n
@@ -74,7 +79,9 @@ def test_kernels_match_naive_reference(p):
         for c in coeffs:
             want = [(wi + c * pi) % p for wi, pi in zip(want, power)]
             power = _dense_apply(a, power, p)
-        assert f.horner(coo, coeffs, x) == want
+        got = f.horner(coo, coeffs, x)
+        assert got == want
+        assert type(got) is list and all(type(v) is int for v in got)
 
 
 def test_matvec_against_dense():
@@ -119,3 +126,43 @@ def test_bm_recovers_random_recurrences():
             assert out[-1] == 1
             for j in range(len(seq) - dd):
                 assert sum(out[i] * seq[i + j] for i in range(dd + 1)) % p == 0
+
+
+def test_word_kernels_at_the_sum_bound():
+    """An arrow matrix whose first row is full puts n = 4095 products into
+    one row sum, at p just below 2^50: n * p sits just under the 2^62 word
+    bound, and two more rows move the shape to the Python path."""
+    p = (1 << 50) - 27
+    n = 4095
+    assert word_size(p, (n, n)) and not word_size(p, (n + 2, n + 2))
+    rnd = random.Random(11)
+    entries = {(0, j) for j in range(n)} | {(i, 0) for i in range(n)}
+    entries |= {(i, i) for i in range(n)}
+    rows, cols = zip(*sorted(entries))
+    vals = [rnd.randrange(p) for _ in rows]
+    f = Field(p)
+    coo = f.coo(rows, cols, vals, (n, n))
+    x = [rnd.randrange(p) for _ in range(n)]
+    d = [rnd.randrange(p) for _ in range(n)]
+
+    def apply(v):
+        out = [0] * n
+        for r, c, a in zip(rows, cols, vals):
+            out[r] += a * v[c]
+        return [o % p for o in out]
+
+    for diag in (None, d):
+        want, w = [], list(x)
+        for _ in range(4):
+            want.append(sum(a * b for a, b in zip(x, w)) % p)
+            w = apply(w)
+            if diag is not None:
+                w = [di * wi % p for di, wi in zip(diag, w)]
+        assert f.krylov(coo, diag, x, x, 4) == want
+
+    coeffs = [rnd.randrange(p) for _ in range(3)]
+    want, power = [0] * n, list(x)
+    for c in coeffs:
+        want = [(wi + c * pi) % p for wi, pi in zip(want, power)]
+        power = apply(power)
+    assert f.horner(coo, coeffs, x) == want

@@ -1,10 +1,11 @@
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 
-from lospace import meter
+from lospace import kernels, meter
 from lospace.linop import SparseMatrix
 from lospace.numeric import FloatL, fl_from_int, fl_mul, fl_add_same_sign, fl_zero, EQUAL
 from lospace.oracle import SINGULAR as ORACLE_SINGULAR
@@ -30,6 +31,32 @@ def rand_invertible(rnd, n, lo=-9, hi=9):
         d = rand_dense(rnd, n, lo, hi)
         if oracle_det_bareiss(d) != 0:
             return d
+
+
+def test_parallel_determinant_runs_word_size_kernels_on_threads(monkeypatch):
+    """A dense 20 x 20 determinant draws CRT primes below 2^50, so with
+    parallel=True the int64 Krylov kernels run on worker threads, each
+    task on its own operator and per-prime cache; the result is exact and
+    equal to the serial one."""
+    rnd = random.Random(20)
+    d = [[rnd.choice((-1, 1)) * rnd.randrange(1, 101) for _ in range(20)]
+         for _ in range(20)]
+    a = SparseMatrix.from_dense(d)
+    calls = []
+    krylov = kernels.Field.krylov
+
+    def spy(self, coo, *args):
+        calls.append((threading.get_ident(), kernels.word_size(self.p, coo[3])))
+        return krylov(self, coo, *args)
+
+    monkeypatch.setattr(kernels.Field, "krylov", spy)
+    want = oracle_det_bareiss(d)
+    assert determinant(a, rng=5) == want
+    serial = len(calls)
+    assert determinant(a, rng=5, parallel=True) == want
+    assert all(word for _, word in calls)
+    workers = {t for t, _ in calls[serial:]}
+    assert workers and threading.get_ident() not in workers
 
 
 def test_determinant_examples():
