@@ -4,64 +4,68 @@ Vectors are lists of residues in [0, p).  The fused Krylov and Horner
 kernels run on one of two paths, chosen by the modulus and the matrix
 shape alone (``word_size``):
 
-- word-size moduli run as numpy int64 vector operations: one gather, one
-  mulmod and one ``np.add.reduceat`` over the row segments per matvec;
+- word-size moduli run as numpy int64 vector operations: every Krylov
+  or Horner step is one gather, one mulmod, one ``np.add.reduceat`` over
+  the row segments and one ``% p``.  Krylov carries its dot product x.y
+  as one extra row of the matrix (columns 0..m-1, entries x), so a step
+  yields A y and x.y together; Horner carries its ``+ c z`` as one extra
+  column (entries z, multiplied by the coefficient c), so a step maps
+  acc to A acc + c z;
 - wider moduli, such as the primes sampled for heavily scaled spectral
   solves, run on Python integers, which have no width limit.
 
 Both paths compute exact residues, so their outputs are identical, and
-both hand back Python ints.
+both hand back Python ints.  numpy is imported on the first word-path
+call: commands whose moduli are all wide never load it.
 
 Why the word path is exact.  Let a, b be residues in [0, p) with
 p < 2^50, and x = ab/p < 2^50.  a and b are exact in float64, so the
-computed quotient y = fl(fl(a*b)/p) = x(1 + e1)(1 + e2) with
+computed quotient y = fl(fl(a/p)*b) = x(1 + e1)(1 + e2) with
 |e1|, |e2| <= 2^-53, hence |y - x| <= x(2^-52 + 2^-106) < 1/2.  y >= 0,
 so q = trunc(y) = floor(y) is within 1 of floor(x), and
-r = ab - qp = p(x - q) lies in (-p, 2p).  ab and qp overflow int64, but numpy int64 arrays wrap modulo
-2^64 and |r| < 2^63, so the wrapped difference is r exactly
-(``_mulmod_lazy``).  A sum of k such terms lies in (-kp, 2kp), inside
-int64 when k*p < 2^62.  A row sum of an n x m matrix has k <= m terms
-and a dot product k = n, so the word path needs p < 2^50 and
-max(n, m) * p < 2^62, and it reduces each sum once with ``% p`` (numpy's
-remainder takes the sign of the divisor).  numpy does not report int64
-overflow, so these bounds are the only guard.
+r = ab - qp = p(x - q) lies in (-p, 2p).  ab and qp overflow int64, but
+numpy int64 arrays wrap modulo 2^64 and |r| < 2^63, so the wrapped
+difference is r exactly (``_mulmod_lazy``).  A sum of k such terms lies
+in (-kp, 2kp), inside int64 when k*p < 2^62.  In an n x m matrix a row
+sum has at most m terms, Krylov's extra row m terms and a row extended
+by Horner's column at most m + 1, so the word path needs p < 2^50 and
+(max(n, m) + 1) * p < 2^62, and it reduces each sum once with ``% p``
+(numpy's remainder takes the sign of the divisor).  numpy does not
+report int64 overflow, so these bounds are the only guard.
 
 Everything here is deterministic; randomness stays in the callers.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import mul
+
+np = None
+
+
+def _numpy():
+    """numpy, imported on first use."""
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+    return np
 
 
 def word_size(p, shape):
     """True when the int64 kernels are exact for modulus p on an n x m
     matrix (see the module docstring)."""
-    return p < (1 << 50) and max(shape) * p < (1 << 62)
+    return p < (1 << 50) and (max(shape) + 1) * p < (1 << 62)
 
 
-def _mulmod_lazy(a, b, p):
+def _mulmod_lazy(a, a_p, b, p):
     """a*b mod p up to a multiple of p, in (-p, 2p); a and b are int64
-    arrays (or one int) of residues in [0, p), p < 2^50."""
-    q = np.multiply(a, b, dtype=np.float64)
-    q /= p
+    arrays (or one int) of residues in [0, p), p < 2^50, and a_p is a / p
+    in float64, computed once per kernel call."""
     r = a * b
-    r -= q.astype(np.int64) * p
+    r -= (a_p * b).astype(np.int64) * p
     return r
-
-
-def _np_matvec(coo, x, p):
-    rows, cols, vals, shape, starts = coo
-    if not len(vals):
-        return np.zeros(shape[0], np.int64)
-    sums = np.add.reduceat(_mulmod_lazy(vals, x[cols], p), starts)
-    sums %= p
-    if len(starts) == shape[0]:
-        return sums
-    # empty rows have no segment: scatter the sums of the others
-    out = np.zeros(shape[0], np.int64)
-    out[rows[starts]] = sums
-    return out
 
 
 def _matvec(rows, cols, vals, x, p, n_out):
@@ -73,29 +77,34 @@ def _matvec(rows, cols, vals, x, p, n_out):
 
 
 def _bm(seq, p):
+    """Berlekamp-Massey: (C, L) with C[0] = 1, C of degree <= L and
+    C[L + 1:] zero, the connection polynomial of seq's shortest recurrence.
+
+    B, the polynomial saved at the last length change, is kept trimmed to
+    its support, so an update touches only C[m:m + len(B)]; the invariant
+    deg(x^m B) <= L bounds that slice, and it keeps the discrepancy a
+    product over C[:L + 1].
+    """
     n = len(seq)
+    rev = seq[::-1]
     C = [0] * (n + 1)
-    B = [0] * (n + 1)
-    C[0] = B[0] = 1
-    L, m, b = 0, 1, 1
+    C[0] = 1
+    B = [1]
+    L, m, binv = 0, 1, 1
     for i in range(n):
-        d = (seq[i] + sum(C[j] * seq[i - j] for j in range(1, L + 1))) % p
+        # C[0] seq[i] + C[1] seq[i-1] + ... + C[L] seq[i-L]
+        d = sum(map(mul, C, rev[n - 1 - i:n - i + L])) % p
         if d == 0:
             m += 1
             continue
-        coef = d * pow(b, -1, p) % p
-        if 2 * L <= i:
-            T = C[:]
-            for j in range(n + 1 - m):
-                C[j + m] = (C[j + m] - coef * B[j]) % p
-            L = i + 1 - L
-            B = T
-            b = d
-            m = 1
-        else:
-            for j in range(n + 1 - m):
-                C[j + m] = (C[j + m] - coef * B[j]) % p
+        coef = d * binv % p
+        T = C[:L + 1] if 2 * L <= i else None
+        end = m + len(B)
+        C[m:end] = [(c - coef * t) % p for c, t in zip(C[m:end], B)]
+        if T is None:
             m += 1
+        else:
+            B, L, binv, m = T, i + 1 - L, pow(d, -1, p), 1
     return C, L
 
 
@@ -121,6 +130,7 @@ class Field:
         return len(v) * (self.p.bit_length() + 1)
 
     def _words(self, xs):
+        np = _numpy()
         return np.array(self.vec(xs), np.int64)
 
     # scalar / vector ops -------------------------------------------------
@@ -145,16 +155,22 @@ class Field:
         return pow(a, -1, self.p)
 
     # structured kernels ---------------------------------------------------
-    def coo(self, rows, cols, vals, shape):
-        """COO matrix with entries reduced mod p; rows sorted.
+    def coo(self, rows, cols, vals, shape, scale=None):
+        """COO matrix diag(scale) A (or A) with entries reduced mod p;
+        rows sorted.
 
         On the word path: int64 arrays (rows, cols, vals), the shape and
         the start of each nonempty row's segment.  Otherwise lists
         (rows, cols, vals) and the shape.
         """
-        vals = [v % self.p for v in vals]
-        if not word_size(self.p, shape):
+        p = self.p
+        if scale is None:
+            vals = [v % p for v in vals]
+        else:
+            vals = [scale[r] * v % p for r, v in zip(rows, vals)]
+        if not word_size(p, shape):
             return (list(rows), list(cols), vals, shape)
+        np = _numpy()
         rows = np.array(rows, np.int64)
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         return (rows, np.array(cols, np.int64), np.array(vals, np.int64),
@@ -164,44 +180,66 @@ class Field:
         rows, shape = coo[0], coo[3]
         return len(rows) * (2 * max(shape).bit_length() + self.p.bit_length() + 1)
 
-    def krylov(self, coo, diag, x, y, count):
-        """[x.y, x.A'y, ..., x.A'^(count-1) y] where A' = diag(A .) or A."""
+    def krylov(self, coo, x, y, *, count):
+        """[x.y, x.Ay, ..., x.A^(count-1) y] for the matrix A of coo."""
         p = self.p
         if word_size(p, coo[3]):
-            x, yy = self._words(x), self._words(y)
-            d = None if diag is None else self._words(diag)
+            np = _numpy()
+            rows, cols, vals, (n, m), starts = coo
+            x, y = self._words(x), self._words(y)
+            # row n of the extended matrix is x: a step gives (A y, x.y)
+            dest = None if len(starts) == n else rows[starts]
+            cols = np.concatenate((cols, np.arange(m)))
+            starts = np.append(starts, len(vals))
+            vals = np.concatenate((vals, x))
+            vals_p = vals / p
             seq = []
-            for i in range(count):
-                seq.append(int(_mulmod_lazy(x, yy, p).sum() % p))
-                if i + 1 == count:
-                    break
-                yy = _np_matvec(coo, yy, p)
-                if d is not None:
-                    yy = _mulmod_lazy(d, yy, p)
-                    yy %= p
+            for _ in range(count - 1):
+                sums = np.add.reduceat(
+                    _mulmod_lazy(vals, vals_p, y[cols], p), starts)
+                sums %= p
+                seq.append(int(sums[-1]))
+                if dest is None:
+                    y = sums[:-1]
+                else:
+                    # empty rows have no segment: scatter the others' sums
+                    y = np.zeros(n, np.int64)
+                    y[dest] = sums[:-1]
+            seq.append(int(_mulmod_lazy(x, x / p, y, p).sum() % p))
             return seq
         rows, cols, vals, shape = coo
         seq = []
-        yy = list(y)
         for i in range(count):
-            seq.append(self.dot(x, yy))
+            seq.append(self.dot(x, y))
             if i + 1 == count:
                 break
-            yy = _matvec(rows, cols, vals, yy, p, shape[0])
-            if diag is not None:
-                yy = [a * b % p for a, b in zip(diag, yy)]
+            y = _matvec(rows, cols, vals, y, p, shape[0])
         return seq
 
     def horner(self, coo, coeffs, z):
         """sum coeffs[i] A^i z with two live vectors."""
         p = self.p
         if word_size(p, coo[3]):
+            np = _numpy()
+            rows, cols, vals, (n, m), _ = coo
+            # row r of the extended matrix is A's row r followed by z_r in
+            # column m, so a step maps v = (acc, c) to A acc + c z; every
+            # row has a segment
             z = self._words(z)
-            acc = _mulmod_lazy(coeffs[-1] % p, z, p)
+            r = np.arange(n)
+            ends = np.searchsorted(rows, r, "right")
+            cols = np.insert(cols, ends, m)
+            vals = np.insert(vals, ends, z)
+            vals_p = vals / p
+            starts = np.searchsorted(rows, r) + r
+            v = np.empty(m + 1, np.int64)
+            acc = v[:n]
+            acc[:] = _mulmod_lazy(z, z / p, coeffs[-1] % p, p)
             acc %= p
             for i in range(len(coeffs) - 2, -1, -1):
-                acc = _np_matvec(coo, acc, p)
-                acc += _mulmod_lazy(coeffs[i] % p, z, p)
+                v[m] = coeffs[i] % p
+                np.add.reduceat(_mulmod_lazy(vals, vals_p, v[cols], p),
+                                starts, out=acc)
                 acc %= p
             return acc.tolist()
         rows, cols, vals, shape = coo

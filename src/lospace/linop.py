@@ -21,10 +21,10 @@ two kinds cache a reduced copy of the matrix one prime at a time
 For a word-size prime (``kernels.word_size``) the copy holds int64
 arrays: rows, cols, entries reduced mod p and the start of each nonempty
 row's segment; for a wider prime it holds the same rows, cols and
-reduced entries as Python-int lists.  A DIAG_SCALE cache adds the
-diagonal reduced mod p.  No other kind holds a cache, and GRAM/GRAM_T
-never materialize A x: their working space stays proportional to the
-output dimension.
+reduced entries as Python-int lists.  A DIAG_SCALE cache folds the
+diagonal into the entries (d_r a_rc mod p), so the kernels see one
+matrix.  No other kind holds a cache, and GRAM/GRAM_T never materialize
+A x: their working space stays proportional to the output dimension.
 
 Text formats (1-indexed, decimal):
 
@@ -225,23 +225,21 @@ class LinearOperator:
     # -- mod-p application ------------------------------------------------
 
     def _mod_data(self, f: Field):
-        """(coo, diag) reduced mod f.p for the fused kernels, cached one
-        prime at a time and charged to the meter."""
+        """The matrix reduced mod f.p for the fused kernels, DIAG_SCALE's
+        diagonal folded in; cached one prime at a time and charged to the
+        meter."""
         if self._cache_p == f.p:
             return self._cache
         self.drop_cache()
         a = self.base
-        coo = f.coo(a.rows, a.cols, a.vals, (a.n, a.m))
-        bits = f.coo_bits(coo)
-        diag = None
-        if self.kind == DIAG_SCALE:
-            diag = f.vec(self.diag)
-            bits += f.vec_bits(diag)
+        coo = f.coo(a.rows, a.cols, a.vals, (a.n, a.m),
+                    self.diag if self.kind == DIAG_SCALE else None)
         self._cache_meter = meter.current()
-        self._cache_tok = self._cache_meter.alloc("linop.mod_cache", bits)
+        self._cache_tok = self._cache_meter.alloc("linop.mod_cache",
+                                                  f.coo_bits(coo))
         self._cache_p = f.p
-        self._cache = (coo, diag)
-        return self._cache
+        self._cache = coo
+        return coo
 
     def drop_cache(self):
         if self._cache_tok is not None:
@@ -258,8 +256,7 @@ class LinearOperator:
     def krylov_scalars(self, x, y, count, p, f: Field):
         """[x.y, x.My, ..., x.M^(count-1)y] using the fused kernel if possible."""
         if self.base_is_matrix and self.kind in (BASE, DIAG_SCALE):
-            coo, diag = self._mod_data(f)
-            return f.krylov(coo, diag, x, y, count)
+            return f.krylov(self._mod_data(f), x, y, count=count)
         seq = []
         yy = list(y)
         with meter.track("krylov.vec", 2 * f.vec_bits(yy)):
@@ -272,7 +269,7 @@ class LinearOperator:
     def horner_apply(self, coeffs, z, p, f: Field):
         """sum coeffs[i] M^i z with two live vectors."""
         if self.kind == BASE:
-            return f.horner(self._mod_data(f)[0], coeffs, z)
+            return f.horner(self._mod_data(f), coeffs, z)
         acc = f.scale(coeffs[-1], z)
         with meter.track("horner.vec", 2 * f.vec_bits(z)):
             for i in range(len(coeffs) - 2, -1, -1):

@@ -2,9 +2,12 @@
 
 The determinant is CRT over primes sampled from [max(16, n^2 U), ..^2]:
 residues come from the finite-field routine, and primes are drawn until
-their product exceeds twice the Hadamard bound, which certifies exact
-signed recovery (n = 1 additionally forces the range above 2U so a single
-prime already suffices).
+their product exceeds twice a Hadamard bound on |det|, which certifies
+exact signed recovery (n = 1 additionally forces the range above 2U so a
+single prime already suffices).  For a plain matrix the bound is the
+row-norm form prod_i |row_i|_2, which a zero row makes 0 (the
+determinant is then 0 outright); composed operators (Gram products,
+shifts) use U^n n^(n/2) from their entry bound U.
 
 The solver multiplies the system by det(A) so the solution is integral,
 then recovers it digit by digit in base p for one prime p ~ n^3 U without
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from . import meter
 from .meter import int_bits, intvec_bits
@@ -88,13 +93,26 @@ def hadamard_bound(n, u):
     return (u ** n) * (_isqrt_ceil(n ** n))
 
 
+def row_norm_bound(a: SparseMatrix):
+    """ceil(prod_i |row_i|_2), Hadamard's bound on |det a|; 0 when a row
+    of the square matrix a is zero.  Never above hadamard_bound(n, U)."""
+    prod = 1
+    rows = 0
+    for _, entries in groupby(zip(a.rows, a.vals), key=itemgetter(0)):
+        prod *= sum(v * v for _, v in entries)
+        rows += 1
+    return _isqrt_ceil(prod) if rows == a.n else 0
+
+
 def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
     """Exact det(a) with failure probability <= n^-c.
 
     Primes are drawn from [max(16, n^2 U), ..^2] until their product
-    exceeds twice the Hadamard bound (at most n primes are ever needed;
-    usually far fewer).  Each residue is a finite-field determinant;
-    reconstruction is incremental CRT with signed recovery.
+    exceeds twice the Hadamard bound: the row-norm bound for a plain
+    matrix (a zero row returns 0 without drawing a prime) and
+    hadamard_bound(n, U) for a composed operator.  At most n primes are
+    ever needed, usually far fewer.  Each residue is a finite-field
+    determinant; reconstruction is incremental CRT with signed recovery.
     """
     op = LinearOperator.wrap(a)
     if op.n != op.m:
@@ -103,9 +121,14 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
     if n == 0:
         return 1
     u = op.entry_bound
+    if op.kind == BASE:
+        bound = 2 * row_norm_bound(op.base)
+        if bound == 0:
+            return 0
+    else:
+        bound = 2 * hadamard_bound(n, u)
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     lower = max(16, n * n * u, (2 * u + 1) if n == 1 else 0)
-    bound = 2 * hadamard_bound(n, u)
     # pooled primes: every residue is certificate-checked, so sharing the
     # prime stream across calls costs nothing in correctness
     primes = []
@@ -185,6 +208,8 @@ class RationalSolver:
     """
 
     def __init__(self, a, eps: float, rng_or_seed=0, c: int = 2):
+        if not 0 < float(eps) < 1:
+            raise ValueError("eps must lie in (0, 1)")
         self.op = LinearOperator.wrap(a)
         if self.op.n != self.op.m:
             raise ValueError("solver needs a square matrix")
@@ -202,8 +227,6 @@ class RationalSolver:
         if self.det != 0:
             self.prime = self._pick_prime()
         n, u = self.n, self.u
-        if not 0 < float(eps) < 1:
-            raise ValueError("eps must lie in (0, 1)")
         # clamp: accuracy beyond 2^(-2 n log2(2nU)) is exact territory
         cap_bits = 2 * n * max(1, math.ceil(math.log2(2 * n * u)))
         self._clamped = math.log2(1 / float(eps)) > cap_bits

@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 
 from lospace.cli import bench_run
 from lospace.kernels import Field
@@ -173,6 +174,7 @@ def _sym(rnd, n, u):
     return a
 
 
+@pytest.mark.slow
 def test_criterion_06_spectrum():
     """50 random symmetric matrices, n <= 10, U = 10, eps = 0.05: sorted,
     correct count, each eigenvalue within eps of the bisection oracle
@@ -194,6 +196,7 @@ def test_criterion_06_spectrum():
     announce(6, worst <= eps and elapsed < 600, t0, f"worst err={worst:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_eigendecompose_and_svd():
     """Same instance family: residuals |Av - lv| <= eps, |v|^2 in [1 +- eps],
     pairwise inner products <= eps; the four SVD norm inequalities hold at

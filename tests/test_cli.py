@@ -10,6 +10,7 @@ from lospace import cli
 from lospace.cli import main
 from lospace.linop import DimensionMismatch
 from lospace.numeric import FixedL, FloatOverflow
+from lospace.oracle import oracle_det_bareiss
 
 
 def run_cli(args, tmp_path=None):
@@ -193,3 +194,31 @@ def test_cli_entrypoint_subprocess(files):
         [sys.executable, "-m", "lospace.cli", "det", str(files / "id3.mtx")],
         capture_output=True, text=True, env=env)
     assert r.returncode == 0 and r.stdout == "1\n"
+
+
+def test_numpy_loads_only_for_word_size_kernels(files):
+    """numpy is imported on the first word-size kernel call: importing the
+    CLI and a small eigs (wide moduli only) leave it unloaded, and det,
+    whose primes fit a word, still prints the exact value."""
+    (files / "sym2.mtx").write_text("2 2 4\n1 1 2\n1 2 1\n2 1 1\n2 2 3\n")
+    (files / "m3.mtx").write_text("3 3 5\n1 1 2\n1 2 -1\n2 2 3\n3 1 4\n3 3 5\n")
+    code = (
+        "import sys\n"
+        "import lospace.cli as cli\n"
+        "print('numpy' in sys.modules)\n"
+        f"cli.main(['eigs', {str(files / 'sym2.mtx')!r}, '--epsilon', '0.05'])\n"
+        "print('numpy' in sys.modules)\n"
+        f"cli.main(['det', {str(files / 'm3.mtx')!r}])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    r = subprocess.run([sys.executable, "-c", code],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "False"
+    assert len(lines) == 5 and lines[3] == "False"
+    want = oracle_det_bareiss([[2, -1, 0], [0, 3, 0], [4, 0, 5]])
+    assert lines[4] == str(want)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lospace.kernels import Field, word_size
+from lospace.kernels import Field, _bm, word_size
 from lospace.linop import LinearOperator, SparseMatrix
 
 
@@ -65,7 +65,8 @@ def test_kernels_match_naive_reference(p):
                 w = _dense_apply(a, w, p)
                 if diag is not None:
                     w = [di * wi % p for di, wi in zip(diag, w)]
-            seq = f.krylov(coo, diag, x, y, count)
+            seq = f.krylov(f.coo(rows, cols, vals, (n, n), diag), x, y,
+                           count=count)
             assert seq == want
             assert all(type(s) is int for s in seq)
             g = f.berlekamp_massey(seq)
@@ -110,6 +111,88 @@ def test_bm_known_sequences():
     assert f.berlekamp_massey([1, 1, 2, 3, 5]) == [100, 100, 1]
 
 
+def _bm_reference(seq, p):
+    """Berlekamp-Massey as first written: every update loops over all
+    n + 1 - m slots and a length change copies the whole of C."""
+    n = len(seq)
+    C = [0] * (n + 1)
+    B = [0] * (n + 1)
+    C[0] = B[0] = 1
+    L, m, b = 0, 1, 1
+    for i in range(n):
+        d = (seq[i] + sum(C[j] * seq[i - j] for j in range(1, L + 1))) % p
+        if d == 0:
+            m += 1
+            continue
+        coef = d * pow(b, -1, p) % p
+        if 2 * L <= i:
+            T = C[:]
+            for j in range(n + 1 - m):
+                C[j + m] = (C[j + m] - coef * B[j]) % p
+            L = i + 1 - L
+            B = T
+            b = d
+            m = 1
+        else:
+            for j in range(n + 1 - m):
+                C[j + m] = (C[j + m] - coef * B[j]) % p
+            m += 1
+    return C, L
+
+
+def _bm_sequences(rnd, p, count):
+    """Random, empty, one-term, all-zero, zero-run, recurrent and
+    singular-Krylov sequences mod p, in turn."""
+    for k in range(count):
+        kind = k % 7
+        if kind == 0:
+            yield [rnd.randrange(p) for _ in range(rnd.randrange(41))]
+        elif kind == 1:
+            yield [rnd.randrange(p) for _ in range(k % 2)]
+        elif kind == 2:
+            yield [0] * rnd.randrange(1, 41)
+        elif kind == 3:
+            runs = [[0] * rnd.randrange(1, 15) if rnd.random() < 0.5
+                    else [rnd.randrange(p) for _ in range(rnd.randrange(1, 5))]
+                    for _ in range(rnd.randrange(1, 6))]
+            yield [v for run in runs for v in run]
+        elif kind == 4:
+            d = rnd.randrange(1, 8)
+            coeffs = [rnd.randrange(p) for _ in range(d)]
+            seq = [rnd.randrange(p) for _ in range(d)]
+            length = 2 * d + rnd.randrange(0, 6)
+            while len(seq) < length:
+                seq.append(sum(c * a for c, a in zip(coeffs, seq[-d:])) % p)
+            yield seq
+        else:
+            # x.A^i y for a rank-deficient A: rows are combinations of r < n
+            n = rnd.randrange(1, 12)
+            r = rnd.randrange(0, n)
+            basis = [[rnd.randrange(p) for _ in range(n)] for _ in range(r)]
+            a = []
+            for _ in range(n):
+                w = [rnd.randrange(p) if kind == 5 else rnd.randrange(2)
+                     for _ in range(r)]
+                a.append([sum(wi * bi[j] for wi, bi in zip(w, basis)) % p
+                          for j in range(n)])
+            x = [rnd.randrange(p) for _ in range(n)]
+            y = [rnd.randrange(p) for _ in range(n)]
+            seq = []
+            for _ in range(2 * n + 1):
+                seq.append(sum(xi * yi for xi, yi in zip(x, y)) % p)
+                y = _dense_apply(a, y, p)
+            yield seq
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_bm_matches_reference(p):
+    """The support-trimmed Berlekamp-Massey returns the reference's C and
+    L exactly, trailing zeros included."""
+    rnd = random.Random(p % 1000)
+    for seq in _bm_sequences(rnd, p, 500):
+        assert _bm(seq, p) == _bm_reference(seq, p), seq
+
+
 def test_bm_recovers_random_recurrences():
     rnd = random.Random(17)
     for p in (101, (1 << 31) - 1):
@@ -130,18 +213,18 @@ def test_bm_recovers_random_recurrences():
 
 def test_word_kernels_at_the_sum_bound():
     """An arrow matrix whose first row is full puts n = 4095 products into
-    one row sum, at p just below 2^50: n * p sits just under the 2^62 word
-    bound, and two more rows move the shape to the Python path."""
+    one row sum, and Horner's extra column one more, at p just below 2^50:
+    (n + 1) * p sits just under the 2^62 word bound, and one more row
+    moves the shape to the Python path."""
     p = (1 << 50) - 27
     n = 4095
-    assert word_size(p, (n, n)) and not word_size(p, (n + 2, n + 2))
+    assert word_size(p, (n, n)) and not word_size(p, (n + 1, n + 1))
     rnd = random.Random(11)
     entries = {(0, j) for j in range(n)} | {(i, 0) for i in range(n)}
     entries |= {(i, i) for i in range(n)}
     rows, cols = zip(*sorted(entries))
     vals = [rnd.randrange(p) for _ in rows]
     f = Field(p)
-    coo = f.coo(rows, cols, vals, (n, n))
     x = [rnd.randrange(p) for _ in range(n)]
     d = [rnd.randrange(p) for _ in range(n)]
 
@@ -158,11 +241,12 @@ def test_word_kernels_at_the_sum_bound():
             w = apply(w)
             if diag is not None:
                 w = [di * wi % p for di, wi in zip(diag, w)]
-        assert f.krylov(coo, diag, x, x, 4) == want
+        coo = f.coo(rows, cols, vals, (n, n), diag)
+        assert f.krylov(coo, x, x, count=4) == want
 
     coeffs = [rnd.randrange(p) for _ in range(3)]
     want, power = [0] * n, list(x)
     for c in coeffs:
         want = [(wi + c * pi) % p for wi, pi in zip(want, power)]
         power = apply(power)
-    assert f.horner(coo, coeffs, x) == want
+    assert f.horner(f.coo(rows, cols, vals, (n, n)), coeffs, x) == want

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lospace import kernels, meter
+from lospace import kernels, meter, solver
+from lospace.cli import bench_matrix
 from lospace.linop import SparseMatrix
 from lospace.numeric import FloatL, fl_from_int, fl_mul, fl_add_same_sign, fl_zero, EQUAL
 from lospace.oracle import SINGULAR as ORACLE_SINGULAR
@@ -18,8 +19,10 @@ from lospace.solver import (
     hadamard_bound,
     lin_solve,
     linear_regression,
+    row_norm_bound,
     sign_combine,
 )
+from lospace.primes import shared_pool
 
 
 def rand_dense(rnd, n, lo=-9, hi=9):
@@ -45,9 +48,9 @@ def test_parallel_determinant_runs_word_size_kernels_on_threads(monkeypatch):
     calls = []
     krylov = kernels.Field.krylov
 
-    def spy(self, coo, *args):
+    def spy(self, coo, *args, **kwargs):
         calls.append((threading.get_ident(), kernels.word_size(self.p, coo[3])))
-        return krylov(self, coo, *args)
+        return krylov(self, coo, *args, **kwargs)
 
     monkeypatch.setattr(kernels.Field, "krylov", spy)
     want = oracle_det_bareiss(d)
@@ -91,6 +94,100 @@ def test_hadamard_bound_dominates():
         d = rand_dense(rnd, n, -7, 7)
         u = max(max(abs(x) for x in row) for row in d) or 1
         assert abs(oracle_det_bareiss(d)) <= hadamard_bound(n, u)
+
+
+def _sylvester(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+def test_row_norm_bound_is_tight_on_hadamard_matrices():
+    """Sylvester-Hadamard matrices have orthogonal rows, and so have their
+    copies with rows sign-flipped or scaled: |det| equals the row-norm
+    bound exactly, so the CRT product must clear exactly 2 |det|."""
+    rnd = random.Random(31)
+    for order in (1, 2, 4, 8, 16):
+        h = _sylvester(order)
+        flipped = [[-v for v in row] if rnd.random() < 0.5 else row for row in h]
+        scales = [rnd.choice((-1, 1)) * rnd.randrange(1, 9) for _ in h]
+        scaled = [[s * v for v in row] for s, row in zip(scales, h)]
+        for d in (h, flipped, scaled):
+            a = SparseMatrix.from_dense(d)
+            want = oracle_det_bareiss(d)
+            assert row_norm_bound(a) == abs(want)
+            assert row_norm_bound(a) <= hadamard_bound(order, a.entry_bound)
+            assert determinant(a, rng=order) == want
+
+
+def test_zero_row_determinant_draws_no_prime(monkeypatch):
+    """A missing row, or a row of stored zeros, makes the row-norm bound
+    0: the determinant is 0 without any finite-field work."""
+    def fail(*args, **kwargs):
+        raise AssertionError("determinant_zp called")
+
+    monkeypatch.setattr(solver, "determinant_zp", fail)
+    missing = SparseMatrix.from_entries(3, 3, [(0, 0, 5), (2, 1, 7), (2, 2, 1)])
+    stored = SparseMatrix.from_entries(2, 2, [(0, 0, 3), (1, 0, 0), (1, 1, 0)])
+    for a in (missing, stored):
+        assert row_norm_bound(a) == 0
+        assert determinant(a, rng=1) == 0
+
+
+def test_determinant_stops_at_the_row_norm_bound(monkeypatch):
+    """On seeded tridiagonal-plus-noise matrices (n = 64, U = 100) the
+    determinant computes one residue per prime of the shortest pool
+    prefix whose product exceeds twice the row-norm bound, fewer than the
+    entry-bound form U^n n^(n/2) needs."""
+    calls = []
+    zp = solver.determinant_zp
+
+    def spy(op, p, *args):
+        calls.append(p)
+        return zp(op, p, *args)
+
+    monkeypatch.setattr(solver, "determinant_zp", spy)
+    n = 64
+    for seed in (1, 2, 3):
+        a = bench_matrix(n, random.Random(seed))
+        lower = max(16, n * n * a.entry_bound)
+
+        def prefix(bound):
+            k, prod = 0, 1
+            while prod <= bound:
+                k += 1
+                prod = 1
+                for q in shared_pool.get(lower, k):
+                    prod *= q
+            return k
+
+        calls.clear()
+        det = determinant(a, rng=seed)
+        assert det != 0
+        want = prefix(2 * row_norm_bound(a))
+        assert calls == shared_pool.get(lower, want)
+        assert want < prefix(2 * hadamard_bound(n, a.entry_bound))
+
+
+def test_bad_eps_raises_before_the_determinant(monkeypatch):
+    """eps outside (0, 1) is rejected before any determinant work, so
+    the meter is balanced after the raise."""
+    calls = []
+
+    def det(*args, **kwargs):
+        calls.append(args)
+        return 5
+
+    monkeypatch.setattr(solver, "determinant", det)
+    a = SparseMatrix.from_dense([[2, 1], [1, 3]])
+    m = meter.WorkspaceMeter()
+    with m.activate():
+        for eps in (0.0, 1.0, 2.0, -1e-6):
+            with pytest.raises(ValueError, match="eps"):
+                lin_solve(a, [1, 2], eps)
+    assert calls == []
+    assert m.current_bits == 0
 
 
 def test_digit_of_b_examples():
