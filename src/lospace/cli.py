@@ -66,7 +66,8 @@ def _load_vector(path):
 
 def _fmt_value(x, args):
     if args.format == "decimal":
-        return format_decimal(x, args.decimal_digits or 6)
+        digits = 6 if args.decimal_digits is None else args.decimal_digits
+        return format_decimal(x, digits)
     if isinstance(x, FixedL):
         return f"{'+' if x.scaled >= 0 else '-'}{abs(x.scaled)}*2^-{x.L}"
     return format_float2exp(x)
@@ -271,6 +272,9 @@ def main(argv=None):
         eps = getattr(args, "epsilon", None)  # det takes none
         if eps is not None and not 0 < eps < 1:
             raise ArgumentError(f"--epsilon must lie in (0, 1), got {eps}")
+        if args.decimal_digits is not None and args.decimal_digits < 0:
+            raise ArgumentError(
+                f"--decimal-digits must be at least 0, got {args.decimal_digits}")
         with m.activate():
             code = args.func(args, sys.stdout)
         if m.current_bits != 0:

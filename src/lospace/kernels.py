@@ -1,24 +1,19 @@
 """Mod-p vector kernels.
 
 Vectors are lists of residues in [0, p).  The fused Krylov and Horner
-kernels run on one of two paths, chosen by the modulus and the matrix
-shape alone (``word_size``):
+kernels run only on word-size moduli (``word_size``), as numpy int64
+vector operations: every Krylov or Horner step is one gather, one mulmod,
+one ``np.add.reduceat`` over the row segments and one ``% p``.  Krylov
+carries its dot product x.y as one extra row of the matrix (columns
+0..m-1, entries x), so a step yields A y and x.y together; Horner carries
+its ``+ c z`` as one extra column (entries z, multiplied by the
+coefficient c), so a step maps acc to A acc + c z.  The kernels compute
+exact residues and hand back Python ints.  Wider moduli have no fused
+kernel: ``LinearOperator`` runs its generic loop over exact products
+instead.  numpy is imported on the first kernel call, so commands whose
+moduli are all wide never load it.
 
-- word-size moduli run as numpy int64 vector operations: every Krylov
-  or Horner step is one gather, one mulmod, one ``np.add.reduceat`` over
-  the row segments and one ``% p``.  Krylov carries its dot product x.y
-  as one extra row of the matrix (columns 0..m-1, entries x), so a step
-  yields A y and x.y together; Horner carries its ``+ c z`` as one extra
-  column (entries z, multiplied by the coefficient c), so a step maps
-  acc to A acc + c z;
-- wider moduli, such as the primes sampled for heavily scaled spectral
-  solves, run on Python integers, which have no width limit.
-
-Both paths compute exact residues, so their outputs are identical, and
-both hand back Python ints.  numpy is imported on the first word-path
-call: commands whose moduli are all wide never load it.
-
-Why the word path is exact.  Let a, b be residues in [0, p) with
+Why the kernels are exact.  Let a, b be residues in [0, p) with
 p < 2^50, and x = ab/p < 2^50.  a and b are exact in float64, so the
 computed quotient y = fl(fl(a/p)*b) = x(1 + e1)(1 + e2) with
 |e1|, |e2| <= 2^-53, hence |y - x| <= x(2^-52 + 2^-106) < 1/2.  y >= 0,
@@ -28,10 +23,11 @@ numpy int64 arrays wrap modulo 2^64 and |r| < 2^63, so the wrapped
 difference is r exactly (``_mulmod_lazy``).  A sum of k such terms lies
 in (-kp, 2kp), inside int64 when k*p < 2^62.  In an n x m matrix a row
 sum has at most m terms, Krylov's extra row m terms and a row extended
-by Horner's column at most m + 1, so the word path needs p < 2^50 and
-(max(n, m) + 1) * p < 2^62, and it reduces each sum once with ``% p``
+by Horner's column at most m + 1, so the kernels need p < 2^50 and
+(max(n, m) + 1) * p < 2^62, and they reduce each sum once with ``% p``
 (numpy's remainder takes the sign of the divisor).  numpy does not
-report int64 overflow, so these bounds are the only guard.
+report int64 overflow, so ``Field.coo``, ``krylov`` and ``horner``
+raise ValueError on any other modulus: that check is the only guard.
 
 Everything here is deterministic; randomness stays in the callers.
 """
@@ -59,6 +55,12 @@ def word_size(p, shape):
     return p < (1 << 50) and (max(shape) + 1) * p < (1 << 62)
 
 
+def _require_word_size(p, shape):
+    if not word_size(p, shape):
+        raise ValueError(f"modulus {p} is too wide for the int64 kernels "
+                         f"on a {shape[0]}x{shape[1]} matrix")
+
+
 def _mulmod_lazy(a, a_p, b, p):
     """a*b mod p up to a multiple of p, in (-p, 2p); a and b are int64
     arrays (or one int) of residues in [0, p), p < 2^50, and a_p is a / p
@@ -66,14 +68,6 @@ def _mulmod_lazy(a, a_p, b, p):
     r = a * b
     r -= (a_p * b).astype(np.int64) * p
     return r
-
-
-def _matvec(rows, cols, vals, x, p, n_out):
-    # accumulate exactly and reduce once per output entry
-    out = [0] * n_out
-    for r, c, v in zip(rows, cols, vals):
-        out[r] += v * x[c]
-    return [o % p for o in out]
 
 
 def _bm(seq, p):
@@ -156,21 +150,16 @@ class Field:
 
     # structured kernels ---------------------------------------------------
     def coo(self, rows, cols, vals, shape, scale=None):
-        """COO matrix diag(scale) A (or A) with entries reduced mod p;
-        rows sorted.
-
-        On the word path: int64 arrays (rows, cols, vals), the shape and
-        the start of each nonempty row's segment.  Otherwise lists
-        (rows, cols, vals) and the shape.
-        """
+        """COO matrix diag(scale) A (or A) with entries reduced mod p, for
+        a word-size p: int64 arrays (rows, cols, vals), the shape and the
+        start of each nonempty row's segment; rows sorted."""
         p = self.p
+        _require_word_size(p, shape)
+        np = _numpy()
         if scale is None:
             vals = [v % p for v in vals]
         else:
             vals = [scale[r] * v % p for r, v in zip(rows, vals)]
-        if not word_size(p, shape):
-            return (list(rows), list(cols), vals, shape)
-        np = _numpy()
         rows = np.array(rows, np.int64)
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         return (rows, np.array(cols, np.int64), np.array(vals, np.int64),
@@ -183,71 +172,57 @@ class Field:
     def krylov(self, coo, x, y, *, count):
         """[x.y, x.Ay, ..., x.A^(count-1) y] for the matrix A of coo."""
         p = self.p
-        if word_size(p, coo[3]):
-            np = _numpy()
-            rows, cols, vals, (n, m), starts = coo
-            x, y = self._words(x), self._words(y)
-            # row n of the extended matrix is x: a step gives (A y, x.y)
-            dest = None if len(starts) == n else rows[starts]
-            cols = np.concatenate((cols, np.arange(m)))
-            starts = np.append(starts, len(vals))
-            vals = np.concatenate((vals, x))
-            vals_p = vals / p
-            seq = []
-            for _ in range(count - 1):
-                sums = np.add.reduceat(
-                    _mulmod_lazy(vals, vals_p, y[cols], p), starts)
-                sums %= p
-                seq.append(int(sums[-1]))
-                if dest is None:
-                    y = sums[:-1]
-                else:
-                    # empty rows have no segment: scatter the others' sums
-                    y = np.zeros(n, np.int64)
-                    y[dest] = sums[:-1]
-            seq.append(int(_mulmod_lazy(x, x / p, y, p).sum() % p))
-            return seq
-        rows, cols, vals, shape = coo
+        _require_word_size(p, coo[3])
+        np = _numpy()
+        rows, cols, vals, (n, m), starts = coo
+        x, y = self._words(x), self._words(y)
+        # row n of the extended matrix is x: a step gives (A y, x.y)
+        dest = None if len(starts) == n else rows[starts]
+        cols = np.concatenate((cols, np.arange(m)))
+        starts = np.append(starts, len(vals))
+        vals = np.concatenate((vals, x))
+        vals_p = vals / p
         seq = []
-        for i in range(count):
-            seq.append(self.dot(x, y))
-            if i + 1 == count:
-                break
-            y = _matvec(rows, cols, vals, y, p, shape[0])
+        for _ in range(count - 1):
+            sums = np.add.reduceat(
+                _mulmod_lazy(vals, vals_p, y[cols], p), starts)
+            sums %= p
+            seq.append(int(sums[-1]))
+            if dest is None:
+                y = sums[:-1]
+            else:
+                # empty rows have no segment: scatter the others' sums
+                y = np.zeros(n, np.int64)
+                y[dest] = sums[:-1]
+        seq.append(int(_mulmod_lazy(x, x / p, y, p).sum() % p))
         return seq
 
     def horner(self, coo, coeffs, z):
         """sum coeffs[i] A^i z with two live vectors."""
         p = self.p
-        if word_size(p, coo[3]):
-            np = _numpy()
-            rows, cols, vals, (n, m), _ = coo
-            # row r of the extended matrix is A's row r followed by z_r in
-            # column m, so a step maps v = (acc, c) to A acc + c z; every
-            # row has a segment
-            z = self._words(z)
-            r = np.arange(n)
-            ends = np.searchsorted(rows, r, "right")
-            cols = np.insert(cols, ends, m)
-            vals = np.insert(vals, ends, z)
-            vals_p = vals / p
-            starts = np.searchsorted(rows, r) + r
-            v = np.empty(m + 1, np.int64)
-            acc = v[:n]
-            acc[:] = _mulmod_lazy(z, z / p, coeffs[-1] % p, p)
-            acc %= p
-            for i in range(len(coeffs) - 2, -1, -1):
-                v[m] = coeffs[i] % p
-                np.add.reduceat(_mulmod_lazy(vals, vals_p, v[cols], p),
-                                starts, out=acc)
-                acc %= p
-            return acc.tolist()
-        rows, cols, vals, shape = coo
-        acc = self.scale(coeffs[-1], z)
+        _require_word_size(p, coo[3])
+        np = _numpy()
+        rows, cols, vals, (n, m), _ = coo
+        # row r of the extended matrix is A's row r followed by z_r in
+        # column m, so a step maps v = (acc, c) to A acc + c z; every row
+        # has a segment
+        z = self._words(z)
+        r = np.arange(n)
+        ends = np.searchsorted(rows, r, "right")
+        cols = np.insert(cols, ends, m)
+        vals = np.insert(vals, ends, z)
+        vals_p = vals / p
+        starts = np.searchsorted(rows, r) + r
+        v = np.empty(m + 1, np.int64)
+        acc = v[:n]
+        acc[:] = _mulmod_lazy(z, z / p, coeffs[-1] % p, p)
+        acc %= p
         for i in range(len(coeffs) - 2, -1, -1):
-            acc = _matvec(rows, cols, vals, acc, p, shape[0])
-            acc = self.add_scaled(acc, coeffs[i], z)
-        return acc
+            v[m] = coeffs[i] % p
+            np.add.reduceat(_mulmod_lazy(vals, vals_p, v[cols], p),
+                            starts, out=acc)
+            acc %= p
+        return acc.tolist()
 
     def berlekamp_massey(self, seq):
         """Monic minimal linear recurrence of seq, lowest degree first."""

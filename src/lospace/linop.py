@@ -8,23 +8,22 @@ matrix with a composition descriptor:
     BASE         A
     DIAG_SCALE   diag(d) . A                     (Wiedemann preconditioner)
     SHIFT        A + diag(d)  (scalar or vector) (shifted/perturbed solves)
-    AUGMENT      [[A, -b], [0, 0]]               (solve -> kernel reduction)
     GRAM         A^T A                           (never materializes A x)
     GRAM_T       A A^T + c I                     (may hold one n-vector)
 
 ``apply_int`` is exact integer arithmetic and the one implementation of
 each composition; callers keep query entries within the documented
 n^6 U^2 bound.  ``apply_mod`` is that product reduced mod p.  The fused
-Krylov/Horner kernels run on BASE and on DIAG_SCALE over a matrix; those
-two kinds cache a reduced copy of the matrix one prime at a time
-(``Field.coo``), charged to the meter and released by ``drop_cache``.
-For a word-size prime (``kernels.word_size``) the copy holds int64
-arrays: rows, cols, entries reduced mod p and the start of each nonempty
-row's segment; for a wider prime it holds the same rows, cols and
-reduced entries as Python-int lists.  A DIAG_SCALE cache folds the
-diagonal into the entries (d_r a_rc mod p), so the kernels see one
-matrix.  No other kind holds a cache, and GRAM/GRAM_T never materialize
-A x: their working space stays proportional to the output dimension.
+Krylov/Horner kernels run on BASE and on DIAG_SCALE over a matrix when
+the prime is word-size for the shape (``kernels.word_size``); they use a
+reduced copy of the matrix cached one prime at a time (``Field.coo``),
+charged to the meter and released by ``drop_cache``.  The copy holds
+int64 arrays: rows, cols, entries reduced mod p and the start of each
+nonempty row's segment.  A DIAG_SCALE cache folds the diagonal into the
+entries (d_r a_rc mod p), so the kernels see one matrix.  Every other
+case, a wider prime included, runs one generic Krylov/Horner loop over
+``apply_mod`` and holds no cache.  GRAM/GRAM_T never materialize A x:
+their working space stays proportional to the output dimension.
 
 Text formats (1-indexed, decimal):
 
@@ -37,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import meter
-from .kernels import Field
+from .kernels import Field, word_size
 
 BASE = "BASE"
 DIAG_SCALE = "DIAG_SCALE"
 SHIFT = "SHIFT"
-AUGMENT = "AUGMENT"
 GRAM = "GRAM"
 GRAM_T = "GRAM_T"
 
@@ -140,20 +138,18 @@ class SparseMatrix:
 class LinearOperator:
     """Black-box operator; see module docstring for the composition kinds.
 
-    The base of DIAG_SCALE / SHIFT / AUGMENT may itself be a LinearOperator
+    The base of DIAG_SCALE / SHIFT may itself be a LinearOperator
     (e.g. preconditioning a Gram product); those compositions run through
     the generic apply path instead of the fused kernels.
     """
 
-    def __init__(self, kind, base, n, m, diag=None, bvec=None,
-                 shift_c=0):
+    def __init__(self, kind, base, n, m, diag=None, shift_c=0):
         self.kind = kind
         self.base = base
         self.base_is_matrix = isinstance(base, SparseMatrix)
         self.n = n
         self.m = m
         self.diag = diag          # DIAG_SCALE / SHIFT vector (by reference)
-        self.bvec = bvec          # AUGMENT right-hand side (by reference)
         self.shift_c = shift_c    # GRAM_T ridge term
         self._cache_p = None
         self._cache = None
@@ -187,15 +183,6 @@ class LinearOperator:
         return LinearOperator(SHIFT, a, a.n, a.m, diag=d)
 
     @staticmethod
-    def augment(a, b):
-        """(n+1)-dim operator acting as [[A, -b], [0, 0]]; b by reference."""
-        if a.n != a.m:
-            raise DimensionMismatch("augment needs a square base")
-        if len(b) != a.n:
-            raise DimensionMismatch("b length != n")
-        return LinearOperator(AUGMENT, a, a.n + 1, a.m + 1, bvec=b)
-
-    @staticmethod
     def gram(a: SparseMatrix):
         return LinearOperator(GRAM, a, a.m, a.m)
 
@@ -214,8 +201,6 @@ class LinearOperator:
             return u * max(max(abs(x) for x in self.diag), 1)
         if self.kind == SHIFT:
             return u + max(abs(x) for x in self.diag)
-        if self.kind == AUGMENT:
-            return max(u, max((abs(x) for x in self.bvec), default=1))
         if self.kind == GRAM:
             return self.base.n * u * u
         if self.kind == GRAM_T:
@@ -223,6 +208,11 @@ class LinearOperator:
         raise AssertionError(self.kind)
 
     # -- mod-p application ------------------------------------------------
+
+    def _fused(self, p):
+        """True when the fused kernels run this operator mod p."""
+        return (self.base_is_matrix and self.kind in (BASE, DIAG_SCALE)
+                and word_size(p, (self.n, self.m)))
 
     def _mod_data(self, f: Field):
         """The matrix reduced mod f.p for the fused kernels, DIAG_SCALE's
@@ -255,7 +245,7 @@ class LinearOperator:
 
     def krylov_scalars(self, x, y, count, p, f: Field):
         """[x.y, x.My, ..., x.M^(count-1)y] using the fused kernel if possible."""
-        if self.base_is_matrix and self.kind in (BASE, DIAG_SCALE):
+        if self._fused(p):
             return f.krylov(self._mod_data(f), x, y, count=count)
         seq = []
         yy = list(y)
@@ -267,8 +257,8 @@ class LinearOperator:
         return seq
 
     def horner_apply(self, coeffs, z, p, f: Field):
-        """sum coeffs[i] M^i z with two live vectors."""
-        if self.kind == BASE:
+        """sum coeffs[i] M^i z with two live vectors; fused kernel if possible."""
+        if self._fused(p):
             return f.horner(self._mod_data(f), coeffs, z)
         acc = f.scale(coeffs[-1], z)
         with meter.track("horner.vec", 2 * f.vec_bits(z)):
@@ -290,10 +280,6 @@ class LinearOperator:
         if self.kind == SHIFT:
             w = a.apply_int(v)
             return [wi + d * vi for wi, d, vi in zip(w, self.diag, v)]
-        if self.kind == AUGMENT:
-            top = a.apply_int(v[:-1])
-            vl = v[-1]
-            return [t - vl * b for t, b in zip(top, self.bvec)] + [0]
         if self.kind == GRAM:
             out = [0] * a.m
             nnz = a.nnz

@@ -5,9 +5,11 @@ residues come from the finite-field routine, and primes are drawn until
 their product exceeds twice a Hadamard bound on |det|, which certifies
 exact signed recovery (n = 1 additionally forces the range above 2U so a
 single prime already suffices).  For a plain matrix the bound is the
-row-norm form prod_i |row_i|_2, which a zero row makes 0 (the
-determinant is then 0 outright); composed operators (Gram products,
-shifts) use U^n n^(n/2) from their entry bound U.
+row-norm form prod_i |row_i|_2, and for a Gram product A^T A, which is
+positive semidefinite, the product of its diagonal prod_j |col_j|_2^2;
+a zero row or column makes the bound 0 and the determinant is then 0
+outright.  Other composed operators (shifts) use U^n n^(n/2) from their
+entry bound U.
 
 The solver multiplies the system by det(A) so the solution is integral,
 then recovers it digit by digit in base p for one prime p ~ n^3 U without
@@ -46,7 +48,7 @@ from .numeric import (
     fl_neg,
     fl_zero,
 )
-from .linop import BASE, LinearOperator, SparseMatrix
+from .linop import BASE, GRAM, LinearOperator, SparseMatrix
 from .primes import crt_combine, shared_pool
 from .wiedemann import FpSolver, determinant_zp
 
@@ -93,15 +95,29 @@ def hadamard_bound(n, u):
     return (u ** n) * (_isqrt_ceil(n ** n))
 
 
-def row_norm_bound(a: SparseMatrix):
-    """ceil(prod_i |row_i|_2), Hadamard's bound on |det a|; 0 when a row
-    of the square matrix a is zero.  Never above hadamard_bound(n, U)."""
+def row_norm_bound(a: SparseMatrix, b=None):
+    """ceil(prod_i |row_i|_2), Hadamard's bound on |det a|, never above
+    hadamard_bound(n, U); 0 when a row of the square matrix a is zero.
+    With b, row i's squared norm takes b_i^2 as well: that bounds |det| of
+    a with any one column replaced by b, so |det(a) (a^-1 b)_i| (Cramer)."""
     prod = 1
     rows = 0
-    for _, entries in groupby(zip(a.rows, a.vals), key=itemgetter(0)):
-        prod *= sum(v * v for _, v in entries)
+    for i, entries in groupby(zip(a.rows, a.vals), key=itemgetter(0)):
+        sq = sum(v * v for _, v in entries)
+        prod *= sq if b is None else sq + b[i] * b[i]
         rows += 1
     return _isqrt_ceil(prod) if rows == a.n else 0
+
+
+def gram_bound(a: SparseMatrix):
+    """prod_j |col_j|_2^2, Hadamard's bound on det(a^T a): a positive
+    semidefinite matrix's determinant is at most the product of its
+    diagonal.  0 when a column of a is zero."""
+    sq = [0] * a.m
+    with meter.track("det.colnorms", a.m * int_bits(a.n * a.entry_bound ** 2)):
+        for j, v in zip(a.cols, a.vals):
+            sq[j] += v * v
+        return math.prod(sq)
 
 
 def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
@@ -109,8 +125,9 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
 
     Primes are drawn from [max(16, n^2 U), ..^2] until their product
     exceeds twice the Hadamard bound: the row-norm bound for a plain
-    matrix (a zero row returns 0 without drawing a prime) and
-    hadamard_bound(n, U) for a composed operator.  At most n primes are
+    matrix, the column-norm bound for a Gram product (a zero row or
+    column returns 0 without drawing a prime) and hadamard_bound(n, U)
+    for any other composed operator.  At most n primes are
     ever needed, usually far fewer.  Each residue is a finite-field
     determinant; reconstruction is incremental CRT with signed recovery.
     """
@@ -123,10 +140,12 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
     u = op.entry_bound
     if op.kind == BASE:
         bound = 2 * row_norm_bound(op.base)
-        if bound == 0:
-            return 0
+    elif op.kind == GRAM:
+        bound = 2 * gram_bound(op.base)
     else:
         bound = 2 * hadamard_bound(n, u)
+    if bound == 0:
+        return 0
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     lower = max(16, n * n * u, (2 * u + 1) if n == 1 else 0)
     # pooled primes: every residue is certificate-checked, so sharing the
@@ -302,11 +321,16 @@ class RationalSolver:
             m.free(dig_tok)
 
     def lift_length(self, b):
-        """T with p^T certifiably above 2 max |det * (A^-1 b)_i| (Cramer)."""
+        """T with p^T certifiably above 2 max |det * (A^-1 b)_i| (Cramer),
+        from (U sqrt(n))^(n-1) |b|_inf sqrt(n) or, for a plain matrix, the
+        smaller Hadamard row bound on A with a column replaced by b, which
+        counts b_r in every row: far smaller unless |b| dwarfs U."""
         n, u = self.n, self.u
         colnorm = u * _isqrt_ceil(n)
         bnorm = max((abs(x) for x in b), default=0) * _isqrt_ceil(n)
         bound = 2 * colnorm ** max(0, n - 1) * max(1, bnorm)
+        if self.op.kind == BASE:
+            bound = min(bound, 2 * row_norm_bound(self.op.base, b))
         T = 1
         ppow = self.prime
         while ppow <= bound:

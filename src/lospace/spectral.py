@@ -339,38 +339,29 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
     return kept, scale_pow, b_scaled
 
 
-def spectrum(a: SparseMatrix, eps: float, rng=None, c: int = 2, stats=None):
+def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stats=None):
+    """Shared front end of spectrum/eigendecompose/svd, with one retry on a
+    fresh perturbation: 2^s B for B = a perturbed by at most eps/2, the
+    eigenvalue estimates from tree leaves sep/leaf_div wide, s and sep."""
+    n, u = a.n, a.entry_bound
+    sep = Fraction(eps) ** 2 / (4 * n ** 4 * u)  # separation after eps/2 perturb
+    for attempt in range(2):
+        b = perturb_spectrum(a, eps / 2, derive_rng(rng, "perturb", attempt))
+        vals, scale_pow, b_scaled = _extract_eigs(
+            b, u, sep / leaf_div, sep / 2, derive_rng(rng, "tree", attempt),
+            stats=stats)
+        if len(vals) == n:
+            return b_scaled, vals, scale_pow, sep
+    raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")
+
+
+def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
     """All eigenvalues of symmetric a to within +-eps, ascending FixedL list."""
     if not a.is_symmetric():
         raise ValueError("spectrum needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    n, u = a.n, a.entry_bound
-    sep = Fraction(eps) ** 2 / (4 * n ** 4 * u)  # separation after eps/2 perturb
-    vals = []
-    for attempt in range(2):
-        b = perturb_spectrum(a, eps / 2, derive_rng(rng, "perturb", attempt))
-        vals, scale_pow, _ = _extract_eigs(
-            b, u, sep / 8, sep / 2, derive_rng(rng, "tree", attempt),
-            stats=stats)
-        if len(vals) == n:
-            return [fixed_from_fraction(v, scale_pow) for v in vals]
-    raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")
-
-
-def _perturb_and_extract(a, eps: float, rng, vec_eps: float):
-    """Shared front end of eigendecompose/svd: B, its eigenvalue estimates
-    (accuracy a fraction of the separation), and the eigenvector budget."""
-    n, u = a.n, a.entry_bound
-    sep = Fraction(eps) ** 2 / (4 * n ** 4 * u)
-    last = "no attempt"
-    for attempt in range(2):
-        b = perturb_spectrum(a, eps / 2, derive_rng(rng, "perturb", attempt))
-        vals, scale_pow, b_scaled = _extract_eigs(
-            b, u, sep / 16, sep / 2, derive_rng(rng, "tree", attempt))
-        if len(vals) == n:
-            return b_scaled, vals, scale_pow, sep
-        last = f"expected {n} eigenvalues, got {len(vals)}"
-    raise ResultCountMismatch(last)
+    _, vals, scale_pow, _ = _perturb_and_extract(a, eps, rng, 8, stats)
+    return [fixed_from_fraction(v, scale_pow) for v in vals]
 
 
 def _dyadic_at_least(q: Fraction, scale_pow: int) -> Fraction:
@@ -390,7 +381,7 @@ def _one_eigenvector(b_scaled, scale_pow, lam: Fraction, g5: Fraction,
     return v_fl
 
 
-def eigendecompose(a: SparseMatrix, eps: float, rng=None, c: int = 2,
+def eigendecompose(a: SparseMatrix, eps: float, rng=None,
                    vec_eps: float | None = None):
     """Yields n (lambda_i, v_i) pairs, eigenvalues ascending, one vector
     live at a time; |lambda_i(a) - lambda_i| <= eps, |v_i|^2 in [1 +- eps],
@@ -400,7 +391,7 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None, c: int = 2,
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     n, u = a.n, a.entry_bound
     vec_eps = vec_eps if vec_eps is not None else (eps / (60 * n * u)) ** 2
-    b_scaled, vals, scale_pow, sep = _perturb_and_extract(a, eps, rng, vec_eps)
+    b_scaled, vals, scale_pow, sep = _perturb_and_extract(a, eps, rng, 16)
     g5 = _dyadic_at_least(sep / 5, scale_pow)
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
     for i, lam in enumerate(vals):
@@ -433,7 +424,7 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     # targets on the scaled matrix: eigenvalues of 2^2t (A A^T + eps0 I)
     eps_scaled = float(eps0_eff / 10) * (1 << (2 * t))
     vec_eps = float(eps0_eff / 10) ** 2
-    bsc, vals, scale_pow, sep = _perturb_and_extract(gram, eps_scaled, rng, vec_eps)
+    bsc, vals, scale_pow, sep = _perturb_and_extract(gram, eps_scaled, rng, 16)
     g5 = _dyadic_at_least(sep / 5, scale_pow)
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
     L = 64

@@ -7,7 +7,8 @@ with constant probability once p > n, so the callers below either verify
 their answer against its defining congruence and retry (kernel vectors,
 solves), or rely on a degree certificate (determinants: a full-degree
 recurrence *is* the characteristic polynomial, which makes its constant
-term exact, no voting needed).
+term exact, no voting needed).  Every solve mod p is an FpSolver
+solve; linsolve_zp is its one-shot form.
 
 Space discipline: every routine holds O(1) vectors of n field elements
 plus the 2n+1 scalar sequence; polynomial-of-operator products go through
@@ -21,7 +22,7 @@ import random
 
 from . import meter
 from .kernels import Field
-from .linop import BASE, LinearOperator, SparseMatrix
+from .linop import BASE, LinearOperator
 
 __all__ = [
     "RetriesExhausted",
@@ -42,10 +43,6 @@ def berlekamp_massey(seq, p, f: Field | None = None):
     """Monic minimal linear recurrence of seq over F_p, lowest degree first."""
     f = f or Field(p)
     return f.berlekamp_massey(seq)
-
-
-def _as_op(a):
-    return LinearOperator.wrap(a)
 
 
 def _one_wiedemann_trial(op, p, f, rng):
@@ -77,7 +74,7 @@ def minimal_polynomial(a, p, boost=1, rng=None, f=None):
     least 1 - 2^-Omega(boost) when p > n.  Degree n ends the trials early
     since no factor can be larger.
     """
-    op = _as_op(a)
+    op = LinearOperator.wrap(a)
     rng = rng or random.Random()
     f = f or Field(p)
     best = [1]
@@ -106,7 +103,7 @@ def find_kernel(a, p, delta=1e-9, rng=None, f=None):
     candidate is checked against M v = 0 before being returned; failures
     (wrong recurrence, unlucky z) just burn budget.
     """
-    op = _as_op(a)
+    op = LinearOperator.wrap(a)
     rng = rng or random.Random()
     f = f or Field(p)
     n = op.n
@@ -135,34 +132,14 @@ def find_kernel(a, p, delta=1e-9, rng=None, f=None):
 
 
 def linsolve_zp(a, b, p, delta=1e-9, rng=None, f=None):
-    """Solve A x = b (mod p) for invertible (a mod p); verified before return.
-
-    Reduces to a kernel vector of the augmented [[A, -b], [0, 0]] operator;
-    the last coordinate of any nonzero kernel vector is nonzero, and
-    dividing by it recovers x.
-    """
-    op = _as_op(a)
-    if op.n != op.m:
-        raise ValueError("linsolve_zp needs a square operator")
-    rng = rng or random.Random()
-    f = f or Field(p)
-    n = op.n
-    bmod = [x % p for x in b]
-    aug = LinearOperator.augment(op.base if op.kind == BASE else op, bmod)
-    for _ in range(6):
-        try:
-            ker = find_kernel(aug, p, delta / 2, rng, f)
-        except RetriesExhausted:
-            continue
-        v = ker[n]
-        if v == 0:
-            continue
-        vinv = f.inv(v)
-        x = f.scale(vinv, ker[:n])
-        lhs = op.apply_mod(x, p)
-        if f.tolist(lhs) == bmod:
-            return x
-    raise RetriesExhausted("linsolve_zp kept failing verification")
+    """Solve A x = b (mod p) for invertible (a mod p); verified before
+    return.  One FpSolver solve: x is unique mod p."""
+    solver = FpSolver(a, p, rng or random.Random(), delta, f)
+    try:
+        return solver.solve(b)
+    finally:
+        solver.close()
+        solver.op.drop_cache()
 
 
 def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
@@ -174,7 +151,7 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
     neither certificate appears within the budget the routine raises
     RetriesExhausted.
     """
-    op = _as_op(a)
+    op = LinearOperator.wrap(a)
     if op.n != op.m:
         raise ValueError("determinant_zp needs a square operator")
     rng = rng or random.Random()
@@ -217,7 +194,9 @@ class FpSolver:
     """
 
     def __init__(self, a, p, rng, delta=1e-9, f=None):
-        self.op = _as_op(a)
+        self.op = LinearOperator.wrap(a)
+        if self.op.n != self.op.m:
+            raise ValueError("FpSolver needs a square operator")
         self.p = p
         self.rng = rng
         self.f = f or Field(p)

@@ -56,6 +56,15 @@ def test_solve_decimal_format(files):
     assert out.splitlines() == ["0.50000000", "0.75000000"]
 
 
+def test_solve_decimal_digits_zero_prints_whole_numbers(files):
+    """0 digits is a valid request, not the default: x = (1/2, 3/4)
+    rounds half to even to 0 and 1."""
+    code, out = run_cli(["solve", str(files / "d24.mtx"), str(files / "b13.vec"),
+                         "--decimal-digits", "0"])
+    assert code == 0
+    assert out.splitlines() == ["0", "1"]
+
+
 def test_solve_float2exp_format(files):
     code, out = run_cli(["solve", str(files / "d24.mtx"), str(files / "b13.vec")])
     assert code == 0
@@ -83,6 +92,7 @@ def test_input_error_line_numbered(files, capsys):
     ["bench", "--sizes", "0"],
     ["bench", "--sizes", "4,x"],
     ["regress", "wide.mtx", "b13.vec"],
+    ["solve", "d24.mtx", "b13.vec", "--decimal-digits", "-2"],
 ])
 def test_bad_argument_exit_code(files, capsys, argv):
     argv = [str(files / a) if a.endswith((".mtx", ".vec")) else a for a in argv]

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from lospace import meter
 from lospace.kernels import Field, _bm, word_size
 from lospace.linop import LinearOperator, SparseMatrix
+from lospace.wiedemann import determinant_zp
 
 
 def _rand_coo(rnd, n, m, nnz, p):
@@ -34,13 +36,15 @@ def _dense_apply(a, x, p):
 
 
 # the largest prime below the word bound 2^50 and the smallest above it
-# pin the boundary between the int64 and the Python-int kernels
+# pin the boundary between the fused int64 kernels and the generic loop
 PRIMES = [97, (1 << 31) - 1, (1 << 50) - 27, (1 << 50) + 55, (1 << 61) - 1]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_kernels_match_naive_reference(p):
-    """Each kernel against a dense, one-step-at-a-time reference mod p."""
+    """Krylov scalars and Horner of BASE and DIAG_SCALE operators against
+    a dense, one-step-at-a-time reference mod p, on both sides of the word
+    bound; the fused kernels are called directly where p is word-size."""
     rnd = random.Random(3)
     f = Field(p)
     for _ in range(10):
@@ -48,25 +52,28 @@ def test_kernels_match_naive_reference(p):
         # nnz from 0 up: all-zero matrices and empty rows included
         rows, cols, vals = _rand_coo(rnd, n, n, rnd.randrange(0, n * n + 1), p)
         a = _dense(rows, cols, vals, n, n)
-        assert word_size(p, (n, n)) == (p < 1 << 50)
-        coo = f.coo(rows, cols, vals, (n, n))
+        mat = SparseMatrix(n, n, rows, cols, vals)
+        word = word_size(p, (n, n))
+        assert word == (p < 1 << 50)
         x = [rnd.randrange(p) for _ in range(n)]
         y = [rnd.randrange(p) for _ in range(n)]
-        op = LinearOperator.from_sparse(SparseMatrix(n, n, rows, cols, vals))
-        assert op.apply_mod(x, p) == _dense_apply(a, x, p)
+        assert LinearOperator.from_sparse(mat).apply_mod(x, p) == _dense_apply(a, x, p)
         assert f.dot(x, y) == sum(xi * yi for xi, yi in zip(x, y)) % p
 
         count = 2 * n + 1
         d = [rnd.randrange(1, p) for _ in range(n)]
+        coeffs = [rnd.randrange(p) for _ in range(rnd.randrange(1, n + 2))]
         for diag in (None, d):
+            if diag is None:
+                op, da = LinearOperator.from_sparse(mat), a
+            else:
+                op = LinearOperator.diag_scale(diag, mat)
+                da = [[di * v % p for v in row] for di, row in zip(diag, a)]
             want, w = [], list(y)
             for _ in range(count):
                 want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
-                w = _dense_apply(a, w, p)
-                if diag is not None:
-                    w = [di * wi % p for di, wi in zip(diag, w)]
-            seq = f.krylov(f.coo(rows, cols, vals, (n, n), diag), x, y,
-                           count=count)
+                w = _dense_apply(da, w, p)
+            seq = op.krylov_scalars(x, y, count, p, f)
             assert seq == want
             assert all(type(s) is int for s in seq)
             g = f.berlekamp_massey(seq)
@@ -75,14 +82,59 @@ def test_kernels_match_naive_reference(p):
             for j in range(count - deg):
                 assert sum(g[i] * seq[i + j] for i in range(deg + 1)) % p == 0
 
-        coeffs = [rnd.randrange(p) for _ in range(rnd.randrange(1, n + 2))]
-        want, power = [0] * n, list(x)
-        for c in coeffs:
-            want = [(wi + c * pi) % p for wi, pi in zip(want, power)]
-            power = _dense_apply(a, power, p)
-        got = f.horner(coo, coeffs, x)
-        assert got == want
-        assert type(got) is list and all(type(v) is int for v in got)
+            want_h, power = [0] * n, list(x)
+            for c in coeffs:
+                want_h = [(wi + c * pi) % p for wi, pi in zip(want_h, power)]
+                power = _dense_apply(da, power, p)
+            got = op.horner_apply(coeffs, x, p, f)
+            assert got == want_h
+            assert type(got) is list and all(type(v) is int for v in got)
+            op.drop_cache()
+
+            if word:
+                coo = f.coo(rows, cols, vals, (n, n), diag)
+                assert f.krylov(coo, x, y, count=count) == want
+                assert f.horner(coo, coeffs, x) == want_h
+
+
+def test_fused_kernels_reject_non_word_moduli():
+    """numpy does not report int64 overflow, so Field.coo, krylov and
+    horner refuse a modulus outside word_size instead of wrapping."""
+    rows, cols, vals = [0, 1], [0, 1], [1, 1]
+    wide = Field((1 << 50) + 55)
+    with pytest.raises(ValueError):
+        wide.coo(rows, cols, vals, (2, 2))
+    coo = Field(97).coo(rows, cols, vals, (2, 2))
+    with pytest.raises(ValueError):
+        wide.krylov(coo, [1, 2], [3, 4], count=3)
+    with pytest.raises(ValueError):
+        wide.horner(coo, [1, 2], [3, 4])
+    # a word-size prime on a shape whose row sums could overflow
+    with pytest.raises(ValueError):
+        Field((1 << 50) - 27).coo([], [], [], (4096, 4096))
+
+
+def test_wide_modulus_builds_no_reduced_copy():
+    """Above the word bound BASE and DIAG_SCALE run the generic loop over
+    exact products: no per-prime reduced copy is built or charged, and
+    the meter is back at 0 with no drop_cache call."""
+    p = (1 << 61) - 1
+    rnd = random.Random(4)
+    n = 9
+    mat = SparseMatrix.from_dense(
+        [[rnd.randrange(-50, 51) for _ in range(n)] for _ in range(n)])
+    d = [rnd.randrange(1, p) for _ in range(n)]
+    f = Field(p)
+    m = meter.WorkspaceMeter()
+    with m.activate():
+        for op in (LinearOperator.from_sparse(mat),
+                   LinearOperator.diag_scale(d, mat)):
+            op.krylov_scalars(f.rand(n, rnd), f.rand(n, rnd), 2 * n + 1, p, f)
+            op.horner_apply([1, 2, 3], f.rand(n, rnd), p, f)
+            assert m.current_bits == 0
+        determinant_zp(mat, p, rng=rnd)
+    assert m.by_label.get("linop.mod_cache", [0, 0]) == [0, 0]
+    assert m.current_bits == 0
 
 
 def test_matvec_against_dense():
@@ -215,7 +267,7 @@ def test_word_kernels_at_the_sum_bound():
     """An arrow matrix whose first row is full puts n = 4095 products into
     one row sum, and Horner's extra column one more, at p just below 2^50:
     (n + 1) * p sits just under the 2^62 word bound, and one more row
-    moves the shape to the Python path."""
+    moves the shape off the fused kernels."""
     p = (1 << 50) - 27
     n = 4095
     assert word_size(p, (n, n)) and not word_size(p, (n + 1, n + 1))

@@ -40,17 +40,6 @@ def test_apply_int_examples():
     assert g.apply_int([1]) == [5]
 
 
-def test_augment_examples():
-    b = [1, 1]
-    aug = LinearOperator.augment(SparseMatrix.identity(2), b)
-    assert aug.apply_int([0, 0, 1]) == [-1, -1, 0]
-    assert aug.apply_int([4, 7, 0]) == [4, 7, 0]
-    assert aug.apply_int([1, 1, 1]) == [0, 0, 0]  # kernel holds the solution
-    p = 101
-    f = Field(p)
-    assert f.tolist(aug.apply_mod(f.vec([0, 0, 1]), p)) == [100, 100, 0]
-
-
 def test_gram_examples():
     g = LinearOperator.gram(SparseMatrix.identity(3))
     f = Field(11)
@@ -113,10 +102,6 @@ def test_composition_against_dense_oracle():
             ops.append((LinearOperator.shift(a, s),
                         [[dense[i][j] + (s if i == j else 0) for j in range(n)]
                          for i in range(n)]))
-            b = [rnd.randrange(-9, 10) for _ in range(n)]
-            ops.append((LinearOperator.augment(a, b),
-                        [[dense[i][j] for j in range(n)] + [-b[i]] for i in range(n)]
-                        + [[0] * (n + 1)]))
         for op, ref in ops:
             v = [rnd.randrange(-20, 21) for _ in range(op.m)]
             want = _dense_mul(ref, v)
@@ -173,8 +158,6 @@ def test_dimension_errors():
     a = LinearOperator.from_sparse(SparseMatrix.identity(3))
     with pytest.raises(DimensionMismatch):
         a.apply_int([1, 2])
-    with pytest.raises(DimensionMismatch):
-        LinearOperator.augment(SparseMatrix.from_entries(2, 3, []), [1, 2])
 
 
 def test_matrix_roundtrip_bit_exact():

@@ -7,15 +7,17 @@ import pytest
 
 from lospace import kernels, meter, solver
 from lospace.cli import bench_matrix
-from lospace.linop import SparseMatrix
+from lospace.linop import LinearOperator, SparseMatrix
 from lospace.numeric import FloatL, fl_from_int, fl_mul, fl_add_same_sign, fl_zero, EQUAL
 from lospace.oracle import SINGULAR as ORACLE_SINGULAR
 from lospace.oracle import oracle_det_bareiss, oracle_solve_exact
 from lospace.solver import (
     RationalSolver,
     SingularMatrix,
+    _isqrt_ceil,
     determinant,
     digit_of_b,
+    gram_bound,
     hadamard_bound,
     lin_solve,
     linear_regression,
@@ -135,11 +137,8 @@ def test_zero_row_determinant_draws_no_prime(monkeypatch):
         assert determinant(a, rng=1) == 0
 
 
-def test_determinant_stops_at_the_row_norm_bound(monkeypatch):
-    """On seeded tridiagonal-plus-noise matrices (n = 64, U = 100) the
-    determinant computes one residue per prime of the shortest pool
-    prefix whose product exceeds twice the row-norm bound, fewer than the
-    entry-bound form U^n n^(n/2) needs."""
+def _spy_on_determinant_zp(monkeypatch):
+    """The list of primes solver.determinant hands to determinant_zp."""
     calls = []
     zp = solver.determinant_zp
 
@@ -148,26 +147,109 @@ def test_determinant_stops_at_the_row_norm_bound(monkeypatch):
         return zp(op, p, *args)
 
     monkeypatch.setattr(solver, "determinant_zp", spy)
+    return calls
+
+
+def _pool_prefix(lower, bound):
+    """Length of the shortest shared-pool prefix whose product exceeds bound."""
+    k, prod = 0, 1
+    while prod <= bound:
+        k += 1
+        prod = math.prod(shared_pool.get(lower, k))
+    return k
+
+
+def test_determinant_stops_at_the_row_norm_bound(monkeypatch):
+    """On seeded tridiagonal-plus-noise matrices (n = 64, U = 100) the
+    determinant computes one residue per prime of the shortest pool
+    prefix whose product exceeds twice the row-norm bound, fewer than the
+    entry-bound form U^n n^(n/2) needs."""
+    calls = _spy_on_determinant_zp(monkeypatch)
     n = 64
     for seed in (1, 2, 3):
         a = bench_matrix(n, random.Random(seed))
         lower = max(16, n * n * a.entry_bound)
-
-        def prefix(bound):
-            k, prod = 0, 1
-            while prod <= bound:
-                k += 1
-                prod = 1
-                for q in shared_pool.get(lower, k):
-                    prod *= q
-            return k
-
         calls.clear()
         det = determinant(a, rng=seed)
         assert det != 0
-        want = prefix(2 * row_norm_bound(a))
+        want = _pool_prefix(lower, 2 * row_norm_bound(a))
         assert calls == shared_pool.get(lower, want)
-        assert want < prefix(2 * hadamard_bound(n, a.entry_bound))
+        assert want < _pool_prefix(lower, 2 * hadamard_bound(n, a.entry_bound))
+
+
+def test_gram_determinant_stops_at_the_column_norm_bound(monkeypatch):
+    """det(A^T A) <= prod_j |col_j|^2 (Hadamard, A^T A positive
+    semidefinite): the determinant of a Gram operator computes one residue
+    per prime of the shortest pool prefix past twice that bound, fewer
+    than the entry-bound form needs, and still matches the oracle."""
+    calls = _spy_on_determinant_zp(monkeypatch)
+    rnd = random.Random(7)
+    n, m = 24, 8
+    dense = [[rnd.randrange(-100, 101) for _ in range(m)] for _ in range(n)]
+    a = SparseMatrix.from_dense(dense)
+    gram = LinearOperator.gram(a)
+    lower = max(16, m * m * gram.entry_bound)
+    bound = math.prod(sum(row[j] ** 2 for row in dense) for j in range(m))
+    assert gram_bound(a) == bound
+    det = determinant(gram, rng=5)
+    want = _pool_prefix(lower, 2 * bound)
+    assert calls == shared_pool.get(lower, want)
+    assert want < _pool_prefix(lower, 2 * hadamard_bound(m, gram.entry_bound))
+    gram_dense = [[sum(row[i] * row[j] for row in dense) for j in range(m)]
+                  for i in range(m)]
+    assert det == oracle_det_bareiss(gram_dense)
+
+
+def test_row_norm_bound_with_b_dominates_cramer_numerators():
+    """row_norm_bound(a, b) bounds |det| of a with any one column replaced
+    by b, so lifting det * a^-1 b to that many digits is exact."""
+    rnd = random.Random(17)
+    for trial in range(60):
+        n = rnd.randrange(1, 6)
+        d = rand_invertible(rnd, n)
+        b = [rnd.randrange(-30, 31) for _ in range(n)]
+        bound = row_norm_bound(SparseMatrix.from_dense(d), b)
+        for i in range(n):
+            di = [row[:i] + [bj] + row[i + 1:] for row, bj in zip(d, b)]
+            assert abs(oracle_det_bareiss(di)) <= bound
+
+
+def _lift_length_entry_bound(self, b):
+    """RationalSolver.lift_length as it was before the row-norm bound."""
+    n, u = self.n, self.u
+    colnorm = u * _isqrt_ceil(n)
+    bnorm = max((abs(x) for x in b), default=0) * _isqrt_ceil(n)
+    bound = 2 * colnorm ** max(0, n - 1) * max(1, bnorm)
+    T, ppow = 1, self.prime
+    while ppow <= bound:
+        ppow *= self.prime
+        T += 1
+    return T
+
+
+def test_lift_length_from_the_row_norm_bound(monkeypatch):
+    """On seeded tridiagonal-plus-noise systems (n = 64, U = 100) the
+    row-norm lift length is shorter than the entry-bound one and never
+    longer, also when |b| dwarfs U, and the solve outputs are
+    bit-identical: the digits it drops are past the exact value."""
+    n = 64
+    for seed in (1, 2, 3):
+        rnd = random.Random(seed)
+        a = bench_matrix(n, rnd)
+        b = [rnd.randrange(-100, 101) for _ in range(n)]
+        s = RationalSolver(a, 1e-6, seed)
+        assert s.lift_length(b) < _lift_length_entry_bound(s, b)
+        huge = [x * 10 ** 60 for x in b]
+        assert s.lift_length(huge) <= _lift_length_entry_bound(s, huge)
+        s.close()
+        for eps in (1e-6, 1e-30):
+            new = lin_solve(a, b, eps, seed).x
+            with monkeypatch.context() as mp:
+                mp.setattr(RationalSolver, "lift_length",
+                           _lift_length_entry_bound)
+                old = lin_solve(a, b, eps, seed).x
+            assert [(x.mantissa, x.exponent) for x in new] == \
+                [(x.mantissa, x.exponent) for x in old]
 
 
 def test_bad_eps_raises_before_the_determinant(monkeypatch):
