@@ -2,16 +2,22 @@
 
 Vectors are lists of residues in [0, p).  The fused Krylov and Horner
 kernels run only on word-size moduli (``word_size``), as numpy int64
-vector operations: every Krylov or Horner step is one gather, one mulmod,
-one ``np.add.reduceat`` over the row segments and one ``% p``.  Krylov
-carries its dot product x.y as one extra row of the matrix (columns
-0..m-1, entries x), so a step yields A y and x.y together; Horner carries
-its ``+ c z`` as one extra column (entries z, multiplied by the
-coefficient c), so a step maps acc to A acc + c z.  The kernels compute
-exact residues and hand back Python ints.  Wider moduli have no fused
-kernel: ``LinearOperator`` runs its generic loop over exact products
-instead.  numpy is imported on the first kernel call, so commands whose
-moduli are all wide never load it.
+vector operations over the reduced copy of one matrix A (``Field.coo``),
+in one of two forms.  For A itself every Krylov or Horner step is one
+gather, one mulmod, one ``np.add.reduceat`` over the row segments and one
+``% p``.  Krylov carries its dot product x.y as one extra row of the
+matrix (columns 0..m-1, entries x), so a step yields A y and x.y
+together; Horner carries its ``+ c z`` as one extra column (entries z,
+multiplied by the coefficient c), so a step maps acc to A acc + c z.
+For the Gram product A^T A (``gram=True``), optionally scaled by a
+diagonal d, a step is that same row pass, giving w = A y reduced, then a
+scatter-add of the products a_rc w_r into the m column slots, one
+``% p``, and for d one more mulmod; Krylov takes its dot product and
+Horner its ``+ c z`` separately, Horner's as the column sums' starting
+value.  The kernels compute exact residues and hand back Python ints.
+Wider moduli have no fused kernel: ``LinearOperator`` runs its generic
+loop over exact products instead.  numpy is imported on the first kernel
+call, so commands whose moduli are all wide never load it.
 
 Why the kernels are exact.  Let a, b be residues in [0, p) with
 p < 2^50, and x = ab/p < 2^50.  a and b are exact in float64, so the
@@ -23,10 +29,14 @@ numpy int64 arrays wrap modulo 2^64 and |r| < 2^63, so the wrapped
 difference is r exactly (``_mulmod_lazy``).  A sum of k such terms lies
 in (-kp, 2kp), inside int64 when k*p < 2^62.  In an n x m matrix a row
 sum has at most m terms, Krylov's extra row m terms and a row extended
-by Horner's column at most m + 1, so the kernels need p < 2^50 and
-(max(n, m) + 1) * p < 2^62, and they reduce each sum once with ``% p``
-(numpy's remainder takes the sign of the divisor).  numpy does not
-report int64 overflow, so ``Field.coo``, ``krylov`` and ``horner``
+by Horner's column at most m + 1.  In a Gram step a column sum has at
+most n terms, one per row, plus Horner's one, and the dot product m
+terms; a diagonal's mulmod follows a ``% p``, so its sum has two terms.
+So every kernel on A or on A^T A needs p < 2^50 and
+(max(n, m) + 1) * p < 2^62 for the n x m matrix A (``word_size``, whose
+exclusive top over p is ``word_top``), and reduces each sum once with
+``% p`` (numpy's remainder takes the sign of the divisor).  numpy does
+not report int64 overflow, so ``Field.coo``, ``krylov`` and ``horner``
 raise ValueError on any other modulus: that check is the only guard.
 
 Everything here is deterministic; randomness stays in the callers.
@@ -49,10 +59,17 @@ def _numpy():
     return np
 
 
+def word_top(shape):
+    """The exclusive top of the moduli for which the int64 kernels are
+    exact on an n x m matrix: p < 2^50 and (max(n, m) + 1) * p < 2^62
+    (see the module docstring)."""
+    return min(1 << 50, ((1 << 62) - 1) // (max(shape) + 1) + 1)
+
+
 def word_size(p, shape):
     """True when the int64 kernels are exact for modulus p on an n x m
-    matrix (see the module docstring)."""
-    return p < (1 << 50) and (max(shape) + 1) * p < (1 << 62)
+    matrix."""
+    return p < word_top(shape)
 
 
 def _require_word_size(p, shape):
@@ -113,9 +130,6 @@ class Field:
         p = self.p
         return [x % p for x in xs]
 
-    def tolist(self, v):
-        return list(v)
-
     def rand(self, n, rng):
         return self.vec([rng.randrange(self.p) for _ in range(n)])
 
@@ -169,13 +183,57 @@ class Field:
         rows, shape = coo[0], coo[3]
         return len(rows) * (2 * max(shape).bit_length() + self.p.bit_length() + 1)
 
-    def krylov(self, coo, x, y, *, count):
-        """[x.y, x.Ay, ..., x.A^(count-1) y] for the matrix A of coo."""
+    def _gram_step(self, coo, diag):
+        """The step (y, add) -> M y + add mod p for M = A^T A, or
+        diag(d) A^T A, of the matrix A of coo: the row pass gives w = A y
+        reduced, then the products a_rc w_r are scattered into the m
+        column slots.  add is None or an int64 m-vector in (-p, 2p)."""
+        p = self.p
+        _, cols, vals, (_, m), starts = coo
+        vals_p = vals / p
+        # entry k lies in the row segment seg[k]
+        seg = np.repeat(np.arange(len(starts)),
+                        np.diff(starts, append=len(vals)))
+        if diag is not None:
+            d = self._words(diag)
+            d_p = d / p
+
+        def step(y, add=None):
+            out = np.zeros(m, np.int64)
+            if add is not None and diag is None:
+                out += add      # add starts the column sums
+            if len(starts):
+                w = np.add.reduceat(
+                    _mulmod_lazy(vals, vals_p, y[cols], p), starts)
+                w %= p
+                np.add.at(out, cols, _mulmod_lazy(vals, vals_p, w[seg], p))
+            if diag is not None:
+                out %= p
+                out = _mulmod_lazy(d, d_p, out, p)
+                if add is not None:
+                    out += add
+            out %= p
+            return out
+
+        return step
+
+    def krylov(self, coo, x, y, *, count, gram=False, diag=None):
+        """[x.y, x.My, ..., x.M^(count-1) y] for M = A, the matrix of coo,
+        or with gram for M = A^T A, or diag(diag) A^T A."""
         p = self.p
         _require_word_size(p, coo[3])
         np = _numpy()
-        rows, cols, vals, (n, m), starts = coo
         x, y = self._words(x), self._words(y)
+        if gram:
+            step = self._gram_step(coo, diag)
+            x_p = x / p
+            seq = []
+            for i in range(count):
+                seq.append(int(_mulmod_lazy(x, x_p, y, p).sum() % p))
+                if i + 1 < count:
+                    y = step(y)
+            return seq
+        rows, cols, vals, (n, m), starts = coo
         # row n of the extended matrix is x: a step gives (A y, x.y)
         dest = None if len(starts) == n else rows[starts]
         cols = np.concatenate((cols, np.arange(m)))
@@ -197,16 +255,24 @@ class Field:
         seq.append(int(_mulmod_lazy(x, x / p, y, p).sum() % p))
         return seq
 
-    def horner(self, coo, coeffs, z):
-        """sum coeffs[i] A^i z with two live vectors."""
+    def horner(self, coo, coeffs, z, *, gram=False, diag=None):
+        """sum coeffs[i] M^i z with two live vectors, M as in krylov."""
         p = self.p
         _require_word_size(p, coo[3])
         np = _numpy()
+        z = self._words(z)
+        if gram:
+            step = self._gram_step(coo, diag)
+            z_p = z / p
+            acc = _mulmod_lazy(z, z_p, coeffs[-1] % p, p)
+            acc %= p
+            for i in range(len(coeffs) - 2, -1, -1):
+                acc = step(acc, _mulmod_lazy(z, z_p, coeffs[i] % p, p))
+            return acc.tolist()
         rows, cols, vals, (n, m), _ = coo
         # row r of the extended matrix is A's row r followed by z_r in
         # column m, so a step maps v = (acc, c) to A acc + c z; every row
         # has a segment
-        z = self._words(z)
         r = np.arange(n)
         ends = np.searchsorted(rows, r, "right")
         cols = np.insert(cols, ends, m)

@@ -8,22 +8,28 @@ matrix with a composition descriptor:
     BASE         A
     DIAG_SCALE   diag(d) . A                     (Wiedemann preconditioner)
     SHIFT        A + diag(d)  (scalar or vector) (shifted/perturbed solves)
-    GRAM         A^T A                           (never materializes A x)
+    GRAM         A^T A
     GRAM_T       A A^T + c I                     (may hold one n-vector)
 
 ``apply_int`` is exact integer arithmetic and the one implementation of
 each composition; callers keep query entries within the documented
 n^6 U^2 bound.  ``apply_mod`` is that product reduced mod p.  The fused
-Krylov/Horner kernels run on BASE and on DIAG_SCALE over a matrix when
-the prime is word-size for the shape (``kernels.word_size``); they use a
-reduced copy of the matrix cached one prime at a time (``Field.coo``),
-charged to the meter and released by ``drop_cache``.  The copy holds
-int64 arrays: rows, cols, entries reduced mod p and the start of each
-nonempty row's segment.  A DIAG_SCALE cache folds the diagonal into the
-entries (d_r a_rc mod p), so the kernels see one matrix.  Every other
-case, a wider prime included, runs one generic Krylov/Horner loop over
-``apply_mod`` and holds no cache.  GRAM/GRAM_T never materialize A x:
-their working space stays proportional to the output dimension.
+Krylov/Horner kernels run on BASE, GRAM and DIAG_SCALE over a matrix,
+and on DIAG_SCALE over such a GRAM (the determinant's preconditioner),
+when the prime is word-size for the shape of the matrix they read
+(``kernels.word_size``); ``prime_top`` is the exclusive top of those
+primes, so callers can draw them.  The kernels use a reduced copy of the
+matrix cached one prime at a time (``Field.coo``), charged to the meter
+and released by ``drop_cache``.  The copy holds int64 arrays: rows,
+cols, entries reduced mod p and the start of each nonempty row's
+segment.  A DIAG_SCALE cache over a matrix folds the diagonal into the
+entries (d_r a_rc mod p), so the kernels see one matrix; over a GRAM it
+reuses the GRAM's copy and the kernels apply the diagonal per step.  A
+GRAM cache is charged one n-word vector more, the kernels' w = A y.
+Every other case, a wider prime included, runs one generic Krylov/Horner
+loop over ``apply_mod`` and holds no cache.  On that generic path
+GRAM/GRAM_T never materialize A x: their working space stays
+proportional to the output dimension.
 
 Text formats (1-indexed, decimal):
 
@@ -36,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import meter
-from .kernels import Field, word_size
+from .kernels import Field, word_size, word_top
 
 BASE = "BASE"
 DIAG_SCALE = "DIAG_SCALE"
@@ -140,7 +146,8 @@ class LinearOperator:
 
     The base of DIAG_SCALE / SHIFT may itself be a LinearOperator
     (e.g. preconditioning a Gram product); those compositions run through
-    the generic apply path instead of the fused kernels.
+    the generic apply path, except DIAG_SCALE over the GRAM of a matrix,
+    which has a fused kernel.
     """
 
     def __init__(self, kind, base, n, m, diag=None, shift_c=0):
@@ -209,27 +216,55 @@ class LinearOperator:
 
     # -- mod-p application ------------------------------------------------
 
+    def _kernel_matrix(self):
+        """The matrix the fused kernels read, or None when this kind has
+        no fused kernel: BASE, GRAM and DIAG_SCALE over a matrix, and
+        DIAG_SCALE over such a GRAM."""
+        if self.base_is_matrix:
+            return self.base if self.kind in (BASE, DIAG_SCALE, GRAM) else None
+        if self.kind == DIAG_SCALE and self.base.kind == GRAM:
+            return self.base._kernel_matrix()
+        return None
+
+    def prime_top(self):
+        """Exclusive top of the primes the fused kernels take for this
+        operator (``kernels.word_top`` of the matrix they read), or None
+        when it has no fused kernel."""
+        a = self._kernel_matrix()
+        return None if a is None else word_top((a.n, a.m))
+
     def _fused(self, p):
         """True when the fused kernels run this operator mod p."""
-        return (self.base_is_matrix and self.kind in (BASE, DIAG_SCALE)
-                and word_size(p, (self.n, self.m)))
+        a = self._kernel_matrix()
+        return a is not None and word_size(p, (a.n, a.m))
 
     def _mod_data(self, f: Field):
-        """The matrix reduced mod f.p for the fused kernels, DIAG_SCALE's
-        diagonal folded in; cached one prime at a time and charged to the
-        meter."""
+        """The matrix reduced mod f.p for the fused kernels, a DIAG_SCALE's
+        diagonal over a matrix folded in; cached one prime at a time and
+        charged to the meter.  DIAG_SCALE over a GRAM uses the GRAM's."""
+        if not self.base_is_matrix:
+            return self.base._mod_data(f)
         if self._cache_p == f.p:
             return self._cache
         self.drop_cache()
         a = self.base
         coo = f.coo(a.rows, a.cols, a.vals, (a.n, a.m),
                     self.diag if self.kind == DIAG_SCALE else None)
+        bits = f.coo_bits(coo)
+        if self.kind == GRAM:
+            bits += a.n * (f.p.bit_length() + 1)
         self._cache_meter = meter.current()
-        self._cache_tok = self._cache_meter.alloc("linop.mod_cache",
-                                                  f.coo_bits(coo))
+        self._cache_tok = self._cache_meter.alloc("linop.mod_cache", bits)
         self._cache_p = f.p
         self._cache = coo
         return coo
+
+    def _kernel(self, kernel, f, *args, **kwargs):
+        """One fused kernel call on this operator's reduced copy."""
+        if self.base_is_matrix and self.kind != GRAM:
+            return kernel(self._mod_data(f), *args, **kwargs)
+        return kernel(self._mod_data(f), *args, gram=True, diag=self.diag,
+                      **kwargs)
 
     def drop_cache(self):
         if self._cache_tok is not None:
@@ -246,7 +281,7 @@ class LinearOperator:
     def krylov_scalars(self, x, y, count, p, f: Field):
         """[x.y, x.My, ..., x.M^(count-1)y] using the fused kernel if possible."""
         if self._fused(p):
-            return f.krylov(self._mod_data(f), x, y, count=count)
+            return self._kernel(f.krylov, f, x, y, count=count)
         seq = []
         yy = list(y)
         with meter.track("krylov.vec", 2 * f.vec_bits(yy)):
@@ -259,7 +294,7 @@ class LinearOperator:
     def horner_apply(self, coeffs, z, p, f: Field):
         """sum coeffs[i] M^i z with two live vectors; fused kernel if possible."""
         if self._fused(p):
-            return f.horner(self._mod_data(f), coeffs, z)
+            return self._kernel(f.horner, f, coeffs, z)
         acc = f.scale(coeffs[-1], z)
         with meter.track("horner.vec", 2 * f.vec_bits(z)):
             for i in range(len(coeffs) - 2, -1, -1):

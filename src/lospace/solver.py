@@ -12,7 +12,7 @@ outright.  Other composed operators (shifts) use U^n n^(n/2) from their
 entry bound U.
 
 The solver multiplies the system by det(A) so the solution is integral,
-then recovers it digit by digit in base p for one prime p ~ n^3 U without
+then recovers it digit by digit in base p for one prime p >= n^3 U without
 ever holding a big residual vector: the small integer carry r~ and the
 current digits are the only n-vectors in play, while two nonnegative
 L-bit-float accumulators per tracked coordinate absorb the digits.  The
@@ -22,6 +22,13 @@ the accuracy target is fine enough to need more mantissa than a word per
 coordinate, coordinates are processed in K blocks, re-running the digit
 stream per block; digits are seeded identically per block so K never
 changes the output.
+
+Both draw their primes below the operator's word bound
+(``LinearOperator.prime_top``) when it has fused kernels and the cap
+leaves the window at least twice its lower end (``primes`` shows the
+window still holds enough primes); every step then runs on the int64
+kernels.  Any prime not dividing det serves the lift, and any prime the
+CRT, so only the outputs' rounding, never det, depends on which window.
 
 Hot loops run against one cached minimal polynomial per (matrix, prime):
 each lifting step is a Horner application plus one verification product.
@@ -123,13 +130,14 @@ def gram_bound(a: SparseMatrix):
 def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
     """Exact det(a) with failure probability <= n^-c.
 
-    Primes are drawn from [max(16, n^2 U), ..^2] until their product
-    exceeds twice the Hadamard bound: the row-norm bound for a plain
-    matrix, the column-norm bound for a Gram product (a zero row or
-    column returns 0 without drawing a prime) and hadamard_bound(n, U)
-    for any other composed operator.  At most n primes are
-    ever needed, usually far fewer.  Each residue is a finite-field
-    determinant; reconstruction is incremental CRT with signed recovery.
+    Primes are drawn from [max(16, n^2 U), ..^2], below op.prime_top()
+    where that caps the window, until their product exceeds twice the
+    Hadamard bound: the row-norm bound for a plain matrix, the
+    column-norm bound for a Gram product (a zero row or column returns 0
+    without drawing a prime) and hadamard_bound(n, U) for any other
+    composed operator.  At most n primes are ever needed, usually far
+    fewer.  Each residue is a finite-field determinant; reconstruction is
+    incremental CRT with signed recovery.
     """
     op = LinearOperator.wrap(a)
     if op.n != op.m:
@@ -148,6 +156,7 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
         return 0
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     lower = max(16, n * n * u, (2 * u + 1) if n == 1 else 0)
+    top = op.prime_top()
     # pooled primes: every residue is certificate-checked, so sharing the
     # prime stream across calls costs nothing in correctness
     primes = []
@@ -155,7 +164,7 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
     k = 0
     while prod <= bound:
         k += 4
-        primes = shared_pool.get(lower, k)
+        primes = shared_pool.get(lower, k, top=top)
         prod = 1
         for q in primes:
             prod *= q
@@ -167,7 +176,8 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
 
     def residue(i):
         # fresh wrapper per task: the per-prime reduction cache is not shared
-        local = LinearOperator.from_sparse(op.base) if op.kind == BASE else op
+        local = (LinearOperator(op.kind, op.base, op.n, op.m)
+                 if op.kind in (BASE, GRAM) else op)
         try:
             return determinant_zp(local, primes[i], delta, random.Random(seeds[i]))
         finally:
@@ -257,7 +267,7 @@ class RationalSolver:
 
         lower = max(16, self.n ** 3 * self.u)
         for count in (1, 2, 4, 8):
-            for p in shared_pool.get(lower, count):
+            for p in shared_pool.get(lower, count, top=self.op.prime_top()):
                 if self.det % p:
                     return p
         raise RetriesExhausted("kept finding primes dividing det(A)")
@@ -284,7 +294,6 @@ class RationalSolver:
             self._fp = FpSolver(self.op, p, derive_rng(self.rng, "mu"),
                                 delta=float(n) ** -(self.c + 2))
         solver = self._fp
-        f = solver.f
         maxbd = max((abs(x) for x in b), default=0) * abs(det)
         # once p^i outruns |b_j det|, the quotient is frozen at 0 or -1
         tails = [(-1 if bj * det < 0 else 0) for bj in b]
@@ -302,7 +311,7 @@ class RationalSolver:
                            for bj, rj in zip(b, r_tilde)]
                 else:
                     rhs = [(tj - rj) % p for tj, rj in zip(tails, r_tilde)]
-                digits = f.tolist(solver.solve(rhs))
+                digits = solver.solve(rhs)
                 yield digits
                 ay = self.op.apply_int(digits)
                 r_tilde = [(rj + aj) // p for rj, aj in zip(r_tilde, ay)]

@@ -225,7 +225,6 @@ class FpSolver:
         """x with A x = b (mod p), verified; raises RetriesExhausted."""
         f, p, op = self.f, self.p, self.op
         bvec = f.vec(b)
-        bmod = f.tolist(bvec)
         for attempt in range(self._budget):
             if self._gbar is None:
                 self._refresh_poly(boost=1 + attempt)
@@ -235,7 +234,7 @@ class FpSolver:
             with meter.track("fpsolver.vecs", 3 * f.vec_bits(bvec)):
                 acc = op.horner_apply(g[1:], bvec, p, f)
                 x = f.scale(self._c0inv, acc)
-                if f.tolist(op.apply_mod(x, p)) == bmod:
+                if op.apply_mod(x, p) == bvec:
                     return x
             self._gbar = None
         raise RetriesExhausted("FpSolver verification kept failing")

@@ -42,9 +42,10 @@ PRIMES = [97, (1 << 31) - 1, (1 << 50) - 27, (1 << 50) + 55, (1 << 61) - 1]
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_kernels_match_naive_reference(p):
-    """Krylov scalars and Horner of BASE and DIAG_SCALE operators against
-    a dense, one-step-at-a-time reference mod p, on both sides of the word
-    bound; the fused kernels are called directly where p is word-size."""
+    """Krylov scalars and Horner of BASE, DIAG_SCALE, GRAM and DIAG_SCALE
+    over GRAM operators against a dense, one-step-at-a-time reference
+    mod p, on both sides of the word bound; the fused kernels are called
+    directly where p is word-size."""
     rnd = random.Random(3)
     f = Field(p)
     for _ in range(10):
@@ -96,6 +97,47 @@ def test_kernels_match_naive_reference(p):
                 assert f.krylov(coo, x, y, count=count) == want
                 assert f.horner(coo, coeffs, x) == want_h
 
+    # Gram products of n x m matrices, some rows and columns empty
+    for _ in range(10):
+        n, m = rnd.randrange(1, 12), rnd.randrange(1, 8)
+        rows, cols, vals = _rand_coo(rnd, n, m, rnd.randrange(0, n * m + 1), p)
+        a = _dense(rows, cols, vals, n, m)
+        gram = LinearOperator.gram(SparseMatrix(n, m, rows, cols, vals))
+        ata = [[sum(row[i] * row[j] for row in a) % p for j in range(m)]
+               for i in range(m)]
+        assert gram._fused(p) == (p < 1 << 50)
+        x = [rnd.randrange(p) for _ in range(m)]
+        y = [rnd.randrange(p) for _ in range(m)]
+        count = 2 * m + 1
+        d = [rnd.randrange(1, p) for _ in range(m)]
+        coeffs = [rnd.randrange(p) for _ in range(rnd.randrange(1, m + 2))]
+        for diag in (None, d):
+            if diag is None:
+                op, da = gram, ata
+            else:
+                op = LinearOperator.diag_scale(diag, gram)
+                da = [[di * v % p for v in row] for di, row in zip(diag, ata)]
+            want, w = [], list(y)
+            for _ in range(count):
+                want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
+                w = _dense_apply(da, w, p)
+            seq = op.krylov_scalars(x, y, count, p, f)
+            assert seq == want
+            assert all(type(s) is int for s in seq)
+            want_h, power = [0] * m, list(x)
+            for c in coeffs:
+                want_h = [(wi + c * pi) % p for wi, pi in zip(want_h, power)]
+                power = _dense_apply(da, power, p)
+            got = op.horner_apply(coeffs, x, p, f)
+            assert got == want_h
+            assert type(got) is list and all(type(v) is int for v in got)
+            if gram._fused(p):
+                coo = f.coo(rows, cols, vals, (n, m))
+                assert f.krylov(coo, x, y, count=count, gram=True,
+                                diag=diag) == want
+                assert f.horner(coo, coeffs, x, gram=True, diag=diag) == want_h
+        gram.drop_cache()
+
 
 def test_fused_kernels_reject_non_word_moduli():
     """numpy does not report int64 overflow, so Field.coo, krylov and
@@ -115,9 +157,9 @@ def test_fused_kernels_reject_non_word_moduli():
 
 
 def test_wide_modulus_builds_no_reduced_copy():
-    """Above the word bound BASE and DIAG_SCALE run the generic loop over
-    exact products: no per-prime reduced copy is built or charged, and
-    the meter is back at 0 with no drop_cache call."""
+    """Above the word bound BASE, DIAG_SCALE and GRAM run the generic
+    loop over exact products: no per-prime reduced copy is built or
+    charged, and the meter is back at 0 with no drop_cache call."""
     p = (1 << 61) - 1
     rnd = random.Random(4)
     n = 9
@@ -128,7 +170,8 @@ def test_wide_modulus_builds_no_reduced_copy():
     m = meter.WorkspaceMeter()
     with m.activate():
         for op in (LinearOperator.from_sparse(mat),
-                   LinearOperator.diag_scale(d, mat)):
+                   LinearOperator.diag_scale(d, mat),
+                   LinearOperator.gram(mat)):
             op.krylov_scalars(f.rand(n, rnd), f.rand(n, rnd), 2 * n + 1, p, f)
             op.horner_apply([1, 2, 3], f.rand(n, rnd), p, f)
             assert m.current_bits == 0
@@ -302,3 +345,41 @@ def test_word_kernels_at_the_sum_bound():
         want = [(wi + c * pi) % p for wi, pi in zip(want, power)]
         power = apply(power)
     assert f.horner(f.coo(rows, cols, vals, (n, n)), coeffs, x) == want
+
+
+def test_gram_kernels_at_the_sum_bound():
+    """A Gram step sums one product per row of A into each column slot,
+    plus Horner's c z: on a 4095 x 2 matrix with a full first column,
+    4096 terms at p just below 2^50 sit just under the word bound, so the
+    GRAM operator and its diagonal scaling are fused and exact; with
+    4096 rows they run the generic loop."""
+    p = (1 << 50) - 27
+    k = 2
+    rnd = random.Random(12)
+    f = Field(p)
+    for n, fused in ((4095, True), (4096, False)):
+        entries = [(i, 0, rnd.randrange(p - 1000, p)) for i in range(n)]
+        entries += [(i, 1, rnd.randrange(p)) for i in range(0, n, 7)]
+        a = SparseMatrix.from_entries(n, k, entries)
+        gram = LinearOperator.gram(a)
+        d = [rnd.randrange(1, p) for _ in range(k)]
+        scaled = LinearOperator.diag_scale(d, gram)
+        assert gram._fused(p) is fused and scaled._fused(p) is fused
+        x = [rnd.randrange(p - 1000, p) for _ in range(k)]
+        coeffs = [rnd.randrange(p - 1000, p) for _ in range(4)]
+        for op, diag in ((gram, None), (scaled, d)):
+            want, w = [], list(x)
+            for _ in range(2 * k + 1):
+                want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
+                w = op.apply_mod(w, p)
+            assert op.krylov_scalars(x, x, 2 * k + 1, p, f) == want
+            want_h, power = [0] * k, list(x)
+            for c in coeffs:
+                want_h = [(wi + c * pi) % p for wi, pi in zip(want_h, power)]
+                power = op.apply_mod(power, p)
+            assert op.horner_apply(coeffs, x, p, f) == want_h
+            if fused:
+                coo = f.coo(a.rows, a.cols, a.vals, (n, k))
+                assert f.krylov(coo, x, x, count=2 * k + 1, gram=True,
+                                diag=diag) == want
+        gram.drop_cache()

@@ -15,21 +15,22 @@ from lospace.linop import (
     write_matrix,
     write_vector,
 )
+from test_kernels import PRIMES
 
 
 def test_apply_mod_examples():
     p = 7
     ident = LinearOperator.from_sparse(SparseMatrix.identity(2))
     f = Field(p)
-    assert f.tolist(ident.apply_mod(f.vec([3, 5]), p)) == [3, 5]
+    assert ident.apply_mod(f.vec([3, 5]), p) == [3, 5]
 
     a = LinearOperator.from_sparse(SparseMatrix.from_dense([[1, 2], [3, 4]]))
     f5 = Field(5)
-    assert f5.tolist(a.apply_mod(f5.vec([1, 1]), 5)) == [3, 2]
+    assert a.apply_mod(f5.vec([1, 1]), 5) == [3, 2]
 
     d = LinearOperator.diag_scale([2, 3], SparseMatrix.identity(2))
     f7 = Field(7)
-    assert f7.tolist(d.apply_mod(f7.vec([1, 1]), 7)) == [2, 3]
+    assert d.apply_mod(f7.vec([1, 1]), 7) == [2, 3]
 
 
 def test_apply_int_examples():
@@ -43,11 +44,11 @@ def test_apply_int_examples():
 def test_gram_examples():
     g = LinearOperator.gram(SparseMatrix.identity(3))
     f = Field(11)
-    assert f.tolist(g.apply_mod(f.vec([4, 5, 6]), 11)) == [4, 5, 6]
+    assert g.apply_mod(f.vec([4, 5, 6]), 11) == [4, 5, 6]
     gt = LinearOperator.gram_t(SparseMatrix.from_dense([[3, 0], [0, 4]]), c=1)
     assert gt.apply_int([1, 0]) == [10, 0]
     f2 = Field(101)
-    assert f2.tolist(gt.apply_mod(f2.vec([1, 0]), 101)) == [10, 0]
+    assert gt.apply_mod(f2.vec([1, 0]), 101) == [10, 0]
 
 
 def test_shift_operator():
@@ -58,7 +59,7 @@ def test_shift_operator():
     assert sv.apply_int([1, 1]) == [13, 27]
     p = 13
     f = Field(p)
-    assert f.tolist(s.apply_mod(f.vec([1, 1]), p)) == [(-2) % 13, 2]
+    assert s.apply_mod(f.vec([1, 1]), p) == [(-2) % 13, 2]
 
 
 def _dense_mul(dense, v):
@@ -68,22 +69,35 @@ def _dense_mul(dense, v):
 def test_composition_against_dense_oracle():
     """apply_int, apply_mod, krylov_scalars and horner_apply of every
     composition kind against its dense matrix, including the DIAG_SCALE
-    over GRAM_T and SHIFT over that which the SVD path builds."""
+    over GRAM that the determinant builds and the DIAG_SCALE over GRAM_T
+    and SHIFT over that which the SVD path builds, on every prime of
+    PRIMES in turn (fused kernels and generic loop), with empty rows and
+    columns."""
     rnd = random.Random(21)
-    p = 10007
-    f = Field(p)
-    for _ in range(60):
+    for trial in range(60):
+        p = PRIMES[trial % len(PRIMES)]
+        f = Field(p)
         n = rnd.randrange(1, 8)
         m = rnd.randrange(1, 8)
         dense = [[rnd.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
+        if trial % 3 == 0:
+            zero_row, zero_col = rnd.randrange(n), rnd.randrange(m)
+            dense[zero_row] = [0] * m
+            for row in dense:
+                row[zero_col] = 0
         a = SparseMatrix.from_dense(dense)
         ops = [(LinearOperator.from_sparse(a), dense)]
         d = [rnd.randrange(-5, 6) for _ in range(n)]
         ops.append((LinearOperator.diag_scale(d, a),
                     [[d[i] * dense[i][j] for j in range(m)] for i in range(n)]))
-        ops.append((LinearOperator.gram(a),
-                    [[sum(dense[k][i] * dense[k][j] for k in range(n))
-                      for j in range(m)] for i in range(m)]))
+        gram = LinearOperator.gram(a)
+        gram_ref = [[sum(dense[k][i] * dense[k][j] for k in range(n))
+                     for j in range(m)] for i in range(m)]
+        ops.append((gram, gram_ref))
+        assert gram._fused(p) == (p < 1 << 50)
+        dg = [rnd.randrange(1, p) for _ in range(m)]
+        ops.append((LinearOperator.diag_scale(dg, gram),
+                    [[dg[i] * x for x in row] for i, row in enumerate(gram_ref)]))
         c = rnd.randrange(-4, 5)
         gt = LinearOperator.gram_t(a, c)
         gt_ref = [[sum(dense[i][k] * dense[j][k] for k in range(m))
@@ -122,6 +136,8 @@ def test_composition_against_dense_oracle():
                 acc = [(ai + k * pi) % p for ai, pi in zip(acc, power)]
                 power = [t % p for t in _dense_mul(ref, power)]
             assert op.horner_apply(coeffs, y, p, f) == acc
+            op.drop_cache()
+        gram.drop_cache()
 
 
 def test_apply_int_mod_consistency_random():
@@ -133,7 +149,7 @@ def test_apply_int_mod_consistency_random():
             a = LinearOperator.from_sparse(SparseMatrix.from_dense(dense))
             v = [rnd.randrange(-100, 101) for _ in range(n)]
             f = Field(p)
-            got = f.tolist(a.apply_mod(f.vec(v), p))
+            got = a.apply_mod(f.vec(v), p)
             assert got == [w % p for w in a.apply_int(v)]
 
 

@@ -120,3 +120,43 @@ def test_crt_property_random():
         for p in ps:
             assert R % p == x % p
         assert R == x
+
+
+def test_capped_window_draws_below_top():
+    """With an exclusive top, 2 lower <= top < lower^2, every pooled prime
+    lies in [lower, top); the stream is seeded from the window, so two
+    pools agree and a longer request extends the shorter one."""
+    check = random.Random(11)
+    for lower, top, k in ((1 << 29, 1 << 50, 12), (1 << 33, 1 << 50, 12),
+                          (1 << 10, (1 << 11) + 1, 12), (16, 32, 4)):
+        ps = PrimePool().get(lower, k, top=top)
+        assert len(set(ps)) == k
+        assert all(lower <= p < top for p in ps)
+        assert all(check_prime(p, 40, check) == PRIME for p in ps)
+        assert PrimePool().get(lower, k + 1, top=top)[:k] == ps
+    # the capped and the uncapped window are separate streams
+    pool = PrimePool()
+    wide = pool.get(1 << 29, 4)
+    assert pool.get(1 << 29, 4, top=1 << 50) != wide
+    assert max(wide) > 1 << 50 and pool.get(1 << 29, 4) == wide
+
+
+def test_uncapped_window_keeps_its_stream():
+    """A top that caps nothing (top >= lower^2, or top < 2 lower) leaves
+    the window [lower, lower^2] and its seed label as they were: the
+    pinned primes are the stream's first draws."""
+    first = [224684153252341, 566981378571913, 282345534603607,
+             496692797470021, 710033071154423, 1037838347729089,
+             224457821524141, 208928608754759]
+    assert PrimePool().get(1 << 25, 8) == first
+    assert PrimePool().get(1 << 25, 8, top=1 << 50) == first
+    assert PrimePool().get(1 << 25, 8, top=(1 << 25) + 5) == first
+    assert PrimePool().get(16, 4, top=1 << 50) == [139, 229, 223, 83]
+
+
+def test_draw_prime_capped_window():
+    """_draw_prime honours hi; its budget holds on the narrowest window
+    the pool allows, [16, 31]."""
+    rng, seen = random.Random(3), set()
+    out = [_draw_prime(rng, 16, seen, hi=31) for _ in range(5)]
+    assert sorted(out) == [17, 19, 23, 29, 31]

@@ -7,7 +7,7 @@ import pytest
 
 from lospace import kernels, meter, solver
 from lospace.cli import bench_matrix
-from lospace.linop import LinearOperator, SparseMatrix
+from lospace.linop import DIAG_SCALE, GRAM, LinearOperator, SparseMatrix
 from lospace.numeric import FloatL, fl_from_int, fl_mul, fl_add_same_sign, fl_zero, EQUAL
 from lospace.oracle import SINGULAR as ORACLE_SINGULAR
 from lospace.oracle import oracle_det_bareiss, oracle_solve_exact
@@ -508,3 +508,116 @@ def test_determinant_parallel_matches_serial():
     d = rand_dense(rnd, 10, -30, 30)
     a = SparseMatrix.from_dense(d)
     assert determinant(a, rng=3, parallel=True) == determinant(a, rng=3)
+
+
+def _dense_nonzero(rnd, n, m, u):
+    return [[rnd.choice((-1, 1)) * rnd.randrange(1, u + 1) for _ in range(m)]
+            for _ in range(n)]
+
+
+def test_shift_operator_primes_are_uncapped(monkeypatch):
+    """SHIFT has no fused kernel, so its determinant and lifting primes
+    come from the uncapped windows [N, N^2], as before; the same matrix as
+    a plain operator draws them below its word bound instead."""
+    calls = _spy_on_determinant_zp(monkeypatch)
+    rnd = random.Random(61)
+    n, u = 4, 10 ** 7
+    dense = _dense_nonzero(rnd, n, n, u)
+    a = SparseMatrix.from_dense(dense)
+    shifted = LinearOperator.shift(a, 3)
+    assert shifted.prime_top() is None
+    top = LinearOperator.from_sparse(a).prime_top()
+    assert top == kernels.word_top((n, n)) == 1 << 50
+    want_det = oracle_det_bareiss(
+        [[v + (3 if i == j else 0) for j, v in enumerate(row)]
+         for i, row in enumerate(dense)])
+    s = RationalSolver(shifted, 1e-6, 3)
+    det_lower = max(16, n * n * shifted.entry_bound)
+    assert s.det == want_det
+    assert calls == shared_pool.get(det_lower, len(calls))
+    assert max(calls) > top
+    lift_lower = n ** 3 * shifted.entry_bound
+    assert s.prime in shared_pool.get(lift_lower, 8) and s.prime > top
+    s.close()
+
+    calls.clear()
+    plain = RationalSolver(a, 1e-6, 3)
+    assert plain.det == oracle_det_bareiss(dense)
+    assert calls == shared_pool.get(n * n * a.entry_bound, len(calls), top=top)
+    assert max(calls) < top and plain.prime < top
+    plain.close()
+
+
+def test_regression_runs_the_fused_gram_kernels(monkeypatch):
+    """A dense 80 x 20 regression (U = 100) draws its determinant and
+    lifting primes below the word bound, so every Krylov and Horner call
+    on the Gram operator, and on its diagonal scaling, is a fused int64
+    kernel call; the output is within eps of the exact least-squares
+    solution and the meter ends at 0."""
+    rnd = random.Random(80)
+    n, m, eps = 80, 20, 1e-6
+    dense = _dense_nonzero(rnd, n, m, 100)
+    b = [rnd.randrange(-100, 101) for _ in range(n)]
+    ops, fused = [], []
+    krylov_scalars = LinearOperator.krylov_scalars
+    horner_apply = LinearOperator.horner_apply
+    krylov, horner = kernels.Field.krylov, kernels.Field.horner
+
+    def spy_ops(method):
+        def spy(self, *args):
+            ops.append((self.kind, self.base_is_matrix, args[-2]))
+            return method(self, *args)
+        return spy
+
+    def spy_kernel(kernel):
+        def spy(self, *args, **kwargs):
+            fused.append(kwargs.get("gram", False))
+            return kernel(self, *args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(LinearOperator, "krylov_scalars", spy_ops(krylov_scalars))
+    monkeypatch.setattr(LinearOperator, "horner_apply", spy_ops(horner_apply))
+    monkeypatch.setattr(kernels.Field, "krylov", spy_kernel(krylov))
+    monkeypatch.setattr(kernels.Field, "horner", spy_kernel(horner))
+    mtr = meter.WorkspaceMeter()
+    with mtr.activate():
+        x = linear_regression(SparseMatrix.from_dense(dense), b, eps, 4)
+    assert mtr.current_bits == 0
+    assert ops and fused == [True] * len(ops)
+    assert all(kind in (GRAM, DIAG_SCALE) for kind, _, _ in ops)
+    assert all(p < 1 << 50 for _, _, p in ops)
+    ata = [[sum(row[i] * row[j] for row in dense) for j in range(m)]
+           for i in range(m)]
+    atb = [sum(row[i] * bi for row, bi in zip(dense, b)) for i in range(m)]
+    for xi, w in zip(x, oracle_solve_exact(ata, atb)):
+        assert _close_mult(xi, w, eps)
+
+
+def test_parallel_gram_determinant_runs_fused_kernels_on_threads(monkeypatch):
+    """With parallel=True each CRT task gets its own Gram operator and
+    per-prime copy: the fused Gram kernels run on worker threads, and the
+    determinant equals the serial one and Bareiss on A^T A."""
+    rnd = random.Random(81)
+    n, m = 40, 12
+    dense = _dense_nonzero(rnd, n, m, 100)
+    gram = LinearOperator.gram(SparseMatrix.from_dense(dense))
+    calls = []
+    krylov = kernels.Field.krylov
+
+    def spy(self, coo, *args, **kwargs):
+        calls.append((threading.get_ident(), kwargs.get("gram", False)))
+        return krylov(self, coo, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.Field, "krylov", spy)
+    want = oracle_det_bareiss(
+        [[sum(row[i] * row[j] for row in dense) for j in range(m)]
+         for i in range(m)])
+    mtr = meter.WorkspaceMeter()
+    with mtr.activate():
+        assert determinant(gram, rng=6) == want
+        serial = len(calls)
+        assert determinant(gram, rng=6, parallel=True) == want
+    assert mtr.current_bits == 0
+    assert serial and all(g for _, g in calls)
+    workers = {t for t, _ in calls[serial:]}
+    assert workers and threading.get_ident() not in workers
