@@ -10,14 +10,33 @@ integer again.  The pipeline:
   inverse power      lambda ~= max(delta, |lambda_min|) via repeated
                      entry-wise-approximate solves (detects singularity,
                      bails out early when the iterates blow up, stops on a
-                     plateau, capped at the worst-case iteration count)
+                     plateau or, given a decision threshold, as soon as the
+                     never-rising estimate drops below it, capped at the
+                     worst-case iteration count)
   shift_invert       is there an eigenvalue near the interval midpoint?
   spectrum           divide and conquer over [-2U, 2U] down to leaf width
-                     a fraction of the separation, then a merge filter
+                     a fraction of the separation
   eigendecompose     spectrum of B, then one gap-mode inverse power per
                      shifted matrix, streaming out one eigenpair at a time
   svd                eigendecomposition of 2^2t (A A^T + eps0 I); right
                      vectors come from the live left vector only
+
+The spectrum tree departs from the paper's, which runs shift_invert at
+every node.  The sign of one exact determinant det(2^s B - m I) at a split
+point m is (-1)^(number of eigenvalues below m), the one-determinant case
+of the inertia law, so the signs at an interval's ends give the parity of
+its eigenvalue count; the root's ends have 0 and n eigenvalues below them.
+An odd interval holds at least one eigenvalue and never runs inverse
+power; only an even one goes to shift_invert, which drops it (NO) or
+splits it (YES).  Odd intervals are disjoint, so once there are n of them
+each holds exactly one eigenvalue and is narrowed to leaf width by
+determinant-sign bisection, one determinant per level and no solves.  With
+fewer, the widest odd intervals are split once and counted again.  A zero
+determinant means the split point is an eigenvalue, exactly: inside a
+one-eigenvalue interval it is reported and the bisection stops; elsewhere
+it is reported too, and its two neighbours get unknown parity, so that
+shift_invert decides them.  The leaves are disjoint by construction and
+no eigenvalue is counted twice, so the count never exceeds n.
 
 The base matrix may also be a black-box symmetric operator (the SVD path
 passes its ridged Gram product); scaling and shifting then compose
@@ -25,8 +44,9 @@ operators instead of materializing anything.  A shifted operator holds no
 per-prime reduced copy: its products mod p are its exact products reduced,
 so only a plain matrix handed to inv_power has a cache to release.
 
-Probabilistic failures surface as ResultCountMismatch after one retry
-with a fresh perturbation.
+Probabilistic failures (a perturbation that left two eigenvalues closer
+than a leaf) surface as ResultCountMismatch after one retry with a fresh
+perturbation.
 """
 
 from __future__ import annotations
@@ -56,13 +76,17 @@ from .numeric import (
     fl_zero,
 )
 from .linop import LinearOperator, SparseMatrix
-from .solver import RationalSolver, derive_rng
+from .solver import RationalSolver, derive_rng, determinant
 
 YES, NO = "YES", "NO"
 
 
 class ResultCountMismatch(RuntimeError):
-    """The merge filter did not deliver exactly n eigenvalues."""
+    """The spectrum tree did not count exactly n eigenvalues.
+
+    A short count means the perturbation left two eigenvalues in one leaf,
+    or made one a multiple eigenvalue at a split point, on both attempts;
+    the tree reports such a cluster once, never a wrong value."""
 
 
 def _ceil_log2(q: Fraction) -> int:
@@ -223,6 +247,11 @@ def _inverse_power(op_int, scale_pow, eps, delta: Fraction, rng,
                 if want_vector:
                     v_fl = u_fl
                 history.append(lam)
+                # lam >= |lambda_min| and, by Cauchy-Schwarz, never rises
+                # (|M^-1 v|^2 = <v, M^-2 v> <= |v| |M^-2 v|): below the
+                # hint the caller's answer is already settled
+                if hint is not None and fl_cmp_fraction(lam, hint) == LESS:
+                    break
                 if _plateaued(history, eps, hint):
                     break
                 nxt = _regrid(u_fl, grid_bits)
@@ -292,15 +321,29 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
     return NO
 
 
-def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
-                  merge_gap: Fraction, rng, stats=None):
-    """Ascending filtered leaf endpoints of the YES-intervals of B.
+def _parity_below(b_scaled, m_scaled: Fraction, rng):
+    """Parity of the number of eigenvalues of b_scaled below m_scaled, None
+    when m_scaled is one: det(b_scaled - m_scaled I) = prod(lambda_i - m)
+    is negative exactly when an odd number of factors are."""
+    if m_scaled.denominator != 1:
+        raise ValueError("midpoint off the dyadic grid")
+    d = determinant(LinearOperator.shift(b_scaled, -int(m_scaled)), rng=rng)
+    return None if d == 0 else int(d < 0)
+
+
+def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
+                  stats=None):
+    """Ascending eigenvalue estimates of B, exactly n of them or fewer.
 
     Root interval [-2nU, 2nU] (Gershgorin keeps every eigenvalue inside
     nU + eps/2), widths halve, so depth-d endpoints live on the 4nU/2^d
-    grid; scale_pow is chosen to keep every midpoint integral.
+    grid; scale_pow is chosen to keep every midpoint integral.  An
+    interval is (lo, hi, depth, label, parity at lo, parity at hi), the
+    parity at a point being _parity_below's; the root's ends have 0 and n
+    eigenvalues below them.
     """
-    reach = b.n * u
+    n = b.n
+    reach = n * u
     depth_needed = 0
     width = Fraction(4 * reach)
     while width >= leaf_width:
@@ -312,31 +355,63 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
         bits = sum(v.bit_length() + 1 for v in b_scaled.vals)
     else:
         bits = b.n * (scale_pow + 8)
-    found = []
+    exact = []     # split points that are eigenvalues, then narrowed leaves
+    odd = []       # intervals holding an odd number of eigenvalues
+    pending = []   # intervals of even or unknown count, for shift_invert
+
+    def split(iv):
+        lo, hi, depth, label, p_lo, p_hi = iv
+        if stats is not None:
+            stats[depth] = stats.get(depth, 0) + 1
+        mid = (lo + hi) / 2
+        p_mid = _parity_below(b_scaled, mid * (1 << scale_pow),
+                              derive_rng(rng, "det", label))
+        if p_mid is None:
+            exact.append(mid)
+        return ((lo, mid, depth + 1, 2 * label + 1, p_lo, p_mid),
+                (mid, hi, depth + 1, 2 * label + 2, p_mid, p_hi))
+
+    def place(ivs):
+        for iv in ivs:
+            if None not in iv[4:] and iv[4] != iv[5]:
+                odd.append(iv)
+            elif iv[1] - iv[0] >= leaf_width:
+                pending.append(iv)
+            # else: a leaf is narrower than the separation, so an even one
+            # holds no eigenvalue and one of unknown parity only the
+            # split-point eigenvalue at its end, already in `exact`
+
     with meter.track("spectrum.bmatrix", bits):
-
-        def node(lo_f, hi_f, depth, label):
-            nrng = derive_rng(rng, "node", label)
-            ans = shift_invert(b_scaled, scale_pow, lo_f, hi_f, nrng)
-            if ans == NO:
-                return
-            if hi_f - lo_f < leaf_width:
-                found.append(lo_f)
-                return
-            if stats is not None:
-                stats[depth] = stats.get(depth, 0) + 1
-            mid = (lo_f + hi_f) / 2
-            node(lo_f, mid, depth + 1, label * 2 + 1)
-            node(mid, hi_f, depth + 1, label * 2 + 2)
-
-        node(Fraction(-2 * reach), Fraction(2 * reach), 0, 0)
-    found.sort()
-    kept = []
-    for lam in found:
-        if kept and lam - kept[-1] < merge_gap:
-            continue
-        kept.append(lam)
-    return kept, scale_pow, b_scaled
+        place([(Fraction(-2 * reach), Fraction(2 * reach), 0, 0, 0, n % 2)])
+        # odd intervals and split-point eigenvalues are disjoint, each worth
+        # at least one eigenvalue: n of them are worth one each, and every
+        # interval still pending holds none
+        while len(odd) + len(exact) < n:
+            if pending:
+                iv = pending.pop()
+                if shift_invert(b_scaled, scale_pow, iv[0], iv[1],
+                                derive_rng(rng, "node", iv[3])) == YES:
+                    place(split(iv))
+                continue
+            widest = max((iv[1] - iv[0] for iv in odd), default=0)
+            if widest < leaf_width:
+                return sorted(exact), scale_pow, b_scaled
+            chosen = [iv for iv in odd if iv[1] - iv[0] == widest]
+            odd[:] = [iv for iv in odd if iv[1] - iv[0] != widest]
+            for iv in chosen:
+                place(split(iv))
+        if len(odd) + len(exact) > n:
+            raise ResultCountMismatch(f"more than {n} eigenvalues counted")
+        for iv in odd:
+            # one eigenvalue inside: determinant-sign bisection
+            while iv[1] - iv[0] >= leaf_width:
+                left, right = split(iv)
+                if left[5] is None:
+                    break
+                iv = left if left[4] != left[5] else right
+            else:
+                exact.append(iv[0])
+    return sorted(exact), scale_pow, b_scaled
 
 
 def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stats=None):
@@ -348,8 +423,7 @@ def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stats=None):
     for attempt in range(2):
         b = perturb_spectrum(a, eps / 2, derive_rng(rng, "perturb", attempt))
         vals, scale_pow, b_scaled = _extract_eigs(
-            b, u, sep / leaf_div, sep / 2, derive_rng(rng, "tree", attempt),
-            stats=stats)
+            b, u, sep / leaf_div, derive_rng(rng, "tree", attempt), stats=stats)
         if len(vals) == n:
             return b_scaled, vals, scale_pow, sep
     raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -5,12 +6,15 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 
+from lospace import spectral
 from lospace.linop import SparseMatrix
-from lospace.oracle import oracle_eigs_bisect
+from lospace.oracle import oracle_det_bareiss, oracle_eigs_bisect
 from lospace.spectral import (
     NO,
     YES,
+    ResultCountMismatch,
     eigendecompose,
     inv_power,
     inv_power_gap,
@@ -133,6 +137,128 @@ def test_shift_invert_soundness_random():
             assert not strict, (a, lo, hi, eigs)
         else:
             assert widened, (a, lo, hi, eigs)
+
+
+def test_inverse_power_estimates_never_rise(monkeypatch):
+    """lam = |v| / |M^-1 v| never rises from one iterate to the next
+    (Cauchy-Schwarz), which is what lets shift_invert stop at the hint."""
+    histories = {}
+    plateaued = spectral._plateaued
+
+    def spy(history, eps, hint):
+        histories[id(history)] = [x.to_fraction() for x in history]
+        return plateaued(history, eps, hint)
+
+    monkeypatch.setattr(spectral, "_plateaued", spy)
+    rnd = random.Random(13)
+    for trial in range(60):
+        n = rnd.randrange(1, 5)
+        a = sym_random(rnd, n, 5)
+        s = 6
+        width = Fraction(rnd.randrange(1, 40), 8)
+        lo = Fraction(rnd.randrange(-12 * 8, 12 * 8), 8)
+        shift_invert(SparseMatrix.from_dense([[v << s for v in row] for row in a]),
+                     s, lo, lo + width, rnd)
+    steps = 0
+    for hist in histories.values():
+        for prev, cur in zip(hist, hist[1:]):
+            assert cur <= prev * (1 + Fraction(1, 1 << 30)), hist
+            steps += 1
+    assert steps >= 100
+
+
+def test_shifted_determinant_sign_is_count_parity():
+    """det(2^s (A - m I)) < 0 iff an odd number of eigenvalues lie below m;
+    an exact zero exactly when m is an eigenvalue."""
+    rnd = random.Random(41)
+    zeros = checked = 0
+    for trial in range(40):
+        n = rnd.randrange(1, 6)
+        a = sym_random(rnd, n, 5)
+        if trial % 4 == 0:
+            a = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(n)]
+        eigs = oracle_eigs_bisect(a, 1e-9)
+        s = 4
+        scaled = SparseMatrix.from_dense([[v << s for v in row] for row in a])
+        for k in range(6):
+            m = Fraction(rnd.randrange(-12 * 4, 12 * 4), 4)
+            if trial % 4 == 0 and k % 2 == 0:
+                m = Fraction(a[k % n][k % n])  # an eigenvalue of a diagonal a
+            got = spectral._parity_below(scaled, m * (1 << s), random.Random(trial))
+            shifted = [[int((a[i][j] - (m if i == j else 0)) * 4) for j in range(n)]
+                       for i in range(n)]
+            if oracle_det_bareiss(shifted) == 0:
+                assert got is None, (a, m)
+                zeros += 1
+                continue
+            if min(abs(x - m) for x in eigs) < 1e-6:
+                continue
+            assert got == sum(1 for x in eigs if x < m) % 2, (a, m, eigs)
+            checked += 1
+    assert checked >= 150 and zeros >= 5
+
+
+def _unperturbed(monkeypatch):
+    perturb = spectral.perturb_spectrum
+
+    def no_diagonal(a, eps, rng):
+        b = perturb(a, eps, rng)
+        return dataclasses.replace(b, diag_scaled=[0] * a.n)
+
+    monkeypatch.setattr(spectral, "perturb_spectrum", no_diagonal)
+
+
+def test_zero_determinant_at_a_split_point_is_the_eigenvalue(monkeypatch):
+    """With no perturbation, +-4 are tree midpoints of [-16, 16]: the zero
+    determinants there are reported as the eigenvalues themselves."""
+    _unperturbed(monkeypatch)
+    vals = spectrum(SparseMatrix.from_dense([[4, 0], [0, -4]]), 0.05, 1)
+    assert [float(v) for v in vals] == [-4.0, 4.0]
+
+
+def test_double_eigenvalue_counts_short(monkeypatch):
+    """An unseparated double eigenvalue at a midpoint is reported once per
+    attempt: the count comes out short and spectrum raises."""
+    _unperturbed(monkeypatch)
+    counts = []
+    extract = spectral._extract_eigs
+
+    def spy(*args, **kwargs):
+        out = extract(*args, **kwargs)
+        counts.append([float(v) for v in out[0]])
+        return out
+
+    monkeypatch.setattr(spectral, "_extract_eigs", spy)
+    with pytest.raises(ResultCountMismatch):
+        spectrum(SparseMatrix.from_dense([[7, 0], [0, 7]]), 0.5, 2)
+    assert counts == [[7.0], [7.0]]
+
+
+def test_shift_invert_sees_only_even_intervals(monkeypatch):
+    """No interval whose end determinants differ in sign reaches
+    shift_invert, and a benchmark-size n=4 spectrum makes few calls."""
+    calls = []
+    shift = spectral.shift_invert
+
+    def spy(b_scaled, scale_pow, lo, hi, rng):
+        dense = b_scaled.to_dense()
+        signs = []
+        for m in (lo, hi):
+            ms = int(m * (1 << scale_pow))
+            d = oracle_det_bareiss([[v - (ms if i == j else 0)
+                                     for j, v in enumerate(row)]
+                                    for i, row in enumerate(dense)])
+            signs.append((d > 0) - (d < 0))
+        assert signs[0] * signs[1] >= 0, (lo, hi)
+        calls.append((lo, hi))
+        return shift(b_scaled, scale_pow, lo, hi, rng)
+
+    monkeypatch.setattr(spectral, "shift_invert", spy)
+    a = sym_random(random.Random(1), 4, 10)
+    vals = spectrum(SparseMatrix.from_dense(a), 0.05, 1)
+    for got, want in zip(vals, oracle_eigs_bisect(a, 1e-8)):
+        assert abs(float(got) - want) <= 0.05
+    assert 0 < len(calls) <= 30, len(calls)
 
 
 def test_off_grid_midpoint_rejected_under_optimize():
