@@ -7,8 +7,9 @@ entry per line, as +m*2^e literals by default or as fixed decimals with
 they are produced and are never re-read.
 
 Exit codes: 0 success, 1 SINGULAR input, 2 malformed input or argument
-(including a value outside the L-bit float range), 3 a probabilistic
-retry budget ran out.
+(including a value outside the L-bit float range, and a matrix with no
+rows, or for regress no columns, for any command but det), 3 a
+probabilistic retry budget ran out.
 
 bench writes one CSV row per size over seeded tridiagonal-plus-noise
 matrices (U pinned to 100, diagonally dominant so invertibility is
@@ -84,8 +85,9 @@ def _cmd_det(args, out):
 def _cmd_solve(args, out):
     a = _load_matrix(args.matrix)
     b = _load_vector(args.vector)
-    if a.n != a.m:
-        raise MatrixFormatError(1, f"solve needs a square matrix, got {a.n}x{a.m}")
+    if a.n != a.m or a.n == 0:
+        raise MatrixFormatError(
+            1, f"solve needs a nonempty square matrix, got {a.n}x{a.m}")
     if len(b) != a.n:
         raise MatrixFormatError(1, f"vector length {len(b)} != {a.n}")
     outcome = lin_solve(a, b, args.epsilon, args.seed)
@@ -99,8 +101,8 @@ def _cmd_solve(args, out):
 
 def _cmd_regress(args, out):
     a = _load_matrix(args.matrix)
-    if a.n < a.m:
-        raise MatrixFormatError(1, f"regress wants n >= m, got {a.n}x{a.m}")
+    if a.n < a.m or a.m == 0:
+        raise MatrixFormatError(1, f"regress wants n >= m >= 1, got {a.n}x{a.m}")
     b = _load_vector(args.vector)
     if len(b) != a.n:
         raise MatrixFormatError(1, f"vector length {len(b)} != {a.n}")
@@ -115,8 +117,8 @@ def _cmd_regress(args, out):
 
 
 def _check_sym(a):
-    if a.n != a.m or not a.is_symmetric():
-        raise MatrixFormatError(1, "eigen routines need a symmetric matrix")
+    if a.n != a.m or a.n == 0 or not a.is_symmetric():
+        raise MatrixFormatError(1, "eigen routines need a nonempty symmetric matrix")
 
 
 def _cmd_eigs(args, out):
@@ -139,8 +141,8 @@ def _cmd_eigvecs(args, out):
 
 def _cmd_svd(args, out):
     a = _load_matrix(args.matrix)
-    if a.n < a.m:
-        raise MatrixFormatError(1, f"svd wants n >= m, got {a.n}x{a.m}")
+    if a.n < a.m or a.n == 0:
+        raise MatrixFormatError(1, f"svd wants n >= m and n >= 1, got {a.n}x{a.m}")
     for uvec, sigma, vvec in svd(a, args.epsilon, random.Random(args.seed)):
         if sigma is None:
             out.write("- | " + " ".join(_fmt_value(x, args) for x in uvec) + " |\n")

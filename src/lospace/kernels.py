@@ -163,21 +163,21 @@ class Field:
         return pow(a, -1, self.p)
 
     # structured kernels ---------------------------------------------------
-    def coo(self, rows, cols, vals, shape, scale=None):
-        """COO matrix diag(scale) A (or A) with entries reduced mod p, for
+    def coo(self, a, scale=None):
+        """The SparseMatrix a, or diag(scale) a, with entries reduced mod
         a word-size p: int64 arrays (rows, cols, vals), the shape and the
-        start of each nonempty row's segment; rows sorted."""
+        start of each nonempty row's segment; rows sorted.  Only vals is
+        new, computed from ``a.words()`` with one ``% p`` and for scale
+        one mulmod and one more ``% p``; the rest are a's own arrays."""
         p = self.p
+        shape = (a.n, a.m)
         _require_word_size(p, shape)
-        np = _numpy()
-        if scale is None:
-            vals = [v % p for v in vals]
-        else:
-            vals = [scale[r] * v % p for r, v in zip(rows, vals)]
-        rows = np.array(rows, np.int64)
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        return (rows, np.array(cols, np.int64), np.array(vals, np.int64),
-                shape, starts)
+        rows, cols, vals, starts = a.words()
+        vals = vals % p
+        if scale is not None:
+            vals = _mulmod_lazy(vals, vals / p, self._words(scale)[rows], p)
+            vals %= p
+        return rows, cols, vals, shape, starts
 
     def coo_bits(self, coo):
         rows, shape = coo[0], coo[3]

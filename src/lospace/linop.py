@@ -18,18 +18,17 @@ Krylov/Horner kernels run on BASE, GRAM and DIAG_SCALE over a matrix,
 and on DIAG_SCALE over such a GRAM (the determinant's preconditioner),
 when the prime is word-size for the shape of the matrix they read
 (``kernels.word_size``); ``prime_top`` is the exclusive top of those
-primes, so callers can draw them.  The kernels use a reduced copy of the
-matrix cached one prime at a time (``Field.coo``), charged to the meter
-and released by ``drop_cache``.  The copy holds int64 arrays: rows,
-cols, entries reduced mod p and the start of each nonempty row's
-segment.  A DIAG_SCALE cache over a matrix folds the diagonal into the
-entries (d_r a_rc mod p), so the kernels see one matrix; over a GRAM it
-reuses the GRAM's copy and the kernels apply the diagonal per step.  A
-GRAM cache is charged one n-word vector more, the kernels' w = A y.
-Every other case, a wider prime included, runs one generic Krylov/Horner
-loop over ``apply_mod`` and holds no cache.  On that generic path
-GRAM/GRAM_T never materialize A x: their working space stays
-proportional to the output dimension.
+primes, so callers can draw them.  Each fused call builds the matrix's
+entries reduced mod p (``Field.coo``) from its int64 words
+(``SparseMatrix.words``), charges that copy to the meter and drops it
+when the call returns; nothing outlives the call.  A DIAG_SCALE over a
+matrix folds the diagonal into the copy's entries (d_r a_rc mod p), so
+the kernels see one matrix; over a GRAM the copy is the GRAM's matrix and
+the kernels apply the diagonal per step.  A GRAM copy is charged one
+n-word vector more, the kernels' w = A y.  Every other case, a wider
+prime included, runs one generic Krylov/Horner loop over ``apply_mod``
+and builds no copy.  On that generic path GRAM/GRAM_T never materialize
+A x: their working space stays proportional to the output dimension.
 
 Text formats (1-indexed, decimal):
 
@@ -39,10 +38,10 @@ Text formats (1-indexed, decimal):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import meter
-from .kernels import Field, word_size, word_top
+from .kernels import Field, _numpy, word_size, word_top
 
 BASE = "BASE"
 DIAG_SCALE = "DIAG_SCALE"
@@ -70,6 +69,7 @@ class SparseMatrix:
     rows: list
     cols: list
     vals: list
+    _words: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nnz(self):
@@ -107,6 +107,22 @@ class SparseMatrix:
     @staticmethod
     def identity(n):
         return SparseMatrix(n, n, list(range(n)), list(range(n)), [1] * n)
+
+    def words(self):
+        """(rows, cols, vals, starts) as int64 arrays, starts the first
+        entry of each nonempty row's segment: what the fused kernels read.
+        Built on first use and kept with the matrix, which is read-only
+        input, so they are neither released nor charged to the meter.
+        Every entry fits int64 whenever a fused kernel runs: the
+        determinant and the solver hand the kernels only primes above U
+        (p >= max(16, n^2 U)) and below 2^50, so |entry| < 2^50."""
+        if self._words is None:
+            np = _numpy()
+            rows = np.array(self.rows, np.int64)
+            self._words = (rows, np.array(self.cols, np.int64),
+                           np.array(self.vals, np.int64),
+                           np.flatnonzero(np.diff(rows, prepend=-1)))
+        return self._words
 
     def to_dense(self):
         out = [[0] * self.m for _ in range(self.n)]
@@ -158,10 +174,6 @@ class LinearOperator:
         self.m = m
         self.diag = diag          # DIAG_SCALE / SHIFT vector (by reference)
         self.shift_c = shift_c    # GRAM_T ridge term
-        self._cache_p = None
-        self._cache = None
-        self._cache_tok = None
-        self._cache_meter = None
 
     # -- constructors ---------------------------------------------------
 
@@ -238,41 +250,18 @@ class LinearOperator:
         a = self._kernel_matrix()
         return a is not None and word_size(p, (a.n, a.m))
 
-    def _mod_data(self, f: Field):
-        """The matrix reduced mod f.p for the fused kernels, a DIAG_SCALE's
-        diagonal over a matrix folded in; cached one prime at a time and
-        charged to the meter.  DIAG_SCALE over a GRAM uses the GRAM's."""
-        if not self.base_is_matrix:
-            return self.base._mod_data(f)
-        if self._cache_p == f.p:
-            return self._cache
-        self.drop_cache()
-        a = self.base
-        coo = f.coo(a.rows, a.cols, a.vals, (a.n, a.m),
-                    self.diag if self.kind == DIAG_SCALE else None)
-        bits = f.coo_bits(coo)
-        if self.kind == GRAM:
-            bits += a.n * (f.p.bit_length() + 1)
-        self._cache_meter = meter.current()
-        self._cache_tok = self._cache_meter.alloc("linop.mod_cache", bits)
-        self._cache_p = f.p
-        self._cache = coo
-        return coo
-
     def _kernel(self, kernel, f, *args, **kwargs):
-        """One fused kernel call on this operator's reduced copy."""
-        if self.base_is_matrix and self.kind != GRAM:
-            return kernel(self._mod_data(f), *args, **kwargs)
-        return kernel(self._mod_data(f), *args, gram=True, diag=self.diag,
-                      **kwargs)
-
-    def drop_cache(self):
-        if self._cache_tok is not None:
-            self._cache_meter.free(self._cache_tok)
-        self._cache_tok = None
-        self._cache_meter = None
-        self._cache_p = None
-        self._cache = None
+        """One fused kernel call on a copy of the matrix reduced mod f.p,
+        built for this call and charged to the meter while it runs."""
+        a = self._kernel_matrix()
+        gram = self.kind == GRAM or not self.base_is_matrix
+        coo = f.coo(a, None if gram else self.diag)
+        bits = f.coo_bits(coo)
+        if gram:
+            bits += a.n * (f.p.bit_length() + 1)
+            kwargs.update(gram=True, diag=self.diag)
+        with meter.track("linop.mod_cache", bits):
+            return kernel(coo, *args, **kwargs)
 
     def apply_mod(self, v, p):
         """Exact product mod p: the integer product, reduced."""

@@ -175,14 +175,7 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
     seeds = [rng.getrandbits(63) for _ in primes]
 
     def residue(i):
-        # fresh wrapper per task: the per-prime reduction cache is not shared
-        local = (LinearOperator(op.kind, op.base, op.n, op.m)
-                 if op.kind in (BASE, GRAM) else op)
-        try:
-            return determinant_zp(local, primes[i], delta, random.Random(seeds[i]))
-        finally:
-            if local is not op:
-                local.drop_cache()
+        return determinant_zp(op, primes[i], delta, random.Random(seeds[i]))
 
     if parallel and len(primes) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -191,7 +184,6 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
             residues = list(ex.map(residue, range(len(primes))))
     else:
         residues = [residue(i) for i in range(len(primes))]
-    op.drop_cache()
     P, R = crt_combine(zip(primes, residues))
     return R if 2 * R < P else R - P
 
@@ -406,7 +398,6 @@ def lin_solve(a, b, eps: float, rng_or_seed=0, c: int = 2, K=None) -> SolveOutco
         return solver.solve(b, K=K)
     finally:
         solver.close()
-        solver.op.drop_cache()
 
 
 def linear_regression(a: SparseMatrix, b, eps: float, rng_or_seed=0, c: int = 2):

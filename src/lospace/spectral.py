@@ -40,9 +40,9 @@ no eigenvalue is counted twice, so the count never exceeds n.
 
 The base matrix may also be a black-box symmetric operator (the SVD path
 passes its ridged Gram product); scaling and shifting then compose
-operators instead of materializing anything.  A shifted operator holds no
-per-prime reduced copy: its products mod p are its exact products reduced,
-so only a plain matrix handed to inv_power has a cache to release.
+operators instead of materializing anything.  No operator keeps a reduced
+copy between calls: a fused kernel builds its copy for the call, and a
+shifted operator's products mod p are its exact products reduced.
 
 Probabilistic failures (a perturbation that left two eigenvalues closer
 than a leaf) surface as ResultCountMismatch after one retry with a fresh
@@ -262,7 +262,6 @@ def _inverse_power(op_int, scale_pow, eps, delta: Fraction, rng,
         return PowerResult(lam, vec, False, len(history))
     finally:
         solver.close()
-        solver.op.drop_cache()
 
 
 def _t_cap(n, eps):

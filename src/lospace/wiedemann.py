@@ -26,7 +26,6 @@ from .linop import BASE, LinearOperator
 
 __all__ = [
     "RetriesExhausted",
-    "berlekamp_massey",
     "minimal_polynomial",
     "find_kernel",
     "linsolve_zp",
@@ -37,12 +36,6 @@ __all__ = [
 
 class RetriesExhausted(RuntimeError):
     """A Las Vegas loop ran out of its failure budget."""
-
-
-def berlekamp_massey(seq, p, f: Field | None = None):
-    """Monic minimal linear recurrence of seq over F_p, lowest degree first."""
-    f = f or Field(p)
-    return f.berlekamp_massey(seq)
 
 
 def _one_wiedemann_trial(op, p, f, rng):
@@ -139,7 +132,6 @@ def linsolve_zp(a, b, p, delta=1e-9, rng=None, f=None):
         return solver.solve(b)
     finally:
         solver.close()
-        solver.op.drop_cache()
 
 
 def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
@@ -163,10 +155,7 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
         d = [rng.randrange(1, p) for _ in range(n)]
         with meter.track("det.diag", n * (p.bit_length() + 1)):
             da = LinearOperator.diag_scale(d, op.base if op.kind == BASE else op)
-            try:
-                g = _one_wiedemann_trial(da, p, f, rng)
-            finally:
-                da.drop_cache()
+            g = _one_wiedemann_trial(da, p, f, rng)
             if len(g) == n + 1:
                 prod = 1
                 for di in d:

@@ -35,11 +35,20 @@ def files(tmp_path):
     (tmp_path / "tall.mtx").write_text("2 1 2\n1 1 1\n2 1 1\n")
     (tmp_path / "wide.mtx").write_text("2 3 3\n1 1 1\n2 2 1\n1 3 2\n")
     (tmp_path / "bad.mtx").write_text("2 2 1\n1 x 5\n")
+    (tmp_path / "empty.mtx").write_text("0 0 0\n")
+    (tmp_path / "nocols.mtx").write_text("3 0 0\n")
+    (tmp_path / "b0.vec").write_text("0\n")
+    (tmp_path / "b3.vec").write_text("3\n1\n2\n3\n")
     return tmp_path
 
 
 def test_det_identity(files):
     code, out = run_cli(["det", str(files / "id3.mtx")])
+    assert code == 0 and out == "1\n"
+
+
+def test_det_of_empty_matrix_is_one(files):
+    code, out = run_cli(["det", str(files / "empty.mtx")])
     assert code == 0 and out == "1\n"
 
 
@@ -93,6 +102,13 @@ def test_input_error_line_numbered(files, capsys):
     ["bench", "--sizes", "4,x"],
     ["regress", "wide.mtx", "b13.vec"],
     ["solve", "d24.mtx", "b13.vec", "--decimal-digits", "-2"],
+    # nothing to compute: no rows, or for regress no columns
+    ["solve", "empty.mtx", "b0.vec"],
+    ["regress", "empty.mtx", "b0.vec"],
+    ["eigs", "empty.mtx"],
+    ["eigvecs", "empty.mtx"],
+    ["svd", "empty.mtx"],
+    ["regress", "nocols.mtx", "b3.vec"],
 ])
 def test_bad_argument_exit_code(files, capsys, argv):
     argv = [str(files / a) if a.endswith((".mtx", ".vec")) else a for a in argv]

@@ -5,6 +5,8 @@ import pytest
 from lospace import meter
 from lospace.kernels import Field, _bm, word_size
 from lospace.linop import LinearOperator, SparseMatrix
+from lospace.oracle import oracle_det_bareiss
+from lospace.solver import determinant, lin_solve
 from lospace.wiedemann import determinant_zp
 
 
@@ -90,10 +92,9 @@ def test_kernels_match_naive_reference(p):
             got = op.horner_apply(coeffs, x, p, f)
             assert got == want_h
             assert type(got) is list and all(type(v) is int for v in got)
-            op.drop_cache()
 
             if word:
-                coo = f.coo(rows, cols, vals, (n, n), diag)
+                coo = f.coo(mat, diag)
                 assert f.krylov(coo, x, y, count=count) == want
                 assert f.horner(coo, coeffs, x) == want_h
 
@@ -102,7 +103,8 @@ def test_kernels_match_naive_reference(p):
         n, m = rnd.randrange(1, 12), rnd.randrange(1, 8)
         rows, cols, vals = _rand_coo(rnd, n, m, rnd.randrange(0, n * m + 1), p)
         a = _dense(rows, cols, vals, n, m)
-        gram = LinearOperator.gram(SparseMatrix(n, m, rows, cols, vals))
+        mat = SparseMatrix(n, m, rows, cols, vals)
+        gram = LinearOperator.gram(mat)
         ata = [[sum(row[i] * row[j] for row in a) % p for j in range(m)]
                for i in range(m)]
         assert gram._fused(p) == (p < 1 << 50)
@@ -132,34 +134,33 @@ def test_kernels_match_naive_reference(p):
             assert got == want_h
             assert type(got) is list and all(type(v) is int for v in got)
             if gram._fused(p):
-                coo = f.coo(rows, cols, vals, (n, m))
+                coo = f.coo(mat)
                 assert f.krylov(coo, x, y, count=count, gram=True,
                                 diag=diag) == want
                 assert f.horner(coo, coeffs, x, gram=True, diag=diag) == want_h
-        gram.drop_cache()
 
 
 def test_fused_kernels_reject_non_word_moduli():
     """numpy does not report int64 overflow, so Field.coo, krylov and
     horner refuse a modulus outside word_size instead of wrapping."""
-    rows, cols, vals = [0, 1], [0, 1], [1, 1]
+    a = SparseMatrix.identity(2)
     wide = Field((1 << 50) + 55)
     with pytest.raises(ValueError):
-        wide.coo(rows, cols, vals, (2, 2))
-    coo = Field(97).coo(rows, cols, vals, (2, 2))
+        wide.coo(a)
+    coo = Field(97).coo(a)
     with pytest.raises(ValueError):
         wide.krylov(coo, [1, 2], [3, 4], count=3)
     with pytest.raises(ValueError):
         wide.horner(coo, [1, 2], [3, 4])
     # a word-size prime on a shape whose row sums could overflow
     with pytest.raises(ValueError):
-        Field((1 << 50) - 27).coo([], [], [], (4096, 4096))
+        Field((1 << 50) - 27).coo(SparseMatrix(4096, 4096, [], [], []))
 
 
 def test_wide_modulus_builds_no_reduced_copy():
     """Above the word bound BASE, DIAG_SCALE and GRAM run the generic
     loop over exact products: no per-prime reduced copy is built or
-    charged, and the meter is back at 0 with no drop_cache call."""
+    charged, and the meter is back at 0."""
     p = (1 << 61) - 1
     rnd = random.Random(4)
     n = 9
@@ -178,6 +179,50 @@ def test_wide_modulus_builds_no_reduced_copy():
         determinant_zp(mat, p, rng=rnd)
     assert m.by_label.get("linop.mod_cache", [0, 0]) == [0, 0]
     assert m.current_bits == 0
+
+
+def test_fused_calls_leave_nothing_live():
+    """At a word-size prime each fused Krylov or Horner call builds its
+    reduced copy for that call only: the meter is back at 0 after it, and
+    the linop.mod_cache peak is the copy's coo_bits, plus the n-word
+    w = A y for a Gram product.  A parallel determinant and a solve end
+    at 0 too, and no operator has a cache to release by hand."""
+    p = (1 << 31) - 1
+    rnd = random.Random(5)
+    n, k = 9, 5
+    mat = SparseMatrix.from_dense(
+        [[rnd.randrange(-50, 51) for _ in range(n)] for _ in range(n)])
+    tall = SparseMatrix.from_dense(
+        [[rnd.randrange(-50, 51) for _ in range(k)] for _ in range(n)])
+    f = Field(p)
+    gram = LinearOperator.gram(tall)
+    word = p.bit_length() + 1
+    for op, a, extra in ((LinearOperator.from_sparse(mat), mat, 0),
+                         (LinearOperator.diag_scale(f.rand(n, rnd), mat), mat, 0),
+                         (gram, tall, n * word),
+                         (LinearOperator.diag_scale(f.rand(k, rnd), gram),
+                          tall, n * word)):
+        assert op._fused(p)
+        bits = f.coo_bits(f.coo(a)) + extra
+        x = f.rand(op.n, rnd)
+        for call in (lambda: op.krylov_scalars(x, x, 2 * op.n + 1, p, f),
+                     lambda: op.horner_apply([1, 2, 3], x, p, f)):
+            m = meter.WorkspaceMeter()
+            with m.activate():
+                call()
+            assert m.current_bits == 0
+            assert m.by_label["linop.mod_cache"] == [0, bits]
+
+    m = meter.WorkspaceMeter()
+    with m.activate():
+        assert determinant(mat, rng=1, parallel=True) == oracle_det_bareiss(
+            mat.to_dense())
+        assert m.current_bits == 0
+        b = [rnd.randrange(-50, 51) for _ in range(n)]
+        assert not lin_solve(mat, b, 1e-6, 2).singular
+    assert m.current_bits == 0
+    assert m.by_label["linop.mod_cache"][1] > 0
+    assert not hasattr(LinearOperator, "drop_cache")
 
 
 def test_matvec_against_dense():
@@ -319,6 +364,7 @@ def test_word_kernels_at_the_sum_bound():
     entries |= {(i, i) for i in range(n)}
     rows, cols = zip(*sorted(entries))
     vals = [rnd.randrange(p) for _ in rows]
+    mat = SparseMatrix(n, n, list(rows), list(cols), vals)
     f = Field(p)
     x = [rnd.randrange(p) for _ in range(n)]
     d = [rnd.randrange(p) for _ in range(n)]
@@ -336,7 +382,7 @@ def test_word_kernels_at_the_sum_bound():
             w = apply(w)
             if diag is not None:
                 w = [di * wi % p for di, wi in zip(diag, w)]
-        coo = f.coo(rows, cols, vals, (n, n), diag)
+        coo = f.coo(mat, diag)
         assert f.krylov(coo, x, x, count=4) == want
 
     coeffs = [rnd.randrange(p) for _ in range(3)]
@@ -344,7 +390,7 @@ def test_word_kernels_at_the_sum_bound():
     for c in coeffs:
         want = [(wi + c * pi) % p for wi, pi in zip(want, power)]
         power = apply(power)
-    assert f.horner(f.coo(rows, cols, vals, (n, n)), coeffs, x) == want
+    assert f.horner(f.coo(mat), coeffs, x) == want
 
 
 def test_gram_kernels_at_the_sum_bound():
@@ -379,7 +425,6 @@ def test_gram_kernels_at_the_sum_bound():
                 power = op.apply_mod(power, p)
             assert op.horner_apply(coeffs, x, p, f) == want_h
             if fused:
-                coo = f.coo(a.rows, a.cols, a.vals, (n, k))
+                coo = f.coo(a)
                 assert f.krylov(coo, x, x, count=2 * k + 1, gram=True,
                                 diag=diag) == want
-        gram.drop_cache()

@@ -136,8 +136,6 @@ def test_composition_against_dense_oracle():
                 acc = [(ai + k * pi) % p for ai, pi in zip(acc, power)]
                 power = [t % p for t in _dense_mul(ref, power)]
             assert op.horner_apply(coeffs, y, p, f) == acc
-            op.drop_cache()
-        gram.drop_cache()
 
 
 def test_apply_int_mod_consistency_random():
