@@ -7,9 +7,10 @@ entry per line, as +m*2^e literals by default or as fixed decimals with
 they are produced and are never re-read.
 
 Exit codes: 0 success, 1 SINGULAR input, 2 malformed input or argument
-(including a value outside the L-bit float range, and a matrix with no
-rows, or for regress no columns, for any command but det), 3 a
-probabilistic retry budget ran out.
+(including a non-integer LOSPACE_SEED, the fallback of --seed, a value
+outside the L-bit float range, and a matrix with no rows, or for regress
+no columns, for any command but det), 3 a probabilistic retry budget ran
+out.
 
 bench writes one CSV row per size over seeded tridiagonal-plus-noise
 matrices (U pinned to 100, diagonally dominant so invertibility is
@@ -78,7 +79,7 @@ def _cmd_det(args, out):
     a = _load_matrix(args.matrix)
     if a.n != a.m:
         raise MatrixFormatError(1, f"determinant needs a square matrix, got {a.n}x{a.m}")
-    out.write(f"{determinant(a, rng=random.Random(args.seed), parallel=args.parallel)}\n")
+    out.write(f"{determinant(a, rng=random.Random(args.seed))}\n")
     return EXIT_OK
 
 
@@ -187,7 +188,7 @@ def bench_run(sizes, eps, seed, out):
         m = meter.WorkspaceMeter()
         t0 = time.perf_counter()
         with m.activate():
-            outcome = lin_solve(a, b, eps, seed, c=2)
+            outcome = lin_solve(a, b, eps, seed)
         ms = (time.perf_counter() - t0) * 1000.0
         if outcome.singular:
             raise RetriesExhausted("bench generator produced a singular matrix")
@@ -214,7 +215,6 @@ GLOBAL_DEFAULTS = {
     "report_space": False,
     "decimal_digits": None,
     "format": "float2exp",
-    "parallel": False,
 }
 
 
@@ -229,9 +229,6 @@ def build_parser():
     common.add_argument("--decimal-digits", type=int, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["float2exp", "decimal"],
                         default=argparse.SUPPRESS)
-    common.add_argument("--parallel", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="run the parallel-safe loops on threads")
     ap = argparse.ArgumentParser(
         prog="lospace", parents=[common],
         description="linear-working-space exact and approximate linear algebra")
@@ -265,12 +262,17 @@ def main(argv=None):
     for key, val in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, val)
-    if not hasattr(args, "seed"):
-        args.seed = int(os.environ.get("LOSPACE_SEED", "0"))
     if args.decimal_digits is not None and args.format == "float2exp":
         args.format = "decimal"
     m = meter.WorkspaceMeter()
     try:
+        if not hasattr(args, "seed"):
+            seed = os.environ.get("LOSPACE_SEED", "0")
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                raise ArgumentError(
+                    f"LOSPACE_SEED must be an integer, got {seed!r}") from None
         eps = getattr(args, "epsilon", None)  # det takes none
         if eps is not None and not 0 < eps < 1:
             raise ArgumentError(f"--epsilon must lie in (0, 1), got {eps}")

@@ -7,9 +7,10 @@ matrix with a composition descriptor:
 
     BASE         A
     DIAG_SCALE   diag(d) . A                     (Wiedemann preconditioner)
-    SHIFT        A + diag(d)  (scalar or vector) (shifted/perturbed solves)
+    SHIFT        A + diag(d)  (scalar or vector) (shifted/perturbed solves,
+                                                  the SVD ridge)
     GRAM         A^T A
-    GRAM_T       A A^T + c I                     (may hold one n-vector)
+    GRAM_T       A A^T
 
 ``apply_int`` is exact integer arithmetic and the one implementation of
 each composition; callers keep query entries within the documented
@@ -166,14 +167,13 @@ class LinearOperator:
     which has a fused kernel.
     """
 
-    def __init__(self, kind, base, n, m, diag=None, shift_c=0):
+    def __init__(self, kind, base, n, m, diag=None):
         self.kind = kind
         self.base = base
         self.base_is_matrix = isinstance(base, SparseMatrix)
         self.n = n
         self.m = m
         self.diag = diag          # DIAG_SCALE / SHIFT vector (by reference)
-        self.shift_c = shift_c    # GRAM_T ridge term
 
     # -- constructors ---------------------------------------------------
 
@@ -206,8 +206,8 @@ class LinearOperator:
         return LinearOperator(GRAM, a, a.m, a.m)
 
     @staticmethod
-    def gram_t(a: SparseMatrix, c=0):
-        return LinearOperator(GRAM_T, a, a.n, a.n, shift_c=c)
+    def gram_t(a: SparseMatrix):
+        return LinearOperator(GRAM_T, a, a.n, a.n)
 
     # -- entry bound of the represented matrix ---------------------------
 
@@ -223,7 +223,7 @@ class LinearOperator:
         if self.kind == GRAM:
             return self.base.n * u * u
         if self.kind == GRAM_T:
-            return self.base.m * u * u + abs(self.shift_c)
+            return self.base.m * u * u
         raise AssertionError(self.kind)
 
     # -- mod-p application ------------------------------------------------
@@ -267,8 +267,10 @@ class LinearOperator:
         """Exact product mod p: the integer product, reduced."""
         return [x % p for x in self.apply_int(v)]
 
-    def krylov_scalars(self, x, y, count, p, f: Field):
-        """[x.y, x.My, ..., x.M^(count-1)y] using the fused kernel if possible."""
+    def krylov_scalars(self, x, y, count, f: Field):
+        """[x.y, x.My, ..., x.M^(count-1)y] mod f.p using the fused kernel
+        if possible."""
+        p = f.p
         if self._fused(p):
             return self._kernel(f.krylov, f, x, y, count=count)
         seq = []
@@ -280,8 +282,10 @@ class LinearOperator:
                     yy = self.apply_mod(yy, p)
         return seq
 
-    def horner_apply(self, coeffs, z, p, f: Field):
-        """sum coeffs[i] M^i z with two live vectors; fused kernel if possible."""
+    def horner_apply(self, coeffs, z, f: Field):
+        """sum coeffs[i] M^i z mod f.p with two live vectors; fused kernel
+        if possible."""
+        p = f.p
         if self._fused(p):
             return self._kernel(f.horner, f, coeffs, z)
         acc = f.scale(coeffs[-1], z)
@@ -320,9 +324,7 @@ class LinearOperator:
                 k = k2
             return out
         if self.kind == GRAM_T:
-            w = a.apply_transpose_int(v)
-            out = a.apply_int(w)
-            return [o + self.shift_c * x for o, x in zip(out, v)]
+            return a.apply_int(a.apply_transpose_int(v))
         raise AssertionError(self.kind)
 
 
@@ -381,6 +383,8 @@ def read_vector(fp) -> list:
         n = int(lines[0])
     except ValueError:
         raise MatrixFormatError(1, f"bad length {lines[0]!r}") from None
+    if n < 0:
+        raise MatrixFormatError(1, "negative length")
     out = []
     for k in range(n):
         lineno = k + 2

@@ -108,15 +108,15 @@ def test_prime(x: int, rounds: int = 40, rng: random.Random | None = None) -> st
     return PRIME
 
 
-def _looks_prime(x, rounds, rng):
+def _looks_prime(x, rng):
     if x < 512:
         return x in _small_primes()
     if x & 1 == 0 or math.gcd(x, _primorial()) > 1:
         return False
-    return test_prime(x, rounds, rng) == PRIME
+    return test_prime(x, rng=rng) == PRIME
 
 
-def _draw_prime(rng: random.Random, lower: int, seen: set, rounds: int = 40,
+def _draw_prime(rng: random.Random, lower: int, seen: set,
                 hi: int | None = None) -> int:
     """One prime from [lower, hi] (hi = lower^2 by default) not in seen, by
     rejection; adds it to seen.
@@ -133,7 +133,7 @@ def _draw_prime(rng: random.Random, lower: int, seen: set, rounds: int = 40,
         x = rng.randrange(lower, hi + 1)
         if x in seen:
             continue
-        if _looks_prime(x, rounds, rng):
+        if _looks_prime(x, rng):
             seen.add(x)
             return x
     raise SamplingExhausted(
@@ -153,7 +153,7 @@ class PrimePool:
     def __init__(self):
         self._streams = {}
 
-    def get(self, lower: int, count: int, rounds: int = 40,
+    def get(self, lower: int, count: int,
             top: int | None = None) -> list[int]:
         """The first count primes of the window for lower: [m, m^2] with
         m = lower snapped up to a power of two (at least 16), capped below
@@ -175,7 +175,7 @@ class PrimePool:
             self._streams[(lower, hi)] = st
         while len(st["primes"]) < count:
             st["primes"].append(
-                _draw_prime(st["rng"], lower, st["seen"], rounds, hi))
+                _draw_prime(st["rng"], lower, st["seen"], hi))
         return st["primes"][:count]
 
 

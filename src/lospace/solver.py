@@ -59,7 +59,9 @@ from .linop import BASE, GRAM, LinearOperator, SparseMatrix
 from .primes import crt_combine, shared_pool
 from .wiedemann import FpSolver, determinant_zp
 
-SINGULAR = "SINGULAR"
+# failure exponent: a determinant fails with probability at most n^-C, and
+# the solver's finite-field solves size their retry budgets from it
+C = 2
 
 
 class SingularMatrix(ValueError):
@@ -72,10 +74,6 @@ class SolveOutcome:
 
     singular: bool
     x: list | None = None
-
-    @property
-    def tag(self):
-        return SINGULAR if self.singular else "SOLUTION"
 
 
 def derive_rng(rng_or_seed, *labels) -> random.Random:
@@ -127,8 +125,8 @@ def gram_bound(a: SparseMatrix):
         return math.prod(sq)
 
 
-def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
-    """Exact det(a) with failure probability <= n^-c.
+def determinant(a, rng=None) -> int:
+    """Exact det(a) with failure probability <= n^-C.
 
     Primes are drawn from [max(16, n^2 U), ..^2], below op.prime_top()
     where that caps the window, until their product exceeds twice the
@@ -171,28 +169,11 @@ def determinant(a, c: int = 2, rng=None, parallel: bool = False) -> int:
             if prod > bound:
                 primes = primes[: primes.index(q) + 1]
                 break
-    delta = min(0.01, float(n) ** -(c + 2))
-    seeds = [rng.getrandbits(63) for _ in primes]
-
-    def residue(i):
-        return determinant_zp(op, primes[i], delta, random.Random(seeds[i]))
-
-    if parallel and len(primes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(primes))) as ex:
-            residues = list(ex.map(residue, range(len(primes))))
-    else:
-        residues = [residue(i) for i in range(len(primes))]
+    delta = min(0.01, float(n) ** -(C + 2))
+    residues = [determinant_zp(op, q, delta, random.Random(rng.getrandbits(63)))
+                for q in primes]
     P, R = crt_combine(zip(primes, residues))
     return R if 2 * R < P else R - P
-
-
-def digit_of_b(b_j: int, det: int, p: int, i: int) -> int:
-    """floor(b_j * det / p^i) mod p, one entry at a time."""
-    prod = b_j * det
-    with meter.track("digit.bprod", int_bits(prod)):
-        return (prod // p ** i) % p
 
 
 def sign_combine(y_plus: FloatL, y_minus: FloatL, all_digits_zero: bool) -> FloatL:
@@ -228,7 +209,7 @@ class RationalSolver:
     the one-shot wrapper.
     """
 
-    def __init__(self, a, eps: float, rng_or_seed=0, c: int = 2):
+    def __init__(self, a, eps: float, rng_or_seed=0):
         if not 0 < float(eps) < 1:
             raise ValueError("eps must lie in (0, 1)")
         self.op = LinearOperator.wrap(a)
@@ -236,11 +217,10 @@ class RationalSolver:
             raise ValueError("solver needs a square matrix")
         self.n = self.op.n
         self.u = self.op.entry_bound
-        self.c = c
         rng = (rng_or_seed if isinstance(rng_or_seed, random.Random)
                else random.Random(rng_or_seed))
         self.rng = rng
-        self.det = determinant(self.op, c, derive_rng(rng, "det"))
+        self.det = determinant(self.op, derive_rng(rng, "det"))
         self._det_tok = meter.current().alloc("solver.det", int_bits(self.det))
         self._det_meter = meter.current()
         self.prime = None
@@ -284,7 +264,7 @@ class RationalSolver:
         if self._fp is None:
             # one cached minimal polynomial serves every solve on this matrix
             self._fp = FpSolver(self.op, p, derive_rng(self.rng, "mu"),
-                                delta=float(n) ** -(self.c + 2))
+                                delta=float(n) ** -(C + 2))
         solver = self._fp
         maxbd = max((abs(x) for x in b), default=0) * abs(det)
         # once p^i outruns |b_j det|, the quotient is frozen at 0 or -1
@@ -391,16 +371,16 @@ class RationalSolver:
         return SolveOutcome(False, out)
 
 
-def lin_solve(a, b, eps: float, rng_or_seed=0, c: int = 2, K=None) -> SolveOutcome:
+def lin_solve(a, b, eps: float, rng_or_seed=0, K=None) -> SolveOutcome:
     """One-shot entry-wise e^eps-multiplicative solve; SINGULAR iff det = 0."""
-    solver = RationalSolver(a, eps, rng_or_seed, c)
+    solver = RationalSolver(a, eps, rng_or_seed)
     try:
         return solver.solve(b, K=K)
     finally:
         solver.close()
 
 
-def linear_regression(a: SparseMatrix, b, eps: float, rng_or_seed=0, c: int = 2):
+def linear_regression(a: SparseMatrix, b, eps: float, rng_or_seed=0):
     """Entry-wise e^eps approximation of argmin |A x - b|_2 via the normal
     equation over the Gram operator; A is never multiplied out."""
     if a.n < a.m:
@@ -410,7 +390,7 @@ def linear_regression(a: SparseMatrix, b, eps: float, rng_or_seed=0, c: int = 2)
     v = a.apply_transpose_int(b)
     with meter.track("regress.atb", intvec_bits(v)):
         gram = LinearOperator.gram(a)
-        outcome = lin_solve(gram, v, eps, rng_or_seed, c)
+        outcome = lin_solve(gram, v, eps, rng_or_seed)
     if outcome.singular:
         raise SingularMatrix("A^T A is singular: A is rank-deficient")
     return outcome.x

@@ -492,7 +492,7 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     t = _ceil_log2(Fraction(4) / eps0) // 2 + 2
     a_scaled = a.scaled(1 << t)
     ridge = int(eps0 * (1 << (2 * t))) + 1
-    gram = LinearOperator.gram_t(a_scaled, ridge)
+    gram = LinearOperator.shift(LinearOperator.gram_t(a_scaled), ridge)
     eps0_eff = Fraction(ridge, 1 << (2 * t))
     # targets on the scaled matrix: eigenvalues of 2^2t (A A^T + eps0 I)
     eps_scaled = float(eps0_eff / 10) * (1 << (2 * t))

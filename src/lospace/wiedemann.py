@@ -38,7 +38,7 @@ class RetriesExhausted(RuntimeError):
     """A Las Vegas loop ran out of its failure budget."""
 
 
-def _one_wiedemann_trial(op, p, f, rng):
+def _one_wiedemann_trial(op, f, rng):
     """One (x, y) draw: the recurrence of the Krylov scalars, monic.
 
     Always a factor of the minimal polynomial of the operator mod p.
@@ -47,19 +47,19 @@ def _one_wiedemann_trial(op, p, f, rng):
     """
     n = op.n
     count = 2 * n + 1
-    wordbits = p.bit_length() + 1
+    wordbits = f.p.bit_length() + 1
     seq_bits = count * wordbits
     with meter.track("wiedemann.seq", seq_bits):
         with meter.track("wiedemann.vecs", 3 * n * wordbits):
             x = f.rand(n, rng)
             y = f.rand(n, rng)
-            seq = op.krylov_scalars(x, y, count, p, f)
+            seq = op.krylov_scalars(x, y, count, f)
             del x, y
         with meter.track("wiedemann.bm", 3 * (count + 1) * wordbits):
             return f.berlekamp_massey(seq)
 
 
-def minimal_polynomial(a, p, boost=1, rng=None, f=None):
+def minimal_polynomial(a, p, boost=1, rng=None):
     """Best-of-`boost` Wiedemann trials; keeps the largest-degree recurrence.
 
     The result is always a monic factor of the minimal polynomial of
@@ -69,10 +69,10 @@ def minimal_polynomial(a, p, boost=1, rng=None, f=None):
     """
     op = LinearOperator.wrap(a)
     rng = rng or random.Random()
-    f = f or Field(p)
+    f = Field(p)
     best = [1]
     for _ in range(max(1, boost)):
-        g = _one_wiedemann_trial(op, p, f, rng)
+        g = _one_wiedemann_trial(op, f, rng)
         if len(g) > len(best):
             best = g
         if len(best) == op.n + 1:
@@ -88,7 +88,7 @@ def _strip_x_power(g):
     return g[c:], c
 
 
-def find_kernel(a, p, delta=1e-9, rng=None, f=None):
+def find_kernel(a, p, delta=1e-9, rng=None):
     """A verified nonzero kernel vector of a singular (a mod p).
 
     Draws z, forms y = gbar(M) z for the X-free part gbar of the minimal
@@ -98,12 +98,12 @@ def find_kernel(a, p, delta=1e-9, rng=None, f=None):
     """
     op = LinearOperator.wrap(a)
     rng = rng or random.Random()
-    f = f or Field(p)
+    f = Field(p)
     n = op.n
     inner_budget = max(2, math.ceil(math.log(2 / delta) / math.log(p))) + 1
     outer_budget = max(3, math.ceil(math.log2(1 / delta) / 4))
     for _outer in range(outer_budget):
-        g = minimal_polynomial(op, p, boost=2, rng=rng, f=f)
+        g = minimal_polynomial(op, p, boost=2, rng=rng)
         gbar, c = _strip_x_power(g)
         if c == 0 and len(g) == n + 1:
             # full-degree recurrence with nonzero constant term certifies
@@ -112,7 +112,7 @@ def find_kernel(a, p, delta=1e-9, rng=None, f=None):
         for _inner in range(inner_budget):
             z = f.rand(n, rng)
             with meter.track("kernel.vecs", 3 * f.vec_bits(z)):
-                y = op.horner_apply(gbar, z, p, f)
+                y = op.horner_apply(gbar, z, f)
                 if f.is_zero(y):
                     continue
                 w = y
@@ -124,17 +124,17 @@ def find_kernel(a, p, delta=1e-9, rng=None, f=None):
     raise RetriesExhausted("no kernel vector found; is the matrix singular mod p?")
 
 
-def linsolve_zp(a, b, p, delta=1e-9, rng=None, f=None):
+def linsolve_zp(a, b, p, delta=1e-9, rng=None):
     """Solve A x = b (mod p) for invertible (a mod p); verified before
     return.  One FpSolver solve: x is unique mod p."""
-    solver = FpSolver(a, p, rng or random.Random(), delta, f)
+    solver = FpSolver(a, p, rng or random.Random(), delta)
     try:
         return solver.solve(b)
     finally:
         solver.close()
 
 
-def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
+def determinant_zp(a, p, delta=1e-9, rng=None):
     """det(a) mod p via the random-diagonal preconditioner.
 
     A degree-n recurrence for diag(d) A certifies the answer outright
@@ -147,7 +147,7 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
     if op.n != op.m:
         raise ValueError("determinant_zp needs a square operator")
     rng = rng or random.Random()
-    f = f or Field(p)
+    f = Field(p)
     n = op.n
     runs = max(1, math.ceil(40 * math.log(1 / delta)))
     sign = -1 if n % 2 else 1
@@ -155,7 +155,7 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
         d = [rng.randrange(1, p) for _ in range(n)]
         with meter.track("det.diag", n * (p.bit_length() + 1)):
             da = LinearOperator.diag_scale(d, op.base if op.kind == BASE else op)
-            g = _one_wiedemann_trial(da, p, f, rng)
+            g = _one_wiedemann_trial(da, f, rng)
             if len(g) == n + 1:
                 prod = 1
                 for di in d:
@@ -165,7 +165,7 @@ def determinant_zp(a, p, delta=1e-9, rng=None, f=None):
             # three failed degree certificates: likely singular; try to
             # certify that with an explicit kernel vector
             try:
-                find_kernel(op, p, delta, rng, f)
+                find_kernel(op, p, delta, rng)
                 return 0
             except RetriesExhausted:
                 pass
@@ -182,20 +182,20 @@ class FpSolver:
     the recurrence is rebuilt with fresh randomness.
     """
 
-    def __init__(self, a, p, rng, delta=1e-9, f=None):
+    def __init__(self, a, p, rng, delta=1e-9):
         self.op = LinearOperator.wrap(a)
         if self.op.n != self.op.m:
             raise ValueError("FpSolver needs a square operator")
         self.p = p
         self.rng = rng
-        self.f = f or Field(p)
+        self.f = Field(p)
         self.delta = delta
         self._gbar = None
         self._budget = max(6, math.ceil(math.log2(1 / delta)))
         self._poly_tok = None
 
     def _refresh_poly(self, boost):
-        g = minimal_polynomial(self.op, self.p, boost=boost, rng=self.rng, f=self.f)
+        g = minimal_polynomial(self.op, self.p, boost=boost, rng=self.rng)
         if len(g) == 1 or g[0] % self.p == 0:
             # a degree-0 recurrence (all-zero Krylov scalars) expresses no
             # inverse, and X divides every candidate factor only if A is
@@ -221,7 +221,7 @@ class FpSolver:
                     continue
             g = self._gbar
             with meter.track("fpsolver.vecs", 3 * f.vec_bits(bvec)):
-                acc = op.horner_apply(g[1:], bvec, p, f)
+                acc = op.horner_apply(g[1:], bvec, f)
                 x = f.scale(self._c0inv, acc)
                 if op.apply_mod(x, p) == bvec:
                     return x

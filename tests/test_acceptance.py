@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from lospace.cli import bench_run
-from lospace.kernels import Field
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.numeric import track_merr, fl_from_int, fl_mul, fl_add_same_sign
 from lospace.oracle import (
@@ -59,7 +58,7 @@ def test_criterion_01_exact_determinant():
     for trial in range(200):
         n = rnd.randrange(1, 41)
         d = rand_dense(rnd, n, -50, 50)
-        got = determinant(SparseMatrix.from_dense(d), c=2, rng=trial)
+        got = determinant(SparseMatrix.from_dense(d), rng=trial)
         if got != oracle_det_bareiss(d):
             failures += 1
     elapsed = time.perf_counter() - t0
@@ -152,8 +151,7 @@ def test_criterion_05_finite_field_layer():
         b = [rnd.randrange(p) for _ in range(n)]
         a = SparseMatrix.from_dense(d)
         op = LinearOperator.from_sparse(a)
-        f = Field(p)
-        x = linsolve_zp(a, b, p, rng=rnd, f=f)
+        x = linsolve_zp(a, b, p, rng=rnd)
         assert op.apply_mod(x, p) == [v % p for v in b]
         solved += 1
     hits = 0

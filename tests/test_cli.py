@@ -186,6 +186,23 @@ def test_env_seed_fallback(files, monkeypatch):
     assert out1 == "1\n"
 
 
+def test_bad_env_seed_is_an_argument_error(files, monkeypatch, capsys):
+    monkeypatch.setenv("LOSPACE_SEED", "abc")
+    code, out = run_cli(["det", str(files / "id3.mtx")])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: LOSPACE_SEED must be an integer, got 'abc'\n")
+
+
+def test_parallel_flag_is_rejected(files, capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli(["--parallel", "det", str(files / "id3.mtx")])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --parallel" in captured.err
+
+
 def test_bench_small():
     code, out = run_cli(["bench", "--sizes", "4,8", "--epsilon", "1e-3"])
     assert code == 0

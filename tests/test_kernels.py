@@ -76,7 +76,7 @@ def test_kernels_match_naive_reference(p):
             for _ in range(count):
                 want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
                 w = _dense_apply(da, w, p)
-            seq = op.krylov_scalars(x, y, count, p, f)
+            seq = op.krylov_scalars(x, y, count, f)
             assert seq == want
             assert all(type(s) is int for s in seq)
             g = f.berlekamp_massey(seq)
@@ -89,7 +89,7 @@ def test_kernels_match_naive_reference(p):
             for c in coeffs:
                 want_h = [(wi + c * pi) % p for wi, pi in zip(want_h, power)]
                 power = _dense_apply(da, power, p)
-            got = op.horner_apply(coeffs, x, p, f)
+            got = op.horner_apply(coeffs, x, f)
             assert got == want_h
             assert type(got) is list and all(type(v) is int for v in got)
 
@@ -123,14 +123,14 @@ def test_kernels_match_naive_reference(p):
             for _ in range(count):
                 want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
                 w = _dense_apply(da, w, p)
-            seq = op.krylov_scalars(x, y, count, p, f)
+            seq = op.krylov_scalars(x, y, count, f)
             assert seq == want
             assert all(type(s) is int for s in seq)
             want_h, power = [0] * m, list(x)
             for c in coeffs:
                 want_h = [(wi + c * pi) % p for wi, pi in zip(want_h, power)]
                 power = _dense_apply(da, power, p)
-            got = op.horner_apply(coeffs, x, p, f)
+            got = op.horner_apply(coeffs, x, f)
             assert got == want_h
             assert type(got) is list and all(type(v) is int for v in got)
             if gram._fused(p):
@@ -173,8 +173,8 @@ def test_wide_modulus_builds_no_reduced_copy():
         for op in (LinearOperator.from_sparse(mat),
                    LinearOperator.diag_scale(d, mat),
                    LinearOperator.gram(mat)):
-            op.krylov_scalars(f.rand(n, rnd), f.rand(n, rnd), 2 * n + 1, p, f)
-            op.horner_apply([1, 2, 3], f.rand(n, rnd), p, f)
+            op.krylov_scalars(f.rand(n, rnd), f.rand(n, rnd), 2 * n + 1, f)
+            op.horner_apply([1, 2, 3], f.rand(n, rnd), f)
             assert m.current_bits == 0
         determinant_zp(mat, p, rng=rnd)
     assert m.by_label.get("linop.mod_cache", [0, 0]) == [0, 0]
@@ -185,8 +185,8 @@ def test_fused_calls_leave_nothing_live():
     """At a word-size prime each fused Krylov or Horner call builds its
     reduced copy for that call only: the meter is back at 0 after it, and
     the linop.mod_cache peak is the copy's coo_bits, plus the n-word
-    w = A y for a Gram product.  A parallel determinant and a solve end
-    at 0 too, and no operator has a cache to release by hand."""
+    w = A y for a Gram product.  A determinant and a solve end at 0
+    too, and no operator has a cache to release by hand."""
     p = (1 << 31) - 1
     rnd = random.Random(5)
     n, k = 9, 5
@@ -205,8 +205,8 @@ def test_fused_calls_leave_nothing_live():
         assert op._fused(p)
         bits = f.coo_bits(f.coo(a)) + extra
         x = f.rand(op.n, rnd)
-        for call in (lambda: op.krylov_scalars(x, x, 2 * op.n + 1, p, f),
-                     lambda: op.horner_apply([1, 2, 3], x, p, f)):
+        for call in (lambda: op.krylov_scalars(x, x, 2 * op.n + 1, f),
+                     lambda: op.horner_apply([1, 2, 3], x, f)):
             m = meter.WorkspaceMeter()
             with m.activate():
                 call()
@@ -215,8 +215,7 @@ def test_fused_calls_leave_nothing_live():
 
     m = meter.WorkspaceMeter()
     with m.activate():
-        assert determinant(mat, rng=1, parallel=True) == oracle_det_bareiss(
-            mat.to_dense())
+        assert determinant(mat, rng=1) == oracle_det_bareiss(mat.to_dense())
         assert m.current_bits == 0
         b = [rnd.randrange(-50, 51) for _ in range(n)]
         assert not lin_solve(mat, b, 1e-6, 2).singular
@@ -418,12 +417,12 @@ def test_gram_kernels_at_the_sum_bound():
             for _ in range(2 * k + 1):
                 want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
                 w = op.apply_mod(w, p)
-            assert op.krylov_scalars(x, x, 2 * k + 1, p, f) == want
+            assert op.krylov_scalars(x, x, 2 * k + 1, f) == want
             want_h, power = [0] * k, list(x)
             for c in coeffs:
                 want_h = [(wi + c * pi) % p for wi, pi in zip(want_h, power)]
                 power = op.apply_mod(power, p)
-            assert op.horner_apply(coeffs, x, p, f) == want_h
+            assert op.horner_apply(coeffs, x, f) == want_h
             if fused:
                 coo = f.coo(a)
                 assert f.krylov(coo, x, x, count=2 * k + 1, gram=True,

@@ -45,7 +45,8 @@ def test_gram_examples():
     g = LinearOperator.gram(SparseMatrix.identity(3))
     f = Field(11)
     assert g.apply_mod(f.vec([4, 5, 6]), 11) == [4, 5, 6]
-    gt = LinearOperator.gram_t(SparseMatrix.from_dense([[3, 0], [0, 4]]), c=1)
+    gt = LinearOperator.shift(
+        LinearOperator.gram_t(SparseMatrix.from_dense([[3, 0], [0, 4]])), 1)
     assert gt.apply_int([1, 0]) == [10, 0]
     f2 = Field(101)
     assert gt.apply_mod(f2.vec([1, 0]), 101) == [10, 0]
@@ -69,10 +70,10 @@ def _dense_mul(dense, v):
 def test_composition_against_dense_oracle():
     """apply_int, apply_mod, krylov_scalars and horner_apply of every
     composition kind against its dense matrix, including the DIAG_SCALE
-    over GRAM that the determinant builds and the DIAG_SCALE over GRAM_T
-    and SHIFT over that which the SVD path builds, on every prime of
-    PRIMES in turn (fused kernels and generic loop), with empty rows and
-    columns."""
+    over GRAM that the determinant builds and the SHIFT over GRAM_T,
+    DIAG_SCALE over that and SHIFT over that which the SVD path builds,
+    on every prime of PRIMES in turn (fused kernels and generic loop),
+    with empty rows and columns."""
     rnd = random.Random(21)
     for trial in range(60):
         p = PRIMES[trial % len(PRIMES)]
@@ -99,7 +100,7 @@ def test_composition_against_dense_oracle():
         ops.append((LinearOperator.diag_scale(dg, gram),
                     [[dg[i] * x for x in row] for i, row in enumerate(gram_ref)]))
         c = rnd.randrange(-4, 5)
-        gt = LinearOperator.gram_t(a, c)
+        gt = LinearOperator.shift(LinearOperator.gram_t(a), c)
         gt_ref = [[sum(dense[i][k] * dense[j][k] for k in range(m))
                    + (c if i == j else 0) for j in range(n)] for i in range(n)]
         ops.append((gt, gt_ref))
@@ -129,13 +130,13 @@ def test_composition_against_dense_oracle():
             for _ in range(count):
                 seq.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
                 w = [t % p for t in _dense_mul(ref, w)]
-            assert op.krylov_scalars(x, y, count, p, f) == seq
+            assert op.krylov_scalars(x, y, count, f) == seq
             coeffs = [rnd.randrange(p) for _ in range(rnd.randrange(1, op.n + 2))]
             acc, power = [0] * op.n, y
             for k in coeffs:
                 acc = [(ai + k * pi) % p for ai, pi in zip(acc, power)]
                 power = [t % p for t in _dense_mul(ref, power)]
-            assert op.horner_apply(coeffs, y, p, f) == acc
+            assert op.horner_apply(coeffs, y, f) == acc
 
 
 def test_apply_int_mod_consistency_random():
@@ -209,6 +210,9 @@ def test_format_errors_carry_line_numbers():
     with pytest.raises(MatrixFormatError) as e:
         read_vector(io.StringIO("2\n1\nxx\n"))
     assert "line 3" in str(e.value)
+    with pytest.raises(MatrixFormatError) as e:
+        read_vector(io.StringIO("-1\n"))
+    assert str(e.value) == "line 1: negative length"
 
 
 def test_symmetry_check():

@@ -79,7 +79,7 @@ def test_minpoly_divides_charpoly_and_annihilates():
         op = LinearOperator.from_sparse(a)
         f = Field(p)
         x, y = f.rand(n, rnd), f.rand(n, rnd)
-        seq = op.krylov_scalars(x, y, 2 * n + 1, p, f)
+        seq = op.krylov_scalars(x, y, 2 * n + 1, f)
         d = len(g) - 1
         for j in range(len(seq) - d):
             assert sum(g[i] * seq[i + j] for i in range(d + 1)) % p == 0
@@ -108,8 +108,7 @@ def test_find_kernel_examples():
     assert any(int(x) for x in v)
 
     a = SparseMatrix.from_dense([[0, 0], [0, 1]])
-    f = Field(p)
-    v = find_kernel(a, p, rng=rng, f=f)
+    v = find_kernel(a, p, rng=rng)
     assert v[1] == 0 and v[0] != 0
 
     b = SparseMatrix.from_dense([[1, 1], [1, 1]])
@@ -129,7 +128,7 @@ def test_find_kernel_verified_random():
         a = SparseMatrix.from_dense(dense)
         op = LinearOperator.from_sparse(a)
         f = Field(p)
-        v = find_kernel(a, p, rng=rnd, f=f)
+        v = find_kernel(a, p, rng=rnd)
         assert not f.is_zero(v)
         assert f.is_zero(op.apply_mod(v, p))
 
@@ -156,8 +155,7 @@ def test_linsolve_zp_always_verified():
         b = [rnd.randrange(-50, 51) for _ in range(n)]
         a = SparseMatrix.from_dense(dense)
         op = LinearOperator.from_sparse(a)
-        f = Field(p)
-        x = linsolve_zp(a, b, p, rng=rnd, f=f)
+        x = linsolve_zp(a, b, p, rng=rnd)
         assert op.apply_mod(x, p) == [v % p for v in b]
 
 
