@@ -287,5 +287,6 @@ def oracle_eigs_bisect(dense, tol):
         isolate(mid, hi, want - left)
 
     isolate(-bound, bound, mult_in(-bound, bound))
-    assert len(out) == n, "multiplicity accounting is off"
+    if len(out) != n:
+        raise RuntimeError("multiplicity accounting is off")
     return sorted(float(x) for x in out)

@@ -22,21 +22,32 @@ integer again.  The pipeline:
                      vectors come from the live left vector only
 
 The spectrum tree departs from the paper's, which runs shift_invert at
-every node.  The sign of one exact determinant det(2^s B - m I) at a split
-point m is (-1)^(number of eigenvalues below m), the one-determinant case
-of the inertia law, so the signs at an interval's ends give the parity of
-its eigenvalue count; the root's ends have 0 and n eigenvalues below them.
-An odd interval holds at least one eigenvalue and never runs inverse
-power; only an even one goes to shift_invert, which drops it (NO) or
-splits it (YES).  Odd intervals are disjoint, so once there are n of them
-each holds exactly one eigenvalue and is narrowed to leaf width by
-determinant-sign bisection, one determinant per level and no solves.  With
-fewer, the widest odd intervals are split once and counted again.  A zero
-determinant means the split point is an eigenvalue, exactly: inside a
-one-eigenvalue interval it is reported and the bisection stops; elsewhere
-it is reported too, and its two neighbours get unknown parity, so that
-shift_invert decides them.  The leaves are disjoint by construction and
-no eigenvalue is counted twice, so the count never exceeds n.
+every node.  The exact determinant f(m) = det(2^s B - m I) =
+prod(lambda_i - m) at a split point m has the sign (-1)^(number of
+eigenvalues below m), the one-determinant case of the inertia law, so
+the signs at an interval's ends give the parity of its eigenvalue count;
+the root's ends have 0 and n eigenvalues below them.  An odd interval
+holds at least one eigenvalue and never runs inverse power; only an even
+one goes to shift_invert, which drops it (NO) or splits it (YES).  Odd
+intervals are disjoint, so once there are n of them each holds exactly
+one eigenvalue and is narrowed to leaf width with no solves, by Illinois
+regula falsi (Dowell & Jarratt, BIT 11, 1971) on the values of f, kept
+as 64-bit floats: the next point is the leaf-grid point at the floor of
+the interpolated root, clamped one leaf inside the bracket.  A step that
+leaves the smallest aligned tree node holding the bracket unchanged is
+followed by a split at that node's midpoint, so an eigenvalue costs at
+most two determinants per tree level it visits.  Only exact signs move a
+bracket, so the rounding in the interpolation decides which points are
+evaluated, never the leaf found: it is the one bisection would reach.
+With fewer than n odd intervals, the widest are split once and counted
+again.  A zero determinant means the point is an eigenvalue, exactly:
+inside a one-eigenvalue interval it is reported and the narrowing stops;
+elsewhere it is reported too, and its two neighbours get unknown parity,
+so that shift_invert decides them.  The leaves are disjoint by
+construction and no eigenvalue is counted twice, so the count never
+exceeds n.  spectrum's stats counts, per depth, the tree nodes the
+search enters: each node split while isolating, and each node a
+narrowing bracket enters.
 
 The base matrix may also be a black-box symmetric operator (the SVD path
 passes its ridged Gram product); scaling and shifting then compose
@@ -68,6 +79,7 @@ from .numeric import (
     fl_cmp_fraction,
     fl_div,
     fl_from_bigratio,
+    fl_from_int,
     fl_mul,
     fl_neg,
     fl_recip,
@@ -148,11 +160,15 @@ def _norm_sq(vec_fl):
     return acc
 
 
+def _abs(x: FloatL) -> FloatL:
+    return x if x.mantissa >= 0 else fl_neg(x)
+
+
 def _regrid(u_fl, bits):
     """Integer vector proportional to u with max magnitude ~2^bits."""
     mx = None
     for x in u_fl:
-        ax = x if x.mantissa >= 0 else fl_neg(x)
+        ax = _abs(x)
         if mx is None or fl_cmp(ax, mx) == GREATER:
             mx = ax
     if mx is None or mx.is_zero():
@@ -320,14 +336,62 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
     return NO
 
 
-def _parity_below(b_scaled, m_scaled: Fraction, rng):
-    """Parity of the number of eigenvalues of b_scaled below m_scaled, None
-    when m_scaled is one: det(b_scaled - m_scaled I) = prod(lambda_i - m)
-    is negative exactly when an odd number of factors are."""
+def _shifted_det(b_scaled, m_scaled: Fraction, rng) -> FloatL:
+    """det(b_scaled - m_scaled I) = prod(lambda_i - m), rounded to 64 bits:
+    negative exactly when an odd number of eigenvalues lie below m_scaled,
+    and zero exactly when m_scaled is one."""
     if m_scaled.denominator != 1:
         raise ValueError("midpoint off the dyadic grid")
     d = determinant(LinearOperator.shift(b_scaled, -int(m_scaled)), rng=rng)
-    return None if d == 0 else int(d < 0)
+    return fl_from_int(d, 64)
+
+
+def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
+            stats=None) -> int:
+    """Leaf-grid index k of the one eigenvalue in (ka, kb): f(k) is zero,
+    or f(k) and f(k + 1) differ in sign.
+
+    Grid points run from 0 to leaves = 2^depth, f(k) is the point's
+    _shifted_det value, and f_lo, f_hi are the values at ka and kb, of
+    opposite signs; a root end (0 or leaves) carries its sign only.
+    Illinois regula falsi: evaluate the point at the floor of the
+    interpolated root, clamped one leaf inside the bracket, and halve the
+    value at an end kept twice in a row.  Only exact signs move the
+    bracket.  N, the smallest aligned tree node holding the bracket, is
+    counted in stats[depth of N] when the bracket enters it; a step that
+    leaves N unchanged, and every step at a root end, evaluates N's
+    midpoint instead, a bisection split.  So each node entered costs at
+    most two evaluations.
+    """
+    depth = leaves.bit_length() - 1
+    node = moved = None
+    while kb - ka > 1:
+        h = (ka ^ (kb - 1)).bit_length()      # N holds 2^h leaves
+        entered = (h, ka >> h) != node
+        if entered:
+            node = (h, ka >> h)
+            if stats is not None:
+                stats[depth - h] = stats.get(depth - h, 0) + 1
+        if not entered or ka == 0 or kb == leaves:
+            k = (ka >> h << h) + (1 << (h - 1))
+        else:
+            a, b = _abs(f_lo), _abs(f_hi)
+            r = fl_mul(fl_div(a, fl_add_same_sign(a, b)), fl_from_int(kb - ka, 64))
+            k = min(max(ka + math.floor(r.to_fraction()), ka + 1), kb - 1)
+        fk = f(k)
+        if fk.is_zero():
+            return k
+        if fk.sign() == f_lo.sign():
+            ka, f_lo, side = k, fk, LESS
+        else:
+            kb, f_hi, side = k, fk, GREATER
+        if side == moved:   # the other end was kept twice: Illinois halving
+            if side == LESS:
+                f_hi = fl_scale_pow2(f_hi, -1)
+            else:
+                f_lo = fl_scale_pow2(f_lo, -1)
+        moved = side
+    return ka
 
 
 def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
@@ -337,9 +401,11 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
     Root interval [-2nU, 2nU] (Gershgorin keeps every eigenvalue inside
     nU + eps/2), widths halve, so depth-d endpoints live on the 4nU/2^d
     grid; scale_pow is chosen to keep every midpoint integral.  An
-    interval is (lo, hi, depth, label, parity at lo, parity at hi), the
-    parity at a point being _parity_below's; the root's ends have 0 and n
-    eigenvalues below them.
+    interval is (lo, hi, depth, label, f(lo), f(hi)), f being
+    _shifted_det's value; the root's ends carry only their signs, + and
+    (-1)^n, as they have 0 and n eigenvalues below them.  stats[d] counts
+    the depth-d tree nodes entered: each node split while isolating, and
+    each node _narrow's bracket enters.
     """
     n = b.n
     reach = n * u
@@ -358,21 +424,24 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
     odd = []       # intervals holding an odd number of eigenvalues
     pending = []   # intervals of even or unknown count, for shift_invert
 
+    def value(m, *labels):
+        return _shifted_det(b_scaled, m * (1 << scale_pow),
+                            derive_rng(rng, "det", *labels))
+
     def split(iv):
-        lo, hi, depth, label, p_lo, p_hi = iv
+        lo, hi, depth, label, f_lo, f_hi = iv
         if stats is not None:
             stats[depth] = stats.get(depth, 0) + 1
         mid = (lo + hi) / 2
-        p_mid = _parity_below(b_scaled, mid * (1 << scale_pow),
-                              derive_rng(rng, "det", label))
-        if p_mid is None:
+        f_mid = value(mid, label)
+        if f_mid.is_zero():
             exact.append(mid)
-        return ((lo, mid, depth + 1, 2 * label + 1, p_lo, p_mid),
-                (mid, hi, depth + 1, 2 * label + 2, p_mid, p_hi))
+        return ((lo, mid, depth + 1, 2 * label + 1, f_lo, f_mid),
+                (mid, hi, depth + 1, 2 * label + 2, f_mid, f_hi))
 
     def place(ivs):
         for iv in ivs:
-            if None not in iv[4:] and iv[4] != iv[5]:
+            if iv[4].sign() * iv[5].sign() < 0:
                 odd.append(iv)
             elif iv[1] - iv[0] >= leaf_width:
                 pending.append(iv)
@@ -380,8 +449,15 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
             # holds no eigenvalue and one of unknown parity only the
             # split-point eigenvalue at its end, already in `exact`
 
+    leaves = 1 << depth_needed
+    leaf = Fraction(4 * reach, leaves)
+
+    def point(k):
+        return -2 * reach + k * leaf
+
     with meter.track("spectrum.bmatrix", bits):
-        place([(Fraction(-2 * reach), Fraction(2 * reach), 0, 0, 0, n % 2)])
+        place([(Fraction(-2 * reach), Fraction(2 * reach), 0, 0,
+                fl_from_int(1, 64), fl_from_int((-1) ** n, 64))])
         # odd intervals and split-point eigenvalues are disjoint, each worth
         # at least one eigenvalue: n of them are worth one each, and every
         # interval still pending holds none
@@ -401,15 +477,11 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
                 place(split(iv))
         if len(odd) + len(exact) > n:
             raise ResultCountMismatch(f"more than {n} eigenvalues counted")
-        for iv in odd:
-            # one eigenvalue inside: determinant-sign bisection
-            while iv[1] - iv[0] >= leaf_width:
-                left, right = split(iv)
-                if left[5] is None:
-                    break
-                iv = left if left[4] != left[5] else right
-            else:
-                exact.append(iv[0])
+        for lo, hi, _, _, f_lo, f_hi in odd:
+            k = _narrow(lambda k: value(point(k), "grid", k),
+                        int((lo + 2 * reach) / leaf), int((hi + 2 * reach) / leaf),
+                        f_lo, f_hi, leaves, stats)
+            exact.append(point(k))
     return sorted(exact), scale_pow, b_scaled
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -86,6 +89,27 @@ def test_eigs_examples():
     assert abs(out[0] + 1) <= 1e-4 and abs(out[1] - 1) <= 1e-4
     out = oracle_eigs_bisect([[2, 1], [1, 2]], 1e-4)
     assert abs(out[0] - 1) <= 1e-4 and abs(out[1] - 3) <= 1e-4
+
+
+def test_eigs_count_check_survives_optimize():
+    """The root count is checked with a raised error, so python -O keeps
+    it: a characteristic polynomial of the wrong degree is caught."""
+    code = (
+        "from fractions import Fraction\n"
+        "from lospace import oracle\n"
+        "oracle.oracle_charpoly = lambda dense: [Fraction(-1), Fraction(1)]\n"
+        "try:\n"
+        "    oracle.oracle_eigs_bisect([[1, 0], [0, 2]], 1e-6)\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "multiplicity accounting is off\n"
 
 
 def test_eigs_multiplicities_and_random():

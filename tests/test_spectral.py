@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from lospace import spectral
+from lospace import solver, spectral
 from lospace.linop import SparseMatrix
+from lospace.numeric import fl_from_bigratio
 from lospace.oracle import oracle_det_bareiss, oracle_eigs_bisect
 from lospace.spectral import (
     NO,
@@ -184,16 +185,17 @@ def test_shifted_determinant_sign_is_count_parity():
             m = Fraction(rnd.randrange(-12 * 4, 12 * 4), 4)
             if trial % 4 == 0 and k % 2 == 0:
                 m = Fraction(a[k % n][k % n])  # an eigenvalue of a diagonal a
-            got = spectral._parity_below(scaled, m * (1 << s), random.Random(trial))
+            got = spectral._shifted_det(scaled, m * (1 << s), random.Random(trial))
             shifted = [[int((a[i][j] - (m if i == j else 0)) * 4) for j in range(n)]
                        for i in range(n)]
             if oracle_det_bareiss(shifted) == 0:
-                assert got is None, (a, m)
+                assert got.is_zero(), (a, m)
                 zeros += 1
                 continue
             if min(abs(x - m) for x in eigs) < 1e-6:
                 continue
-            assert got == sum(1 for x in eigs if x < m) % 2, (a, m, eigs)
+            assert int(got.sign() < 0) == sum(1 for x in eigs if x < m) % 2, \
+                (a, m, eigs)
             checked += 1
     assert checked >= 150 and zeros >= 5
 
@@ -259,6 +261,118 @@ def test_shift_invert_sees_only_even_intervals(monkeypatch):
     for got, want in zip(vals, oracle_eigs_bisect(a, 1e-8)):
         assert abs(float(got) - want) <= 0.05
     assert 0 < len(calls) <= 30, len(calls)
+
+
+def _bisect(f, ka, kb, f_lo, f_hi, leaves, stats=None):
+    """Reference for spectral._narrow: determinant-sign bisection, one
+    determinant per level at the midpoint of the aligned node that is the
+    bracket, each node counted in stats as it is split."""
+    depth = leaves.bit_length() - 1
+    while kb - ka > 1:
+        h = (kb - ka).bit_length() - 1
+        if stats is not None:
+            stats[depth - h] = stats.get(depth - h, 0) + 1
+        mid = (ka + kb) // 2
+        f_mid = f(mid)
+        if f_mid.is_zero():
+            return mid
+        if f_mid.sign() == f_lo.sign():
+            ka, f_lo = mid, f_mid
+        else:
+            kb = mid
+    return ka
+
+
+def _both_ways(monkeypatch, run):
+    """run() with regula falsi, then with the bisection reference, and the
+    spectral determinant calls each made."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solver.determinant(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "determinant", counting)
+    out = []
+    for narrow in (spectral._narrow, _bisect):
+        monkeypatch.setattr(spectral, "_narrow", narrow)
+        calls[0] = 0
+        out.append((run(), calls[0]))
+    return out
+
+
+def _spectra(n, count, seed):
+    rnd = random.Random(seed)
+    return [spectrum(SparseMatrix.from_dense(sym_random(rnd, n, 10)), 0.05, i)
+            for i in range(count)]
+
+
+def test_regula_falsi_matches_bisection_with_fewer_determinants(monkeypatch):
+    """16 seeded n=4 spectra: the same FixedL bits as bisection, at most 70
+    determinants per spectrum on average, a cap bisection's ~123 fails."""
+    (got, dets), (want, ref_dets) = _both_ways(
+        monkeypatch, lambda: _spectra(4, 16, 104))
+    assert got == want
+    assert dets / 16 <= 70 < ref_dets / 16, (dets / 16, ref_dets / 16)
+
+
+def test_regula_falsi_matches_bisection_n6_eigendecompose_svd(monkeypatch):
+    (got, _), (want, _) = _both_ways(monkeypatch, lambda: _spectra(6, 6, 106))
+    assert got == want
+    rnd = random.Random(3)
+    mats = [SparseMatrix.from_dense(sym_random(rnd, 3, 10)) for _ in range(3)]
+    (got, _), (want, _) = _both_ways(monkeypatch, lambda: [
+        list(eigendecompose(a, 0.05, i)) for i, a in enumerate(mats)])
+    assert got == want
+    mats = [SparseMatrix.from_dense([[rnd.randrange(-10, 11) for _ in range(2)]
+                                     for _ in range(2)]) for _ in range(3)]
+    (got, _), (want, _) = _both_ways(monkeypatch, lambda: [
+        list(svd(a, 0.05, i)) for i, a in enumerate(mats)])
+    assert got == want
+
+
+def test_eigenvalue_on_a_fine_grid_point_is_exact(monkeypatch):
+    """Unperturbed, 1 is a depth-5 grid point of [-16, 16] that no
+    isolating split reaches: regula falsi must land on its zero."""
+    _unperturbed(monkeypatch)
+    a = SparseMatrix.from_dense([[1, 0], [0, -4]])
+    (got, _), (want, _) = _both_ways(monkeypatch, lambda: spectrum(a, 0.05, 1))
+    assert [float(v) for v in got] == [-4.0, 1.0]
+    assert got == want
+
+
+def test_narrow_on_strongly_curved_values():
+    """One eigenvalue inside an aligned node, a cluster of others just
+    outside each end: at most two evaluations per node entered, only nodes
+    bisection splits, and bisection's leaf."""
+    rnd = random.Random(61)
+    depth = 30
+    leaves = 1 << depth
+    for trial in range(40):
+        h = rnd.randrange(2, 25)
+        ka = rnd.randrange(leaves >> h) << h
+        kb = ka + (1 << h)
+        inside = Fraction(rnd.randrange(ka, kb)) + rnd.choice([0, Fraction(1, 3)])
+        if inside == ka:
+            inside += Fraction(1, 2)
+        eigs = [inside]
+        eigs += [ka - Fraction(rnd.randrange(1, 100), 1000) for _ in range(trial % 4)]
+        eigs += [kb + Fraction(rnd.randrange(1, 100), 1000) for _ in range(3)]
+        evals = []
+
+        def f(k):
+            evals.append(k)
+            v = math.prod(lam - k for lam in eigs)
+            return fl_from_bigratio(v.numerator, v.denominator, 64)
+
+        f_lo, f_hi = f(ka), f(kb)
+        evals.clear()
+        stats, ref_stats = {}, {}
+        got = spectral._narrow(f, ka, kb, f_lo, f_hi, leaves, stats)
+        assert got == math.floor(inside)
+        assert len(evals) <= 2 * sum(stats.values()), (trial, len(evals))
+        assert _bisect(f, ka, kb, f_lo, f_hi, leaves, ref_stats) == got
+        assert set(stats.values()) == {1} and set(stats) <= set(ref_stats)
 
 
 def test_off_grid_midpoint_rejected_under_optimize():
