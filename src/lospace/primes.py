@@ -140,6 +140,12 @@ def _draw_prime(rng: random.Random, lower: int, seen: set,
         f"no new prime in [{lower}, {hi}] after {budget} draws")
 
 
+def window_floor(lower: int) -> int:
+    """The start of the pool window for lower: lower snapped up to a power
+    of two, at least 16, so that nearby ranges share one stream."""
+    return max(16, 1 << (lower - 1).bit_length())
+
+
 class PrimePool:
     """Deterministic lazily-extended streams of distinct primes per window.
 
@@ -160,8 +166,7 @@ class PrimePool:
         the exclusive top when 2m <= top < m^2."""
         import hashlib
 
-        # snap to a power of two so nearby ranges share one stream
-        lower = max(16, 1 << (lower - 1).bit_length())
+        lower = window_floor(lower)
         hi = lower * lower
         label = f"lospace.primepool|{lower}"
         if top is not None and 2 * lower <= top < hi:

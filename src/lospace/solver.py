@@ -1,15 +1,13 @@
 """Exact determinants and the linear-space rational system solver.
 
-The determinant is CRT over primes sampled from [max(16, n^2 U), ..^2]:
-residues come from the finite-field routine, and primes are drawn until
-their product exceeds twice a Hadamard bound on |det|, which certifies
-exact signed recovery (n = 1 additionally forces the range above 2U so a
-single prime already suffices).  For a plain matrix the bound is the
-row-norm form prod_i |row_i|_2, and for a Gram product A^T A, which is
-positive semidefinite, the product of its diagonal prod_j |col_j|_2^2;
-a zero row or column makes the bound 0 and the determinant is then 0
-outright.  Other composed operators (shifts) use U^n n^(n/2) from their
-entry bound U.
+The determinant is CRT over primes drawn one at a time from the
+operator's prime window (below), until their product exceeds twice a
+Hadamard bound on |det|, which certifies exact signed recovery.  For a
+plain matrix the bound is the row-norm form prod_i |row_i|_2, and for a
+Gram product A^T A, which is positive semidefinite, the product of its
+diagonal prod_j |col_j|_2^2; a zero row or column makes the bound 0 and
+the determinant is then 0 outright.  Other composed operators (shifts)
+use U^n n^(n/2) from their entry bound U.
 
 The solver multiplies the system by det(A) so the solution is integral,
 then recovers it digit by digit in base p for one prime p >= n^3 U without
@@ -23,12 +21,19 @@ coordinate, coordinates are processed in K blocks, re-running the digit
 stream per block; digits are seeded identically per block so K never
 changes the output.
 
-Both draw their primes below the operator's word bound
-(``LinearOperator.prime_top``) when it has fused kernels and the cap
-leaves the window at least twice its lower end (``primes`` shows the
-window still holds enough primes); every step then runs on the int64
-kernels.  Any prime not dividing det serves the lift, and any prime the
-CRT, so only the outputs' rounding, never det, depends on which window.
+Both draw from one prime stream per operator, the window
+[max(16, n^3 U), ..^2] (``_prime_window``), capped below the operator's
+word bound (``LinearOperator.prime_top``) when it has fused kernels and
+the cap leaves the window at least twice its lower end (``primes`` shows
+the window still holds enough primes); every step then runs on the int64
+kernels.  The lift takes the first prime of the stream that does not
+divide det, usually one the determinant already drew, so a fresh pool
+holds no prime that no residue or lift used.  The one exception is the
+determinant of an operator whose n^3 U window starts above half its word
+bound: it falls back to the n^2 U window, which may still be capped, so
+that its residues stay on the int64 kernels.  Any prime not dividing det
+serves the lift, and any prime the CRT, so only the outputs' rounding,
+never det, depends on which window.
 
 Hot loops run against one cached minimal polynomial per (matrix, prime):
 each lifting step is a Horner application plus one verification product.
@@ -56,7 +61,7 @@ from .numeric import (
     fl_zero,
 )
 from .linop import BASE, GRAM, LinearOperator, SparseMatrix
-from .primes import crt_combine, shared_pool
+from .primes import crt_combine, shared_pool, window_floor
 from .wiedemann import FpSolver, determinant_zp
 
 # failure exponent: a determinant fails with probability at most n^-C, and
@@ -125,16 +130,39 @@ def gram_bound(a: SparseMatrix):
         return math.prod(sq)
 
 
+def _prime_window(op, det=False):
+    """(lower, top) of the one prime stream an operator draws from, for
+    ``shared_pool.get``: lower = max(16, n^3 U), and top =
+    op.prime_top(), the word bound of its fused kernels (None without
+    them).  The lifting prime and the determinant's CRT primes share
+    that stream, so a fresh pool holds only primes some residue or lift
+    used.
+
+    One exception, for the determinant (det=True) of an operator with a
+    top: where the n^3 U window is uncapped because it starts above top/2
+    (its primes would all be too wide for the int64 kernels), the
+    determinant draws from the n^2 U window instead, which may still be
+    capped below top; the lift keeps the n^3 U window.
+    """
+    n, u, top = op.n, op.entry_bound, op.prime_top()
+    lower = max(16, n ** 3 * u)
+    if det and top is not None and 2 * window_floor(lower) > top:
+        lower = max(16, n * n * u)
+    return lower, top
+
+
 def determinant(a, rng=None) -> int:
     """Exact det(a) with failure probability <= n^-C.
 
-    Primes are drawn from [max(16, n^2 U), ..^2], below op.prime_top()
-    where that caps the window, until their product exceeds twice the
-    Hadamard bound: the row-norm bound for a plain matrix, the
-    column-norm bound for a Gram product (a zero row or column returns 0
-    without drawing a prime) and hadamard_bound(n, U) for any other
-    composed operator.  At most n primes are ever needed, usually far
-    fewer.  Each residue is a finite-field determinant; reconstruction is
+    Primes are drawn one at a time from the operator's window
+    (``_prime_window``: [max(16, n^3 U), ..^2], or the n^2 U window where
+    only that one fits the word bound, capped below op.prime_top()), until
+    their product exceeds twice the Hadamard bound: the row-norm bound for
+    a plain matrix, the column-norm bound for a Gram product (a zero row
+    or column returns 0 without drawing a prime) and hadamard_bound(n, U)
+    for any other composed operator.  Every prime exceeds n^2 U, so at
+    most n primes (two when n = 1) are ever needed, usually far fewer.
+    Each residue is a finite-field determinant; reconstruction is
     incremental CRT with signed recovery.
     """
     op = LinearOperator.wrap(a)
@@ -153,22 +181,13 @@ def determinant(a, rng=None) -> int:
     if bound == 0:
         return 0
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    lower = max(16, n * n * u, (2 * u + 1) if n == 1 else 0)
-    top = op.prime_top()
+    lower, top = _prime_window(op, det=True)
     # pooled primes: every residue is certificate-checked, so sharing the
     # prime stream across calls costs nothing in correctness
-    primes = []
-    prod = 1
-    k = 0
+    primes, prod = [], 1
     while prod <= bound:
-        k += 4
-        primes = shared_pool.get(lower, k, top=top)
-        prod = 1
-        for q in primes:
-            prod *= q
-            if prod > bound:
-                primes = primes[: primes.index(q) + 1]
-                break
+        primes = shared_pool.get(lower, len(primes) + 1, top=top)
+        prod *= primes[-1]
     delta = min(0.01, float(n) ** -(C + 2))
     residues = [determinant_zp(op, q, delta, random.Random(rng.getrandbits(63)))
                 for q in primes]
@@ -237,11 +256,11 @@ class RationalSolver:
     def _pick_prime(self):
         from .wiedemann import RetriesExhausted
 
-        lower = max(16, self.n ** 3 * self.u)
-        for count in (1, 2, 4, 8):
-            for p in shared_pool.get(lower, count, top=self.op.prime_top()):
-                if self.det % p:
-                    return p
+        lower, top = _prime_window(self.op)
+        for count in range(1, 9):
+            p = shared_pool.get(lower, count, top=top)[-1]
+            if self.det % p:
+                return p
         raise RetriesExhausted("kept finding primes dividing det(A)")
 
     def close(self):

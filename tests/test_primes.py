@@ -141,6 +141,19 @@ def test_capped_window_draws_below_top():
     assert max(wide) > 1 << 50 and pool.get(1 << 29, 4) == wide
 
 
+def test_pool_grows_one_prime_at_a_time():
+    """get(lower, 1), get(lower, 2), ..., get(lower, k) on one pool each
+    extend the same stream: the last call equals get(lower, k) on a fresh
+    pool, capped or not, so drawing one prime at a time picks the primes
+    a batch would."""
+    for lower, top, k in ((1 << 25, None, 9), (1 << 19, 1 << 50, 9),
+                          (1 << 30, 1 << 50, 6), (16, 32, 5)):
+        pool = PrimePool()
+        for count in range(1, k + 1):
+            got = pool.get(lower, count, top=top)
+        assert got == PrimePool().get(lower, k, top=top)
+
+
 def test_uncapped_window_keeps_its_stream():
     """A top that caps nothing (top >= lower^2, or top < 2 lower) leaves
     the window [lower, lower^2] and its seed label as they were: the

@@ -22,7 +22,7 @@ from lospace.solver import (
     row_norm_bound,
     sign_combine,
 )
-from lospace.primes import shared_pool
+from lospace.primes import PrimePool, shared_pool, window_floor
 
 
 def rand_dense(rnd, n, lo=-9, hi=9):
@@ -141,31 +141,34 @@ def _spy_on_determinant_zp(monkeypatch):
     return calls
 
 
-def _pool_prefix(lower, bound):
+def _pool_prefix(lower, bound, top=None):
     """Length of the shortest shared-pool prefix whose product exceeds bound."""
     k, prod = 0, 1
     while prod <= bound:
         k += 1
-        prod = math.prod(shared_pool.get(lower, k))
+        prod = math.prod(shared_pool.get(lower, k, top=top))
     return k
 
 
 def test_determinant_stops_at_the_row_norm_bound(monkeypatch):
     """On seeded tridiagonal-plus-noise matrices (n = 64, U = 100) the
-    determinant computes one residue per prime of the shortest pool
-    prefix whose product exceeds twice the row-norm bound, fewer than the
-    entry-bound form U^n n^(n/2) needs."""
+    determinant computes one residue per prime of the shortest prefix of
+    the operator's pool window [n^3 U, ..^2] whose product exceeds twice
+    the row-norm bound, fewer than the entry-bound form U^n n^(n/2)
+    needs."""
     calls = _spy_on_determinant_zp(monkeypatch)
     n = 64
     for seed in (1, 2, 3):
         a = bench_matrix(n, random.Random(seed))
-        lower = max(16, n * n * a.entry_bound)
+        lower = max(16, n ** 3 * a.entry_bound)
+        top = LinearOperator.from_sparse(a).prime_top()
         calls.clear()
         det = determinant(a, rng=seed)
         assert det != 0
-        want = _pool_prefix(lower, 2 * row_norm_bound(a))
-        assert calls == shared_pool.get(lower, want)
-        assert want < _pool_prefix(lower, 2 * hadamard_bound(n, a.entry_bound))
+        want = _pool_prefix(lower, 2 * row_norm_bound(a), top)
+        assert calls == shared_pool.get(lower, want, top=top)
+        assert want < _pool_prefix(lower, 2 * hadamard_bound(n, a.entry_bound),
+                                   top)
 
 
 def test_gram_determinant_stops_at_the_column_norm_bound(monkeypatch):
@@ -179,13 +182,15 @@ def test_gram_determinant_stops_at_the_column_norm_bound(monkeypatch):
     dense = [[rnd.randrange(-100, 101) for _ in range(m)] for _ in range(n)]
     a = SparseMatrix.from_dense(dense)
     gram = LinearOperator.gram(a)
-    lower = max(16, m * m * gram.entry_bound)
+    lower = max(16, m ** 3 * gram.entry_bound)
+    top = gram.prime_top()
     bound = math.prod(sum(row[j] ** 2 for row in dense) for j in range(m))
     assert gram_bound(a) == bound
     det = determinant(gram, rng=5)
-    want = _pool_prefix(lower, 2 * bound)
-    assert calls == shared_pool.get(lower, want)
-    assert want < _pool_prefix(lower, 2 * hadamard_bound(m, gram.entry_bound))
+    want = _pool_prefix(lower, 2 * bound, top)
+    assert calls == shared_pool.get(lower, want, top=top)
+    assert want < _pool_prefix(lower, 2 * hadamard_bound(m, gram.entry_bound),
+                               top)
     gram_dense = [[sum(row[i] * row[j] for row in dense) for j in range(m)]
                   for i in range(m)]
     assert det == oracle_det_bareiss(gram_dense)
@@ -494,8 +499,8 @@ def _dense_nonzero(rnd, n, m, u):
 
 def test_shift_operator_primes_are_uncapped(monkeypatch):
     """SHIFT has no fused kernel, so its determinant and lifting primes
-    come from the uncapped windows [N, N^2], as before; the same matrix as
-    a plain operator draws them below its word bound instead."""
+    come from the one uncapped window [n^3 U, ..^2]; the same matrix as a
+    plain operator draws them below its word bound instead."""
     calls = _spy_on_determinant_zp(monkeypatch)
     rnd = random.Random(61)
     n, u = 4, 10 ** 7
@@ -509,7 +514,7 @@ def test_shift_operator_primes_are_uncapped(monkeypatch):
         [[v + (3 if i == j else 0) for j, v in enumerate(row)]
          for i, row in enumerate(dense)])
     s = RationalSolver(shifted, 1e-6, 3)
-    det_lower = max(16, n * n * shifted.entry_bound)
+    det_lower = max(16, n ** 3 * shifted.entry_bound)
     assert s.det == want_det
     assert calls == shared_pool.get(det_lower, len(calls))
     assert max(calls) > top
@@ -520,9 +525,102 @@ def test_shift_operator_primes_are_uncapped(monkeypatch):
     calls.clear()
     plain = RationalSolver(a, 1e-6, 3)
     assert plain.det == oracle_det_bareiss(dense)
-    assert calls == shared_pool.get(n * n * a.entry_bound, len(calls), top=top)
+    assert calls == shared_pool.get(n ** 3 * a.entry_bound, len(calls), top=top)
     assert max(calls) < top and plain.prime < top
     plain.close()
+
+
+def _fresh_pool(monkeypatch):
+    """A new, empty pool in place of the solver's shared one."""
+    pool = PrimePool()
+    monkeypatch.setattr(solver, "shared_pool", pool)
+    return pool
+
+
+def _streams(pool):
+    """The primes a pool has drawn, one list per window."""
+    return [st["primes"] for st in pool._streams.values()]
+
+
+def _one_of_each_kind(rnd):
+    """A sparse plain matrix, a Gram operator and a shifted matrix, each
+    invertible."""
+    base = bench_matrix(24, rnd)
+    gram = LinearOperator.gram(SparseMatrix.from_dense(
+        _dense_nonzero(rnd, 30, 9, 100)))
+    shift = LinearOperator.shift(
+        SparseMatrix.from_dense(_dense_nonzero(rnd, 5, 5, 10)), 3)
+    return [LinearOperator.from_sparse(base), gram, shift]
+
+
+def test_determinant_draws_only_the_primes_it_uses(monkeypatch):
+    """On a fresh pool the determinant draws its primes one at a time:
+    afterwards the pool holds exactly the primes determinant_zp saw, in
+    one stream, for a plain, a Gram and a shifted operator."""
+    calls = _spy_on_determinant_zp(monkeypatch)
+    for seed in (1, 2, 3):
+        for op in _one_of_each_kind(random.Random(seed)):
+            pool = _fresh_pool(monkeypatch)
+            calls.clear()
+            assert determinant(op, rng=seed) != 0
+            assert _streams(pool) == [calls]
+
+
+def test_solver_lifts_with_the_determinants_stream(monkeypatch):
+    """RationalSolver draws the determinant's CRT primes and its lifting
+    prime from one stream: a fresh pool ends with that stream alone, the
+    lift prime is its first prime not dividing det, and every pooled
+    prime was a residue's or the lift's."""
+    calls = _spy_on_determinant_zp(monkeypatch)
+    for seed in (1, 2, 3):
+        for op in _one_of_each_kind(random.Random(seed)):
+            pool = _fresh_pool(monkeypatch)
+            calls.clear()
+            s = RationalSolver(op, 1e-6, seed)
+            try:
+                (stream,) = _streams(pool)
+                assert stream[:len(calls)] == calls
+                assert s.prime == next(p for p in stream if s.det % p)
+                assert set(stream) == set(calls) | {s.prime}
+            finally:
+                s.close()
+
+
+def test_band_determinant_stays_on_the_fused_kernels(monkeypatch):
+    """Dense n = 40 at U = 10^10: the n^3 U window starts above half the
+    word bound, so its primes are all too wide for the int64 kernels.
+    The determinant falls back to the capped n^2 U window and every
+    Krylov and Horner call is fused; the lift keeps the n^3 U window.
+    The result equals Bareiss."""
+    rnd = random.Random(40)
+    n, u = 40, 10 ** 10
+    dense = _dense_nonzero(rnd, n, n, u)
+    a = SparseMatrix.from_dense(dense)
+    top = LinearOperator.from_sparse(a).prime_top()
+    assert 2 * window_floor(n ** 3 * a.entry_bound) > top
+    fused = []
+    is_fused = LinearOperator._fused
+
+    def spy(self, p):
+        fused.append(is_fused(self, p))
+        return fused[-1]
+
+    monkeypatch.setattr(LinearOperator, "_fused", spy)
+    calls = _spy_on_determinant_zp(monkeypatch)
+    assert determinant(a, rng=9) == oracle_det_bareiss(dense)
+    assert fused and all(fused)
+    assert calls == shared_pool.get(n * n * a.entry_bound, len(calls), top=top)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_by_one_determinant_is_exact(seed):
+    """A 1 x 1 determinant needs a prime above 2|a|; the first prime of
+    the window [max(16, U), ..^2] can miss that, and a second one is then
+    drawn.  Exact on both signs, over a range of entries around powers of
+    two."""
+    for u in (1, 7, 15, 16, 17, 63, 64, 65, 1000, 2 ** 40 + 3):
+        for v in (u, -u):
+            assert determinant(SparseMatrix.from_dense([[v]]), rng=seed) == v
 
 
 def test_regression_runs_the_fused_gram_kernels(monkeypatch):
