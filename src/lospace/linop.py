@@ -90,7 +90,11 @@ class SparseMatrix:
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry at ({i},{j})")
             seen.add((i, j))
-        entries = sorted(entries)
+        return SparseMatrix._from_sorted(n, m, sorted(entries))
+
+    @staticmethod
+    def _from_sorted(n, m, entries):
+        """From distinct in-range (i, j, v) entries in sorted order."""
         return SparseMatrix(n, m,
                             [e[0] for e in entries],
                             [e[1] for e in entries],
@@ -366,7 +370,8 @@ def read_matrix(fp) -> SparseMatrix:
             raise MatrixFormatError(lineno, f"duplicate entry ({i},{j})")
         seen.add((i, j))
         entries.append((i - 1, j - 1, v))
-    return SparseMatrix.from_entries(n, m, entries)
+    entries.sort()
+    return SparseMatrix._from_sorted(n, m, entries)
 
 
 def write_vector(v, fp) -> None:

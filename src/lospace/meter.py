@@ -74,13 +74,8 @@ class WorkspaceMeter:
         if lab[0] > lab[1]:
             lab[1] = lab[0]
 
-    @contextmanager
-    def track(self, label: str, bits: int):
-        tok = self.alloc(label, bits)
-        try:
-            yield tok
-        finally:
-            self.free(tok)
+    def track(self, label: str, bits: int) -> "track":
+        return track(label, bits, self)
 
     @contextmanager
     def activate(self):
@@ -128,8 +123,22 @@ def current() -> WorkspaceMeter:
     return st[-1] if st else _NULL
 
 
-@contextmanager
-def track(label: str, bits: int):
-    """Track a buffer against the active meter for the dynamic extent."""
-    with current().track(label, bits) as tok:
-        yield tok
+class track:
+    """``with track(label, bits) as tok:`` charges a buffer to meter, or
+    to the active meter when none is given, for the dynamic extent."""
+
+    __slots__ = ("label", "bits", "meter", "token")
+
+    def __init__(self, label: str, bits: int, meter=None):
+        self.label = label
+        self.bits = bits
+        self.meter = meter
+
+    def __enter__(self) -> int:
+        if self.meter is None:
+            self.meter = current()
+        self.token = self.meter.alloc(self.label, self.bits)
+        return self.token
+
+    def __exit__(self, *exc):
+        self.meter.free(self.token)

@@ -29,12 +29,66 @@ at most log_N |D| prime divisors of size N or more: the primes a caller
 must avoid (those dividing a determinant) are a vanishing share of the
 window, as in the uncapped case.
 
+How a candidate is settled.  Write psi_t for the least odd composite
+that passes a Miller-Rabin round to each of the first t prime bases
+2, 3, 5, ..., p_t (OEIS A014233; psi_12 and psi_13 are from Sorenson and
+Webster, Math. Comp. 86, 2017):
+
+    t        psi_t
+    1        2047
+    2        1373653
+    3        25326001
+    4        3215031751
+    5        2152302898747
+    6        3474749660383
+    7, 8     341550071728321
+    9..11    3825123056546413051
+    12       318665857834031151167461
+    13       3317044064679887385961981   (about 2^81.5)
+
+So for x < psi_t the first t prime bases prove x prime or composite.
+``test_prime`` uses that: below psi_13, an x that survives its first
+random round is decided by the first t prime bases, t least with
+x < psi_t, instead of by more random rounds.  It still draws every base
+the random rounds would draw: an accepted x draws its remaining bases
+untested, and a rejected one keeps running random rounds until one of
+them finds a witness, or the rounds run out.  Its use of rng is
+therefore that of plain random rounds whenever those reach the right
+verdict, and its verdict is exact below psi_13.
+
+The sampler goes further above 2^99.  Damgard, Landrock and Pomerance
+(Math. Comp. 61, 1993) bound the chance that a uniformly random odd
+k-bit integer which passes t random rounds is composite; for k >= 100
+the t of ``_SAMPLER_ROUNDS`` (Menezes, van Oorschot and Vanstone,
+Handbook of Applied Cryptography, Table 4.4) make it at most 2^-80,
+which is what 40 rounds give in the worst case.  The bound applies to
+the sampler's candidates of k >= 100 bits, which only uncapped windows
+hold:
+
+  - an uncapped window is [2^a, 2^2a], so given its bit length k the
+    candidate is uniform on all k-bit integers, and given that it is
+    odd, on all odd ones;
+  - the gcd filter removes only composites (every candidate is at least
+    512), which can only lower the share of composites among the
+    candidates that pass;
+  - the repeat filter removes at most the c primes already drawn, out of
+    more than 2^92 of k bits, so it raises the bound by a factor of at
+    most 1 + c 2^-92;
+  - a capped window ends below the word bound, 2^50 or less, so all its
+    candidates lie below psi_13 and are decided exactly.
+
+An accepted candidate then draws the 40 - t bases it did not test, so a
+stream departs from that of 40 random rounds only where 40 rounds would
+have caught a composite that t rounds passed: probability 2^-80 per
+accepted prime.  Candidates of 82 to 99 bits keep 40 random rounds.
+
 CRT reconstruction is incremental (Garner style): only the running product
 and remainder are live, never the full residue table.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
@@ -80,40 +134,79 @@ class DuplicatePrime(ValueError):
     pass
 
 
+# psi_t for t = 1..13 and the first 13 prime bases (module docstring)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (k, t): t random rounds leave a uniformly random odd integer of k or more
+# bits composite with probability <= 2^-80 (HAC Table 4.4)
+_SAMPLER_ROUNDS = ((1300, 2), (850, 3), (650, 4), (550, 5), (450, 6),
+                   (400, 7), (350, 8), (300, 9), (250, 12), (200, 15),
+                   (150, 18), (100, 27))
+
+
+def _witness(a, d, r, x):
+    """True when base a proves x = d 2^r + 1 composite."""
+    y = pow(a, d, x)
+    if y == 1 or y == x - 1:
+        return False
+    for _ in range(r - 1):
+        y = y * y % x
+        if y == x - 1:
+            return False
+    return True
+
+
 def test_prime(x: int, rounds: int = 40, rng: random.Random | None = None) -> str:
-    """Miller-Rabin: PRIME for every prime; composites escape w.p. <= 4^-rounds."""
+    """Miller-Rabin: PRIME for every prime, exact below psi_13; above it
+    composites escape w.p. <= 4^-rounds.  Draws rounds random bases from
+    rng whatever it finds, except that a composite stops at its first
+    random witness."""
     if x < 2:
         raise ValueError("test_prime wants x >= 2")
     if x < 512:
         return PRIME if x in _small_primes() else COMPOSITE
     if x & 1 == 0:
         return COMPOSITE
+    if rounds < 1:
+        raise ValueError("test_prime wants rounds >= 1")
     rng = rng or random.Random()
     d = x - 1
     r = 0
     while d & 1 == 0:
         d >>= 1
         r += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, x - 1)
-        y = pow(a, d, x)
-        if y == 1 or y == x - 1:
-            continue
-        for _ in range(r - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
+    verdict = PRIME
+    for i in range(rounds):
+        if _witness(rng.randrange(2, x - 1), d, r, x):
             return COMPOSITE
-    return PRIME
+        if i == 0 and x < _PSI[-1]:
+            t = bisect.bisect_right(_PSI, x) + 1
+            if not any(_witness(a, d, r, x) for a in _PRIME_BASES[:t]):
+                for _ in range(rounds - 1):
+                    rng.randrange(2, x - 1)
+                return PRIME
+            verdict = COMPOSITE
+    return verdict
 
 
 def _looks_prime(x, rng):
+    """The sampler's test: like test_prime(x, 40, rng), rng use included,
+    but with the rounds of _SAMPLER_ROUNDS above 2^99."""
     if x < 512:
         return x in _small_primes()
     if x & 1 == 0 or math.gcd(x, _primorial()) > 1:
         return False
-    return test_prime(x, rng=rng) == PRIME
+    k = x.bit_length()
+    t = next((t for bits, t in _SAMPLER_ROUNDS if k >= bits), 40)
+    if test_prime(x, t, rng) == COMPOSITE:
+        return False
+    for _ in range(40 - t):
+        rng.randrange(2, x - 1)
+    return True
 
 
 def _draw_prime(rng: random.Random, lower: int, seen: set,

@@ -223,12 +223,12 @@ def _fl_div_int(x: FloatL, d: int) -> FloatL:
 class RationalSolver:
     """Repeated entry-wise-approximate solves against one fixed matrix.
 
-    Computes det(A) and samples the lifting prime once; every solve() then
-    runs the digit recurrence for its own right-hand side.  lin_solve is
-    the one-shot wrapper.
+    Computes det(A), unless the caller passes it, and samples the lifting
+    prime once; every solve() then runs the digit recurrence for its own
+    right-hand side.  lin_solve is the one-shot wrapper.
     """
 
-    def __init__(self, a, eps: float, rng_or_seed=0):
+    def __init__(self, a, eps: float, rng_or_seed=0, det: int | None = None):
         if not 0 < float(eps) < 1:
             raise ValueError("eps must lie in (0, 1)")
         self.op = LinearOperator.wrap(a)
@@ -239,7 +239,9 @@ class RationalSolver:
         rng = (rng_or_seed if isinstance(rng_or_seed, random.Random)
                else random.Random(rng_or_seed))
         self.rng = rng
-        self.det = determinant(self.op, derive_rng(rng, "det"))
+        # drawn either way, so the streams derived after it stay put
+        det_rng = derive_rng(rng, "det")
+        self.det = determinant(self.op, det_rng) if det is None else det
         self._det_tok = meter.current().alloc("solver.det", int_bits(self.det))
         self._det_meter = meter.current()
         self.prime = None

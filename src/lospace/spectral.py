@@ -27,14 +27,18 @@ prod(lambda_i - m) at a split point m has the sign (-1)^(number of
 eigenvalues below m), the one-determinant case of the inertia law, so
 the signs at an interval's ends give the parity of its eigenvalue count;
 the root's ends have 0 and n eigenvalues below them.  An odd interval
-holds at least one eigenvalue and never runs inverse power; only an even
-one goes to shift_invert, which drops it (NO) or splits it (YES).  Odd
-intervals are disjoint, so once there are n of them each holds exactly
-one eigenvalue and is narrowed to leaf width with no solves, by Illinois
-regula falsi (Dowell & Jarratt, BIT 11, 1971) on the values of f, kept
-as 64-bit floats: the next point is the leaf-grid point at the floor of
-the interpolated root, clamped one leaf inside the bracket.  A step that
-leaves the smallest aligned tree node holding the bracket unchanged is
+holds at least one eigenvalue and never runs inverse power.  An even
+one first gets f at its midpoint.  If that is zero, or its sign differs
+from the ends', an eigenvalue lies in the interval, where shift_invert
+answers YES, and it is split at once; only when both halves are even
+does shift_invert run, on the determinant just computed, and drop the
+interval (NO) or split it (YES).  Odd intervals are disjoint, so once
+there are n of them each holds exactly one eigenvalue and is narrowed
+to leaf width with no solves, by Illinois regula falsi (Dowell &
+Jarratt, BIT 11, 1971) on the values of f, kept as 64-bit floats: the
+next point is the leaf-grid point at the floor of the interpolated
+root, clamped one leaf inside the bracket.  A step that leaves the
+smallest aligned tree node holding the bracket unchanged is
 followed by a split at that node's midpoint, so an eigenvalue costs at
 most two determinants per tree level it visits.  Only exact signs move a
 bracket, so the rounding in the interpolation decides which points are
@@ -42,8 +46,9 @@ evaluated, never the leaf found: it is the one bisection would reach.
 With fewer than n odd intervals, the widest are split once and counted
 again.  A zero determinant means the point is an eigenvalue, exactly:
 inside a one-eigenvalue interval it is reported and the narrowing stops;
-elsewhere it is reported too, and its two neighbours get unknown parity,
-so that shift_invert decides them.  The leaves are disjoint by
+elsewhere it is reported too, and its two neighbours get unknown parity;
+such an interval holds the eigenvalue at its end, so it is split like an
+odd-half one, until it is narrower than a leaf.  The leaves are disjoint by
 construction and no eigenvalue is counted twice, so the count never
 exceeds n.  spectrum's stats counts, per depth, the tree nodes the
 search enters: each node split while isolating, and each node a
@@ -224,10 +229,12 @@ class PowerResult:
 
 def _inverse_power(op_int, scale_pow, eps, delta: Fraction, rng,
                    t_cap, solver_eps, want_vector=False,
-                   hint: Fraction | None = None):
-    """Inverse power on (op_int / 2^scale_pow); delta in unscaled units."""
+                   hint: Fraction | None = None, det: int | None = None):
+    """Inverse power on (op_int / 2^scale_pow); delta in unscaled units,
+    det = det(op_int) when the caller already has it."""
     n = op_int.n
-    solver = RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"))
+    solver = RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
+                            det=det)
     try:
         if solver.det == 0:
             return PowerResult(fl_zero(64), None, False, 0)
@@ -318,32 +325,38 @@ def inv_power_gap(a, eps: float, delta, rng=None, scale_pow: int = 0,
 
 
 def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
-                 rng) -> str:
+                 rng, det: int | None = None) -> str:
     """NO certifies (b/2^s) has no eigenvalue in [lo, hi]; YES places one
-    within the interval widened by a quarter width on each side."""
+    within the interval widened by a quarter width on each side.  det,
+    when given, is the midpoint's _midpoint_det value."""
     mid = (lo + hi) / 2
     radius = (hi - lo) / 2
-    m_scaled = mid * (1 << scale_pow)
-    if m_scaled.denominator != 1:
-        raise ValueError("midpoint off the dyadic grid")
-    shifted = LinearOperator.shift(b_scaled, -int(m_scaled))
+    shifted = _shifted(b_scaled, mid * (1 << scale_pow))
     delta_scaled = radius * (1 << scale_pow)
     res = _inverse_power(shifted, 0, 0.1, delta_scaled, rng,
                          _t_cap(b_scaled.n, 0.1), 2.0 ** -40,
-                         hint=Fraction(12, 10) * delta_scaled)
+                         hint=Fraction(12, 10) * delta_scaled, det=det)
     if fl_cmp_fraction(res.lam, Fraction(12, 10) * delta_scaled) == LESS:
         return YES
     return NO
 
 
-def _shifted_det(b_scaled, m_scaled: Fraction, rng) -> FloatL:
-    """det(b_scaled - m_scaled I) = prod(lambda_i - m), rounded to 64 bits:
-    negative exactly when an odd number of eigenvalues lie below m_scaled,
-    and zero exactly when m_scaled is one."""
+def _shifted(b_scaled, m_scaled: Fraction):
     if m_scaled.denominator != 1:
         raise ValueError("midpoint off the dyadic grid")
-    d = determinant(LinearOperator.shift(b_scaled, -int(m_scaled)), rng=rng)
-    return fl_from_int(d, 64)
+    return LinearOperator.shift(b_scaled, -int(m_scaled))
+
+
+def _midpoint_det(b_scaled, m_scaled: Fraction, rng) -> int:
+    """det(b_scaled - m_scaled I) = prod(lambda_i - m), exactly: negative
+    exactly when an odd number of eigenvalues lie below m_scaled, and
+    zero exactly when m_scaled is one."""
+    return determinant(_shifted(b_scaled, m_scaled), rng=rng)
+
+
+def _shifted_det(b_scaled, m_scaled: Fraction, rng) -> FloatL:
+    """_midpoint_det rounded to 64 bits."""
+    return fl_from_int(_midpoint_det(b_scaled, m_scaled, rng), 64)
 
 
 def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
@@ -422,18 +435,17 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
         bits = b.n * (scale_pow + 8)
     exact = []     # split points that are eigenvalues, then narrowed leaves
     odd = []       # intervals holding an odd number of eigenvalues
-    pending = []   # intervals of even or unknown count, for shift_invert
+    pending = []   # intervals of even or unknown count
 
     def value(m, *labels):
         return _shifted_det(b_scaled, m * (1 << scale_pow),
                             derive_rng(rng, "det", *labels))
 
-    def split(iv):
+    def split(iv, f_mid):
         lo, hi, depth, label, f_lo, f_hi = iv
         if stats is not None:
             stats[depth] = stats.get(depth, 0) + 1
         mid = (lo + hi) / 2
-        f_mid = value(mid, label)
         if f_mid.is_zero():
             exact.append(mid)
         return ((lo, mid, depth + 1, 2 * label + 1, f_lo, f_mid),
@@ -463,10 +475,22 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
         # interval still pending holds none
         while len(odd) + len(exact) < n:
             if pending:
-                iv = pending.pop()
-                if shift_invert(b_scaled, scale_pow, iv[0], iv[1],
-                                derive_rng(rng, "node", iv[3])) == YES:
-                    place(split(iv))
+                lo, hi, _, label, f_lo, f_hi = iv = pending.pop()
+                # the node's stream is drawn before its determinant's,
+                # whatever follows, so no later stream depends on which
+                # nodes the determinant settles
+                node_rng = derive_rng(rng, "node", label)
+                d = _midpoint_det(b_scaled, (lo + hi) / 2 * (1 << scale_pow),
+                                  derive_rng(rng, "det", label))
+                f_mid = fl_from_int(d, 64)
+                # an eigenvalue at an end or the midpoint, or an odd half,
+                # lies in [lo, hi], where shift_invert answers YES; only
+                # two even halves need it
+                if f_lo.sign() == f_mid.sign() == f_hi.sign() != 0 and \
+                        shift_invert(b_scaled, scale_pow, lo, hi, node_rng,
+                                     det=d) == NO:
+                    continue
+                place(split(iv, f_mid))
                 continue
             widest = max((iv[1] - iv[0] for iv in odd), default=0)
             if widest < leaf_width:
@@ -474,7 +498,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
             chosen = [iv for iv in odd if iv[1] - iv[0] == widest]
             odd[:] = [iv for iv in odd if iv[1] - iv[0] != widest]
             for iv in chosen:
-                place(split(iv))
+                place(split(iv, value((iv[0] + iv[1]) / 2, iv[3])))
         if len(odd) + len(exact) > n:
             raise ResultCountMismatch(f"more than {n} eigenvalues counted")
         for lo, hi, _, _, f_lo, f_hi in odd:

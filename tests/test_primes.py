@@ -1,7 +1,10 @@
+import hashlib
+import math
 import random
 
 import pytest
 
+from lospace import primes
 from lospace.primes import (
     COMPOSITE,
     PRIME,
@@ -9,6 +12,7 @@ from lospace.primes import (
     PrimePool,
     _draw_prime,
     crt_combine,
+    window_floor,
 )
 from lospace.primes import test_prime as check_prime
 
@@ -173,3 +177,132 @@ def test_draw_prime_capped_window():
     rng, seen = random.Random(3), set()
     out = [_draw_prime(rng, 16, seen, hi=31) for _ in range(5)]
     assert sorted(out) == [17, 19, 23, 29, 31]
+
+
+# -- the 40-random-round sampler the settled tests must reproduce ------------
+
+PSI_13 = 3317044064679887385961981
+
+
+def _mr_rounds(x, rounds, rng):
+    """Plain Miller-Rabin on rounds random bases, stopping at a witness."""
+    d, r = x - 1, 0
+    while d & 1 == 0:
+        d >>= 1
+        r += 1
+    for _ in range(rounds):
+        y = pow(rng.randrange(2, x - 1), d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(r - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return COMPOSITE
+    return PRIME
+
+
+def _reference_get(lower, count, top=None):
+    """PrimePool.get as 40 random rounds per candidate draw it."""
+    lower = window_floor(lower)
+    hi = lower * lower
+    label = f"lospace.primepool|{lower}"
+    if top is not None and 2 * lower <= top < hi:
+        hi = top - 1
+        label += f"|{hi}"
+    rng = random.Random(int.from_bytes(
+        hashlib.sha256(label.encode()).digest()[:16], "big"))
+    small = set(sieve_upto(511))
+    odd_primorial = math.prod(q for q in small if q > 2)
+    out = []
+    while len(out) < count:
+        x = rng.randrange(lower, hi + 1)
+        if x in out:
+            continue
+        if x < 512:
+            ok = x in small
+        else:
+            ok = (x & 1 and math.gcd(x, odd_primorial) == 1
+                  and _mr_rounds(x, 40, rng) == PRIME)
+        if ok:
+            out.append(x)
+    return out
+
+
+def test_settled_streams_match_forty_rounds():
+    """Every pool window draws the primes 40 random rounds per candidate
+    drew: all windows through 2^64, where the prime bases decide, and
+    windows up to 2^260 across the bit lengths of _SAMPLER_ROUNDS."""
+    for a in list(range(4, 65)) + [76, 100, 126, 150, 176, 200, 226, 260]:
+        tops = (None, 1 << 50) if 26 <= a <= 49 else (None,)
+        for top in tops:
+            assert PrimePool().get(1 << a, 6, top=top) == \
+                _reference_get(1 << a, 6, top), (a, top)
+
+
+def _spy_pow(monkeypatch):
+    calls = []
+
+    def spy(base, exp, mod=None):
+        calls.append((base, mod))
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(primes, "pow", spy, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("lower, top, most", [(1 << 25, 1 << 50, 10),
+                                              (1 << 105, None, 15)],
+                         ids=["capped-2^50", "uncapped-2^105"])
+def test_exponentiations_per_accepted_prime(monkeypatch, lower, top, most):
+    """An accepted word-size prime costs one random round plus at most 9
+    prime bases; one of over 200 bits, 15 random rounds (40 before)."""
+    calls = _spy_pow(monkeypatch)
+    ps = PrimePool().get(lower, 6, top=top)
+    for p in ps:
+        assert 0 < sum(1 for _, mod in calls if mod == p) <= most, p
+
+
+def test_boundary_pseudoprimes_are_composite():
+    """psi_4, psi_9 and psi_12 pass every prime base below their own t but
+    not the next one: COMPOSITE for any seed and any number of rounds."""
+    for x in (3215031751, 3825123056546413051, 318665857834031151167461):
+        for seed in range(50):
+            for rounds in (1, 2, 7, 40):
+                assert check_prime(x, rounds, random.Random(seed)) == COMPOSITE
+
+
+def test_psi13_takes_the_random_rounds(monkeypatch):
+    """At psi_13 the prime bases no longer decide: every exponentiation is
+    on a base drawn from rng, as in plain random rounds."""
+    calls = _spy_pow(monkeypatch)
+    for seed in range(20):
+        calls.clear()
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert check_prime(PSI_13, 40, rng) == \
+            _mr_rounds(PSI_13, 40, ref) == COMPOSITE
+        assert rng.getstate() == ref.getstate()
+        replay = random.Random(seed)
+        assert [b for b, _ in calls] == \
+            [replay.randrange(2, PSI_13 - 1) for _ in calls]
+
+
+def test_settled_test_uses_rng_as_random_rounds_do():
+    """On primes and composites below and above psi_13, test_prime gives
+    the right verdict (a composite may fool a few random rounds) and,
+    wherever random rounds get it right too, leaves rng where they do."""
+    rnd = random.Random(99)
+    xs = [rnd.randrange(513, 1 << k) | 1 for k in (12, 33, 50, 63, 81, 90, 130)
+          for _ in range(40)]
+    xs += PrimePool().get(1 << 30, 5, top=1 << 50) + PrimePool().get(1 << 45, 3)
+    agreed = 0
+    for x in xs:
+        truth = _mr_rounds(x, 64, random.Random(-x))
+        for rounds in (1, 3, 40):
+            rng, ref = random.Random(x), random.Random(x)
+            assert check_prime(x, rounds, rng) == truth, x
+            if _mr_rounds(x, rounds, ref) == truth:
+                assert rng.getstate() == ref.getstate(), x
+                agreed += 1
+    assert agreed > 0.9 * 3 * len(xs)

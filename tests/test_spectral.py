@@ -238,22 +238,26 @@ def test_double_eigenvalue_counts_short(monkeypatch):
 
 def test_shift_invert_sees_only_even_intervals(monkeypatch):
     """No interval whose end determinants differ in sign reaches
-    shift_invert, and a benchmark-size n=4 spectrum makes few calls."""
+    shift_invert, nor one whose midpoint splits it into odd halves; it
+    gets the midpoint determinant, and a benchmark-size n=4 spectrum
+    makes few calls."""
     calls = []
     shift = spectral.shift_invert
 
-    def spy(b_scaled, scale_pow, lo, hi, rng):
+    def spy(b_scaled, scale_pow, lo, hi, rng, det=None):
         dense = b_scaled.to_dense()
-        signs = []
-        for m in (lo, hi):
+        dets = []
+        for m in (lo, (lo + hi) / 2, hi):
             ms = int(m * (1 << scale_pow))
-            d = oracle_det_bareiss([[v - (ms if i == j else 0)
-                                     for j, v in enumerate(row)]
-                                    for i, row in enumerate(dense)])
-            signs.append((d > 0) - (d < 0))
-        assert signs[0] * signs[1] >= 0, (lo, hi)
+            dets.append(oracle_det_bareiss([[v - (ms if i == j else 0)
+                                             for j, v in enumerate(row)]
+                                            for i, row in enumerate(dense)]))
+        signs = [(d > 0) - (d < 0) for d in dets]
+        assert signs[0] * signs[2] >= 0, (lo, hi)
+        assert signs[0] == signs[1] == signs[2] != 0, (lo, hi)
+        assert det == dets[1]
         calls.append((lo, hi))
-        return shift(b_scaled, scale_pow, lo, hi, rng)
+        return shift(b_scaled, scale_pow, lo, hi, rng, det=det)
 
     monkeypatch.setattr(spectral, "shift_invert", spy)
     a = sym_random(random.Random(1), 4, 10)
