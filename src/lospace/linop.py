@@ -8,7 +8,8 @@ matrix with a composition descriptor:
     BASE         A
     DIAG_SCALE   diag(d) . A                     (Wiedemann preconditioner)
     SHIFT        A + diag(d)  (scalar or vector) (shifted/perturbed solves,
-                                                  the SVD ridge)
+                                                  the SVD ridge; a SHIFT
+                                                  of a SHIFT folds into one)
     GRAM         A^T A
     GRAM_T       A A^T
 
@@ -129,16 +130,6 @@ class SparseMatrix:
                            np.flatnonzero(np.diff(rows, prepend=-1)))
         return self._words
 
-    def to_dense(self):
-        out = [[0] * self.m for _ in range(self.n)]
-        for i, j, v in zip(self.rows, self.cols, self.vals):
-            out[i][j] = v
-        return out
-
-    def scaled(self, factor):
-        return SparseMatrix(self.n, self.m, list(self.rows), list(self.cols),
-                            [v * factor for v in self.vals])
-
     def is_symmetric(self):
         if self.n != self.m:
             return False
@@ -197,12 +188,17 @@ class LinearOperator:
 
     @staticmethod
     def shift(a, c):
-        """A + diag(c); c is a scalar or a per-coordinate vector."""
+        """A + diag(c); c is a scalar or a per-coordinate vector.  A shift
+        of a SHIFT folds into one SHIFT of its base, with the diagonals
+        summed, so repeated shifts add no level to a product."""
         if a.n != a.m:
             raise DimensionMismatch("shift needs a square base")
         d = list(c) if isinstance(c, (list, tuple)) else [c] * a.n
         if len(d) != a.n:
             raise DimensionMismatch("diagonal length != rows")
+        if isinstance(a, LinearOperator) and a.kind == SHIFT:
+            d = [x + y for x, y in zip(a.diag, d)]
+            a = a.base
         return LinearOperator(SHIFT, a, a.n, a.m, diag=d)
 
     @staticmethod
@@ -334,12 +330,6 @@ class LinearOperator:
 
 # -- text formats ---------------------------------------------------------------
 
-def write_matrix(a: SparseMatrix, fp) -> None:
-    fp.write(f"{a.n} {a.m} {a.nnz}\n")
-    for i, j, v in zip(a.rows, a.cols, a.vals):
-        fp.write(f"{i + 1} {j + 1} {v}\n")
-
-
 def read_matrix(fp) -> SparseMatrix:
     lines = fp.read().split("\n")
     header = lines[0].split() if lines else []
@@ -372,12 +362,6 @@ def read_matrix(fp) -> SparseMatrix:
         entries.append((i - 1, j - 1, v))
     entries.sort()
     return SparseMatrix._from_sorted(n, m, entries)
-
-
-def write_vector(v, fp) -> None:
-    fp.write(f"{len(v)}\n")
-    for x in v:
-        fp.write(f"{x}\n")
 
 
 def read_vector(fp) -> list:

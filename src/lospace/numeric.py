@@ -344,13 +344,6 @@ def format_float2exp(x: FloatL) -> str:
     return f"{sign}{abs(x.mantissa)}*2^{x.exponent}"
 
 
-def parse_float2exp(text: str, L: int) -> FloatL:
-    mant_s, _, exp_s = text.partition("*2^")
-    if not exp_s:
-        raise ValueError(f"not a m*2^e literal: {text!r}")
-    return _canonical(int(mant_s), int(exp_s), L, None)
-
-
 def format_decimal(x, digits: int) -> str:
     """A FloatL or FixedL in decimal with `digits` fractional digits,
     rounded half to even."""

@@ -17,6 +17,14 @@ from fractions import Fraction
 SINGULAR = "SINGULAR"
 
 
+def dense_of(op):
+    """Dense rows of a SparseMatrix or LinearOperator, read through its
+    products only: column j is op.apply_int of the j-th unit vector."""
+    cols = [op.apply_int([int(k == j) for k in range(op.m)])
+            for j in range(op.m)]
+    return [[col[i] for col in cols] for i in range(op.n)]
+
+
 def oracle_det_bareiss(dense) -> int:
     """Exact determinant by Bareiss fraction-free elimination (n <= 64)."""
     n = len(dense)

@@ -2,9 +2,10 @@
 
 Everything is kept on dyadic grids so that interval halving, shifts and
 scaling are exact: a symmetric integer matrix A is perturbed to
-B = A + D with D a nonnegative diagonal of fixed points, B is held as the
-integer matrix 2^s B, and every quantity fed back into the solver is an
-integer again.  The pipeline:
+B = A + D with D a nonnegative diagonal of fixed points, 2^s B is the
+composed operator diag(2^s) A + 2^s D over the input, never a copy of
+it, and every quantity fed back into the solver is an integer again.
+The pipeline:
 
   perturb_spectrum   random diagonal <= eps/2 separating the eigenvalues
   inverse power      lambda ~= max(delta, |lambda_min|) via repeated
@@ -54,11 +55,14 @@ exceeds n.  spectrum's stats counts, per depth, the tree nodes the
 search enters: each node split while isolating, and each node a
 narrowing bracket enters.
 
-The base matrix may also be a black-box symmetric operator (the SVD path
-passes its ridged Gram product); scaling and shifting then compose
-operators instead of materializing anything.  No operator keeps a reduced
-copy between calls: a fused kernel builds its copy for the call, and a
-shifted operator's products mod p are its exact products reduced.
+The base may be a matrix or a black-box symmetric operator (the SVD path
+passes its ridged, scaled Gram product); either way scaling and
+shifting compose operators, so no routine copies its input and every
+product reaches it through apply_int.  A shift at a split point folds
+into the perturbation's SHIFT, so each shifted product is one SHIFT over
+diag(2^s) times the base.  No operator keeps a reduced copy between
+calls: a shifted operator's products mod p are its exact products
+reduced.
 
 Probabilistic failures (a perturbation that left two eigenvalues closer
 than a leaf) surface as ResultCountMismatch after one retry with a fresh
@@ -128,15 +132,10 @@ class PerturbedMatrix:
         return self.base.n
 
     def scaled(self, s: int):
-        """2^s B; a plain integer matrix when the base is one."""
-        shift = s - self.scale_pow
-        if isinstance(self.base, SparseMatrix):
-            d = {(i, i): v << shift for i, v in enumerate(self.diag_scaled) if v}
-            for i, j, v in zip(self.base.rows, self.base.cols, self.base.vals):
-                d[(i, j)] = d.get((i, j), 0) + (v << s)
-            return SparseMatrix.from_entries(
-                self.n, self.n, [(i, j, v) for (i, j), v in d.items() if v])
+        """2^s B for s >= scale_pow, as the operator SHIFT(DIAG_SCALE(base)):
+        the base is read through its products only, never copied."""
         scaled = LinearOperator.diag_scale([1 << s] * self.n, self.base)
+        shift = s - self.scale_pow
         return LinearOperator.shift(scaled, [v << shift for v in self.diag_scaled])
 
 
@@ -223,21 +222,19 @@ def _plateaued(history, eps, hint):
 class PowerResult:
     lam: FloatL            # ~= max(delta, |lambda_min|)
     vector: list | None    # final normalized iterate (FloatL) if requested
-    early_exit: bool
-    iterations: int
 
 
-def _inverse_power(op_int, scale_pow, eps, delta: Fraction, rng,
-                   t_cap, solver_eps, want_vector=False,
-                   hint: Fraction | None = None, det: int | None = None):
-    """Inverse power on (op_int / 2^scale_pow); delta in unscaled units,
-    det = det(op_int) when the caller already has it."""
+def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
+                   want_vector=False, hint: Fraction | None = None,
+                   det: int | None = None):
+    """Inverse power on the integer operator op_int; det = det(op_int)
+    when the caller already has it."""
     n = op_int.n
     solver = RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
                             det=det)
     try:
         if solver.det == 0:
-            return PowerResult(fl_zero(64), None, False, 0)
+            return PowerResult(fl_zero(64), None)
         grid_bits = max(48, math.ceil(math.log2(1 / solver_eps)) + 8)
         v_int = None
         while v_int is None:
@@ -255,17 +252,17 @@ def _inverse_power(op_int, scale_pow, eps, delta: Fraction, rng,
                 out = solver.solve(v_int)
                 # v_int sits on the 2^-grid_bits grid: bring u back to the
                 # units of v before comparing norms
-                u_fl = [fl_scale_pow2(x, scale_pow - grid_bits) for x in out.x]
+                u_fl = [fl_scale_pow2(x, -grid_bits) for x in out.x]
                 vnorm_sq = fl_from_bigratio(
                     sum(x * x for x in v_int), 1 << (2 * grid_bits), L)
                 unorm_sq = _norm_sq(u_fl)
                 if unorm_sq.is_zero():
-                    return PowerResult(fl_zero(L), None, False, _it)
+                    return PowerResult(fl_zero(L), None)
                 ratio_sq = fl_div(unorm_sq, vnorm_sq)
                 if thresh_sq is not None and \
                         fl_cmp_fraction(ratio_sq, thresh_sq) != LESS:
                     lam = fl_from_bigratio(delta.numerator, delta.denominator, L)
-                    return PowerResult(lam, _unitize(u_fl), True, _it)
+                    return PowerResult(lam, _unitize(u_fl))
                 lam = fl_recip(fl_sqrt(ratio_sq))
                 if want_vector:
                     v_fl = u_fl
@@ -282,7 +279,7 @@ def _inverse_power(op_int, scale_pow, eps, delta: Fraction, rng,
                     break
                 v_int = nxt
         vec = _unitize(v_fl) if want_vector and v_fl is not None else None
-        return PowerResult(lam, vec, False, len(history))
+        return PowerResult(lam, vec)
     finally:
         solver.close()
 
@@ -292,21 +289,7 @@ def _t_cap(n, eps):
     return min(800, math.ceil(28 * math.log(4 * n / eps_s) / eps))
 
 
-def inv_power(a, eps: float, delta, rng=None, scale_pow: int = 0,
-              solver_eps: float | None = None) -> FloatL:
-    """lambda ~=_eps max(delta, min_i |lambda_i|) for symmetric integer a.
-
-    Returns exact 0 when a is singular (the solver reports SINGULAR).
-    """
-    op = LinearOperator.wrap(a)
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    res = _inverse_power(op, scale_pow, eps, Fraction(delta), rng,
-                         _t_cap(op.n, eps), solver_eps or 2.0 ** -40)
-    return res.lam
-
-
-def inv_power_gap(a, eps: float, delta, rng=None, scale_pow: int = 0,
-                  solver_eps: float | None = None):
+def inv_power_gap(a, eps: float, delta, rng=None):
     """(lambda, v): least-magnitude eigenvalue plus its eigenvector.
 
     The caller guarantees the 1.1x spectral gap; convergence is then
@@ -315,9 +298,8 @@ def inv_power_gap(a, eps: float, delta, rng=None, scale_pow: int = 0,
     op = LinearOperator.wrap(a)
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     cap = min(600, math.ceil(12 * math.log(4 * op.n / min(0.5, eps))) + 24)
-    res = _inverse_power(op, scale_pow, max(eps, 1e-9), Fraction(delta), rng,
-                         cap, solver_eps or min(2.0 ** -40, eps / 256),
-                         want_vector=True)
+    res = _inverse_power(op, max(eps, 1e-9), Fraction(delta), rng, cap,
+                         min(2.0 ** -40, eps / 256), want_vector=True)
     return res.lam, res.vector
 
 
@@ -333,7 +315,7 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
     radius = (hi - lo) / 2
     shifted = _shifted(b_scaled, mid * (1 << scale_pow))
     delta_scaled = radius * (1 << scale_pow)
-    res = _inverse_power(shifted, 0, 0.1, delta_scaled, rng,
+    res = _inverse_power(shifted, 0.1, delta_scaled, rng,
                          _t_cap(b_scaled.n, 0.1), 2.0 ** -40,
                          hint=Fraction(12, 10) * delta_scaled, det=det)
     if fl_cmp_fraction(res.lam, Fraction(12, 10) * delta_scaled) == LESS:
@@ -429,10 +411,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
         depth_needed += 1
     scale_pow = max(b.scale_pow, depth_needed + 4)
     b_scaled = b.scaled(scale_pow)
-    if isinstance(b_scaled, SparseMatrix):
-        bits = sum(v.bit_length() + 1 for v in b_scaled.vals)
-    else:
-        bits = b.n * (scale_pow + 8)
+    bits = n * (scale_pow + 8)
     exact = []     # split points that are eigenvalues, then narrowed leaves
     odd = []       # intervals holding an odd number of eigenvalues
     pending = []   # intervals of even or unknown count
@@ -539,15 +518,23 @@ def _dyadic_at_least(q: Fraction, scale_pow: int) -> Fraction:
     return Fraction(k, 1 << scale_pow)
 
 
-def _one_eigenvector(b_scaled, scale_pow, lam: Fraction, g5: Fraction,
-                     delta: Fraction, vec_eps: float, rng):
-    """Gap-mode inverse power against B - (lam + g5) I."""
-    shift_val = (lam + g5) * (1 << scale_pow)
-    if shift_val.denominator != 1:
-        raise ValueError("eigenvector shift off the dyadic grid")
-    shifted = LinearOperator.shift(b_scaled, -int(shift_val))
-    _, v_fl = inv_power_gap(shifted, vec_eps, delta * (1 << scale_pow), rng)
-    return v_fl
+def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
+    """Yields (lambda_i, s, v_i) for B = a perturbed by at most eps/2,
+    eigenvalues ascending or descending, lambda_i on the 2^-s grid and v_i
+    a unit FloatL eigenvector: one gap-mode inverse power against
+    B - (lambda_i + g5) I, on the stream derive_rng(rng, "vec", i), drawn
+    in the order the vectors are yielded.  One vector is live at a time."""
+    b_scaled, vals, scale_pow, sep = _perturb_and_extract(a, eps, rng, 16)
+    g5 = _dyadic_at_least(sep / 5, scale_pow)
+    delta = sep / 10 * (1 << scale_pow)
+    order = range(len(vals))
+    for i in reversed(order) if descending else order:
+        shifted = _shifted(b_scaled, (vals[i] + g5) * (1 << scale_pow))
+        _, v_fl = inv_power_gap(shifted, vec_eps, delta,
+                                derive_rng(rng, "vec", i))
+        if v_fl is None:
+            raise ResultCountMismatch(f"no eigenvector for eigenvalue {i}")
+        yield vals[i], scale_pow, v_fl
 
 
 def eigendecompose(a: SparseMatrix, eps: float, rng=None,
@@ -560,14 +547,8 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None,
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     n, u = a.n, a.entry_bound
     vec_eps = vec_eps if vec_eps is not None else (eps / (60 * n * u)) ** 2
-    b_scaled, vals, scale_pow, sep = _perturb_and_extract(a, eps, rng, 16)
-    g5 = _dyadic_at_least(sep / 5, scale_pow)
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
-    for i, lam in enumerate(vals):
-        v_fl = _one_eigenvector(b_scaled, scale_pow, lam, g5, sep / 10,
-                                vec_eps, derive_rng(rng, "vec", i))
-        if v_fl is None:
-            raise ResultCountMismatch(f"no eigenvector for eigenvalue {i}")
+    for lam, scale_pow, v_fl in _eigenvectors(a, eps, vec_eps, rng):
         vec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
         yield fixed_from_fraction(lam, scale_pow), vec
 
@@ -586,23 +567,17 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     u_bound = a.entry_bound
     eps0 = Fraction(eps) / (60 * n * n * max(1, u_bound))
     t = _ceil_log2(Fraction(4) / eps0) // 2 + 2
-    a_scaled = a.scaled(1 << t)
     ridge = int(eps0 * (1 << (2 * t))) + 1
-    gram = LinearOperator.shift(LinearOperator.gram_t(a_scaled), ridge)
+    gram = LinearOperator.shift(LinearOperator.diag_scale(
+        [1 << (2 * t)] * n, LinearOperator.gram_t(a)), ridge)
     eps0_eff = Fraction(ridge, 1 << (2 * t))
     # targets on the scaled matrix: eigenvalues of 2^2t (A A^T + eps0 I)
     eps_scaled = float(eps0_eff / 10) * (1 << (2 * t))
     vec_eps = float(eps0_eff / 10) ** 2
-    bsc, vals, scale_pow, sep = _perturb_and_extract(gram, eps_scaled, rng, 16)
-    g5 = _dyadic_at_least(sep / 5, scale_pow)
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
     L = 64
-    for idx, i in enumerate(reversed(range(len(vals)))):
-        lam = vals[i]
-        v_fl = _one_eigenvector(bsc, scale_pow, lam, g5, sep / 10, vec_eps,
-                                derive_rng(rng, "vec", i))
-        if v_fl is None:
-            raise ResultCountMismatch(f"no eigenvector for eigenvalue {i}")
+    for idx, (lam, _, v_fl) in enumerate(
+            _eigenvectors(gram, eps_scaled, vec_eps, rng, descending=True)):
         uvec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
         if idx >= m:
             yield uvec, None, None
@@ -619,4 +594,3 @@ def svd(a: SparseMatrix, eps: float, rng=None):
                 for x in atu]
         yield uvec, sigma, [fixed_from_fraction(x.to_fraction(), out_bits)
                             for x in vvec]
-

@@ -9,11 +9,10 @@ from lospace.linop import (
     DimensionMismatch,
     LinearOperator,
     MatrixFormatError,
+    SHIFT,
     SparseMatrix,
     read_matrix,
     read_vector,
-    write_matrix,
-    write_vector,
 )
 from test_kernels import PRIMES
 
@@ -72,6 +71,7 @@ def test_composition_against_dense_oracle():
     composition kind against its dense matrix, including the DIAG_SCALE
     over GRAM that the determinant builds and the SHIFT over GRAM_T,
     DIAG_SCALE over that and SHIFT over that which the SVD path builds,
+    a SHIFT of that SHIFT, which folds into one,
     on every prime of PRIMES in turn (fused kernels and generic loop),
     with empty rows and columns."""
     rnd = random.Random(21)
@@ -111,6 +111,12 @@ def test_composition_against_dense_oracle():
         s2 = [rnd.randrange(-7, 8) for _ in range(n)]
         ops.append((LinearOperator.shift(scaled, s2),
                     [[x + (s2[i] if i == j else 0) for j, x in enumerate(row)]
+                     for i, row in enumerate(scaled_ref)]))
+        s3 = rnd.randrange(-7, 8)
+        folded = LinearOperator.shift(LinearOperator.shift(scaled, s2), s3)
+        assert folded.kind == SHIFT and folded.base is scaled
+        ops.append((folded,
+                    [[x + (s2[i] + s3 if i == j else 0) for j, x in enumerate(row)]
                      for i, row in enumerate(scaled_ref)]))
         if n == m:
             s = rnd.randrange(-7, 8)
@@ -176,22 +182,18 @@ def test_dimension_errors():
 
 
 def test_matrix_roundtrip_bit_exact():
+    """Unsorted 1-indexed text reads back as the sorted matrix built from
+    the same entries, a 100-bit one included."""
     a = SparseMatrix.from_entries(3, 2, [(0, 0, 5), (2, 1, -7), (1, 0, 10 ** 30)])
-    buf = io.StringIO()
-    write_matrix(a, buf)
-    text = buf.getvalue()
-    b = read_matrix(io.StringIO(text))
-    buf2 = io.StringIO()
-    write_matrix(b, buf2)
-    assert buf2.getvalue() == text
+    b = read_matrix(io.StringIO(f"3 2 3\n1 1 5\n3 2 -7\n2 1 {10 ** 30}\n"))
+    assert (b.n, b.m) == (3, 2)
+    assert (b.rows, b.cols, b.vals) == ([0, 1, 2], [0, 0, 1], [5, 10 ** 30, -7])
     assert (b.rows, b.cols, b.vals) == (a.rows, a.cols, a.vals)
 
 
 def test_vector_roundtrip():
     v = [3, -5, 10 ** 40]
-    buf = io.StringIO()
-    write_vector(v, buf)
-    assert read_vector(io.StringIO(buf.getvalue())) == v
+    assert read_vector(io.StringIO(f"3\n3\n-5\n{10 ** 40}\n")) == v
 
 
 def test_format_errors_carry_line_numbers():

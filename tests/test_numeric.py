@@ -28,7 +28,6 @@ from lospace.numeric import (
     fl_zero,
     format_decimal,
     format_float2exp,
-    parse_float2exp,
     track_merr,
 )
 
@@ -270,7 +269,6 @@ def test_sqrt_and_div():
 def test_text_forms():
     x = FloatL(-11, -5, 8)
     assert format_float2exp(x) == "-11*2^-5"
-    assert parse_float2exp("-11*2^-5", 8) == x
     assert format_decimal(fl_from_bigratio(1, 2, 20), 8) == "0.50000000"
     assert format_decimal(fl_from_bigratio(3, 4, 20), 8) == "0.75000000"
     assert format_decimal(fl_from_bigratio(-3, 4, 20), 2) == "-0.75"
