@@ -8,7 +8,8 @@ they are produced and are never re-read.
 
 Exit codes: 0 success, 1 SINGULAR input, 2 malformed input or argument
 (including a non-integer LOSPACE_SEED, the fallback of --seed, a value
-outside the L-bit float range, and a matrix with no rows, or for regress
+outside the L-bit float range, an eigvecs or svd whose vector accuracy
+falls below the double range, and a matrix with no rows, or for regress
 no columns, for any command but det), 3 a probabilistic retry budget ran
 out.
 

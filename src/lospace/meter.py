@@ -74,9 +74,6 @@ class WorkspaceMeter:
         if lab[0] > lab[1]:
             lab[1] = lab[0]
 
-    def track(self, label: str, bits: int) -> "track":
-        return track(label, bits, self)
-
     @contextmanager
     def activate(self):
         _stack().append(self)
@@ -124,19 +121,17 @@ def current() -> WorkspaceMeter:
 
 
 class track:
-    """``with track(label, bits) as tok:`` charges a buffer to meter, or
-    to the active meter when none is given, for the dynamic extent."""
+    """``with track(label, bits) as tok:`` charges a buffer to the active
+    meter for the dynamic extent."""
 
     __slots__ = ("label", "bits", "meter", "token")
 
-    def __init__(self, label: str, bits: int, meter=None):
+    def __init__(self, label: str, bits: int):
         self.label = label
         self.bits = bits
-        self.meter = meter
 
     def __enter__(self) -> int:
-        if self.meter is None:
-            self.meter = current()
+        self.meter = current()
         self.token = self.meter.alloc(self.label, self.bits)
         return self.token
 

@@ -1,4 +1,4 @@
-"""L-bit floating-point values with tracked multiplicative error.
+"""L-bit floating-point values.
 
 A value is ``mantissa * 2**exponent`` where mantissa and exponent are
 Python integers confined to ``[-2**L, 2**L]``.  Arbitrary-precision
@@ -9,14 +9,12 @@ Conventions:
 
 - Canonical form: mantissa is odd or the value is exactly zero
   (mantissa 0, exponent 0).  Equality is structural.
-- Rounding is round-to-nearest with ties to even on the mantissa.  A
-  freshly rounded value sits within a multiplicative factor ``e**(2**-L)``
-  of the exact input.
-- ``merr_ulps`` is an upper bound on the accumulated multiplicative error
-  in units of ``2**-L``: the represented value ``v`` and the ideal value
-  ``x`` satisfy ``exp(-m) <= v/x <= exp(m)`` for ``m = merr_ulps * 2**-L``.
-  It is a debug shadow field: populated only while ``track_merr()`` is
-  active (the test suite runs with it on) and ``None`` otherwise.
+- Rounding is round-to-nearest with ties to even on the mantissa.  Every
+  op rounds once, so a freshly rounded value sits within a multiplicative
+  factor ``e**(2**-L)`` of the exact result of its (rounded) operands.
+- Errors compose multiplicatively: k same-sign adds and multiplies
+  starting from exact operands land within ``e**(k * 2**-L)`` of the
+  exact value.
 
 The representable magnitude range is ``[2**-2**L, 2**2**L]``; results
 escaping it raise ``FloatOverflow``.
@@ -25,7 +23,6 @@ escaping it raise ``FloatOverflow``.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,43 +37,20 @@ class SignMismatch(ValueError):
     """Same-sign addition was handed operands of strictly opposite sign."""
 
 
-_TRACKING = False
-
-
-@contextmanager
-def track_merr(enabled: bool = True):
-    """Enable multiplicative-error bookkeeping for the dynamic extent."""
-    global _TRACKING
-    prev = _TRACKING
-    _TRACKING = enabled
-    try:
-        yield
-    finally:
-        _TRACKING = prev
-
-
-def _merr(*ulps):
-    if not _TRACKING:
-        return None
-    return max(u for u in ulps)
-
-
 class FloatL:
     """Immutable-by-convention L-bit float; see module docstring.
 
     A plain __slots__ class rather than a dataclass: these are constructed
     in the innermost accumulation loops.  Equality is structural on the
-    canonical (mantissa, exponent, L); the merr shadow field never takes
-    part in comparisons.
+    canonical (mantissa, exponent, L).
     """
 
-    __slots__ = ("mantissa", "exponent", "L", "merr_ulps")
+    __slots__ = ("mantissa", "exponent", "L")
 
-    def __init__(self, mantissa, exponent, L, merr_ulps=None):
+    def __init__(self, mantissa, exponent, L):
         self.mantissa = mantissa
         self.exponent = exponent
         self.L = L
-        self.merr_ulps = merr_ulps
 
     def is_zero(self) -> bool:
         return self.mantissa == 0
@@ -101,7 +75,7 @@ class FloatL:
 
     def __repr__(self):
         return (f"FloatL(mantissa={self.mantissa}, exponent={self.exponent},"
-                f" L={self.L}, merr_ulps={self.merr_ulps})")
+                f" L={self.L})")
 
     def __str__(self):
         return format_float2exp(self)
@@ -115,19 +89,19 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-def _canonical(mant: int, exp: int, L: int, merr: int | None) -> FloatL:
+def _canonical(mant: int, exp: int, L: int) -> FloatL:
     if mant == 0:
-        return FloatL(0, 0, L, merr)
+        return FloatL(0, 0, L)
     if not mant & 1:
         shift = (mant & -mant).bit_length() - 1
         mant >>= shift
         exp += shift
     if abs(exp) > (1 << L) or abs(mant) > (1 << L):
         raise FloatOverflow(f"value 2^{exp}*{mant} outside fl_{L}")
-    return FloatL(mant, exp, L, merr)
+    return FloatL(mant, exp, L)
 
 
-def _round_to_l(num: int, den: int, shift: int, L: int, merr: int | None) -> FloatL:
+def _round_to_l(num: int, den: int, shift: int, L: int) -> FloatL:
     """Round the exact rational (num/den) * 2**shift to an L-bit float.
 
     den > 0.  The result mantissa is normalized into [2^(L-1), 2^L] before
@@ -135,25 +109,25 @@ def _round_to_l(num: int, den: int, shift: int, L: int, merr: int | None) -> Flo
     whole representable set.
     """
     if num == 0:
-        return FloatL(0, 0, L, merr)
+        return FloatL(0, 0, L)
     sign = 1 if num > 0 else -1
     n = abs(num)
     if den == 1:
         # integer fast path: the same nearest-even rounding on a bit shift
         e = n.bit_length() - L
         if e <= 0:
-            return _canonical(sign * n, shift, L, merr)
+            return _canonical(sign * n, shift, L)
         m = n >> e
         r = n & ((1 << e) - 1)
         half = 1 << (e - 1)
         if r > half or (r == half and m & 1):
             m += 1
-        return _canonical(sign * m, e + shift, L, merr)
+        return _canonical(sign * m, e + shift, L)
     # choose e with 2^(L-1) <= n / (den * 2^e) < 2^L
     e = n.bit_length() - den.bit_length() - L
     while True:
         if e >= 0:
-            q = n >> e if den == 1 else n // (den << e)
+            q = n // (den << e)
         else:
             q = (n << -e) // den
         if q >> L:
@@ -167,11 +141,11 @@ def _round_to_l(num: int, den: int, shift: int, L: int, merr: int | None) -> Flo
     else:
         m = _round_half_even(n << -e, den)
     # m may round up to exactly 2^L; that is still representable
-    return _canonical(sign * m, e + shift, L, merr)
+    return _canonical(sign * m, e + shift, L)
 
 
 def fl_zero(L: int) -> FloatL:
-    return FloatL(0, 0, L, 0 if _TRACKING else None)
+    return FloatL(0, 0, L)
 
 
 def fl_from_int(x: int, L: int) -> FloatL:
@@ -185,96 +159,63 @@ def fl_from_bigratio(num: int, den: int, L: int) -> FloatL:
         raise ZeroDivisionError("fl_from_bigratio: zero denominator")
     if den < 0:
         num, den = -num, -den
-    if num == 0:
-        return fl_zero(L)
-    merr = None
-    if _TRACKING:
-        merr = 0 if _is_exact_ratio(num, den, L) else 1
-    return _round_to_l(num, den, 0, L, merr)
-
-
-def _is_exact_ratio(num, den, L):
-    # exact iff den/gcd is a power of two and the reduced mantissa fits
-    g = math.gcd(num, den)
-    n, d = abs(num) // g, den // g
-    if d & (d - 1):
-        return False
-    odd = n >> ((n & -n).bit_length() - 1)
-    return odd.bit_length() <= L
+    return _round_to_l(num, den, 0, L)
 
 
 def fl_scale_pow2(x: FloatL, k: int) -> FloatL:
     """x * 2**k, exact (exponent shift only)."""
     if x.is_zero():
         return x
-    return _canonical(x.mantissa, x.exponent + k, x.L, x.merr_ulps)
+    return _canonical(x.mantissa, x.exponent + k, x.L)
 
 
 def fl_neg(x: FloatL) -> FloatL:
-    return FloatL(-x.mantissa, x.exponent, x.L, x.merr_ulps)
+    return FloatL(-x.mantissa, x.exponent, x.L)
 
 
 def fl_add_same_sign(x: FloatL, y: FloatL) -> FloatL:
-    """x + y for operands of matching sign; merr grows by one ulp unit.
+    """x + y for operands of matching sign, in one rounding.
 
     Zero is sign-neutral and acts as the identity.
     """
     if x.L != y.L:
         raise ValueError("operands carry different L")
     if x.mantissa == 0:
-        return y if not _TRACKING else FloatL(y.mantissa, y.exponent, y.L, _merr(y.merr_ulps or 0, x.merr_ulps or 0))
+        return y
     if y.mantissa == 0:
-        return x if not _TRACKING else FloatL(x.mantissa, x.exponent, x.L, _merr(x.merr_ulps or 0, y.merr_ulps or 0))
+        return x
     if (x.mantissa < 0) != (y.mantissa < 0):
         raise SignMismatch("fl_add_same_sign on opposite signs")
     L = x.L
-    merr = _merr((x.merr_ulps or 0), (y.merr_ulps or 0))
-    if merr is not None:
-        merr += 1
     hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
     gap = hi.exponent - lo.exponent
     if gap > L + 4:
         # |lo| < ulp(hi)/8: the rounded sum is hi itself
-        return FloatL(hi.mantissa, hi.exponent, L, merr)
+        return hi
     total = (hi.mantissa << gap) + lo.mantissa
-    return _round_to_l(total, 1, lo.exponent, L, merr)
+    return _round_to_l(total, 1, lo.exponent, L)
 
 
 def fl_mul(x: FloatL, y: FloatL) -> FloatL:
-    """x * y; merr adds across operands plus one rounding ulp unit."""
+    """x * y in one rounding."""
     if x.L != y.L:
         raise ValueError("operands carry different L")
-    merr = None
-    if _TRACKING:
-        merr = (x.merr_ulps or 0) + (y.merr_ulps or 0) + 1
-    if x.mantissa == 0 or y.mantissa == 0:
-        return FloatL(0, 0, x.L, 0 if _TRACKING else None)
-    return _round_to_l(x.mantissa * y.mantissa, 1, x.exponent + y.exponent, x.L, merr)
+    return _round_to_l(x.mantissa * y.mantissa, 1, x.exponent + y.exponent, x.L)
 
 
 def fl_recip(x: FloatL) -> FloatL:
-    """1 / x; requires merr(x) < 1/2 for the tracked bound to be meaningful."""
+    """1 / x in one rounding."""
     if x.is_zero():
         raise ZeroDivisionError("fl_recip of zero")
-    merr = None
-    if _TRACKING:
-        merr = (x.merr_ulps or 0) + 1
-    sign = x.sign()
-    return _round_to_l(sign, abs(x.mantissa), -x.exponent, x.L, merr)
+    return _round_to_l(x.sign(), abs(x.mantissa), -x.exponent, x.L)
 
 
 def fl_div(x: FloatL, y: FloatL) -> FloatL:
     """x / y in one rounding (tighter than mul-by-reciprocal)."""
     if y.is_zero():
         raise ZeroDivisionError("fl_div by zero")
-    merr = None
-    if _TRACKING:
-        merr = (x.merr_ulps or 0) + (y.merr_ulps or 0) + 1
-    if x.is_zero():
-        return FloatL(0, 0, x.L, 0 if _TRACKING else None)
-    sign = x.sign() * y.sign()
-    return _round_to_l(sign * abs(x.mantissa), abs(y.mantissa),
-                       x.exponent - y.exponent, x.L, merr)
+    return _round_to_l(y.sign() * x.mantissa, abs(y.mantissa),
+                       x.exponent - y.exponent, x.L)
 
 
 def fl_sqrt(x: FloatL) -> FloatL:
@@ -282,10 +223,7 @@ def fl_sqrt(x: FloatL) -> FloatL:
     if x.mantissa < 0:
         raise ValueError("fl_sqrt of negative value")
     if x.is_zero():
-        return FloatL(0, 0, x.L, 0 if _TRACKING else None)
-    merr = None
-    if _TRACKING:
-        merr = -((-(x.merr_ulps or 0)) // 2) + 1
+        return x
     L = x.L
     m, e = x.mantissa << 4, x.exponent - 4  # guard bits keep t > 0 below
     # pick es with round(sqrt(m * 2^e) / 2^es) in [2^(L-1), 2^L]
@@ -303,7 +241,7 @@ def fl_sqrt(x: FloatL) -> FloatL:
     # nearest integer to sqrt(v): ties impossible unless v is a square
     if v - s * s > s:
         s += 1
-    return _canonical(s, es, L, merr)
+    return _canonical(s, es, L)
 
 
 def fl_cmp(x: FloatL, y: FloatL) -> int:

@@ -97,33 +97,10 @@ from . import meter
 PRIME = "PRIME"
 COMPOSITE = "COMPOSITE"
 
+_SMALL_PRIMES = frozenset(q for q in range(2, 512)
+                          if all(q % d for d in range(2, math.isqrt(q) + 1)))
 # product of the odd primes below 512; a single gcd rejects most composites
-_SMALL_PRIMES = []
-
-
-def _small_primes():
-    if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * 512
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, 23):
-            if sieve[i]:
-                sieve[i * i:: i] = b"\x00" * len(sieve[i * i:: i])
-        _SMALL_PRIMES.extend(i for i in range(2, 512) if sieve[i])
-    return _SMALL_PRIMES
-
-
-_PRIMORIAL = None
-
-
-def _primorial():
-    global _PRIMORIAL
-    if _PRIMORIAL is None:
-        acc = 1
-        for q in _small_primes():
-            if q > 2:
-                acc *= q
-        _PRIMORIAL = acc
-    return _PRIMORIAL
+_PRIMORIAL = math.prod(q for q in _SMALL_PRIMES if q > 2)
 
 
 class SamplingExhausted(RuntimeError):
@@ -168,7 +145,7 @@ def test_prime(x: int, rounds: int = 40, rng: random.Random | None = None) -> st
     if x < 2:
         raise ValueError("test_prime wants x >= 2")
     if x < 512:
-        return PRIME if x in _small_primes() else COMPOSITE
+        return PRIME if x in _SMALL_PRIMES else COMPOSITE
     if x & 1 == 0:
         return COMPOSITE
     if rounds < 1:
@@ -197,8 +174,8 @@ def _looks_prime(x, rng):
     """The sampler's test: like test_prime(x, 40, rng), rng use included,
     but with the rounds of _SAMPLER_ROUNDS above 2^99."""
     if x < 512:
-        return x in _small_primes()
-    if x & 1 == 0 or math.gcd(x, _primorial()) > 1:
+        return x in _SMALL_PRIMES
+    if x & 1 == 0 or math.gcd(x, _PRIMORIAL) > 1:
         return False
     k = x.bit_length()
     t = next((t for bits, t in _SAMPLER_ROUNDS if k >= bits), 40)

@@ -213,11 +213,8 @@ def sign_combine(y_plus: FloatL, y_minus: FloatL, all_digits_zero: bool) -> Floa
 
 def _fl_div_int(x: FloatL, d: int) -> FloatL:
     """x / d for a plain integer d, in one rounding."""
-    sign = -1 if (x.mantissa < 0) != (d < 0) else 1
-    merr = None if x.merr_ulps is None else x.merr_ulps + 1
-    if x.mantissa == 0:
-        return fl_zero(x.L)
-    return _round_to_l(sign * abs(x.mantissa), abs(d), x.exponent, x.L, merr)
+    sign = -1 if d < 0 else 1
+    return _round_to_l(sign * x.mantissa, abs(d), x.exponent, x.L)
 
 
 class RationalSolver:
@@ -249,11 +246,12 @@ class RationalSolver:
         if self.det != 0:
             self.prime = self._pick_prime()
         n, u = self.n, self.u
-        # clamp: accuracy beyond 2^(-2 n log2(2nU)) is exact territory
+        # clamp: accuracy beyond 2^(-2 n log2(2nU)) is exact territory.
+        # The bounds take log2 of the integer n U, which has no float range
         cap_bits = 2 * n * max(1, math.ceil(math.log2(2 * n * u)))
-        self._clamped = math.log2(1 / float(eps)) > cap_bits
+        self._clamped = -math.log2(eps) > cap_bits
         self.eps = max(float(eps), 2.0 ** -cap_bits) if cap_bits < 1000 else float(eps)
-        self.L = max(16, math.ceil(2 * math.log2(max(2.0, n * u / self.eps))))
+        self.L = max(16, math.ceil(2 * (math.log2(n * u) - math.log2(self.eps))))
 
     def _pick_prime(self):
         from .wiedemann import RetriesExhausted
@@ -342,7 +340,7 @@ class RationalSolver:
 
     def block_count(self):
         n, u = self.n, self.u
-        k = math.ceil(math.log2(1 / self.eps) / math.log2(2 * n * u)) if self.eps < 1 else 1
+        k = math.ceil(-math.log2(self.eps) / math.log2(2 * n * u))
         return min(n, max(1, k))
 
     def solve(self, b, K=None) -> SolveOutcome:

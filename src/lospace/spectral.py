@@ -80,6 +80,7 @@ from . import meter
 from .numeric import (
     FixedL,
     FloatL,
+    FloatOverflow,
     GREATER,
     LESS,
     fixed_from_fraction,
@@ -518,6 +519,14 @@ def _dyadic_at_least(q: Fraction, scale_pow: int) -> Fraction:
     return Fraction(k, 1 << scale_pow)
 
 
+def _double_target(vec_eps: float) -> float:
+    """vec_eps, which inverse power takes as a double, dividing it by 256
+    and 4n by it: targets below 2^-1000 raise FloatOverflow."""
+    if vec_eps < 2.0 ** -1000:
+        raise FloatOverflow("eigenvector accuracy target below the double range")
+    return vec_eps
+
+
 def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
     """Yields (lambda_i, s, v_i) for B = a perturbed by at most eps/2,
     eigenvalues ascending or descending, lambda_i on the 2^-s grid and v_i
@@ -546,7 +555,8 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None,
         raise ValueError("eigendecompose needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     n, u = a.n, a.entry_bound
-    vec_eps = vec_eps if vec_eps is not None else (eps / (60 * n * u)) ** 2
+    if vec_eps is None:
+        vec_eps = _double_target(float(Fraction(eps) / (60 * n * u)) ** 2)
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
     for lam, scale_pow, v_fl in _eigenvectors(a, eps, vec_eps, rng):
         vec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
@@ -571,10 +581,12 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     gram = LinearOperator.shift(LinearOperator.diag_scale(
         [1 << (2 * t)] * n, LinearOperator.gram_t(a)), ridge)
     eps0_eff = Fraction(ridge, 1 << (2 * t))
-    # targets on the scaled matrix: eigenvalues of 2^2t (A A^T + eps0 I)
-    eps_scaled = float(eps0_eff / 10) * (1 << (2 * t))
-    vec_eps = float(eps0_eff / 10) ** 2
-    out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
+    # targets on the scaled matrix: eigenvalues of 2^2t (A A^T + eps0 I),
+    # eps0_eff / 10 = eps_scaled 2^-2t and vec_eps its square, built from
+    # the small integer ridge so that no float holds 2^2t
+    eps_scaled = ridge / 10
+    vec_eps = _double_target(math.ldexp(eps_scaled ** 2, -4 * t))
+    out_bits = max(32, math.ceil(4 * t + math.log2(4 / eps_scaled ** 2)) + 6)
     L = 64
     for idx, (lam, _, v_fl) in enumerate(
             _eigenvectors(gram, eps_scaled, vec_eps, rng, descending=True)):

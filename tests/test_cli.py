@@ -1,8 +1,10 @@
 import argparse
 import io
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,7 @@ from lospace import cli
 from lospace.cli import main
 from lospace.linop import DimensionMismatch
 from lospace.numeric import FixedL, FloatOverflow
-from lospace.oracle import oracle_det_bareiss
+from lospace.oracle import oracle_det_bareiss, oracle_solve_exact
 
 
 def run_cli(args, tmp_path=None):
@@ -164,6 +166,64 @@ def test_svd_cli(files):
     sig = float(lines[0].split(" | ")[0])
     assert abs(sig - 2 ** 0.5) <= 0.1
     assert lines[1].startswith("- | ")
+
+
+def _literal(text):
+    """The exact value of a +m*2^e literal."""
+    mant, exp = text.split("*2^")
+    return Fraction(int(mant)) * Fraction(2) ** int(exp)
+
+
+def test_solve_entry_past_double_range(tmp_path):
+    """n U = 2 * 10^400 has no float: the solver's bounds are logs of the
+    exact integer, and each entry lands within e^eps of the exact answer."""
+    big = 10 ** 400
+    (tmp_path / "big.mtx").write_text(f"2 2 2\n1 1 {big}\n2 2 3\n")
+    (tmp_path / "b.vec").write_text("2\n1\n2\n")
+    code, out = run_cli(["solve", str(tmp_path / "big.mtx"),
+                         str(tmp_path / "b.vec"), "--epsilon", "1e-6"])
+    assert code == 0
+    want = oracle_solve_exact([[big, 0], [0, 3]], [1, 2])
+    got = [_literal(line) for line in out.splitlines()]
+    assert len(got) == len(want)
+    for x, w in zip(got, want):
+        assert math.exp(-1e-6) <= x / w <= math.exp(1e-6)
+
+
+def test_svd_gram_bound_past_double_range(tmp_path):
+    """svd of [[3, 0], [10^26, 0]] at eps 0.1: its scaled Gram operator's
+    n U over the solver's eps passes 2^1024, yet the singular values come
+    out within eps of sqrt(10^52 + 9) and 0, A^T A being diag(10^52 + 9, 0),
+    with |A v - sigma u| <= eps."""
+    a = [[3, 0], [10 ** 26, 0]]
+    (tmp_path / "a.mtx").write_text(f"2 2 2\n1 1 3\n2 1 {10 ** 26}\n")
+    code, out = run_cli(["svd", str(tmp_path / "a.mtx"), "--epsilon", "0.1"])
+    assert code == 0
+    eps = Fraction(1, 10)
+    lines = out.splitlines()
+    assert len(lines) == 2
+    for line, lam in zip(lines, [10 ** 52 + 9, 0]):
+        sigma, u, v = ([_literal(x) for x in part.split()]
+                       for part in line.split(" | "))
+        (sigma,) = sigma
+        assert max(sigma - eps, 0) ** 2 <= lam <= (sigma + eps) ** 2
+        res = [sum(a[i][j] * v[j] for j in range(2)) - sigma * u[i]
+               for i in range(2)]
+        assert sum(r * r for r in res) <= eps ** 2
+
+
+@pytest.mark.parametrize("command,entries", [
+    ("svd", "2 2 2\n1 1 3\n2 1 {big}\n"),
+    ("eigvecs", "2 2 2\n1 1 {big}\n2 2 3\n"),
+])
+def test_vector_target_below_double_range_is_an_input_error(
+        tmp_path, capsys, command, entries):
+    """At 10^160 the eigenvectors' accuracy target leaves the double range
+    that inverse power runs on: a documented exit code, not a traceback."""
+    (tmp_path / "a.mtx").write_text(entries.format(big=10 ** 160))
+    code, out = run_cli([command, str(tmp_path / "a.mtx"), "--epsilon", "0.1"])
+    assert code == 2 and out == ""
+    assert "below the double range" in capsys.readouterr().err
 
 
 def test_eigs_requires_symmetric(tmp_path):

@@ -15,3 +15,15 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+
+def test_no_global_statements():
+    """No process-wide switches: module state is fixed at import.  The one
+    exception is the kernels' lazy numpy import."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Global)
+             and (path.name, node.names) != ("kernels.py", ["np"])]
+    assert found == []
