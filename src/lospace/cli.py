@@ -35,7 +35,7 @@ from .linop import (
     read_matrix,
     read_vector,
 )
-from .numeric import FixedL, FloatOverflow, format_decimal, format_float2exp
+from .numeric import FloatOverflow, format_decimal, format_float2exp
 from .primes import SamplingExhausted
 from .solver import SingularMatrix, determinant, lin_solve, linear_regression
 from .spectral import ResultCountMismatch, eigendecompose, spectrum, svd
@@ -71,8 +71,6 @@ def _fmt_value(x, args):
     if args.format == "decimal":
         digits = 6 if args.decimal_digits is None else args.decimal_digits
         return format_decimal(x, digits)
-    if isinstance(x, FixedL):
-        return f"{'+' if x.scaled >= 0 else '-'}{abs(x.scaled)}*2^-{x.L}"
     return format_float2exp(x)
 
 

@@ -7,6 +7,17 @@ not charged.  Integers are charged at their bit length (a residue vector
 mod p at p.bit_length() + 1 bits per entry), so the numbers reported here
 are the model's bit counts, not process RSS.
 
+``track`` is the one way to charge a buffer: the charge lasts exactly as
+long as its ``with`` block, and ``resize`` adjusts it in place::
+
+    with meter.track("crt.state", 2) as state:
+        ...
+        state.resize(2 * P.bit_length())
+
+A buffer that lives as long as an object (a solver's determinant or
+cached polynomial) is charged by making the object a context manager
+that holds the ``track`` open.
+
 A meter is installed with ``activate()`` and queried afterwards::
 
     m = WorkspaceMeter()
@@ -14,8 +25,8 @@ A meter is installed with ``activate()`` and queried afterwards::
         run_solver(...)
     print(m.peak_bits)
 
-When no meter is active, registration is a no-op through a shared null
-meter, so instrumented code pays almost nothing in the common case.
+When no meter is active, charges go to a shared null meter that keeps
+nothing, so instrumented code pays almost nothing in the common case.
 """
 
 from __future__ import annotations
@@ -34,43 +45,21 @@ def intvec_bits(v) -> int:
 
 
 class WorkspaceMeter:
-    """Byte/bit counter of registered live buffers with per-label peaks."""
+    """Bit counter of live charges with per-label peaks."""
 
     def __init__(self):
         self.current_bits = 0
         self.peak_bits = 0
         self.by_label = {}
-        self._next_token = 0
-        self._live = {}
 
-    def alloc(self, label: str, bits: int) -> int:
-        """Register a live buffer; returns a token for ``free``."""
-        tok = self._next_token
-        self._next_token += 1
-        self._live[tok] = (label, bits)
+    def _charge(self, label: str, bits: int) -> None:
+        """The one charge path: ``track`` adds bits under label on entry and
+        on growth, and subtracts them on shrinking and on exit."""
         self.current_bits += bits
         if self.current_bits > self.peak_bits:
             self.peak_bits = self.current_bits
-        lab = self.by_label.setdefault(label, [0, 0])  # [current, peak]
+        lab = self.by_label.setdefault(label, [0, 0])  # [live, peak]
         lab[0] += bits
-        if lab[0] > lab[1]:
-            lab[1] = lab[0]
-        return tok
-
-    def free(self, token: int) -> None:
-        label, bits = self._live.pop(token)
-        self.current_bits -= bits
-        self.by_label[label][0] -= bits
-
-    def resize(self, token: int, bits: int) -> None:
-        """Adjust a registered buffer in place (e.g. a growing big integer)."""
-        label, old = self._live[token]
-        self._live[token] = (label, bits)
-        self.current_bits += bits - old
-        if self.current_bits > self.peak_bits:
-            self.peak_bits = self.current_bits
-        lab = self.by_label[label]
-        lab[0] += bits - old
         if lab[0] > lab[1]:
             lab[1] = lab[0]
 
@@ -93,13 +82,7 @@ class WorkspaceMeter:
 class _NullMeter(WorkspaceMeter):
     """Sink used when nothing is activated; keeps no state."""
 
-    def alloc(self, label, bits):
-        return -1
-
-    def free(self, token):
-        pass
-
-    def resize(self, token, bits):
+    def _charge(self, label, bits):
         pass
 
 
@@ -121,19 +104,24 @@ def current() -> WorkspaceMeter:
 
 
 class track:
-    """``with track(label, bits) as tok:`` charges a buffer to the active
-    meter for the dynamic extent."""
+    """``with track(label, bits) as t:`` charges bits under label to the
+    meter active at entry until the block ends; ``t.resize(bits)`` changes
+    the charge in place, for a buffer that grows or shrinks."""
 
-    __slots__ = ("label", "bits", "meter", "token")
+    __slots__ = ("label", "bits", "meter")
 
     def __init__(self, label: str, bits: int):
         self.label = label
         self.bits = bits
 
-    def __enter__(self) -> int:
+    def __enter__(self) -> track:
         self.meter = current()
-        self.token = self.meter.alloc(self.label, self.bits)
-        return self.token
+        self.meter._charge(self.label, self.bits)
+        return self
+
+    def resize(self, bits: int) -> None:
+        self.meter._charge(self.label, bits - self.bits)
+        self.bits = bits
 
     def __exit__(self, *exc):
-        self.meter.free(self.token)
+        self.meter._charge(self.label, -self.bits)

@@ -276,10 +276,14 @@ def fl_cmp_fraction(x: FloatL, q: Fraction) -> int:
 
 # -- text forms --------------------------------------------------------------
 
-def format_float2exp(x: FloatL) -> str:
-    """Render as +m*2^e (canonical mantissa), the CLI's default form."""
-    sign = "-" if x.mantissa < 0 else "+"
-    return f"{sign}{abs(x.mantissa)}*2^{x.exponent}"
+def format_float2exp(x) -> str:
+    """A FloatL as +m*2^e (canonical mantissa) or a FixedL as
+    +scaled*2^-L: the CLI's default form."""
+    if isinstance(x, FixedL):
+        mant, exp = x.scaled, f"-{x.L}"
+    else:
+        mant, exp = x.mantissa, x.exponent
+    return f"{'-' if mant < 0 else '+'}{abs(mant)}*2^{exp}"
 
 
 def format_decimal(x, digits: int) -> str:

@@ -265,9 +265,7 @@ def crt_combine(pairs) -> tuple[int, int]:
     """
     P, R = 1, 0
     seen = set()
-    m = meter.current()
-    tok = m.alloc("crt.state", 2)
-    try:
+    with meter.track("crt.state", 2) as state:
         for p, r in pairs:
             if p in seen:
                 raise DuplicatePrime(f"modulus {p} repeated")
@@ -278,7 +276,5 @@ def crt_combine(pairs) -> tuple[int, int]:
             t = (r - R) * pow(P, -1, p) % p
             R = R + P * t
             P = P * p
-            m.resize(tok, 2 * (P.bit_length() + R.bit_length() + 2))
-    finally:
-        m.free(tok)
+            state.resize(2 * (P.bit_length() + R.bit_length() + 2))
     return P, R

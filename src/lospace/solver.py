@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -223,6 +224,10 @@ class RationalSolver:
     Computes det(A), unless the caller passes it, and samples the lifting
     prime once; every solve() then runs the digit recurrence for its own
     right-hand side.  lin_solve is the one-shot wrapper.
+
+    Solves run inside a ``with`` block, which charges det as
+    ``solver.det`` and holds the FpSolver the first solve builds (its
+    ``fpsolver.poly`` charge included) until the block ends.
     """
 
     def __init__(self, a, eps: float, rng_or_seed=0, det: int | None = None):
@@ -239,8 +244,6 @@ class RationalSolver:
         # drawn either way, so the streams derived after it stay put
         det_rng = derive_rng(rng, "det")
         self.det = determinant(self.op, det_rng) if det is None else det
-        self._det_tok = meter.current().alloc("solver.det", int_bits(self.det))
-        self._det_meter = meter.current()
         self.prime = None
         self._fp = None
         if self.det != 0:
@@ -263,13 +266,13 @@ class RationalSolver:
                 return p
         raise RetriesExhausted("kept finding primes dividing det(A)")
 
-    def close(self):
-        if self._det_tok is not None:
-            self._det_meter.free(self._det_tok)
-            self._det_tok = None
-        if self._fp is not None:
-            self._fp.close()
-            self._fp = None
+    def __enter__(self):
+        self._held = ExitStack()
+        self._held.enter_context(meter.track("solver.det", int_bits(self.det)))
+        return self
+
+    def __exit__(self, *exc):
+        self._held.close()
 
     # -- digit stream ----------------------------------------------------
 
@@ -282,19 +285,18 @@ class RationalSolver:
         n, p, det = self.n, self.prime, self.det
         if self._fp is None:
             # one cached minimal polynomial serves every solve on this matrix
-            self._fp = FpSolver(self.op, p, derive_rng(self.rng, "mu"),
-                                delta=float(n) ** -(C + 2))
+            self._fp = self._held.enter_context(
+                FpSolver(self.op, p, derive_rng(self.rng, "mu"),
+                         delta=float(n) ** -(C + 2)))
         solver = self._fp
         maxbd = max((abs(x) for x in b), default=0) * abs(det)
         # once p^i outruns |b_j det|, the quotient is frozen at 0 or -1
         tails = [(-1 if bj * det < 0 else 0) for bj in b]
         r_tilde = [0] * n
         bound_r = 2 * n * self.u
-        m = meter.current()
-        rtok = m.alloc("lift.rtilde", n * (bound_r.bit_length() + 2))
-        ppow_tok = m.alloc("lift.ppow", 1)
-        dig_tok = m.alloc("lift.rhs+digits", 2 * n * (p.bit_length() + 1))
-        try:
+        with (meter.track("lift.rtilde", n * (bound_r.bit_length() + 2)),
+              meter.track("lift.ppow", 1) as ppow_bits,
+              meter.track("lift.rhs+digits", 2 * n * (p.bit_length() + 1))):
             ppow = 1
             for i in range(T):
                 if ppow is not None:
@@ -312,13 +314,9 @@ class RationalSolver:
                     ppow *= p
                     if ppow > maxbd:
                         ppow = None
-                        m.resize(ppow_tok, 1)
+                        ppow_bits.resize(1)
                     else:
-                        m.resize(ppow_tok, int_bits(ppow))
-        finally:
-            m.free(rtok)
-            m.free(ppow_tok)
-            m.free(dig_tok)
+                        ppow_bits.resize(int_bits(ppow))
 
     def lift_length(self, b):
         """T with p^T certifiably above 2 max |det * (A^-1 b)_i| (Cramer),
@@ -392,11 +390,8 @@ class RationalSolver:
 
 def lin_solve(a, b, eps: float, rng_or_seed=0, K=None) -> SolveOutcome:
     """One-shot entry-wise e^eps-multiplicative solve; SINGULAR iff det = 0."""
-    solver = RationalSolver(a, eps, rng_or_seed)
-    try:
+    with RationalSolver(a, eps, rng_or_seed) as solver:
         return solver.solve(b, K=K)
-    finally:
-        solver.close()
 
 
 def linear_regression(a: SparseMatrix, b, eps: float, rng_or_seed=0):

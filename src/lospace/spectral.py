@@ -231,9 +231,8 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
     """Inverse power on the integer operator op_int; det = det(op_int)
     when the caller already has it."""
     n = op_int.n
-    solver = RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
-                            det=det)
-    try:
+    with RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
+                        det=det) as solver:
         if solver.det == 0:
             return PowerResult(fl_zero(64), None)
         grid_bits = max(48, math.ceil(math.log2(1 / solver_eps)) + 8)
@@ -281,8 +280,6 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
                 v_int = nxt
         vec = _unitize(v_fl) if want_vector and v_fl is not None else None
         return PowerResult(lam, vec)
-    finally:
-        solver.close()
 
 
 def _t_cap(n, eps):
@@ -546,8 +543,7 @@ def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
         yield vals[i], scale_pow, v_fl
 
 
-def eigendecompose(a: SparseMatrix, eps: float, rng=None,
-                   vec_eps: float | None = None):
+def eigendecompose(a: SparseMatrix, eps: float, rng=None):
     """Yields n (lambda_i, v_i) pairs, eigenvalues ascending, one vector
     live at a time; |lambda_i(a) - lambda_i| <= eps, |v_i|^2 in [1 +- eps],
     |A v_i - lambda_i v_i| <= eps, pairwise inner products <= eps."""
@@ -555,8 +551,7 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None,
         raise ValueError("eigendecompose needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     n, u = a.n, a.entry_bound
-    if vec_eps is None:
-        vec_eps = _double_target(float(Fraction(eps) / (60 * n * u)) ** 2)
+    vec_eps = _double_target(float(Fraction(eps) / (60 * n * u)) ** 2)
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
     for lam, scale_pow, v_fl in _eigenvectors(a, eps, vec_eps, rng):
         vec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]

@@ -127,11 +127,8 @@ def find_kernel(a, p, delta=1e-9, rng=None):
 def linsolve_zp(a, b, p, delta=1e-9, rng=None):
     """Solve A x = b (mod p) for invertible (a mod p); verified before
     return.  One FpSolver solve: x is unique mod p."""
-    solver = FpSolver(a, p, rng or random.Random(), delta)
-    try:
+    with FpSolver(a, p, rng or random.Random(), delta) as solver:
         return solver.solve(b)
-    finally:
-        solver.close()
 
 
 def determinant_zp(a, p, delta=1e-9, rng=None):
@@ -180,6 +177,9 @@ class FpSolver:
     exact whenever the cached recurrence is the true minimal polynomial
     and verified against A x = b either way.  On a verification failure
     the recurrence is rebuilt with fresh randomness.
+
+    A context manager: the cached recurrence is charged to the meter as
+    ``fpsolver.poly`` until the ``with`` block ends.
     """
 
     def __init__(self, a, p, rng, delta=1e-9):
@@ -192,7 +192,14 @@ class FpSolver:
         self.delta = delta
         self._gbar = None
         self._budget = max(6, math.ceil(math.log2(1 / delta)))
-        self._poly_tok = None
+        self._poly = meter.track("fpsolver.poly", 0)
+
+    def __enter__(self):
+        self._poly.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        self._poly.__exit__(*exc)
 
     def _refresh_poly(self, boost):
         g = minimal_polynomial(self.op, self.p, boost=boost, rng=self.rng)
@@ -202,11 +209,7 @@ class FpSolver:
             # singular mod p; for an invertible matrix both are failed trials
             self._gbar = None
             return
-        m = meter.current()
-        if self._poly_tok is not None:
-            m.free(self._poly_tok)
-        self._poly_tok = m.alloc("fpsolver.poly", len(g) * (self.p.bit_length() + 1))
-        self._meter = m
+        self._poly.resize(len(g) * (self.p.bit_length() + 1))
         self._gbar = g
         self._c0inv = self.f.inv((-g[0]) % self.p)
 
@@ -227,8 +230,3 @@ class FpSolver:
                     return x
             self._gbar = None
         raise RetriesExhausted("FpSolver verification kept failing")
-
-    def close(self):
-        if self._poly_tok is not None:
-            self._meter.free(self._poly_tok)
-            self._poly_tok = None

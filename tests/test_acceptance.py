@@ -335,19 +335,18 @@ def test_criterion_10_property_suites():
             if oracle_det_bareiss(d) != 0:
                 break
         b = [rnd.randrange(-9, 10) for _ in range(n)]
-        s = RationalSolver(SparseMatrix.from_dense(d), 1e-4, trial)
-        T = s.lift_length(b)
-        acc = [0] * n
-        pw = 1
-        for digits in s.digit_vectors(b, T):  # carry bound asserted inside
-            for j in range(n):
-                acc[j] += digits[j] * pw
-            pw *= s.prime
+        with RationalSolver(SparseMatrix.from_dense(d), 1e-4, trial) as s:
+            T = s.lift_length(b)
+            acc = [0] * n
+            pw = 1
+            for digits in s.digit_vectors(b, T):  # carry bound asserted inside
+                for j in range(n):
+                    acc[j] += digits[j] * pw
+                pw *= s.prime
         want = oracle_solve_exact(d, b)
         for j in range(n):
             num = want[j] * s.det
             assert num.denominator == 1 and acc[j] % pw == int(num) % pw
-        s.close()
 
     # shift-invert soundness, both directions of the lemma
     hits = 0

@@ -1,30 +1,31 @@
 import threading
+from contextlib import ExitStack
 
 from lospace import meter
 
 
-def test_alloc_free_balance_and_peak():
+def test_track_balance_and_peak():
     m = meter.WorkspaceMeter()
-    t1 = m.alloc("a", 100)
-    t2 = m.alloc("b", 50)
-    assert m.current_bits == 150 and m.peak_bits == 150
-    m.free(t1)
-    t3 = m.alloc("a", 30)
-    assert m.current_bits == 80
-    assert m.peak_bits == 150
-    m.free(t2)
-    m.free(t3)
+    with m.activate():
+        with meter.track("b", 50):
+            with meter.track("a", 100):
+                assert m.current_bits == 150 and m.peak_bits == 150
+            with meter.track("a", 30):
+                assert m.current_bits == 80
+                assert m.peak_bits == 150
     assert m.current_bits == 0
-    assert m.by_label["a"][1] == 100
+    assert m.by_label["a"] == [0, 100]
 
 
 def test_resize_tracks_peak():
     m = meter.WorkspaceMeter()
-    tok = m.alloc("grow", 10)
-    m.resize(tok, 500)
-    m.resize(tok, 20)
-    m.free(tok)
+    with m.activate():
+        with meter.track("grow", 10) as charge:
+            charge.resize(500)
+            charge.resize(20)
+            assert m.current_bits == 20
     assert m.peak_bits == 500 and m.current_bits == 0
+    assert m.by_label["grow"] == [0, 500]
 
 
 def test_track_context_and_activation():
@@ -38,12 +39,17 @@ def test_track_context_and_activation():
 
 
 def test_nested_meters_innermost_wins():
+    """A charge goes to the meter active at entry, and is released there
+    even after another meter has become the active one."""
     outer, inner = meter.WorkspaceMeter(), meter.WorkspaceMeter()
     with outer.activate():
-        with inner.activate():
-            meter.current().alloc("z", 7)
-        assert inner.current_bits == 7
-        assert outer.current_bits == 0
+        with ExitStack() as held:
+            with inner.activate():
+                held.enter_context(meter.track("z", 7))
+            assert inner.current_bits == 7
+            assert outer.current_bits == 0
+        assert inner.current_bits == 0
+    assert outer.by_label == {}
 
 
 def test_thread_isolation():
@@ -61,9 +67,11 @@ def test_thread_isolation():
 
 
 def test_null_meter_noops():
-    tok = meter.current().alloc("whatever", 10)
-    meter.current().free(tok)
-    meter.current().resize(tok, 5)
+    null = meter.current()
+    with meter.track("whatever", 10) as charge:
+        charge.resize(5)
+    assert meter.current() is null
+    assert (null.current_bits, null.peak_bits, null.by_label) == (0, 0, {})
 
 
 def test_int_bits_helpers():

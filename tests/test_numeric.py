@@ -261,6 +261,10 @@ def test_sqrt_and_div():
 def test_text_forms():
     x = FloatL(-11, -5, 8)
     assert format_float2exp(x) == "-11*2^-5"
+    assert format_float2exp(FixedL(-11, 5)) == "-11*2^-5"
+    assert format_float2exp(FixedL(3, 0)) == "+3*2^-0"
+    assert format_float2exp(FixedL(0, 7)) == "+0*2^-7"
+    assert format_decimal(FixedL(-3, 3), 2) == "-0.38"
     assert format_decimal(fl_from_bigratio(1, 2, 20), 8) == "0.50000000"
     assert format_decimal(fl_from_bigratio(3, 4, 20), 8) == "0.75000000"
     assert format_decimal(fl_from_bigratio(-3, 4, 20), 2) == "-0.75"

@@ -23,6 +23,7 @@ from lospace.solver import (
     sign_combine,
 )
 from lospace.primes import PrimePool, shared_pool, window_floor
+from lospace.wiedemann import FpSolver, RetriesExhausted
 
 
 def rand_dense(rnd, n, lo=-9, hi=9):
@@ -233,11 +234,10 @@ def test_lift_length_from_the_row_norm_bound(monkeypatch):
         rnd = random.Random(seed)
         a = bench_matrix(n, rnd)
         b = [rnd.randrange(-100, 101) for _ in range(n)]
-        s = RationalSolver(a, 1e-6, seed)
-        assert s.lift_length(b) < _lift_length_entry_bound(s, b)
-        huge = [x * 10 ** 60 for x in b]
-        assert s.lift_length(huge) <= _lift_length_entry_bound(s, huge)
-        s.close()
+        with RationalSolver(a, 1e-6, seed) as s:
+            assert s.lift_length(b) < _lift_length_entry_bound(s, b)
+            huge = [x * 10 ** 60 for x in b]
+            assert s.lift_length(huge) <= _lift_length_entry_bound(s, huge)
         for eps in (1e-6, 1e-30):
             new = lin_solve(a, b, eps, seed).x
             with monkeypatch.context() as mp:
@@ -381,11 +381,10 @@ def test_block_equivalence():
 
 
 def test_default_block_count_formula():
-    s = RationalSolver(SparseMatrix.identity(4), 1e-6, 0)
     n, u = 4, 1
     want = min(n, max(1, math.ceil(math.log2(1e6) / math.log2(2 * n * u))))
-    assert s.block_count() == want
-    s.close()
+    with RationalSolver(SparseMatrix.identity(4), 1e-6, 0) as s:
+        assert s.block_count() == want
 
 
 def test_digit_reconstruction_exact_mode():
@@ -395,20 +394,19 @@ def test_digit_reconstruction_exact_mode():
         n = rnd.randrange(2, 8)
         d = rand_invertible(rnd, n)
         b = [rnd.randrange(-20, 21) for _ in range(n)]
-        s = RationalSolver(SparseMatrix.from_dense(d), 1e-6, trial)
-        T = s.lift_length(b)
-        acc = [0] * n
-        pw = 1
-        for digits in s.digit_vectors(b, T):
-            for j in range(n):
-                acc[j] += digits[j] * pw
-            pw *= s.prime
+        with RationalSolver(SparseMatrix.from_dense(d), 1e-6, trial) as s:
+            T = s.lift_length(b)
+            acc = [0] * n
+            pw = 1
+            for digits in s.digit_vectors(b, T):
+                for j in range(n):
+                    acc[j] += digits[j] * pw
+                pw *= s.prime
         xs = oracle_solve_exact(d, b)
         for j in range(n):
             want = xs[j] * s.det
             assert want.denominator == 1
             assert acc[j] % pw == int(want) % pw
-        s.close()
 
 
 def test_determinism_same_seed():
@@ -422,13 +420,11 @@ def test_determinism_same_seed():
 
 def test_solve_independent_of_call_history():
     a = SparseMatrix.from_dense([[3, 1, 0], [1, 4, 1], [0, 1, 5]])
-    fresh = RationalSolver(a, 1e-15, 0)
-    want = fresh.solve([1, 2, 3]).x
-    fresh.close()
-    used = RationalSolver(a, 1e-15, 0)
-    used.solve([10 ** 40, 1, 1])
-    got = used.solve([1, 2, 3]).x
-    used.close()
+    with RationalSolver(a, 1e-15, 0) as fresh:
+        want = fresh.solve([1, 2, 3]).x
+    with RationalSolver(a, 1e-15, 0) as used:
+        used.solve([10 ** 40, 1, 1])
+        got = used.solve([1, 2, 3]).x
     assert got == want
 
 
@@ -474,6 +470,54 @@ def test_meter_balances_after_solve():
     assert m.peak_bits > 0
 
 
+def test_failed_solve_releases_every_charge(monkeypatch):
+    """A Las Vegas failure deep inside the lift unwinds every charge: the
+    lift's, the accumulators', the cached polynomial's and det's."""
+    calls = []
+    real_solve = FpSolver.solve
+
+    def failing_solve(self, b):
+        calls.append(b)
+        if len(calls) == 3:
+            raise RetriesExhausted("injected")
+        return real_solve(self, b)
+
+    monkeypatch.setattr(FpSolver, "solve", failing_solve)
+    rnd = random.Random(5)
+    a = bench_matrix(8, rnd)
+    b = [rnd.randrange(-100, 101) for _ in range(8)]
+    m = meter.WorkspaceMeter()
+    with m.activate(), pytest.raises(RetriesExhausted, match="injected"):
+        lin_solve(a, b, 1e-6, 5)
+    assert len(calls) == 3
+    assert {"solver.det", "fpsolver.poly", "lift.accumulators", "lift.rtilde",
+            "lift.ppow", "lift.rhs+digits"} <= set(m.by_label)
+    assert m.current_bits == 0
+    assert {label: live for label, (live, _) in m.by_label.items() if live} == {}
+
+
+def test_closed_digit_stream_releases_its_charges():
+    """A digit stream abandoned after two digits releases its three lift
+    buffers when it is closed; the solver's own charges stay."""
+    rnd = random.Random(5)
+    a = bench_matrix(8, rnd)
+    b = [rnd.randrange(-100, 101) * 10 ** 30 for _ in range(8)]
+    lift = ("lift.rtilde", "lift.ppow", "lift.rhs+digits")
+    m = meter.WorkspaceMeter()
+    with m.activate(), RationalSolver(a, 1e-6, 5) as s:
+        T = s.lift_length(b)
+        assert T > 2
+        digits = s.digit_vectors(b, T)
+        next(digits)
+        next(digits)
+        assert all(m.by_label[label][0] > 0 for label in lift)
+        digits.close()
+        assert [m.by_label[label][0] for label in lift] == [0, 0, 0]
+        assert m.by_label["solver.det"][0] > 0
+        assert m.by_label["fpsolver.poly"][0] > 0
+    assert m.current_bits == 0
+
+
 def test_workspace_scales_linearly():
     """Peak solve workspace is c * n * log2(nU) bits with stable c across
     n in {64, 128, 256} at eps = 2^-20."""
@@ -513,21 +557,20 @@ def test_shift_operator_primes_are_uncapped(monkeypatch):
     want_det = oracle_det_bareiss(
         [[v + (3 if i == j else 0) for j, v in enumerate(row)]
          for i, row in enumerate(dense)])
-    s = RationalSolver(shifted, 1e-6, 3)
-    det_lower = max(16, n ** 3 * shifted.entry_bound)
-    assert s.det == want_det
-    assert calls == shared_pool.get(det_lower, len(calls))
-    assert max(calls) > top
-    lift_lower = n ** 3 * shifted.entry_bound
-    assert s.prime in shared_pool.get(lift_lower, 8) and s.prime > top
-    s.close()
+    with RationalSolver(shifted, 1e-6, 3) as s:
+        det_lower = max(16, n ** 3 * shifted.entry_bound)
+        assert s.det == want_det
+        assert calls == shared_pool.get(det_lower, len(calls))
+        assert max(calls) > top
+        lift_lower = n ** 3 * shifted.entry_bound
+        assert s.prime in shared_pool.get(lift_lower, 8) and s.prime > top
 
     calls.clear()
-    plain = RationalSolver(a, 1e-6, 3)
-    assert plain.det == oracle_det_bareiss(dense)
-    assert calls == shared_pool.get(n ** 3 * a.entry_bound, len(calls), top=top)
-    assert max(calls) < top and plain.prime < top
-    plain.close()
+    with RationalSolver(a, 1e-6, 3) as plain:
+        assert plain.det == oracle_det_bareiss(dense)
+        assert calls == shared_pool.get(n ** 3 * a.entry_bound, len(calls),
+                                        top=top)
+        assert max(calls) < top and plain.prime < top
 
 
 def _fresh_pool(monkeypatch):
@@ -576,14 +619,11 @@ def test_solver_lifts_with_the_determinants_stream(monkeypatch):
         for op in _one_of_each_kind(random.Random(seed)):
             pool = _fresh_pool(monkeypatch)
             calls.clear()
-            s = RationalSolver(op, 1e-6, seed)
-            try:
+            with RationalSolver(op, 1e-6, seed) as s:
                 (stream,) = _streams(pool)
                 assert stream[:len(calls)] == calls
                 assert s.prime == next(p for p in stream if s.det % p)
                 assert set(stream) == set(calls) | {s.prime}
-            finally:
-                s.close()
 
 
 def test_band_determinant_stays_on_the_fused_kernels(monkeypatch):

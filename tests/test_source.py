@@ -27,3 +27,21 @@ def test_no_global_statements():
              if isinstance(node, ast.Global)
              and (path.name, node.names) != ("kernels.py", ["np"])]
     assert found == []
+
+
+def test_no_hand_released_charges():
+    """A charge lasts as long as a ``with`` block: no class has a close()
+    that callers must remember, and only meter.py reaches the meter's
+    private charge path."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.name}:{item.lineno} {node.name}.close"
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name == "close"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "_charge"
+                  and path.name != "meter.py"):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert found == []

@@ -203,21 +203,19 @@ def test_fpsolver_repeated_rhs():
     a = SparseMatrix.from_dense(dense)
     op = LinearOperator.from_sparse(a)
     f = Field(p)
-    solver = FpSolver(a, p, rnd)
-    for _ in range(10):
-        b = [rnd.randrange(p) for _ in range(6)]
-        x = solver.solve(b)
-        assert op.apply_mod(x, p) == b
-    solver.close()
+    with FpSolver(a, p, rnd) as solver:
+        for _ in range(10):
+            b = [rnd.randrange(p) for _ in range(6)]
+            x = solver.solve(b)
+            assert op.apply_mod(x, p) == b
 
 
 def test_fpsolver_degree_zero_recurrence_is_a_failed_trial():
     # this seed draws an all-zero Krylov sequence first; its recurrence [1]
     # has no coefficients left for Horner once the constant term is split off
-    solver = FpSolver(SparseMatrix.from_dense([[3]]), 5, random.Random(2))
-    x = solver.solve([1])
+    with FpSolver(SparseMatrix.from_dense([[3]]), 5, random.Random(2)) as solver:
+        x = solver.solve([1])
     assert 3 * x[0] % 5 == 1
-    solver.close()
 
 
 def test_minpoly_workspace_linear():
