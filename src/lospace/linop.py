@@ -78,9 +78,14 @@ class SparseMatrix:
         return len(self.vals)
 
     @property
+    def max_abs(self):
+        """max |entry|, 0 for a zero matrix."""
+        return max((abs(v) for v in self.vals), default=0)
+
+    @property
     def entry_bound(self):
         """U: max |entry|, at least 1."""
-        return max((abs(v) for v in self.vals), default=1) or 1
+        return self.max_abs or 1
 
     @staticmethod
     def from_entries(n, m, entries):
@@ -212,12 +217,14 @@ class LinearOperator:
     # -- entry bound of the represented matrix ---------------------------
 
     @property
-    def entry_bound(self):
-        u = self.base.entry_bound
+    def max_abs(self):
+        """A bound on max |entry| of the represented matrix, 0 when the
+        composition is zero."""
+        u = self.base.max_abs
         if self.kind == BASE:
             return u
         if self.kind == DIAG_SCALE:
-            return u * max(max(abs(x) for x in self.diag), 1)
+            return u * max(abs(x) for x in self.diag)
         if self.kind == SHIFT:
             return u + max(abs(x) for x in self.diag)
         if self.kind == GRAM:
@@ -225,6 +232,12 @@ class LinearOperator:
         if self.kind == GRAM_T:
             return self.base.m * u * u
         raise AssertionError(self.kind)
+
+    @property
+    def entry_bound(self):
+        """U: max_abs, at least 1; the floor applies once, to the
+        composition, so a product over a zero matrix scales no phantom 1."""
+        return self.max_abs or 1
 
     # -- mod-p application ------------------------------------------------
 

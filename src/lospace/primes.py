@@ -56,13 +56,20 @@ them finds a witness, or the rounds run out.  Its use of rng is
 therefore that of plain random rounds whenever those reach the right
 verdict, and its verdict is exact below psi_13.
 
-The sampler goes further above 2^99.  Damgard, Landrock and Pomerance
-(Math. Comp. 61, 1993) bound the chance that a uniformly random odd
-k-bit integer which passes t random rounds is composite; for k >= 100
-the t of ``_SAMPLER_ROUNDS`` (Menezes, van Oorschot and Vanstone,
-Handbook of Applied Cryptography, Table 4.4) make it at most 2^-80,
-which is what 40 rounds give in the worst case.  The bound applies to
-the sampler's candidates of k >= 100 bits, which only uncapped windows
+The sampler goes further above 2^81.  Damgard, Landrock and Pomerance
+(Math. Comp. 61, 1993) bound the chance p_{k,t} that a uniformly random
+odd k-bit integer which passes t random rounds is composite; the t of
+``_SAMPLER_ROUNDS`` make it at most 2^-80, which is what 40 rounds give
+in the worst case.  For k >= 100 they are those of Menezes, van Oorschot
+and Vanstone (Handbook of Applied Cryptography, Table 4.4).  For
+82 <= k <= 99 they are the least t with
+
+    p_{k,t} <= (1/7) k^(15/4) 2^(-k/2 - 2t) <= 2^-80,
+
+DLP's estimate for k >= 21 and t >= k/4, which every such t meets:
+31 rounds at 82 bits, 30 at 83-86, 29 at 87-91, 28 at 92-95 and 27 at
+96-99 (at 100 bits the same formula gives HAC's 27).  The bound applies
+to the sampler's candidates of k >= 82 bits, which only uncapped windows
 hold:
 
   - an uncapped window is [2^a, 2^2a], so given its bit length k the
@@ -72,15 +79,16 @@ hold:
     512), which can only lower the share of composites among the
     candidates that pass;
   - the repeat filter removes at most the c primes already drawn, out of
-    more than 2^92 of k bits, so it raises the bound by a factor of at
-    most 1 + c 2^-92;
+    more than 2^75 of k bits, so it raises the bound by a factor of at
+    most 1 + c 2^-75;
   - a capped window ends below the word bound, 2^50 or less, so all its
     candidates lie below psi_13 and are decided exactly.
 
 An accepted candidate then draws the 40 - t bases it did not test, so a
 stream departs from that of 40 random rounds only where 40 rounds would
 have caught a composite that t rounds passed: probability 2^-80 per
-accepted prime.  Candidates of 82 to 99 bits keep 40 random rounds.
+accepted prime.  Candidates below 82 bits keep 40 rounds, which the
+prime bases settle below psi_13.
 
 CRT reconstruction is incremental (Garner style): only the running product
 and remainder are live, never the full residue table.
@@ -119,10 +127,12 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # (k, t): t random rounds leave a uniformly random odd integer of k or more
-# bits composite with probability <= 2^-80 (HAC Table 4.4)
+# bits composite with probability <= 2^-80 (HAC Table 4.4 from 100 bits,
+# DLP's t >= k/4 estimate below; module docstring)
 _SAMPLER_ROUNDS = ((1300, 2), (850, 3), (650, 4), (550, 5), (450, 6),
                    (400, 7), (350, 8), (300, 9), (250, 12), (200, 15),
-                   (150, 18), (100, 27))
+                   (150, 18), (96, 27), (92, 28), (87, 29), (83, 30),
+                   (82, 31))
 
 
 def _witness(a, d, r, x):
@@ -172,7 +182,7 @@ def test_prime(x: int, rounds: int = 40, rng: random.Random | None = None) -> st
 
 def _looks_prime(x, rng):
     """The sampler's test: like test_prime(x, 40, rng), rng use included,
-    but with the rounds of _SAMPLER_ROUNDS above 2^99."""
+    but with the rounds of _SAMPLER_ROUNDS above 2^81."""
     if x < 512:
         return x in _SMALL_PRIMES
     if x & 1 == 0 or math.gcd(x, _PRIMORIAL) > 1:

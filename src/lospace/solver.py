@@ -35,6 +35,13 @@ that its residues stay on the int64 kernels.  Any prime not dividing det
 serves the lift, and any prime the CRT, so only the outputs' rounding,
 never det, depends on which window.
 
+A caller that builds many operators can share one window among them by
+passing it as ``window``: ``spectral`` draws every determinant and lift of
+one call from the window of its widest shift.  That is sound because the
+proofs above need only primes at or above the operator's own lower end
+(every prime exceeds n^2 U, and the lift's p >= n^3 U); a window starting
+lower, or with another top, is refused with ValueError.
+
 Hot loops run against one cached minimal polynomial per (matrix, prime):
 each lifting step is a Horner application plus one verification product.
 """
@@ -152,12 +159,27 @@ def _prime_window(op, det=False):
     return lower, top
 
 
-def determinant(a, rng=None) -> int:
+def _checked_window(op, window, det=False):
+    """window, or op's own ``_prime_window`` when it is None.  A shared
+    window must start at or above op's own lower end and keep its top:
+    larger primes serve every bound the determinant and the lift rest on."""
+    own = _prime_window(op, det)
+    if window is None:
+        return own
+    lower, top = window
+    if lower < own[0] or top != own[1]:
+        raise ValueError(f"prime window {window} does not cover this "
+                         f"operator's own window {own}")
+    return lower, top
+
+
+def determinant(a, rng=None, window=None) -> int:
     """Exact det(a) with failure probability <= n^-C.
 
     Primes are drawn one at a time from the operator's window
     (``_prime_window``: [max(16, n^3 U), ..^2], or the n^2 U window where
-    only that one fits the word bound, capped below op.prime_top()), until
+    only that one fits the word bound, capped below op.prime_top()), or
+    from the (lower, top) window passed, which must cover it, until
     their product exceeds twice the Hadamard bound: the row-norm bound for
     a plain matrix, the column-norm bound for a Gram product (a zero row
     or column returns 0 without drawing a prime) and hadamard_bound(n, U)
@@ -172,6 +194,7 @@ def determinant(a, rng=None) -> int:
     n = op.n
     if n == 0:
         return 1
+    lower, top = _checked_window(op, window, det=True)
     u = op.entry_bound
     if op.kind == BASE:
         bound = 2 * row_norm_bound(op.base)
@@ -182,7 +205,6 @@ def determinant(a, rng=None) -> int:
     if bound == 0:
         return 0
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    lower, top = _prime_window(op, det=True)
     # pooled primes: every residue is certificate-checked, so sharing the
     # prime stream across calls costs nothing in correctness
     primes, prod = [], 1
@@ -222,20 +244,23 @@ class RationalSolver:
     """Repeated entry-wise-approximate solves against one fixed matrix.
 
     Computes det(A), unless the caller passes it, and samples the lifting
-    prime once; every solve() then runs the digit recurrence for its own
-    right-hand side.  lin_solve is the one-shot wrapper.
+    prime once, both from the operator's window or the window passed
+    (``determinant``); every solve() then runs the digit recurrence for
+    its own right-hand side.  lin_solve is the one-shot wrapper.
 
     Solves run inside a ``with`` block, which charges det as
     ``solver.det`` and holds the FpSolver the first solve builds (its
     ``fpsolver.poly`` charge included) until the block ends.
     """
 
-    def __init__(self, a, eps: float, rng_or_seed=0, det: int | None = None):
+    def __init__(self, a, eps: float, rng_or_seed=0, det: int | None = None,
+                 window=None):
         if not 0 < float(eps) < 1:
             raise ValueError("eps must lie in (0, 1)")
         self.op = LinearOperator.wrap(a)
         if self.op.n != self.op.m:
             raise ValueError("solver needs a square matrix")
+        self.window = _checked_window(self.op, window)
         self.n = self.op.n
         self.u = self.op.entry_bound
         rng = (rng_or_seed if isinstance(rng_or_seed, random.Random)
@@ -243,7 +268,8 @@ class RationalSolver:
         self.rng = rng
         # drawn either way, so the streams derived after it stay put
         det_rng = derive_rng(rng, "det")
-        self.det = determinant(self.op, det_rng) if det is None else det
+        self.det = (determinant(self.op, det_rng, window)
+                    if det is None else det)
         self.prime = None
         self._fp = None
         if self.det != 0:
@@ -259,7 +285,7 @@ class RationalSolver:
     def _pick_prime(self):
         from .wiedemann import RetriesExhausted
 
-        lower, top = _prime_window(self.op)
+        lower, top = self.window
         for count in range(1, 9):
             p = shared_pool.get(lower, count, top=top)[-1]
             if self.det % p:

@@ -64,6 +64,18 @@ diag(2^s) times the base.  No operator keeps a reduced copy between
 calls: a shifted operator's products mod p are its exact products
 reduced.
 
+One prime window serves a whole call.  Every operator a call builds is
+2^s B - m I, with |m| at most M: the root interval's half-width 2nU 2^s,
+plus, for the eigenvector shifts lambda_i + g5, the gap g5 <= sep/5 +
+2^-s, so M = 2nU 2^s + ceil(sep 2^s).  The perturbation is nonnegative,
+so the entry bound 2^s U + max |d_i - m| of 2^s B - m I is at most
+2^s U + max d_i + M, its value at m = -M, and the window of 2^s B + M I
+(``solver._prime_window``) starts at or above every node's own n^3 U.  Determinants and lifts need only
+primes at or above their operator's own lower end, so all of them draw
+from that one window: one prime stream per call (per attempt, when the
+perturbation is retried), instead of one per power of two of n^3 U that
+the shifts reach.
+
 Probabilistic failures (a perturbation that left two eigenvalues closer
 than a leaf) surface as ResultCountMismatch after one retry with a fresh
 perturbation.
@@ -98,7 +110,7 @@ from .numeric import (
     fl_zero,
 )
 from .linop import LinearOperator, SparseMatrix
-from .solver import RationalSolver, derive_rng, determinant
+from .solver import RationalSolver, _prime_window, derive_rng, determinant
 
 YES, NO = "YES", "NO"
 
@@ -227,12 +239,12 @@ class PowerResult:
 
 def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
                    want_vector=False, hint: Fraction | None = None,
-                   det: int | None = None):
+                   det: int | None = None, window=None):
     """Inverse power on the integer operator op_int; det = det(op_int)
-    when the caller already has it."""
+    when the caller already has it, window the call's prime window."""
     n = op_int.n
     with RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
-                        det=det) as solver:
+                        det=det, window=window) as solver:
         if solver.det == 0:
             return PowerResult(fl_zero(64), None)
         grid_bits = max(48, math.ceil(math.log2(1 / solver_eps)) + 8)
@@ -287,7 +299,7 @@ def _t_cap(n, eps):
     return min(800, math.ceil(28 * math.log(4 * n / eps_s) / eps))
 
 
-def inv_power_gap(a, eps: float, delta, rng=None):
+def inv_power_gap(a, eps: float, delta, rng=None, window=None):
     """(lambda, v): least-magnitude eigenvalue plus its eigenvector.
 
     The caller guarantees the 1.1x spectral gap; convergence is then
@@ -297,7 +309,8 @@ def inv_power_gap(a, eps: float, delta, rng=None):
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     cap = min(600, math.ceil(12 * math.log(4 * op.n / min(0.5, eps))) + 24)
     res = _inverse_power(op, max(eps, 1e-9), Fraction(delta), rng, cap,
-                         min(2.0 ** -40, eps / 256), want_vector=True)
+                         min(2.0 ** -40, eps / 256), want_vector=True,
+                         window=window)
     return res.lam, res.vector
 
 
@@ -305,17 +318,19 @@ def inv_power_gap(a, eps: float, delta, rng=None):
 
 
 def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
-                 rng, det: int | None = None) -> str:
+                 rng, det: int | None = None, window=None) -> str:
     """NO certifies (b/2^s) has no eigenvalue in [lo, hi]; YES places one
     within the interval widened by a quarter width on each side.  det,
-    when given, is the midpoint's _midpoint_det value."""
+    when given, is the midpoint's _midpoint_det value, and window the
+    call's prime window."""
     mid = (lo + hi) / 2
     radius = (hi - lo) / 2
     shifted = _shifted(b_scaled, mid * (1 << scale_pow))
     delta_scaled = radius * (1 << scale_pow)
     res = _inverse_power(shifted, 0.1, delta_scaled, rng,
                          _t_cap(b_scaled.n, 0.1), 2.0 ** -40,
-                         hint=Fraction(12, 10) * delta_scaled, det=det)
+                         hint=Fraction(12, 10) * delta_scaled, det=det,
+                         window=window)
     if fl_cmp_fraction(res.lam, Fraction(12, 10) * delta_scaled) == LESS:
         return YES
     return NO
@@ -327,16 +342,16 @@ def _shifted(b_scaled, m_scaled: Fraction):
     return LinearOperator.shift(b_scaled, -int(m_scaled))
 
 
-def _midpoint_det(b_scaled, m_scaled: Fraction, rng) -> int:
+def _midpoint_det(b_scaled, m_scaled: Fraction, rng, window=None) -> int:
     """det(b_scaled - m_scaled I) = prod(lambda_i - m), exactly: negative
     exactly when an odd number of eigenvalues lie below m_scaled, and
     zero exactly when m_scaled is one."""
-    return determinant(_shifted(b_scaled, m_scaled), rng=rng)
+    return determinant(_shifted(b_scaled, m_scaled), rng=rng, window=window)
 
 
-def _shifted_det(b_scaled, m_scaled: Fraction, rng) -> FloatL:
+def _shifted_det(b_scaled, m_scaled: Fraction, rng, window=None) -> FloatL:
     """_midpoint_det rounded to 64 bits."""
-    return fl_from_int(_midpoint_det(b_scaled, m_scaled, rng), 64)
+    return fl_from_int(_midpoint_det(b_scaled, m_scaled, rng, window), 64)
 
 
 def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
@@ -387,9 +402,11 @@ def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
     return ka
 
 
-def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
-                  stats=None):
-    """Ascending eigenvalue estimates of B, exactly n of them or fewer.
+def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
+                  pad: Fraction, rng, stats=None):
+    """Ascending eigenvalue estimates of B, exactly n of them or fewer,
+    with s, 2^s B and the prime window of the call: the window of shifts
+    up to pad beyond the root interval.
 
     Root interval [-2nU, 2nU] (Gershgorin keeps every eigenvalue inside
     nU + eps/2), widths halve, so depth-d endpoints live on the 4nU/2^d
@@ -409,6 +426,9 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
         depth_needed += 1
     scale_pow = max(b.scale_pow, depth_needed + 4)
     b_scaled = b.scaled(scale_pow)
+    # the window of 2^s B + M I covers every shift's (module docstring)
+    m_max = (2 * reach << scale_pow) + math.ceil(pad * (1 << scale_pow))
+    window = _prime_window(_shifted(b_scaled, -m_max))
     bits = n * (scale_pow + 8)
     exact = []     # split points that are eigenvalues, then narrowed leaves
     odd = []       # intervals holding an odd number of eigenvalues
@@ -416,7 +436,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
 
     def value(m, *labels):
         return _shifted_det(b_scaled, m * (1 << scale_pow),
-                            derive_rng(rng, "det", *labels))
+                            derive_rng(rng, "det", *labels), window)
 
     def split(iv, f_mid):
         lo, hi, depth, label, f_lo, f_hi = iv
@@ -458,20 +478,20 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
                 # nodes the determinant settles
                 node_rng = derive_rng(rng, "node", label)
                 d = _midpoint_det(b_scaled, (lo + hi) / 2 * (1 << scale_pow),
-                                  derive_rng(rng, "det", label))
+                                  derive_rng(rng, "det", label), window)
                 f_mid = fl_from_int(d, 64)
                 # an eigenvalue at an end or the midpoint, or an odd half,
                 # lies in [lo, hi], where shift_invert answers YES; only
                 # two even halves need it
                 if f_lo.sign() == f_mid.sign() == f_hi.sign() != 0 and \
                         shift_invert(b_scaled, scale_pow, lo, hi, node_rng,
-                                     det=d) == NO:
+                                     det=d, window=window) == NO:
                     continue
                 place(split(iv, f_mid))
                 continue
             widest = max((iv[1] - iv[0] for iv in odd), default=0)
             if widest < leaf_width:
-                return sorted(exact), scale_pow, b_scaled
+                return sorted(exact), scale_pow, b_scaled, window
             chosen = [iv for iv in odd if iv[1] - iv[0] == widest]
             odd[:] = [iv for iv in odd if iv[1] - iv[0] != widest]
             for iv in chosen:
@@ -483,21 +503,24 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction, rng,
                         int((lo + 2 * reach) / leaf), int((hi + 2 * reach) / leaf),
                         f_lo, f_hi, leaves, stats)
             exact.append(point(k))
-    return sorted(exact), scale_pow, b_scaled
+    return sorted(exact), scale_pow, b_scaled, window
 
 
 def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stats=None):
     """Shared front end of spectrum/eigendecompose/svd, with one retry on a
     fresh perturbation: 2^s B for B = a perturbed by at most eps/2, the
-    eigenvalue estimates from tree leaves sep/leaf_div wide, s and sep."""
+    eigenvalue estimates from tree leaves sep/leaf_div wide, s, sep and
+    the prime window of shifts up to sep beyond the root interval, which
+    covers the eigenvector shifts' gap."""
     n, u = a.n, a.entry_bound
     sep = Fraction(eps) ** 2 / (4 * n ** 4 * u)  # separation after eps/2 perturb
     for attempt in range(2):
         b = perturb_spectrum(a, eps / 2, derive_rng(rng, "perturb", attempt))
-        vals, scale_pow, b_scaled = _extract_eigs(
-            b, u, sep / leaf_div, derive_rng(rng, "tree", attempt), stats=stats)
+        vals, scale_pow, b_scaled, window = _extract_eigs(
+            b, u, sep / leaf_div, sep, derive_rng(rng, "tree", attempt),
+            stats=stats)
         if len(vals) == n:
-            return b_scaled, vals, scale_pow, sep
+            return b_scaled, vals, scale_pow, sep, window
     raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")
 
 
@@ -506,7 +529,7 @@ def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
     if not a.is_symmetric():
         raise ValueError("spectrum needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    _, vals, scale_pow, _ = _perturb_and_extract(a, eps, rng, 8, stats)
+    _, vals, scale_pow, _, _ = _perturb_and_extract(a, eps, rng, 8, stats)
     return [fixed_from_fraction(v, scale_pow) for v in vals]
 
 
@@ -529,15 +552,17 @@ def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
     eigenvalues ascending or descending, lambda_i on the 2^-s grid and v_i
     a unit FloatL eigenvector: one gap-mode inverse power against
     B - (lambda_i + g5) I, on the stream derive_rng(rng, "vec", i), drawn
-    in the order the vectors are yielded.  One vector is live at a time."""
-    b_scaled, vals, scale_pow, sep = _perturb_and_extract(a, eps, rng, 16)
+    in the order the vectors are yielded, and on the prime window of the
+    tree.  One vector is live at a time."""
+    b_scaled, vals, scale_pow, sep, window = _perturb_and_extract(
+        a, eps, rng, 16)
     g5 = _dyadic_at_least(sep / 5, scale_pow)
     delta = sep / 10 * (1 << scale_pow)
     order = range(len(vals))
     for i in reversed(order) if descending else order:
         shifted = _shifted(b_scaled, (vals[i] + g5) * (1 << scale_pow))
         _, v_fl = inv_power_gap(shifted, vec_eps, delta,
-                                derive_rng(rng, "vec", i))
+                                derive_rng(rng, "vec", i), window)
         if v_fl is None:
             raise ResultCountMismatch(f"no eigenvector for eigenvalue {i}")
         yield vals[i], scale_pow, v_fl

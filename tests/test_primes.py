@@ -253,11 +253,13 @@ def _spy_pow(monkeypatch):
 
 
 @pytest.mark.parametrize("lower, top, most", [(1 << 25, 1 << 50, 10),
+                                              (1 << 45, None, 31),
                                               (1 << 105, None, 15)],
-                         ids=["capped-2^50", "uncapped-2^105"])
+                         ids=["capped-2^50", "uncapped-2^45", "uncapped-2^105"])
 def test_exponentiations_per_accepted_prime(monkeypatch, lower, top, most):
     """An accepted word-size prime costs one random round plus at most 9
-    prime bases; one of over 200 bits, 15 random rounds (40 before)."""
+    prime bases; one of 82 to 90 bits, at most 31 random rounds, and one
+    of over 200 bits, 15 (40 each before)."""
     calls = _spy_pow(monkeypatch)
     ps = PrimePool().get(lower, 6, top=top)
     for p in ps:

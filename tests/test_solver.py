@@ -573,6 +573,32 @@ def test_shift_operator_primes_are_uncapped(monkeypatch):
         assert max(calls) < top and plain.prime < top
 
 
+def test_shared_window_must_cover_the_operators_own():
+    """A caller's (lower, top) prime window serves an operator only when it
+    starts at or above the operator's own lower end and keeps its top: a
+    higher window gives the same det and lifts from its own primes, while
+    a lower one, or another top, raises ValueError in determinant and in
+    RationalSolver alike."""
+    rnd = random.Random(73)
+    a = SparseMatrix.from_dense(_dense_nonzero(rnd, 4, 4, 10))
+    shifted = LinearOperator.shift(a, 3)
+    lower, top = solver._prime_window(shifted)
+    assert top is None
+    want = determinant(shifted, rng=1)
+    higher = (lower << 20, top)
+    assert determinant(shifted, rng=1, window=higher) == want
+    with RationalSolver(shifted, 1e-6, 3, window=higher) as s:
+        assert s.det == want
+        assert s.prime in shared_pool.get(lower << 20, 8)
+    plain = LinearOperator.from_sparse(a)
+    for op, bad in ((shifted, (lower - 1, top)), (shifted, (lower, 1 << 50)),
+                    (plain, (solver._prime_window(plain)[0], None))):
+        with pytest.raises(ValueError, match="prime window"):
+            determinant(op, rng=1, window=bad)
+        with pytest.raises(ValueError, match="prime window"):
+            RationalSolver(op, 1e-6, 3, window=bad)
+
+
 def _fresh_pool(monkeypatch):
     """A new, empty pool in place of the solver's shared one."""
     pool = PrimePool()

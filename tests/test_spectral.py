@@ -12,6 +12,7 @@ from lospace import meter, solver, spectral
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.numeric import fl_from_bigratio
 from lospace.oracle import dense_of, oracle_det_bareiss, oracle_eigs_bisect
+from lospace.primes import PrimePool
 from lospace.spectral import (
     NO,
     YES,
@@ -251,7 +252,7 @@ def test_shift_invert_sees_only_even_intervals(monkeypatch):
     calls = []
     shift = spectral.shift_invert
 
-    def spy(b_scaled, scale_pow, lo, hi, rng, det=None):
+    def spy(b_scaled, scale_pow, lo, hi, rng, det=None, window=None):
         dense = dense_of(b_scaled)
         dets = []
         for m in (lo, (lo + hi) / 2, hi):
@@ -264,7 +265,7 @@ def test_shift_invert_sees_only_even_intervals(monkeypatch):
         assert signs[0] == signs[1] == signs[2] != 0, (lo, hi)
         assert det == dets[1]
         calls.append((lo, hi))
-        return shift(b_scaled, scale_pow, lo, hi, rng, det=det)
+        return shift(b_scaled, scale_pow, lo, hi, rng, det=det, window=window)
 
     monkeypatch.setattr(spectral, "shift_invert", spy)
     a = sym_random(random.Random(1), 4, 10)
@@ -484,6 +485,56 @@ def test_svd_examples():
     for _, s, _ in trips:
         if s is not None:
             assert float(s.to_fraction()) <= 0.4
+
+
+def test_zero_matrix_svd_gram_bound_is_the_ridge(monkeypatch):
+    """Over a zero 3x2 matrix the operator svd diagonalizes, 2^2t A A^T
+    plus the ridge, has the ridge as its entry bound: the floor of 1
+    applies once, to a composition, not to the zero matrix below 2^2t.
+    The singular values stay within eps of 0 and U is orthonormal."""
+    import numpy as np
+
+    grams = []
+    eigenvectors = spectral._eigenvectors
+
+    def spy(a, *args, **kwargs):
+        grams.append(a)
+        return eigenvectors(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_eigenvectors", spy)
+    eps = 0.05
+    trips = list(svd(SparseMatrix.from_entries(3, 2, []), eps, 4))
+    (gram,) = grams
+    assert gram.base.entry_bound == 1
+    assert gram.entry_bound == gram.diag[0]
+    sig = [float(s.to_fraction()) for _, s, _ in trips if s is not None]
+    assert len(sig) == 2 and all(0 <= s <= eps for s in sig)
+    U = np.array([[float(x.to_fraction()) for x in u] for u, _, _ in trips])
+    assert np.linalg.norm(U @ U.T - np.eye(3), 2) <= eps
+
+
+def _primes_drawn(monkeypatch, run):
+    """run() on a fresh prime pool; the primes drawn, one list per window."""
+    pool = PrimePool()
+    monkeypatch.setattr(solver, "shared_pool", pool)
+    run()
+    return [st["primes"] for st in pool._streams.values()]
+
+
+def test_one_prime_window_per_spectral_call(monkeypatch):
+    """Every determinant and lift of a spectrum, eigendecompose or svd
+    call draws from the one window of its widest shift: one stream per
+    call, where one window per operator took three or four."""
+    rnd = random.Random(18)
+    sym4 = SparseMatrix.from_dense(sym_random(rnd, 4, 10))
+    sym3 = SparseMatrix.from_dense(sym_random(rnd, 3, 10))
+    tall = SparseMatrix.from_dense([[rnd.randrange(-10, 11) for _ in range(2)]
+                                    for _ in range(3)])
+    for run in (lambda: spectrum(sym4, 0.05, 1),
+                lambda: list(eigendecompose(sym3, 0.05, 2)),
+                lambda: list(svd(tall, 0.05, 3))):
+        streams = _primes_drawn(monkeypatch, run)
+        assert len(streams) == 1 and streams[0], streams
 
 
 def test_svd_norm_inequalities():
