@@ -5,7 +5,7 @@ Public surface:
 - ``numeric``  -- L-bit floating points with tracked multiplicative error
 - ``primes``   -- Miller-Rabin testing, uniform prime sampling, CRT
 - ``linop``    -- sparse matrices and composed black-box operators
-- ``wiedemann``-- finite-field minimal polynomials, kernels, solves, dets
+- ``wiedemann``-- finite-field minimal polynomials, solves, dets
 - ``solver``   -- exact CRT determinant and the p-adic lifting solver
 - ``spectral`` -- inverse power, spectrum, eigendecomposition, SVD
 - ``meter``    -- working-space accounting for the space claims

@@ -156,9 +156,6 @@ class Field:
         c %= p
         return [c * b % p for b in z]
 
-    def is_zero(self, v):
-        return not any(v)
-
     def inv(self, a):
         return pow(a, -1, self.p)
 

@@ -2,10 +2,11 @@
 
 A SparseMatrix is coordinate-form with entries sorted by (row, col); this
 row-major order is what lets the Gram operator evaluate (A^T A) v in one
-pass with only the output-sized accumulator live.  Operators wrap a base
-matrix with a composition descriptor:
+pass with only the output-sized accumulator live.  A SparseMatrix is
+itself the BASE operator; every other operator composes a base operator
+with a descriptor:
 
-    BASE         A
+    BASE         A                               (the SparseMatrix itself)
     DIAG_SCALE   diag(d) . A                     (Wiedemann preconditioner)
     SHIFT        A + diag(d)  (scalar or vector) (shifted/perturbed solves,
                                                   the SVD ridge; a SHIFT
@@ -62,9 +63,183 @@ class MatrixFormatError(ValueError):
         self.lineno = lineno
 
 
+class LinearOperator:
+    """Black-box operator; see module docstring for the composition kinds.
+
+    A SparseMatrix is itself the BASE operator.  The base of DIAG_SCALE /
+    SHIFT may be any operator (e.g. preconditioning a Gram product); those
+    compositions run through the generic apply path, except DIAG_SCALE
+    over the GRAM of a matrix, which has a fused kernel.
+    """
+
+    def __init__(self, kind, base, n, m, diag=None):
+        self.kind = kind
+        self.base = base
+        self.n = n
+        self.m = m
+        self.diag = diag          # DIAG_SCALE / SHIFT vector (by reference)
+
+    # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def diag_scale(d, a):
+        if len(d) != a.n:
+            raise DimensionMismatch("diagonal length != rows")
+        return LinearOperator(DIAG_SCALE, a, a.n, a.m, diag=list(d))
+
+    @staticmethod
+    def shift(a, c):
+        """A + diag(c); c is a scalar or a per-coordinate vector.  A shift
+        of a SHIFT folds into one SHIFT of its base, with the diagonals
+        summed, so repeated shifts add no level to a product."""
+        if a.n != a.m:
+            raise DimensionMismatch("shift needs a square base")
+        d = list(c) if isinstance(c, (list, tuple)) else [c] * a.n
+        if len(d) != a.n:
+            raise DimensionMismatch("diagonal length != rows")
+        if a.kind == SHIFT:
+            d = [x + y for x, y in zip(a.diag, d)]
+            a = a.base
+        return LinearOperator(SHIFT, a, a.n, a.m, diag=d)
+
+    @staticmethod
+    def gram(a: SparseMatrix):
+        return LinearOperator(GRAM, a, a.m, a.m)
+
+    @staticmethod
+    def gram_t(a: SparseMatrix):
+        return LinearOperator(GRAM_T, a, a.n, a.n)
+
+    # -- entry bound of the represented matrix ---------------------------
+
+    @property
+    def max_abs(self):
+        """A bound on max |entry| of the represented matrix, 0 when the
+        composition is zero."""
+        u = self.base.max_abs
+        if self.kind == DIAG_SCALE:
+            return u * max(abs(x) for x in self.diag)
+        if self.kind == SHIFT:
+            return u + max(abs(x) for x in self.diag)
+        if self.kind == GRAM:
+            return self.base.n * u * u
+        if self.kind == GRAM_T:
+            return self.base.m * u * u
+        raise AssertionError(self.kind)
+
+    @property
+    def entry_bound(self):
+        """U: max_abs, at least 1; the floor applies once, to the
+        composition, so a product over a zero matrix scales no phantom 1."""
+        return self.max_abs or 1
+
+    # -- mod-p application ------------------------------------------------
+
+    def _kernel_matrix(self):
+        """The matrix the fused kernels read, or None when this kind has
+        no fused kernel: a matrix itself, GRAM and DIAG_SCALE over a matrix,
+        and DIAG_SCALE over such a GRAM."""
+        if self.kind == GRAM and self.base.kind == BASE:
+            return self.base
+        if self.kind == DIAG_SCALE and self.base.kind in (BASE, GRAM):
+            return self.base._kernel_matrix()
+        return None
+
+    def prime_top(self):
+        """Exclusive top of the primes the fused kernels take for this
+        operator (``kernels.word_top`` of the matrix they read), or None
+        when it has no fused kernel."""
+        a = self._kernel_matrix()
+        return None if a is None else word_top((a.n, a.m))
+
+    def _fused(self, p):
+        """True when the fused kernels run this operator mod p."""
+        a = self._kernel_matrix()
+        return a is not None and word_size(p, (a.n, a.m))
+
+    def _kernel(self, kernel, f, *args, **kwargs):
+        """One fused kernel call on a copy of the matrix reduced mod f.p,
+        built for this call and charged to the meter while it runs."""
+        a = self._kernel_matrix()
+        gram = self.kind == GRAM or (self.kind == DIAG_SCALE
+                                     and self.base.kind == GRAM)
+        coo = f.coo(a, None if gram else self.diag)
+        bits = f.coo_bits(coo)
+        if gram:
+            bits += a.n * (f.p.bit_length() + 1)
+            kwargs.update(gram=True, diag=self.diag)
+        with meter.track("linop.mod_cache", bits):
+            return kernel(coo, *args, **kwargs)
+
+    def apply_mod(self, v, p):
+        """Exact product mod p: the integer product, reduced."""
+        return [x % p for x in self.apply_int(v)]
+
+    def krylov_scalars(self, x, y, count, f: Field):
+        """[x.y, x.My, ..., x.M^(count-1)y] mod f.p using the fused kernel
+        if possible."""
+        p = f.p
+        if self._fused(p):
+            return self._kernel(f.krylov, f, x, y, count=count)
+        seq = []
+        yy = list(y)
+        with meter.track("krylov.vec", 2 * f.vec_bits(yy)):
+            for i in range(count):
+                seq.append(f.dot(x, yy))
+                if i + 1 < count:
+                    yy = self.apply_mod(yy, p)
+        return seq
+
+    def horner_apply(self, coeffs, z, f: Field):
+        """sum coeffs[i] M^i z mod f.p with two live vectors; fused kernel
+        if possible."""
+        p = f.p
+        if self._fused(p):
+            return self._kernel(f.horner, f, coeffs, z)
+        acc = f.scale(coeffs[-1], z)
+        with meter.track("horner.vec", 2 * f.vec_bits(z)):
+            for i in range(len(coeffs) - 2, -1, -1):
+                acc = self.apply_mod(acc, p)
+                acc = f.add_scaled(acc, coeffs[i], z)
+        return acc
+
+    # -- exact integer application ----------------------------------------
+
+    def apply_int(self, v):
+        if len(v) != self.m:
+            raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
+        a = self.base
+        if self.kind == DIAG_SCALE:
+            return [d * w for d, w in zip(self.diag, a.apply_int(v))]
+        if self.kind == SHIFT:
+            w = a.apply_int(v)
+            return [wi + d * vi for wi, d, vi in zip(w, self.diag, v)]
+        if self.kind == GRAM:
+            out = [0] * a.m
+            nnz = a.nnz
+            k = 0
+            while k < nnz:
+                row = a.rows[k]
+                k2 = k
+                inner = 0
+                while k2 < nnz and a.rows[k2] == row:
+                    inner += a.vals[k2] * v[a.cols[k2]]
+                    k2 += 1
+                for t in range(k, k2):
+                    out[a.cols[t]] += a.vals[t] * inner
+                k = k2
+            return out
+        if self.kind == GRAM_T:
+            return a.apply_int(a.apply_transpose_int(v))
+        raise AssertionError(self.kind)
+
+
 @dataclass
-class SparseMatrix:
-    """Integer matrix in sorted coordinate form."""
+class SparseMatrix(LinearOperator):
+    """Integer matrix in sorted coordinate form: the BASE operator."""
+
+    kind = BASE
+    diag = None
 
     n: int
     m: int
@@ -81,11 +256,6 @@ class SparseMatrix:
     def max_abs(self):
         """max |entry|, 0 for a zero matrix."""
         return max((abs(v) for v in self.vals), default=0)
-
-    @property
-    def entry_bound(self):
-        """U: max |entry|, at least 1."""
-        return self.max_abs or 1
 
     @staticmethod
     def from_entries(n, m, entries):
@@ -135,6 +305,9 @@ class SparseMatrix:
                            np.flatnonzero(np.diff(rows, prepend=-1)))
         return self._words
 
+    def _kernel_matrix(self):
+        return self
+
     def is_symmetric(self):
         if self.n != self.m:
             return False
@@ -156,189 +329,6 @@ class SparseMatrix:
         for i, j, a in zip(self.rows, self.cols, self.vals):
             out[j] += a * v[i]
         return out
-
-
-class LinearOperator:
-    """Black-box operator; see module docstring for the composition kinds.
-
-    The base of DIAG_SCALE / SHIFT may itself be a LinearOperator
-    (e.g. preconditioning a Gram product); those compositions run through
-    the generic apply path, except DIAG_SCALE over the GRAM of a matrix,
-    which has a fused kernel.
-    """
-
-    def __init__(self, kind, base, n, m, diag=None):
-        self.kind = kind
-        self.base = base
-        self.base_is_matrix = isinstance(base, SparseMatrix)
-        self.n = n
-        self.m = m
-        self.diag = diag          # DIAG_SCALE / SHIFT vector (by reference)
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_sparse(a: SparseMatrix):
-        return LinearOperator(BASE, a, a.n, a.m)
-
-    @staticmethod
-    def wrap(a):
-        return a if isinstance(a, LinearOperator) else LinearOperator.from_sparse(a)
-
-    @staticmethod
-    def diag_scale(d, a):
-        if len(d) != a.n:
-            raise DimensionMismatch("diagonal length != rows")
-        return LinearOperator(DIAG_SCALE, a, a.n, a.m, diag=list(d))
-
-    @staticmethod
-    def shift(a, c):
-        """A + diag(c); c is a scalar or a per-coordinate vector.  A shift
-        of a SHIFT folds into one SHIFT of its base, with the diagonals
-        summed, so repeated shifts add no level to a product."""
-        if a.n != a.m:
-            raise DimensionMismatch("shift needs a square base")
-        d = list(c) if isinstance(c, (list, tuple)) else [c] * a.n
-        if len(d) != a.n:
-            raise DimensionMismatch("diagonal length != rows")
-        if isinstance(a, LinearOperator) and a.kind == SHIFT:
-            d = [x + y for x, y in zip(a.diag, d)]
-            a = a.base
-        return LinearOperator(SHIFT, a, a.n, a.m, diag=d)
-
-    @staticmethod
-    def gram(a: SparseMatrix):
-        return LinearOperator(GRAM, a, a.m, a.m)
-
-    @staticmethod
-    def gram_t(a: SparseMatrix):
-        return LinearOperator(GRAM_T, a, a.n, a.n)
-
-    # -- entry bound of the represented matrix ---------------------------
-
-    @property
-    def max_abs(self):
-        """A bound on max |entry| of the represented matrix, 0 when the
-        composition is zero."""
-        u = self.base.max_abs
-        if self.kind == BASE:
-            return u
-        if self.kind == DIAG_SCALE:
-            return u * max(abs(x) for x in self.diag)
-        if self.kind == SHIFT:
-            return u + max(abs(x) for x in self.diag)
-        if self.kind == GRAM:
-            return self.base.n * u * u
-        if self.kind == GRAM_T:
-            return self.base.m * u * u
-        raise AssertionError(self.kind)
-
-    @property
-    def entry_bound(self):
-        """U: max_abs, at least 1; the floor applies once, to the
-        composition, so a product over a zero matrix scales no phantom 1."""
-        return self.max_abs or 1
-
-    # -- mod-p application ------------------------------------------------
-
-    def _kernel_matrix(self):
-        """The matrix the fused kernels read, or None when this kind has
-        no fused kernel: BASE, GRAM and DIAG_SCALE over a matrix, and
-        DIAG_SCALE over such a GRAM."""
-        if self.base_is_matrix:
-            return self.base if self.kind in (BASE, DIAG_SCALE, GRAM) else None
-        if self.kind == DIAG_SCALE and self.base.kind == GRAM:
-            return self.base._kernel_matrix()
-        return None
-
-    def prime_top(self):
-        """Exclusive top of the primes the fused kernels take for this
-        operator (``kernels.word_top`` of the matrix they read), or None
-        when it has no fused kernel."""
-        a = self._kernel_matrix()
-        return None if a is None else word_top((a.n, a.m))
-
-    def _fused(self, p):
-        """True when the fused kernels run this operator mod p."""
-        a = self._kernel_matrix()
-        return a is not None and word_size(p, (a.n, a.m))
-
-    def _kernel(self, kernel, f, *args, **kwargs):
-        """One fused kernel call on a copy of the matrix reduced mod f.p,
-        built for this call and charged to the meter while it runs."""
-        a = self._kernel_matrix()
-        gram = self.kind == GRAM or not self.base_is_matrix
-        coo = f.coo(a, None if gram else self.diag)
-        bits = f.coo_bits(coo)
-        if gram:
-            bits += a.n * (f.p.bit_length() + 1)
-            kwargs.update(gram=True, diag=self.diag)
-        with meter.track("linop.mod_cache", bits):
-            return kernel(coo, *args, **kwargs)
-
-    def apply_mod(self, v, p):
-        """Exact product mod p: the integer product, reduced."""
-        return [x % p for x in self.apply_int(v)]
-
-    def krylov_scalars(self, x, y, count, f: Field):
-        """[x.y, x.My, ..., x.M^(count-1)y] mod f.p using the fused kernel
-        if possible."""
-        p = f.p
-        if self._fused(p):
-            return self._kernel(f.krylov, f, x, y, count=count)
-        seq = []
-        yy = list(y)
-        with meter.track("krylov.vec", 2 * f.vec_bits(yy)):
-            for i in range(count):
-                seq.append(f.dot(x, yy))
-                if i + 1 < count:
-                    yy = self.apply_mod(yy, p)
-        return seq
-
-    def horner_apply(self, coeffs, z, f: Field):
-        """sum coeffs[i] M^i z mod f.p with two live vectors; fused kernel
-        if possible."""
-        p = f.p
-        if self._fused(p):
-            return self._kernel(f.horner, f, coeffs, z)
-        acc = f.scale(coeffs[-1], z)
-        with meter.track("horner.vec", 2 * f.vec_bits(z)):
-            for i in range(len(coeffs) - 2, -1, -1):
-                acc = self.apply_mod(acc, p)
-                acc = f.add_scaled(acc, coeffs[i], z)
-        return acc
-
-    # -- exact integer application ----------------------------------------
-
-    def apply_int(self, v):
-        if len(v) != self.m:
-            raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
-        a = self.base
-        if self.kind == BASE:
-            return a.apply_int(v)
-        if self.kind == DIAG_SCALE:
-            return [d * w for d, w in zip(self.diag, a.apply_int(v))]
-        if self.kind == SHIFT:
-            w = a.apply_int(v)
-            return [wi + d * vi for wi, d, vi in zip(w, self.diag, v)]
-        if self.kind == GRAM:
-            out = [0] * a.m
-            nnz = a.nnz
-            k = 0
-            while k < nnz:
-                row = a.rows[k]
-                k2 = k
-                inner = 0
-                while k2 < nnz and a.rows[k2] == row:
-                    inner += a.vals[k2] * v[a.cols[k2]]
-                    k2 += 1
-                for t in range(k, k2):
-                    out[a.cols[t]] += a.vals[t] * inner
-                k = k2
-            return out
-        if self.kind == GRAM_T:
-            return a.apply_int(a.apply_transpose_int(v))
-        raise AssertionError(self.kind)
 
 
 # -- text formats ---------------------------------------------------------------

@@ -188,18 +188,17 @@ def determinant(a, rng=None, window=None) -> int:
     Each residue is a finite-field determinant; reconstruction is
     incremental CRT with signed recovery.
     """
-    op = LinearOperator.wrap(a)
-    if op.n != op.m:
+    if a.n != a.m:
         raise ValueError("determinant needs a square matrix")
-    n = op.n
+    n = a.n
     if n == 0:
         return 1
-    lower, top = _checked_window(op, window, det=True)
-    u = op.entry_bound
-    if op.kind == BASE:
-        bound = 2 * row_norm_bound(op.base)
-    elif op.kind == GRAM:
-        bound = 2 * gram_bound(op.base)
+    lower, top = _checked_window(a, window, det=True)
+    u = a.entry_bound
+    if a.kind == BASE:
+        bound = 2 * row_norm_bound(a)
+    elif a.kind == GRAM:
+        bound = 2 * gram_bound(a.base)
     else:
         bound = 2 * hadamard_bound(n, u)
     if bound == 0:
@@ -212,7 +211,7 @@ def determinant(a, rng=None, window=None) -> int:
         primes = shared_pool.get(lower, len(primes) + 1, top=top)
         prod *= primes[-1]
     delta = min(0.01, float(n) ** -(C + 2))
-    residues = [determinant_zp(op, q, delta, random.Random(rng.getrandbits(63)))
+    residues = [determinant_zp(a, q, delta, random.Random(rng.getrandbits(63)))
                 for q in primes]
     P, R = crt_combine(zip(primes, residues))
     return R if 2 * R < P else R - P
@@ -257,8 +256,8 @@ class RationalSolver:
                  window=None):
         if not 0 < float(eps) < 1:
             raise ValueError("eps must lie in (0, 1)")
-        self.op = LinearOperator.wrap(a)
-        if self.op.n != self.op.m:
+        self.op = a
+        if a.n != a.m:
             raise ValueError("solver needs a square matrix")
         self.window = _checked_window(self.op, window)
         self.n = self.op.n
@@ -354,7 +353,7 @@ class RationalSolver:
         bnorm = max((abs(x) for x in b), default=0) * _isqrt_ceil(n)
         bound = 2 * colnorm ** max(0, n - 1) * max(1, bnorm)
         if self.op.kind == BASE:
-            bound = min(bound, 2 * row_norm_bound(self.op.base, b))
+            bound = min(bound, 2 * row_norm_bound(self.op, b))
         T = 1
         ppow = self.prime
         while ppow <= bound:

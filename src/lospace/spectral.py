@@ -136,7 +136,7 @@ def _ceil_log2(q: Fraction) -> int:
 class PerturbedMatrix:
     """B = base + diag(diag_scaled / 2**scale_pow), diagonal in [0, eps/2]."""
 
-    base: object              # SparseMatrix or a symmetric LinearOperator
+    base: object              # a symmetric operator, a SparseMatrix included
     diag_scaled: list
     scale_pow: int
 
@@ -305,10 +305,9 @@ def inv_power_gap(a, eps: float, delta, rng=None, window=None):
     The caller guarantees the 1.1x spectral gap; convergence is then
     geometric and the iteration count only logarithmic in the accuracy.
     """
-    op = LinearOperator.wrap(a)
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    cap = min(600, math.ceil(12 * math.log(4 * op.n / min(0.5, eps))) + 24)
-    res = _inverse_power(op, max(eps, 1e-9), Fraction(delta), rng, cap,
+    cap = min(600, math.ceil(12 * math.log(4 * a.n / min(0.5, eps))) + 24)
+    res = _inverse_power(a, max(eps, 1e-9), Fraction(delta), rng, cap,
                          min(2.0 ** -40, eps / 256), want_vector=True,
                          window=window)
     return res.lam, res.vector

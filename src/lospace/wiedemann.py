@@ -4,11 +4,11 @@ Everything here reduces to one primitive: take random x, y, build the
 scalars x.y, x.My, ..., and run Berlekamp-Massey on them.  The recurrence
 is always a monic factor of the minimal polynomial of M, and equals it
 with constant probability once p > n, so the callers below either verify
-their answer against its defining congruence and retry (kernel vectors,
-solves), or rely on a degree certificate (determinants: a full-degree
-recurrence *is* the characteristic polynomial, which makes its constant
-term exact, no voting needed).  Every solve mod p is an FpSolver
-solve; linsolve_zp is its one-shot form.
+their answer against its defining congruence and retry (solves), or rely
+on a certificate the recurrence carries itself (determinants: a
+full-degree recurrence *is* the characteristic polynomial, which makes its
+constant term exact, and a recurrence divisible by X proves M singular;
+no voting needed).  Every solve mod p is an FpSolver solve.
 
 Space discipline: every routine holds O(1) vectors of n field elements
 plus the 2n+1 scalar sequence; polynomial-of-operator products go through
@@ -22,13 +22,11 @@ import random
 
 from . import meter
 from .kernels import Field
-from .linop import BASE, LinearOperator
+from .linop import LinearOperator
 
 __all__ = [
     "RetriesExhausted",
     "minimal_polynomial",
-    "find_kernel",
-    "linsolve_zp",
     "determinant_zp",
     "FpSolver",
 ]
@@ -67,106 +65,56 @@ def minimal_polynomial(a, p, boost=1, rng=None):
     least 1 - 2^-Omega(boost) when p > n.  Degree n ends the trials early
     since no factor can be larger.
     """
-    op = LinearOperator.wrap(a)
     rng = rng or random.Random()
     f = Field(p)
     best = [1]
     for _ in range(max(1, boost)):
-        g = _one_wiedemann_trial(op, f, rng)
+        g = _one_wiedemann_trial(a, f, rng)
         if len(g) > len(best):
             best = g
-        if len(best) == op.n + 1:
+        if len(best) == a.n + 1:
             break
     return best
-
-
-def _strip_x_power(g):
-    """g = X^c * gbar with gbar(0) != 0; returns (gbar, c)."""
-    c = 0
-    while c < len(g) - 1 and g[c] == 0:
-        c += 1
-    return g[c:], c
-
-
-def find_kernel(a, p, delta=1e-9, rng=None):
-    """A verified nonzero kernel vector of a singular (a mod p).
-
-    Draws z, forms y = gbar(M) z for the X-free part gbar of the minimal
-    polynomial, and walks y, My, ... to the last nonzero iterate.  Every
-    candidate is checked against M v = 0 before being returned; failures
-    (wrong recurrence, unlucky z) just burn budget.
-    """
-    op = LinearOperator.wrap(a)
-    rng = rng or random.Random()
-    f = Field(p)
-    n = op.n
-    inner_budget = max(2, math.ceil(math.log(2 / delta) / math.log(p))) + 1
-    outer_budget = max(3, math.ceil(math.log2(1 / delta) / 4))
-    for _outer in range(outer_budget):
-        g = minimal_polynomial(op, p, boost=2, rng=rng)
-        gbar, c = _strip_x_power(g)
-        if c == 0 and len(g) == n + 1:
-            # full-degree recurrence with nonzero constant term certifies
-            # invertibility; a kernel hunt cannot succeed with this g
-            continue
-        for _inner in range(inner_budget):
-            z = f.rand(n, rng)
-            with meter.track("kernel.vecs", 3 * f.vec_bits(z)):
-                y = op.horner_apply(gbar, z, f)
-                if f.is_zero(y):
-                    continue
-                w = y
-                for _t in range(max(c, 1)):
-                    wn = op.apply_mod(w, p)
-                    if f.is_zero(wn):
-                        return w
-                    w = wn
-    raise RetriesExhausted("no kernel vector found; is the matrix singular mod p?")
-
-
-def linsolve_zp(a, b, p, delta=1e-9, rng=None):
-    """Solve A x = b (mod p) for invertible (a mod p); verified before
-    return.  One FpSolver solve: x is unique mod p."""
-    with FpSolver(a, p, rng or random.Random(), delta) as solver:
-        return solver.solve(b)
 
 
 def determinant_zp(a, p, delta=1e-9, rng=None):
     """det(a) mod p via the random-diagonal preconditioner.
 
-    A degree-n recurrence for diag(d) A certifies the answer outright
-    (it must be the characteristic polynomial, so det = (-1)^n f(0)/prod d).
-    A verified kernel vector certifies 0.  Every answer is certified: when
-    neither certificate appears within the budget the routine raises
-    RetriesExhausted.
+    Each run draws d with every d_i nonzero and takes the recurrence g of
+    one Krylov sequence of M = diag(d) A.  Two outcomes certify the answer:
+
+    - g has degree n: it is the characteristic polynomial of M, so
+      det A = (-1)^n g(0) / prod d;
+    - g(0) = 0: Berlekamp-Massey returns the sequence's minimal generator,
+      which divides the minimal polynomial of M, so X divides that too, M
+      is singular, and so is A since diag(d) is not; the same formula
+      then gives 0.
+
+    A run over a singular A fails only when neither appears.  Write the
+    minimal polynomial of M as X^c h(X) with h(0) != 0; the run then fails
+    only when y has no component in the generalized kernel of M or x is
+    orthogonal to h(M) y, at most 2/p together, and every prime window
+    starts above 16.  Every answer is certified: when no run yields a
+    certificate the routine raises RetriesExhausted.
     """
-    op = LinearOperator.wrap(a)
-    if op.n != op.m:
+    if a.n != a.m:
         raise ValueError("determinant_zp needs a square operator")
     rng = rng or random.Random()
     f = Field(p)
-    n = op.n
+    n = a.n
     runs = max(1, math.ceil(40 * math.log(1 / delta)))
     sign = -1 if n % 2 else 1
-    for run in range(runs):
+    for _ in range(runs):
         d = [rng.randrange(1, p) for _ in range(n)]
         with meter.track("det.diag", n * (p.bit_length() + 1)):
-            da = LinearOperator.diag_scale(d, op.base if op.kind == BASE else op)
+            da = LinearOperator.diag_scale(d, a)
             g = _one_wiedemann_trial(da, f, rng)
-            if len(g) == n + 1:
+            if len(g) == n + 1 or g[0] == 0:
                 prod = 1
                 for di in d:
                     prod = prod * di % p
                 return sign * g[0] * f.inv(prod) % p
-        if run == 2:
-            # three failed degree certificates: likely singular; try to
-            # certify that with an explicit kernel vector
-            try:
-                find_kernel(op, p, delta, rng)
-                return 0
-            except RetriesExhausted:
-                pass
-    raise RetriesExhausted("determinant_zp found neither certificate")
+    raise RetriesExhausted("determinant_zp found no certificate")
 
 
 class FpSolver:
@@ -183,8 +131,8 @@ class FpSolver:
     """
 
     def __init__(self, a, p, rng, delta=1e-9):
-        self.op = LinearOperator.wrap(a)
-        if self.op.n != self.op.m:
+        self.op = a
+        if a.n != a.m:
             raise ValueError("FpSolver needs a square operator")
         self.p = p
         self.rng = rng

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from lospace.cli import bench_run
-from lospace.linop import LinearOperator, SparseMatrix
+from lospace.linop import SparseMatrix
 from lospace.numeric import fl_from_int, fl_mul, fl_add_same_sign
 from lospace.oracle import (
     SINGULAR,
@@ -26,7 +26,7 @@ from lospace.oracle import (
 from lospace.primes import crt_combine
 from lospace.solver import RationalSolver, determinant, lin_solve
 from lospace.spectral import eigendecompose, shift_invert, spectrum, svd
-from lospace.wiedemann import linsolve_zp, minimal_polynomial
+from lospace.wiedemann import FpSolver, minimal_polynomial
 
 
 def announce(num, ok, t0, extra=""):
@@ -136,7 +136,7 @@ def test_criterion_04_singular_detection():
 
 
 def test_criterion_05_finite_field_layer():
-    """linsolve_zp outputs always satisfy Ax = b mod p (inline verified);
+    """FpSolver solves always satisfy Ax = b mod p (inline verified);
     un-boosted minimal_polynomial with a 31-bit prime recovers the oracle
     minimal polynomial in >= 50% of 200 dense 8x8 trials."""
     t0 = time.perf_counter()
@@ -150,9 +150,9 @@ def test_criterion_05_finite_field_layer():
             continue
         b = [rnd.randrange(p) for _ in range(n)]
         a = SparseMatrix.from_dense(d)
-        op = LinearOperator.from_sparse(a)
-        x = linsolve_zp(a, b, p, rng=rnd)
-        assert op.apply_mod(x, p) == [v % p for v in b]
+        with FpSolver(a, p, rnd) as s:
+            x = s.solve(b)
+        assert a.apply_mod(x, p) == [v % p for v in b]
         solved += 1
     hits = 0
     for trial in range(200):

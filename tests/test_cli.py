@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lospace import cli
 from lospace.cli import main
@@ -325,3 +327,51 @@ def test_numpy_loads_only_for_word_size_kernels(files):
     assert len(lines) == 5 and lines[3] == "False"
     want = oracle_det_bareiss([[2, -1, 0], [0, 3, 0], [4, 0, 5]])
     assert lines[4] == str(want)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """(matrix text, vector text): n, m <= 3 (0 included), entries
+    |v| <= 10^6, a symmetric matrix when square half the time, and a
+    vector of any length <= 3, so lengths often mismatch."""
+    n = draw(st.integers(0, 3))
+    m = n if draw(st.booleans()) else draw(st.integers(0, 3))
+    entry = st.integers(-10 ** 6, 10 ** 6) | st.just(0)
+    dense = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if n == m and draw(st.booleans()):
+        dense = [[dense[min(i, j)][max(i, j)] for j in range(m)]
+                 for i in range(n)]
+    nonzero = [(i + 1, j + 1, v) for i, row in enumerate(dense)
+               for j, v in enumerate(row) if v]
+    matrix = "".join([f"{n} {m} {len(nonzero)}\n"]
+                     + [f"{i} {j} {v}\n" for i, j, v in nonzero])
+    vec = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=3))
+    return matrix, "".join(f"{x}\n" for x in [len(vec)] + vec)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_cli_inputs(), eps=st.sampled_from(["0.5", "0.1", "1e-3"]))
+def test_every_subcommand_exits_with_a_documented_code(tmp_path, inputs, eps):
+    """Whatever the small input, every subcommand returns 0, 1, 2 or 3 and
+    lets no exception escape.  Entries stay within 10^6: with 10^30
+    entries svd on a 3x3 or 3x1 matrix takes 4-36 s (2-core x86-64), and
+    eigs on [[10^400, 0], [0, 3]] at eps 0.1 runs for minutes, sampling
+    primes of about 1,400 bits, so wider entries would test patience, not
+    exit codes."""
+    mtx, vec = tmp_path / "a.mtx", tmp_path / "b.vec"
+    mtx.write_text(inputs[0])
+    vec.write_text(inputs[1])
+    n = inputs[0].split()[0]
+    for argv in (["det", str(mtx)],
+                 ["solve", str(mtx), str(vec), "--epsilon", eps],
+                 ["regress", str(mtx), str(vec), "--epsilon", eps],
+                 ["eigs", str(mtx), "--epsilon", eps],
+                 ["eigvecs", str(mtx), "--epsilon", eps],
+                 ["svd", str(mtx), "--epsilon", eps],
+                 ["bench", "--sizes", n, "--epsilon", eps]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_SINGULAR, cli.EXIT_INPUT,
+                        cli.EXIT_RETRIES), argv

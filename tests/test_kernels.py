@@ -60,7 +60,7 @@ def test_kernels_match_naive_reference(p):
         assert word == (p < 1 << 50)
         x = [rnd.randrange(p) for _ in range(n)]
         y = [rnd.randrange(p) for _ in range(n)]
-        assert LinearOperator.from_sparse(mat).apply_mod(x, p) == _dense_apply(a, x, p)
+        assert mat.apply_mod(x, p) == _dense_apply(a, x, p)
         assert f.dot(x, y) == sum(xi * yi for xi, yi in zip(x, y)) % p
 
         count = 2 * n + 1
@@ -68,7 +68,7 @@ def test_kernels_match_naive_reference(p):
         coeffs = [rnd.randrange(p) for _ in range(rnd.randrange(1, n + 2))]
         for diag in (None, d):
             if diag is None:
-                op, da = LinearOperator.from_sparse(mat), a
+                op, da = mat, a
             else:
                 op = LinearOperator.diag_scale(diag, mat)
                 da = [[di * v % p for v in row] for di, row in zip(diag, a)]
@@ -170,7 +170,7 @@ def test_wide_modulus_builds_no_reduced_copy():
     f = Field(p)
     m = meter.WorkspaceMeter()
     with m.activate():
-        for op in (LinearOperator.from_sparse(mat),
+        for op in (mat,
                    LinearOperator.diag_scale(d, mat),
                    LinearOperator.gram(mat)):
             op.krylov_scalars(f.rand(n, rnd), f.rand(n, rnd), 2 * n + 1, f)
@@ -197,7 +197,7 @@ def test_fused_calls_leave_nothing_live():
     f = Field(p)
     gram = LinearOperator.gram(tall)
     word = p.bit_length() + 1
-    for op, a, extra in ((LinearOperator.from_sparse(mat), mat, 0),
+    for op, a, extra in ((mat, mat, 0),
                          (LinearOperator.diag_scale(f.rand(n, rnd), mat), mat, 0),
                          (gram, tall, n * word),
                          (LinearOperator.diag_scale(f.rand(k, rnd), gram),
@@ -235,7 +235,7 @@ def test_matvec_against_dense():
         mat = SparseMatrix(n, m, rows, cols, vals)
         x = [rnd.randrange(p) for _ in range(m)]
         want = [sum(dense[i][j] * x[j] for j in range(m)) % p for i in range(n)]
-        assert LinearOperator.from_sparse(mat).apply_mod(x, p) == want
+        assert mat.apply_mod(x, p) == want
         gram_want = [
             sum(dense[i][a] * dense[i][b] * x[b] for i in range(n) for b in range(m)) % p
             for a in range(m)

@@ -19,11 +19,11 @@ from test_kernels import PRIMES
 
 def test_apply_mod_examples():
     p = 7
-    ident = LinearOperator.from_sparse(SparseMatrix.identity(2))
+    ident = SparseMatrix.identity(2)
     f = Field(p)
     assert ident.apply_mod(f.vec([3, 5]), p) == [3, 5]
 
-    a = LinearOperator.from_sparse(SparseMatrix.from_dense([[1, 2], [3, 4]]))
+    a = SparseMatrix.from_dense([[1, 2], [3, 4]])
     f5 = Field(5)
     assert a.apply_mod(f5.vec([1, 1]), 5) == [3, 2]
 
@@ -33,7 +33,7 @@ def test_apply_mod_examples():
 
 
 def test_apply_int_examples():
-    a = LinearOperator.from_sparse(SparseMatrix.from_dense([[2, 1], [1, 1]]))
+    a = SparseMatrix.from_dense([[2, 1], [1, 1]])
     assert a.apply_int([0, 0]) == [0, 0]
     assert a.apply_int([1, 2]) == [4, 3]
     g = LinearOperator.gram(SparseMatrix.from_dense([[1], [2]]))
@@ -87,7 +87,7 @@ def test_composition_against_dense_oracle():
             for row in dense:
                 row[zero_col] = 0
         a = SparseMatrix.from_dense(dense)
-        ops = [(LinearOperator.from_sparse(a), dense)]
+        ops = [(a, dense)]
         d = [rnd.randrange(-5, 6) for _ in range(n)]
         ops.append((LinearOperator.diag_scale(d, a),
                     [[d[i] * dense[i][j] for j in range(m)] for i in range(n)]))
@@ -151,7 +151,7 @@ def test_apply_int_mod_consistency_random():
         for _ in range(40):
             n = rnd.randrange(1, 9)
             dense = [[rnd.randrange(-50, 51) for _ in range(n)] for _ in range(n)]
-            a = LinearOperator.from_sparse(SparseMatrix.from_dense(dense))
+            a = SparseMatrix.from_dense(dense)
             v = [rnd.randrange(-100, 101) for _ in range(n)]
             f = Field(p)
             got = a.apply_mod(f.vec(v), p)
@@ -176,7 +176,7 @@ def test_gram_workspace_is_output_sized():
 
 
 def test_dimension_errors():
-    a = LinearOperator.from_sparse(SparseMatrix.identity(3))
+    a = SparseMatrix.identity(3)
     with pytest.raises(DimensionMismatch):
         a.apply_int([1, 2])
 

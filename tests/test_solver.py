@@ -162,7 +162,7 @@ def test_determinant_stops_at_the_row_norm_bound(monkeypatch):
     for seed in (1, 2, 3):
         a = bench_matrix(n, random.Random(seed))
         lower = max(16, n ** 3 * a.entry_bound)
-        top = LinearOperator.from_sparse(a).prime_top()
+        top = a.prime_top()
         calls.clear()
         det = determinant(a, rng=seed)
         assert det != 0
@@ -552,7 +552,7 @@ def test_shift_operator_primes_are_uncapped(monkeypatch):
     a = SparseMatrix.from_dense(dense)
     shifted = LinearOperator.shift(a, 3)
     assert shifted.prime_top() is None
-    top = LinearOperator.from_sparse(a).prime_top()
+    top = a.prime_top()
     assert top == kernels.word_top((n, n)) == 1 << 50
     want_det = oracle_det_bareiss(
         [[v + (3 if i == j else 0) for j, v in enumerate(row)]
@@ -590,9 +590,8 @@ def test_shared_window_must_cover_the_operators_own():
     with RationalSolver(shifted, 1e-6, 3, window=higher) as s:
         assert s.det == want
         assert s.prime in shared_pool.get(lower << 20, 8)
-    plain = LinearOperator.from_sparse(a)
     for op, bad in ((shifted, (lower - 1, top)), (shifted, (lower, 1 << 50)),
-                    (plain, (solver._prime_window(plain)[0], None))):
+                    (a, (solver._prime_window(a)[0], None))):
         with pytest.raises(ValueError, match="prime window"):
             determinant(op, rng=1, window=bad)
         with pytest.raises(ValueError, match="prime window"):
@@ -619,7 +618,7 @@ def _one_of_each_kind(rnd):
         _dense_nonzero(rnd, 30, 9, 100)))
     shift = LinearOperator.shift(
         SparseMatrix.from_dense(_dense_nonzero(rnd, 5, 5, 10)), 3)
-    return [LinearOperator.from_sparse(base), gram, shift]
+    return [base, gram, shift]
 
 
 def test_determinant_draws_only_the_primes_it_uses(monkeypatch):
@@ -662,7 +661,7 @@ def test_band_determinant_stays_on_the_fused_kernels(monkeypatch):
     n, u = 40, 10 ** 10
     dense = _dense_nonzero(rnd, n, n, u)
     a = SparseMatrix.from_dense(dense)
-    top = LinearOperator.from_sparse(a).prime_top()
+    top = a.prime_top()
     assert 2 * window_floor(n ** 3 * a.entry_bound) > top
     fused = []
     is_fused = LinearOperator._fused
@@ -706,7 +705,7 @@ def test_regression_runs_the_fused_gram_kernels(monkeypatch):
 
     def spy_ops(method):
         def spy(self, *args):
-            ops.append((self.kind, self.base_is_matrix, args[-1].p))
+            ops.append((self.kind, args[-1].p))
             return method(self, *args)
         return spy
 
@@ -725,8 +724,8 @@ def test_regression_runs_the_fused_gram_kernels(monkeypatch):
         x = linear_regression(SparseMatrix.from_dense(dense), b, eps, 4)
     assert mtr.current_bits == 0
     assert ops and fused == [True] * len(ops)
-    assert all(kind in (GRAM, DIAG_SCALE) for kind, _, _ in ops)
-    assert all(p < 1 << 50 for _, _, p in ops)
+    assert all(kind in (GRAM, DIAG_SCALE) for kind, _ in ops)
+    assert all(p < 1 << 50 for _, p in ops)
     ata = [[sum(row[i] * row[j] for row in dense) for j in range(m)]
            for i in range(m)]
     atb = [sum(row[i] * bi for row, bi in zip(dense, b)) for i in range(m)]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lospace import meter, solver, spectral
-from lospace.linop import LinearOperator, SparseMatrix
+from lospace.linop import SparseMatrix
 from lospace.numeric import fl_from_bigratio
 from lospace.oracle import dense_of, oracle_det_bareiss, oracle_eigs_bisect
 from lospace.primes import PrimePool
@@ -38,7 +38,7 @@ def inv_power(a, eps, delta, seed):
     """lambda ~=_eps max(delta, min_i |lambda_i|) for symmetric integer a,
     exact 0 when a is singular."""
     return spectral._inverse_power(
-        LinearOperator.wrap(a), eps, delta, random.Random(seed),
+        a, eps, delta, random.Random(seed),
         spectral._t_cap(a.n, eps), 2.0 ** -40).lam
 
 

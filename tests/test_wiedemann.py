@@ -4,7 +4,7 @@ import pytest
 
 from lospace import meter, wiedemann
 from lospace.kernels import Field
-from lospace.linop import LinearOperator, SparseMatrix
+from lospace.linop import SparseMatrix
 from lospace.oracle import (
     oracle_charpoly_mod,
     oracle_matrix_minpoly_mod,
@@ -14,8 +14,6 @@ from lospace.wiedemann import (
     FpSolver,
     RetriesExhausted,
     determinant_zp,
-    find_kernel,
-    linsolve_zp,
     minimal_polynomial,
 )
 
@@ -76,10 +74,9 @@ def test_minpoly_divides_charpoly_and_annihilates():
         cp = oracle_charpoly_mod(dense, p)
         assert _poly_divides(g, cp, p)
         # annihilates a fresh Krylov scalar sequence
-        op = LinearOperator.from_sparse(a)
         f = Field(p)
         x, y = f.rand(n, rnd), f.rand(n, rnd)
-        seq = op.krylov_scalars(x, y, 2 * n + 1, f)
+        seq = a.krylov_scalars(x, y, 2 * n + 1, f)
         d = len(g) - 1
         for j in range(len(seq) - d):
             assert sum(g[i] * seq[i + j] for i in range(d + 1)) % p == 0
@@ -100,46 +97,18 @@ def test_minpoly_unboosted_success_rate():
     assert hits >= 100, hits
 
 
-def test_find_kernel_examples():
-    p = 101
-    rng = random.Random(7)
-    zero = SparseMatrix.from_entries(2, 2, [])
-    v = find_kernel(zero, p, rng=rng)
-    assert any(int(x) for x in v)
-
-    a = SparseMatrix.from_dense([[0, 0], [0, 1]])
-    v = find_kernel(a, p, rng=rng)
-    assert v[1] == 0 and v[0] != 0
-
-    b = SparseMatrix.from_dense([[1, 1], [1, 1]])
-    w = find_kernel(b, 7, rng=rng)
-    assert w[0] == (6 * w[1]) % 7 and any(w)
-
-
-def test_find_kernel_verified_random():
-    rnd = random.Random(23)
-    p = 10007
-    for _ in range(50):
-        n = rnd.randrange(2, 9)
-        dense = [[rnd.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
-        dense[rnd.randrange(n)] = list(dense[rnd.randrange(n)])  # keep square
-        r1, r2 = rnd.sample(range(n), 2)
-        dense[r1] = list(dense[r2])  # duplicate a row: singular
-        a = SparseMatrix.from_dense(dense)
-        op = LinearOperator.from_sparse(a)
-        f = Field(p)
-        v = find_kernel(a, p, rng=rnd)
-        assert not f.is_zero(v)
-        assert f.is_zero(op.apply_mod(v, p))
+def _fp_solve(a, b, p, rng):
+    with FpSolver(a, p, rng) as s:
+        return s.solve(b)
 
 
 def test_linsolve_zp_examples():
     rng = random.Random(5)
-    x = linsolve_zp(SparseMatrix.identity(2), [3, 5], 7, rng=rng)
+    x = _fp_solve(SparseMatrix.identity(2), [3, 5], 7, rng)
     assert x == [3, 5]
-    x = linsolve_zp(SparseMatrix.from_dense([[2, 0], [0, 3]]), [4, 6], 101, rng=rng)
+    x = _fp_solve(SparseMatrix.from_dense([[2, 0], [0, 3]]), [4, 6], 101, rng)
     assert x == [2, 2]
-    x = linsolve_zp(SparseMatrix.from_dense([[1, 1], [0, 1]]), [3, 1], 7, rng=rng)
+    x = _fp_solve(SparseMatrix.from_dense([[1, 1], [0, 1]]), [3, 1], 7, rng)
     assert x == [2, 1]
 
 
@@ -154,9 +123,8 @@ def test_linsolve_zp_always_verified():
             continue
         b = [rnd.randrange(-50, 51) for _ in range(n)]
         a = SparseMatrix.from_dense(dense)
-        op = LinearOperator.from_sparse(a)
-        x = linsolve_zp(a, b, p, rng=rnd)
-        assert op.apply_mod(x, p) == [v % p for v in b]
+        x = _fp_solve(a, b, p, rnd)
+        assert a.apply_mod(x, p) == [v % p for v in b]
 
 
 def test_determinant_zp_examples():
@@ -167,16 +135,34 @@ def test_determinant_zp_examples():
 
 
 def test_determinant_zp_never_returns_an_uncertified_zero(monkeypatch):
-    # diag(d) A has rank 1, so its minimal polynomial has degree <= 2 < n and
-    # no degree certificate exists; with the kernel hunt failing too, the
-    # routine has no certificate for its 0
-    def no_kernel(*args, **kwargs):
-        raise RetriesExhausted("no kernel vector found")
-
-    monkeypatch.setattr(wiedemann, "find_kernel", no_kernel)
+    # every trial yields X + 1: degree below n and a nonzero constant term,
+    # so neither certificate appears and the routine may not answer 0
+    monkeypatch.setattr(wiedemann, "_one_wiedemann_trial",
+                        lambda op, f, rng: [1, 1])
     ones = SparseMatrix.from_dense([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     with pytest.raises(RetriesExhausted):
         determinant_zp(ones, 29, rng=random.Random(13))
+
+
+def test_determinant_zp_certifies_a_singular_residue_in_one_trial(monkeypatch):
+    """X divides the recurrence of a singular diag(d) A, so a residue 0 is
+    certified by the first trial, whatever the rank."""
+    trials = []
+    trial = wiedemann._one_wiedemann_trial
+
+    def spy(op, f, rng):
+        trials.append(op)
+        return trial(op, f, rng)
+
+    monkeypatch.setattr(wiedemann, "_one_wiedemann_trial", spy)
+    rng = random.Random(29)
+    for dense in ([[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                  [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+                  [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        trials.clear()
+        assert determinant_zp(SparseMatrix.from_dense(dense), 10007,
+                              rng=rng) == 0
+        assert len(trials) == 1, dense
 
 
 def test_determinant_zp_random_vs_oracle():
@@ -201,13 +187,11 @@ def test_fpsolver_repeated_rhs():
     while oracle_det_bareiss(dense) == 0:
         dense = [[rnd.randrange(-9, 10) for _ in range(6)] for _ in range(6)]
     a = SparseMatrix.from_dense(dense)
-    op = LinearOperator.from_sparse(a)
-    f = Field(p)
     with FpSolver(a, p, rnd) as solver:
         for _ in range(10):
             b = [rnd.randrange(p) for _ in range(6)]
             x = solver.solve(b)
-            assert op.apply_mod(x, p) == b
+            assert a.apply_mod(x, p) == b
 
 
 def test_fpsolver_degree_zero_recurrence_is_a_failed_trial():
