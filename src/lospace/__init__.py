@@ -2,7 +2,7 @@
 
 Public surface:
 
-- ``numeric``  -- L-bit floating points with tracked multiplicative error
+- ``numeric``  -- L-bit floating points rounded to nearest, and fixed points
 - ``primes``   -- Miller-Rabin testing, uniform prime sampling, CRT
 - ``linop``    -- sparse matrices and composed black-box operators
 - ``wiedemann``-- finite-field minimal polynomials, solves, dets

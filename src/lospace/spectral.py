@@ -15,12 +15,19 @@ The pipeline:
                      never-rising estimate drops below it, capped at the
                      worst-case iteration count)
   shift_invert       is there an eigenvalue near the interval midpoint?
-  spectrum           divide and conquer over [-2U, 2U] down to leaf width
+  spectrum           divide and conquer over [-2nU, 2nU] down to leaf width
                      a fraction of the separation
   eigendecompose     spectrum of B, then one gap-mode inverse power per
                      shifted matrix, streaming out one eigenpair at a time
   svd                eigendecomposition of 2^2t (A A^T + eps0 I); right
                      vectors come from the live left vector only
+
+The spectrum tree runs on integer leaf-grid indices.  [-2nU, 2nU] is
+cut into 2^depth leaves narrower than a fraction of the separation, and
+s >= depth + 4, so grid point k is the integer shift m0 + k step of
+2^s B, with m0 = -2nU 2^s and step = 4nU 2^(s - depth): an interval is a
+pair of indices (ka, kb), its midpoint the index (ka + kb) / 2, and an
+eigenvalue estimate the integer m0 + k step in units of 2^-s.
 
 The spectrum tree departs from the paper's, which runs shift_invert at
 every node.  The exact determinant f(m) = det(2^s B - m I) =
@@ -124,12 +131,8 @@ class ResultCountMismatch(RuntimeError):
 
 
 def _ceil_log2(q: Fraction) -> int:
-    k = 0
-    v = Fraction(1)
-    while v < q:
-        v *= 2
-        k += 1
-    return k
+    """The least k >= 0 with 2^k >= q, for q > 0."""
+    return (math.ceil(q) - 1).bit_length()
 
 
 @dataclass
@@ -237,12 +240,20 @@ class PowerResult:
     vector: list | None    # final normalized iterate (FloatL) if requested
 
 
-def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
-                   want_vector=False, hint: Fraction | None = None,
-                   det: int | None = None, window=None):
+def _inverse_power(op_int, eps, delta: Fraction, rng, want_vector=False,
+                   hint: Fraction | None = None, det: int | None = None,
+                   window=None):
     """Inverse power on the integer operator op_int; det = det(op_int)
-    when the caller already has it, window the call's prime window."""
+    when the caller already has it, window the call's prime window.  The
+    solves' accuracy and the iteration cap follow from eps: the cap is
+    logarithmic in 1/eps in gap mode (want_vector), linear otherwise."""
     n = op_int.n
+    solver_eps = min(2.0 ** -40, eps / 256)
+    if want_vector:
+        t_cap = min(600, math.ceil(12 * math.log(4 * n / min(0.5, eps))) + 24)
+    else:
+        t_cap = min(800, math.ceil(28 * math.log(16 * n / eps) / eps))
+    plateau_eps = max(eps, 1e-9)
     with RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
                         det=det, window=window) as solver:
         if solver.det == 0:
@@ -255,7 +266,7 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
             if not any(v_int):
                 v_int = None
         L = solver.L
-        history = []
+        history = []   # the last 10 estimates, all _plateaued reads
         lam = None
         v_fl = None
         thresh_sq = Fraction(2) / (delta * delta) if delta > 0 else None
@@ -274,17 +285,18 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
                 if thresh_sq is not None and \
                         fl_cmp_fraction(ratio_sq, thresh_sq) != LESS:
                     lam = fl_from_bigratio(delta.numerator, delta.denominator, L)
-                    return PowerResult(lam, _unitize(u_fl))
+                    return PowerResult(lam, _unitize(u_fl) if want_vector else None)
                 lam = fl_recip(fl_sqrt(ratio_sq))
                 if want_vector:
                     v_fl = u_fl
                 history.append(lam)
+                del history[:-10]
                 # lam >= |lambda_min| and, by Cauchy-Schwarz, never rises
                 # (|M^-1 v|^2 = <v, M^-2 v> <= |v| |M^-2 v|): below the
                 # hint the caller's answer is already settled
                 if hint is not None and fl_cmp_fraction(lam, hint) == LESS:
                     break
-                if _plateaued(history, eps, hint):
+                if _plateaued(history, plateau_eps, hint):
                     break
                 nxt = _regrid(u_fl, grid_bits)
                 if nxt is None:
@@ -294,11 +306,6 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, t_cap, solver_eps,
         return PowerResult(lam, vec)
 
 
-def _t_cap(n, eps):
-    eps_s = eps / 4
-    return min(800, math.ceil(28 * math.log(4 * n / eps_s) / eps))
-
-
 def inv_power_gap(a, eps: float, delta, rng=None, window=None):
     """(lambda, v): least-magnitude eigenvalue plus its eigenvector.
 
@@ -306,9 +313,7 @@ def inv_power_gap(a, eps: float, delta, rng=None, window=None):
     geometric and the iteration count only logarithmic in the accuracy.
     """
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    cap = min(600, math.ceil(12 * math.log(4 * a.n / min(0.5, eps))) + 24)
-    res = _inverse_power(a, max(eps, 1e-9), Fraction(delta), rng, cap,
-                         min(2.0 ** -40, eps / 256), want_vector=True,
+    res = _inverse_power(a, eps, Fraction(delta), rng, want_vector=True,
                          window=window)
     return res.lam, res.vector
 
@@ -319,38 +324,17 @@ def inv_power_gap(a, eps: float, delta, rng=None, window=None):
 def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
                  rng, det: int | None = None, window=None) -> str:
     """NO certifies (b/2^s) has no eigenvalue in [lo, hi]; YES places one
-    within the interval widened by a quarter width on each side.  det,
-    when given, is the midpoint's _midpoint_det value, and window the
-    call's prime window."""
-    mid = (lo + hi) / 2
-    radius = (hi - lo) / 2
-    shifted = _shifted(b_scaled, mid * (1 << scale_pow))
-    delta_scaled = radius * (1 << scale_pow)
-    res = _inverse_power(shifted, 0.1, delta_scaled, rng,
-                         _t_cap(b_scaled.n, 0.1), 2.0 ** -40,
-                         hint=Fraction(12, 10) * delta_scaled, det=det,
-                         window=window)
-    if fl_cmp_fraction(res.lam, Fraction(12, 10) * delta_scaled) == LESS:
-        return YES
-    return NO
-
-
-def _shifted(b_scaled, m_scaled: Fraction):
-    if m_scaled.denominator != 1:
+    within the interval widened by a quarter width on each side.  The
+    midpoint must lie on the 2^-s grid.  det, when given, is
+    det(b_scaled - mid 2^s I), and window the call's prime window."""
+    mid = (lo + hi) / 2 * (1 << scale_pow)
+    if mid.denominator != 1:
         raise ValueError("midpoint off the dyadic grid")
-    return LinearOperator.shift(b_scaled, -int(m_scaled))
-
-
-def _midpoint_det(b_scaled, m_scaled: Fraction, rng, window=None) -> int:
-    """det(b_scaled - m_scaled I) = prod(lambda_i - m), exactly: negative
-    exactly when an odd number of eigenvalues lie below m_scaled, and
-    zero exactly when m_scaled is one."""
-    return determinant(_shifted(b_scaled, m_scaled), rng=rng, window=window)
-
-
-def _shifted_det(b_scaled, m_scaled: Fraction, rng, window=None) -> FloatL:
-    """_midpoint_det rounded to 64 bits."""
-    return fl_from_int(_midpoint_det(b_scaled, m_scaled, rng, window), 64)
+    delta_scaled = (hi - lo) / 2 * (1 << scale_pow)
+    hint = Fraction(12, 10) * delta_scaled
+    res = _inverse_power(LinearOperator.shift(b_scaled, -mid.numerator), 0.1,
+                         delta_scaled, rng, hint=hint, det=det, window=window)
+    return YES if fl_cmp_fraction(res.lam, hint) == LESS else NO
 
 
 def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
@@ -359,8 +343,9 @@ def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
     or f(k) and f(k + 1) differ in sign.
 
     Grid points run from 0 to leaves = 2^depth, f(k) is the point's
-    _shifted_det value, and f_lo, f_hi are the values at ka and kb, of
-    opposite signs; a root end (0 or leaves) carries its sign only.
+    determinant rounded to 64 bits, and f_lo, f_hi are the values at ka
+    and kb, of opposite signs; a root end (0 or leaves) carries its sign
+    only.
     Illinois regula falsi: evaluate the point at the floor of the
     interpolated root, clamped one leaf inside the bracket, and halve the
     value at an end kept twice in a row.  Only exact signs move the
@@ -403,106 +388,100 @@ def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
 
 def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
                   pad: Fraction, rng, stats=None):
-    """Ascending eigenvalue estimates of B, exactly n of them or fewer,
-    with s, 2^s B and the prime window of the call: the window of shifts
-    up to pad beyond the root interval.
+    """Ascending eigenvalue estimates of B as integers in units of 2^-s,
+    exactly n of them or fewer, with s, 2^s B and the prime window of the
+    call: the window of shifts up to pad beyond the root interval.
 
-    Root interval [-2nU, 2nU] (Gershgorin keeps every eigenvalue inside
-    nU + eps/2), widths halve, so depth-d endpoints live on the 4nU/2^d
-    grid; scale_pow is chosen to keep every midpoint integral.  An
-    interval is (lo, hi, depth, label, f(lo), f(hi)), f being
-    _shifted_det's value; the root's ends carry only their signs, + and
+    The root interval [-2nU, 2nU] (Gershgorin keeps every eigenvalue
+    inside nU + eps/2) has 2^depth leaves, the fewest narrower than
+    leaf_width.  An interval is (ka, kb, label, f(ka), f(kb)), ka and kb
+    leaf-grid indices (module docstring) and f the determinant there
+    rounded to 64 bits; the root's ends carry only their signs, + and
     (-1)^n, as they have 0 and n eigenvalues below them.  stats[d] counts
     the depth-d tree nodes entered: each node split while isolating, and
     each node _narrow's bracket enters.
     """
     n = b.n
-    reach = n * u
-    depth_needed = 0
-    width = Fraction(4 * reach)
-    while width >= leaf_width:
-        width /= 2
-        depth_needed += 1
-    scale_pow = max(b.scale_pow, depth_needed + 4)
-    b_scaled = b.scaled(scale_pow)
+    nu = n * u
+    depth = (4 * nu // leaf_width).bit_length()
+    s = max(b.scale_pow, depth + 4)
+    b_scaled = b.scaled(s)
+    step, m0 = 4 * nu << (s - depth), -(2 * nu << s)
     # the window of 2^s B + M I covers every shift's (module docstring)
-    m_max = (2 * reach << scale_pow) + math.ceil(pad * (1 << scale_pow))
-    window = _prime_window(_shifted(b_scaled, -m_max))
-    bits = n * (scale_pow + 8)
-    exact = []     # split points that are eigenvalues, then narrowed leaves
+    window = _prime_window(
+        LinearOperator.shift(b_scaled, math.ceil(pad * (1 << s)) - m0))
+    bits = n * (s + 8)
+    exact = []     # grid points that are eigenvalues, as shifts
     odd = []       # intervals holding an odd number of eigenvalues
     pending = []   # intervals of even or unknown count
 
-    def value(m, *labels):
-        return _shifted_det(b_scaled, m * (1 << scale_pow),
-                            derive_rng(rng, "det", *labels), window)
+    def det(k, *labels):
+        """det(2^s B - (m0 + k step) I), exactly: negative exactly when an
+        odd number of eigenvalues lie below grid point k, and zero exactly
+        when it is one."""
+        return determinant(LinearOperator.shift(b_scaled, -(m0 + k * step)),
+                           rng=derive_rng(rng, "det", *labels), window=window)
 
     def split(iv, f_mid):
-        lo, hi, depth, label, f_lo, f_hi = iv
+        ka, kb, label, f_lo, f_hi = iv
         if stats is not None:
-            stats[depth] = stats.get(depth, 0) + 1
-        mid = (lo + hi) / 2
+            d = depth + 1 - (kb - ka).bit_length()
+            stats[d] = stats.get(d, 0) + 1
+        k = (ka + kb) // 2
         if f_mid.is_zero():
-            exact.append(mid)
-        return ((lo, mid, depth + 1, 2 * label + 1, f_lo, f_mid),
-                (mid, hi, depth + 1, 2 * label + 2, f_mid, f_hi))
+            exact.append(m0 + k * step)
+        return ((ka, k, 2 * label + 1, f_lo, f_mid),
+                (k, kb, 2 * label + 2, f_mid, f_hi))
 
     def place(ivs):
         for iv in ivs:
-            if iv[4].sign() * iv[5].sign() < 0:
+            if iv[3].sign() * iv[4].sign() < 0:
                 odd.append(iv)
-            elif iv[1] - iv[0] >= leaf_width:
+            elif iv[1] - iv[0] > 1:
                 pending.append(iv)
             # else: a leaf is narrower than the separation, so an even one
             # holds no eigenvalue and one of unknown parity only the
             # split-point eigenvalue at its end, already in `exact`
 
-    leaves = 1 << depth_needed
-    leaf = Fraction(4 * reach, leaves)
-
-    def point(k):
-        return -2 * reach + k * leaf
-
     with meter.track("spectrum.bmatrix", bits):
-        place([(Fraction(-2 * reach), Fraction(2 * reach), 0, 0,
-                fl_from_int(1, 64), fl_from_int((-1) ** n, 64))])
+        place([(0, 1 << depth, 0, fl_from_int(1, 64),
+                fl_from_int((-1) ** n, 64))])
         # odd intervals and split-point eigenvalues are disjoint, each worth
         # at least one eigenvalue: n of them are worth one each, and every
         # interval still pending holds none
         while len(odd) + len(exact) < n:
             if pending:
-                lo, hi, _, label, f_lo, f_hi = iv = pending.pop()
+                ka, kb, label, f_lo, f_hi = iv = pending.pop()
                 # the node's stream is drawn before its determinant's,
                 # whatever follows, so no later stream depends on which
                 # nodes the determinant settles
                 node_rng = derive_rng(rng, "node", label)
-                d = _midpoint_det(b_scaled, (lo + hi) / 2 * (1 << scale_pow),
-                                  derive_rng(rng, "det", label), window)
+                d = det((ka + kb) // 2, label)
                 f_mid = fl_from_int(d, 64)
                 # an eigenvalue at an end or the midpoint, or an odd half,
-                # lies in [lo, hi], where shift_invert answers YES; only
-                # two even halves need it
+                # lies in the interval, where shift_invert answers YES;
+                # only two even halves need it
                 if f_lo.sign() == f_mid.sign() == f_hi.sign() != 0 and \
-                        shift_invert(b_scaled, scale_pow, lo, hi, node_rng,
-                                     det=d, window=window) == NO:
+                        shift_invert(b_scaled, s, Fraction(m0 + ka * step, 1 << s),
+                                     Fraction(m0 + kb * step, 1 << s),
+                                     node_rng, det=d, window=window) == NO:
                     continue
                 place(split(iv, f_mid))
                 continue
             widest = max((iv[1] - iv[0] for iv in odd), default=0)
-            if widest < leaf_width:
-                return sorted(exact), scale_pow, b_scaled, window
+            if widest <= 1:
+                return sorted(exact), s, b_scaled, window
             chosen = [iv for iv in odd if iv[1] - iv[0] == widest]
             odd[:] = [iv for iv in odd if iv[1] - iv[0] != widest]
             for iv in chosen:
-                place(split(iv, value((iv[0] + iv[1]) / 2, iv[3])))
+                place(split(iv, fl_from_int(det((iv[0] + iv[1]) // 2, iv[2]), 64)))
         if len(odd) + len(exact) > n:
             raise ResultCountMismatch(f"more than {n} eigenvalues counted")
-        for lo, hi, _, _, f_lo, f_hi in odd:
-            k = _narrow(lambda k: value(point(k), "grid", k),
-                        int((lo + 2 * reach) / leaf), int((hi + 2 * reach) / leaf),
-                        f_lo, f_hi, leaves, stats)
-            exact.append(point(k))
-    return sorted(exact), scale_pow, b_scaled, window
+        for ka, kb, _, f_lo, f_hi in odd:
+            k = _narrow(lambda k: fl_from_int(det(k, "grid", k), 64),
+                        ka, kb, f_lo, f_hi, 1 << depth, stats)
+            exact.append(m0 + k * step)
+    return sorted(exact), s, b_scaled, window
 
 
 def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stats=None):
@@ -529,13 +508,7 @@ def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
         raise ValueError("spectrum needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     _, vals, scale_pow, _, _ = _perturb_and_extract(a, eps, rng, 8, stats)
-    return [fixed_from_fraction(v, scale_pow) for v in vals]
-
-
-def _dyadic_at_least(q: Fraction, scale_pow: int) -> Fraction:
-    num = q * (1 << scale_pow)
-    k = -((-num.numerator) // num.denominator)  # ceil
-    return Fraction(k, 1 << scale_pow)
+    return [FixedL(m, scale_pow) for m in vals]
 
 
 def _double_target(vec_eps: float) -> float:
@@ -547,19 +520,20 @@ def _double_target(vec_eps: float) -> float:
 
 
 def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
-    """Yields (lambda_i, s, v_i) for B = a perturbed by at most eps/2,
-    eigenvalues ascending or descending, lambda_i on the 2^-s grid and v_i
-    a unit FloatL eigenvector: one gap-mode inverse power against
-    B - (lambda_i + g5) I, on the stream derive_rng(rng, "vec", i), drawn
-    in the order the vectors are yielded, and on the prime window of the
-    tree.  One vector is live at a time."""
+    """Yields (m_i, s, v_i) for B = a perturbed by at most eps/2,
+    eigenvalues lambda_i = m_i 2^-s ascending or descending and v_i a unit
+    FloatL eigenvector: one gap-mode inverse power against
+    B - (lambda_i + g5) I, g5 the least point of the 2^-s grid >= sep/5,
+    on the stream derive_rng(rng, "vec", i), drawn in the order the
+    vectors are yielded, and on the prime window of the tree.  One vector
+    is live at a time."""
     b_scaled, vals, scale_pow, sep, window = _perturb_and_extract(
         a, eps, rng, 16)
-    g5 = _dyadic_at_least(sep / 5, scale_pow)
+    g5 = math.ceil(sep / 5 * (1 << scale_pow))
     delta = sep / 10 * (1 << scale_pow)
     order = range(len(vals))
     for i in reversed(order) if descending else order:
-        shifted = _shifted(b_scaled, (vals[i] + g5) * (1 << scale_pow))
+        shifted = LinearOperator.shift(b_scaled, -(vals[i] + g5))
         _, v_fl = inv_power_gap(shifted, vec_eps, delta,
                                 derive_rng(rng, "vec", i), window)
         if v_fl is None:
@@ -579,7 +553,7 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None):
     out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
     for lam, scale_pow, v_fl in _eigenvectors(a, eps, vec_eps, rng):
         vec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
-        yield fixed_from_fraction(lam, scale_pow), vec
+        yield FixedL(lam, scale_pow), vec
 
 
 def svd(a: SparseMatrix, eps: float, rng=None):
@@ -607,13 +581,14 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     vec_eps = _double_target(math.ldexp(eps_scaled ** 2, -4 * t))
     out_bits = max(32, math.ceil(4 * t + math.log2(4 / eps_scaled ** 2)) + 6)
     L = 64
-    for idx, (lam, _, v_fl) in enumerate(
+    for idx, (lam, scale_pow, v_fl) in enumerate(
             _eigenvectors(gram, eps_scaled, vec_eps, rng, descending=True)):
         uvec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
         if idx >= m:
             yield uvec, None, None
             continue
-        lam_frac = lam / (1 << (2 * t))      # eigenvalue of A A^T + eps0
+        # an eigenvalue of A A^T + eps0
+        lam_frac = Fraction(lam, 1 << (scale_pow + 2 * t))
         sig_sq = lam_frac - eps0_eff
         if sig_sq <= 0:
             yield uvec, fl_zero(L), [FixedL(0, out_bits)] * m

@@ -242,6 +242,29 @@ def test_determinism_same_seed(files):
     assert out1 == out2
 
 
+def test_global_flags_take_effect_before_the_subcommand(
+        files, monkeypatch, capsys):
+    """A global flag gives the same stdout and stderr before and after the
+    subcommand, and not those of no flag; a --seed before it overrides a
+    bad LOSPACE_SEED."""
+    cmd = ["eigs", str(files / "sym.mtx"), "--epsilon", "0.1"]
+    for flags in (["--format", "decimal"], ["--decimal-digits", "3"],
+                  ["--report-space"]):
+        runs = []
+        for argv in (cmd, flags + cmd, cmd + flags):
+            code, out = run_cli(argv)
+            assert code == 0, argv
+            runs.append((out, capsys.readouterr().err))
+        plain, before, after = runs
+        assert before == after != plain, flags
+    monkeypatch.setenv("LOSPACE_SEED", "x")
+    code, out = run_cli(["--seed", "5", "det", str(files / "id3.mtx")])
+    assert code == 0 and out == "1\n"
+    code, out = run_cli(["det", str(files / "id3.mtx")])
+    assert code == 2 and out == ""
+    assert "LOSPACE_SEED" in capsys.readouterr().err
+
+
 def test_env_seed_fallback(files, monkeypatch):
     monkeypatch.setenv("LOSPACE_SEED", "9")
     _, out1 = run_cli(["det", str(files / "id3.mtx")])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -9,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from lospace import meter, solver, spectral
-from lospace.linop import SparseMatrix
-from lospace.numeric import fl_from_bigratio
+from lospace.linop import LinearOperator, SparseMatrix
+from lospace.numeric import FloatL, fl_from_bigratio
 from lospace.oracle import dense_of, oracle_det_bareiss, oracle_eigs_bisect
 from lospace.primes import PrimePool
 from lospace.spectral import (
@@ -37,9 +38,7 @@ def sym_random(rnd, n, u=10):
 def inv_power(a, eps, delta, seed):
     """lambda ~=_eps max(delta, min_i |lambda_i|) for symmetric integer a,
     exact 0 when a is singular."""
-    return spectral._inverse_power(
-        a, eps, delta, random.Random(seed),
-        spectral._t_cap(a.n, eps), 2.0 ** -40).lam
+    return spectral._inverse_power(a, eps, delta, random.Random(seed)).lam
 
 
 def test_inv_power_examples():
@@ -150,12 +149,16 @@ def test_shift_invert_soundness_random():
 
 def test_inverse_power_estimates_never_rise(monkeypatch):
     """lam = |v| / |M^-1 v| never rises from one iterate to the next
-    (Cauchy-Schwarz), which is what lets shift_invert stop at the hint."""
-    histories = {}
+    (Cauchy-Schwarz), which is what lets shift_invert stop at the hint.
+    _plateaued sees each estimate as the last of the history, whose
+    first estimate starts a run."""
+    runs = []
     plateaued = spectral._plateaued
 
     def spy(history, eps, hint):
-        histories[id(history)] = [x.to_fraction() for x in history]
+        if len(history) == 1:
+            runs.append([])
+        runs[-1].append(history[-1].to_fraction())
         return plateaued(history, eps, hint)
 
     monkeypatch.setattr(spectral, "_plateaued", spy)
@@ -169,7 +172,7 @@ def test_inverse_power_estimates_never_rise(monkeypatch):
         shift_invert(SparseMatrix.from_dense([[v << s for v in row] for row in a]),
                      s, lo, lo + width, rnd)
     steps = 0
-    for hist in histories.values():
+    for hist in runs:
         for prev, cur in zip(hist, hist[1:]):
             assert cur <= prev * (1 + Fraction(1, 1 << 30)), hist
             steps += 1
@@ -193,16 +196,17 @@ def test_shifted_determinant_sign_is_count_parity():
             m = Fraction(rnd.randrange(-12 * 4, 12 * 4), 4)
             if trial % 4 == 0 and k % 2 == 0:
                 m = Fraction(a[k % n][k % n])  # an eigenvalue of a diagonal a
-            got = spectral._shifted_det(scaled, m * (1 << s), random.Random(trial))
+            got = solver.determinant(LinearOperator.shift(scaled, -int(m * (1 << s))),
+                                     rng=random.Random(trial))
             shifted = [[int((a[i][j] - (m if i == j else 0)) * 4) for j in range(n)]
                        for i in range(n)]
             if oracle_det_bareiss(shifted) == 0:
-                assert got.is_zero(), (a, m)
+                assert got == 0, (a, m)
                 zeros += 1
                 continue
             if min(abs(x - m) for x in eigs) < 1e-6:
                 continue
-            assert int(got.sign() < 0) == sum(1 for x in eigs if x < m) % 2, \
+            assert int(got < 0) == sum(1 for x in eigs if x < m) % 2, \
                 (a, m, eigs)
             checked += 1
     assert checked >= 150 and zeros >= 5
@@ -235,7 +239,7 @@ def test_double_eigenvalue_counts_short(monkeypatch):
 
     def spy(*args, **kwargs):
         out = extract(*args, **kwargs)
-        counts.append([float(v) for v in out[0]])
+        counts.append([v / 2 ** out[1] for v in out[0]])
         return out
 
     monkeypatch.setattr(spectral, "_extract_eigs", spy)
@@ -608,3 +612,37 @@ def test_spectral_routines_build_no_matrix(monkeypatch):
     assert len(list(eigendecompose(sym, 0.05, 2))) == 3
     assert len(list(svd(rect, 0.05, 3))) == 3
     assert built == []
+
+
+def _bits(v):
+    """Every bit of a spectral output: FixedL, FloatL, None, or lists and
+    tuples of them."""
+    if isinstance(v, (list, tuple)):
+        return [_bits(x) for x in v]
+    if v is None:
+        return None
+    if isinstance(v, FloatL):
+        return ("F", v.mantissa, v.exponent, v.L)
+    return ("X", v.scaled, v.L)
+
+
+def test_spectral_outputs_match_recorded_bits():
+    """spectrum on 12 seeded symmetric matrices (n = 1..4), eigendecompose
+    on six of them and svd on six seeded matrices up to 4x2: the sha256 of
+    every output bit.  A new hash means some output bit changed for a
+    fixed seed."""
+    rnd = random.Random(2020)
+    h = hashlib.sha256()
+    for i in range(12):
+        n = 1 + (i // 2) % 4
+        a = SparseMatrix.from_dense(sym_random(rnd, n, 9))
+        h.update(repr(_bits(spectrum(a, 0.1, i))).encode())
+        if i % 2 == 0:
+            h.update(repr(_bits(list(eigendecompose(a, 0.1, i)))).encode())
+        else:
+            m = 1 + (i // 2) % 2
+            rect = SparseMatrix.from_dense([[rnd.randrange(-9, 10) for _ in range(m)]
+                                            for _ in range(m + i % 3)])
+            h.update(repr(_bits(list(svd(rect, 0.1, i)))).encode())
+    assert h.hexdigest() == (
+        "4bfb94b10dbec3b2c93df8041c5dcd1082dcad967c17fa61f922c7fc2284c829")
