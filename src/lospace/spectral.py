@@ -15,8 +15,8 @@ The pipeline:
                      never-rising estimate drops below it, capped at the
                      worst-case iteration count)
   shift_invert       is there an eigenvalue near the interval midpoint?
-  spectrum           divide and conquer over [-2nU, 2nU] down to leaf width
-                     a fraction of the separation
+  spectrum           divide and conquer over [-2nU, 2nU], isolating at leaf
+                     width a fraction of the separation, narrowing to eps/2
   eigendecompose     spectrum of B, then one gap-mode inverse power per
                      shifted matrix, streaming out one eigenpair at a time
   svd                eigendecomposition of 2^2t (A A^T + eps0 I); right
@@ -42,17 +42,13 @@ answers YES, and it is split at once; only when both halves are even
 does shift_invert run, on the determinant just computed, and drop the
 interval (NO) or split it (YES).  Odd intervals are disjoint, so once
 there are n of them each holds exactly one eigenvalue and is narrowed
-to leaf width with no solves, by Illinois regula falsi (Dowell &
-Jarratt, BIT 11, 1971) on the values of f, kept as 64-bit floats: the
-next point is the leaf-grid point at the floor of the interpolated
-root, clamped one leaf inside the bracket.  A step that leaves the
-smallest aligned tree node holding the bracket unchanged is
-followed by a split at that node's midpoint, so an eigenvalue costs at
-most two determinants per tree level it visits.  Only exact signs move a
-bracket, so the rounding in the interpolation decides which points are
-evaluated, never the leaf found: it is the one bisection would reach.
-With fewer than n odd intervals, the widest are split once and counted
-again.  A zero determinant means the point is an eigenvalue, exactly:
+with no solves, by ITP steps on the values of f kept as 64-bit floats
+(_narrow), to an aligned tree node: a leaf for eigendecompose and svd,
+which keep its left end, and for spectrum the widest node no wider than
+eps/2, whose midpoint is within eps/4 of B's eigenvalue.  Only exact
+signs move a bracket, so the node found is the one sign bisection
+reaches.  With fewer than n odd intervals, the widest are split once and
+counted again.  A zero determinant means the point is an eigenvalue, exactly:
 inside a one-eigenvalue interval it is reported and the narrowing stops;
 elsewhere it is reported too, and its two neighbours get unknown parity;
 such an interval holds the eigenvalue at its end, so it is split like an
@@ -338,59 +334,61 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
 
 
 def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
-            stats=None) -> int:
-    """Leaf-grid index k of the one eigenvalue in (ka, kb): f(k) is zero,
-    or f(k) and f(k + 1) differ in sign.
+            g: int, stats=None):
+    """(lo, lo + 2^g), the aligned node of 2^g leaves holding the one
+    eigenvalue in (ka, kb), or (k, k) when f(k) is zero; a bracket inside
+    such a node already is returned as it is.
 
     Grid points run from 0 to leaves = 2^depth, f(k) is the point's
     determinant rounded to 64 bits, and f_lo, f_hi are the values at ka
     and kb, of opposite signs; a root end (0 or leaves) carries its sign
-    only.
-    Illinois regula falsi: evaluate the point at the floor of the
-    interpolated root, clamped one leaf inside the bracket, and halve the
-    value at an end kept twice in a row.  Only exact signs move the
-    bracket.  N, the smallest aligned tree node holding the bracket, is
-    counted in stats[depth of N] when the bracket enters it; a step that
-    leaves N unchanged, and every step at a root end, evaluates N's
-    midpoint instead, a bisection split.  So each node entered costs at
-    most two evaluations.
-    """
+    only.  ka and kb are multiples of 2^g, as a wider tree node's are.
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on the multiples of
+    2^g, widths exact: the regula-falsi point, moved toward the midpoint
+    by (kb - ka)^2 / (2 w0), w0 the starting width, projected into the
+    radius (reach - (kb - ka)) / 2 around it, rounded toward the midpoint
+    and clamped one node inside the bracket; a root end takes the
+    midpoint.  reach starts at 2^(g + n_max), n_max = ceil(log2(w0 / 2^g))
+    + 2, and halves per step; no step leaves the bracket wider than the
+    halved reach, so there are at most n_max evaluations.  N, the smallest
+    aligned tree node holding the bracket, is counted in stats[depth of
+    N] as the bracket enters it."""
     depth = leaves.bit_length() - 1
-    node = moved = None
-    while kb - ka > 1:
+    unit, w0 = 1 << g, kb - ka
+    reach = unit << (((w0 - 1) >> g).bit_length() + 2)
+    node = None
+    while kb - ka > unit:
         h = (ka ^ (kb - 1)).bit_length()      # N holds 2^h leaves
-        entered = (h, ka >> h) != node
-        if entered:
+        if (h, ka >> h) != node:
             node = (h, ka >> h)
             if stats is not None:
                 stats[depth - h] = stats.get(depth - h, 0) + 1
-        if not entered or ka == 0 or kb == leaves:
-            k = (ka >> h << h) + (1 << (h - 1))
-        else:
-            a, b = _abs(f_lo), _abs(f_hi)
-            r = fl_mul(fl_div(a, fl_add_same_sign(a, b)), fl_from_int(kb - ka, 64))
-            k = min(max(ka + math.floor(r.to_fraction()), ka + 1), kb - 1)
+        x = mid = Fraction(ka + kb, 2)
+        if ka != 0 and kb != leaves:
+            w, a, b = kb - ka, _abs(f_lo), _abs(f_hi)
+            x = ka + w * fl_div(a, fl_add_same_sign(a, b)).to_fraction()
+            d = min(abs(mid - x) - Fraction(w * w, 2 * w0), Fraction(reach - w, 2))
+            x = mid - max(0, d) if x < mid else mid + max(0, d)
+        reach >>= 1
+        k = (math.ceil(x / unit) if x < mid else math.floor(x / unit)) * unit
+        k = min(max(k, ka + unit), kb - unit)
         fk = f(k)
         if fk.is_zero():
-            return k
+            return k, k
         if fk.sign() == f_lo.sign():
-            ka, f_lo, side = k, fk, LESS
+            ka, f_lo = k, fk
         else:
-            kb, f_hi, side = k, fk, GREATER
-        if side == moved:   # the other end was kept twice: Illinois halving
-            if side == LESS:
-                f_hi = fl_scale_pow2(f_hi, -1)
-            else:
-                f_lo = fl_scale_pow2(f_lo, -1)
-        moved = side
-    return ka
+            kb, f_hi = k, fk
+    return ka, kb
 
 
 def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
-                  pad: Fraction, rng, stats=None):
+                  pad: Fraction, rng, stop, stats=None):
     """Ascending eigenvalue estimates of B as integers in units of 2^-s,
     exactly n of them or fewer, with s, 2^s B and the prime window of the
-    call: the window of shifts up to pad beyond the root interval.
+    call: the window of shifts up to pad beyond the root interval.  An
+    isolated eigenvalue is reported by its leaf's left end if stop = 0,
+    else by the midpoint of the widest node no wider than stop (_narrow).
 
     The root interval [-2nU, 2nU] (Gershgorin keeps every eigenvalue
     inside nU + eps/2) has 2^depth leaves, the fewest narrower than
@@ -398,8 +396,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
     leaf-grid indices (module docstring) and f the determinant there
     rounded to 64 bits; the root's ends carry only their signs, + and
     (-1)^n, as they have 0 and n eigenvalues below them.  stats[d] counts
-    the depth-d tree nodes entered: each node split while isolating, and
-    each node _narrow's bracket enters.
+    the depth-d tree nodes entered (module docstring).
     """
     n = b.n
     nu = n * u
@@ -407,6 +404,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
     s = max(b.scale_pow, depth + 4)
     b_scaled = b.scaled(s)
     step, m0 = 4 * nu << (s - depth), -(2 * nu << s)
+    g = max(1, int(stop * (1 << depth) / (4 * nu))).bit_length() - 1
     # the window of 2^s B + M I covers every shift's (module docstring)
     window = _prime_window(
         LinearOperator.shift(b_scaled, math.ceil(pad * (1 << s)) - m0))
@@ -478,36 +476,38 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
         if len(odd) + len(exact) > n:
             raise ResultCountMismatch(f"more than {n} eigenvalues counted")
         for ka, kb, _, f_lo, f_hi in odd:
-            k = _narrow(lambda k: fl_from_int(det(k, "grid", k), 64),
-                        ka, kb, f_lo, f_hi, 1 << depth, stats)
-            exact.append(m0 + k * step)
+            lo, hi = _narrow(lambda k: fl_from_int(det(k, "grid", k), 64),
+                             ka, kb, f_lo, f_hi, 1 << depth, g, stats)
+            exact.append(m0 + (lo + hi) * step // 2 if stop else m0 + lo * step)
     return sorted(exact), s, b_scaled, window
 
 
-def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stats=None):
+def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stop=0, stats=None):
     """Shared front end of spectrum/eigendecompose/svd, with one retry on a
     fresh perturbation: 2^s B for B = a perturbed by at most eps/2, the
-    eigenvalue estimates from tree leaves sep/leaf_div wide, s, sep and
-    the prime window of shifts up to sep beyond the root interval, which
-    covers the eigenvector shifts' gap."""
+    eigenvalue estimates from tree leaves sep/leaf_div wide, narrowed to
+    stop (_extract_eigs), s, sep and the prime window of shifts up to sep
+    beyond the root interval, which covers the eigenvector shifts' gap."""
     n, u = a.n, a.entry_bound
     sep = Fraction(eps) ** 2 / (4 * n ** 4 * u)  # separation after eps/2 perturb
     for attempt in range(2):
         b = perturb_spectrum(a, eps / 2, derive_rng(rng, "perturb", attempt))
         vals, scale_pow, b_scaled, window = _extract_eigs(
             b, u, sep / leaf_div, sep, derive_rng(rng, "tree", attempt),
-            stats=stats)
+            stop, stats)
         if len(vals) == n:
             return b_scaled, vals, scale_pow, sep, window
     raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")
 
 
 def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
-    """All eigenvalues of symmetric a to within +-eps, ascending FixedL list."""
+    """All eigenvalues of symmetric a to within +-eps, ascending FixedL list,
+    each the midpoint of a node <= eps/2 wide holding one of B's."""
     if not a.is_symmetric():
         raise ValueError("spectrum needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    _, vals, scale_pow, _, _ = _perturb_and_extract(a, eps, rng, 8, stats)
+    _, vals, scale_pow, _, _ = _perturb_and_extract(
+        a, eps, rng, 8, Fraction(eps) / 2, stats)
     return [FixedL(m, scale_pow) for m in vals]
 
 

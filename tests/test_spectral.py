@@ -279,28 +279,29 @@ def test_shift_invert_sees_only_even_intervals(monkeypatch):
     assert 0 < len(calls) <= 30, len(calls)
 
 
-def _bisect(f, ka, kb, f_lo, f_hi, leaves, stats=None):
-    """Reference for spectral._narrow: determinant-sign bisection, one
-    determinant per level at the midpoint of the aligned node that is the
-    bracket, each node counted in stats as it is split."""
+def _bisect(f, ka, kb, f_lo, f_hi, leaves, g=0, stats=None):
+    """Reference for spectral._narrow: determinant-sign bisection of the
+    aligned node (ka, kb), one determinant per level at the midpoint of
+    the aligned node that is the bracket, each node counted in stats as it
+    is split, down to 2^g leaves: (lo, hi), or (k, k) at a zero."""
     depth = leaves.bit_length() - 1
-    while kb - ka > 1:
+    while kb - ka > 1 << g:
         h = (kb - ka).bit_length() - 1
         if stats is not None:
             stats[depth - h] = stats.get(depth - h, 0) + 1
         mid = (ka + kb) // 2
         f_mid = f(mid)
         if f_mid.is_zero():
-            return mid
+            return mid, mid
         if f_mid.sign() == f_lo.sign():
             ka, f_lo = mid, f_mid
         else:
             kb = mid
-    return ka
+    return ka, kb
 
 
 def _both_ways(monkeypatch, run):
-    """run() with regula falsi, then with the bisection reference, and the
+    """run() with ITP narrowing, then with the bisection reference, and the
     spectral determinant calls each made."""
     calls = [0]
 
@@ -324,12 +325,13 @@ def _spectra(n, count, seed):
 
 
 def test_regula_falsi_matches_bisection_with_fewer_determinants(monkeypatch):
-    """16 seeded n=4 spectra: the same FixedL bits as bisection, at most 70
-    determinants per spectrum on average, a cap bisection's ~123 fails."""
+    """16 seeded n=4 spectra: the same FixedL bits as bisection to the same
+    eps/2 stop, at most 40 determinants per spectrum on average, a cap
+    bisection's ~47.6 fails."""
     (got, dets), (want, ref_dets) = _both_ways(
         monkeypatch, lambda: _spectra(4, 16, 104))
     assert got == want
-    assert dets / 16 <= 70 < ref_dets / 16, (dets / 16, ref_dets / 16)
+    assert dets / 16 <= 40 < ref_dets / 16, (dets / 16, ref_dets / 16)
 
 
 def test_regula_falsi_matches_bisection_n6_eigendecompose_svd(monkeypatch):
@@ -349,7 +351,7 @@ def test_regula_falsi_matches_bisection_n6_eigendecompose_svd(monkeypatch):
 
 def test_eigenvalue_on_a_fine_grid_point_is_exact(monkeypatch):
     """Unperturbed, 1 is a depth-5 grid point of [-16, 16] that no
-    isolating split reaches: regula falsi must land on its zero."""
+    isolating split reaches: ITP must land on its zero."""
     _unperturbed(monkeypatch)
     a = SparseMatrix.from_dense([[1, 0], [0, -4]])
     (got, _), (want, _) = _both_ways(monkeypatch, lambda: spectrum(a, 0.05, 1))
@@ -359,8 +361,9 @@ def test_eigenvalue_on_a_fine_grid_point_is_exact(monkeypatch):
 
 def test_narrow_on_strongly_curved_values():
     """One eigenvalue inside an aligned node, a cluster of others just
-    outside each end: at most two evaluations per node entered, only nodes
-    bisection splits, and bisection's leaf."""
+    outside each end: at most ceil(log2(kb - ka)) + 2 evaluations, each
+    node entered once, only nodes bisection splits, and bisection's
+    leaf."""
     rnd = random.Random(61)
     depth = 30
     leaves = 1 << depth
@@ -384,11 +387,44 @@ def test_narrow_on_strongly_curved_values():
         f_lo, f_hi = f(ka), f(kb)
         evals.clear()
         stats, ref_stats = {}, {}
-        got = spectral._narrow(f, ka, kb, f_lo, f_hi, leaves, stats)
-        assert got == math.floor(inside)
-        assert len(evals) <= 2 * sum(stats.values()), (trial, len(evals))
-        assert _bisect(f, ka, kb, f_lo, f_hi, leaves, ref_stats) == got
+        got = spectral._narrow(f, ka, kb, f_lo, f_hi, leaves, 0, stats)
+        k = math.floor(inside)
+        assert got == ((k, k) if k == inside else (k, k + 1))
+        assert len(evals) <= h + 2, (trial, len(evals))
+        assert _bisect(f, ka, kb, f_lo, f_hi, leaves, 0, ref_stats) == got
         assert set(stats.values()) == {1} and set(stats) <= set(ref_stats)
+
+
+def test_narrow_on_a_huge_grid_is_exact():
+    """2^300 leaves, far past a double's 2^53: ITP keeps exact widths,
+    finds bisection's leaf or coarser node within ceil(log2((kb - ka) /
+    2^g)) + 2 evaluations, and lands on an eigenvalue at a grid point."""
+    rnd = random.Random(300)
+    depth = 300
+    leaves = 1 << depth
+    for trial in range(24):
+        h = rnd.randrange(60, depth)
+        g = rnd.choice([0, 0, rnd.randrange(h)])
+        ka = rnd.randrange(leaves >> h) << h
+        kb = ka + (1 << h)
+        inside = rnd.randrange(ka + 1, kb) + rnd.choice([0, Fraction(1, 7)])
+        eigs = [inside, ka - Fraction(1, 3), kb + 5, kb + rnd.randrange(1, 1 << h)]
+        evals = []
+
+        def f(k):
+            evals.append(k)
+            v = math.prod(lam - k for lam in eigs)
+            return fl_from_bigratio(v.numerator, v.denominator, 64)
+
+        f_lo, f_hi = f(ka), f(kb)
+        evals.clear()
+        got = spectral._narrow(f, ka, kb, f_lo, f_hi, leaves, g)
+        assert len(evals) <= h - g + 2, (trial, len(evals))
+        assert got == _bisect(f, ka, kb, f_lo, f_hi, leaves, g)
+        if got[0] == got[1]:
+            assert got[0] == inside
+        else:
+            assert got[1] - got[0] == 1 << g and got[0] < inside < got[1]
 
 
 def test_off_grid_midpoint_rejected_under_optimize():
@@ -440,6 +476,39 @@ def test_spectrum_random_and_level_counts():
             assert abs(float(got) - w) <= 0.1
         # eq:level-size-bound: at most 2n internal YES-nodes per level
         assert max(stats.values()) <= 2 * n, stats
+
+
+def test_spectrum_stops_at_half_eps(monkeypatch):
+    """Held-out n = 4..8 spectra at eps = 0.05: each narrowing stops at a
+    node of 2^g leaves no wider than eps/2, g the widest such, and every
+    value is within 3 eps / 4 of the oracle (eps/4 from the midpoint,
+    eps/2 from the perturbation).  The leaf is at most eps^2 / (32 n^4 U)
+    wide, so g >= log2(16 n^4 U / eps) >= 4 for eps < 1; eigendecompose
+    narrows to the leaf, g = 0."""
+    calls = []
+    narrow = spectral._narrow
+
+    def spy(f, ka, kb, f_lo, f_hi, leaves, g=0, stats=None):
+        calls.append((leaves, g))
+        return narrow(f, ka, kb, f_lo, f_hi, leaves, g, stats)
+
+    monkeypatch.setattr(spectral, "_narrow", spy)
+    rnd = random.Random(2108)
+    eps = 0.05
+    for n in range(4, 9):
+        a = sym_random(rnd, n, 10)
+        calls.clear()
+        vals = spectrum(SparseMatrix.from_dense(a), eps, n)
+        for got, want in zip(vals, oracle_eigs_bisect(a, 1e-8)):
+            assert abs(float(got) - want) <= 3 * eps / 4, (n, got, want)
+        u = max(max(map(abs, row)) for row in a)
+        assert calls and len(calls) <= n
+        for leaves, g in calls:
+            node = Fraction(4 * n * u * 2 ** g, leaves)
+            assert g >= 4 and node <= eps / 2 < 2 * node, (n, g)
+    calls.clear()
+    list(eigendecompose(SparseMatrix.from_dense(sym_random(rnd, 3, 10)), eps, 1))
+    assert calls and {g for _, g in calls} == {0}
 
 
 def test_eigendecompose_residuals():
@@ -626,23 +695,39 @@ def _bits(v):
     return ("X", v.scaled, v.L)
 
 
-def test_spectral_outputs_match_recorded_bits():
-    """spectrum on 12 seeded symmetric matrices (n = 1..4), eigendecompose
-    on six of them and svd on six seeded matrices up to 4x2: the sha256 of
-    every output bit.  A new hash means some output bit changed for a
-    fixed seed."""
+def _golden_inputs():
+    """(i, a, rect) for i < 12: a a seeded symmetric matrix (n = 1..4),
+    run at eps 0.1 with seed i; eigendecompose runs on the even ones, and
+    svd on rect, a seeded matrix up to 4x2, for the odd ones."""
     rnd = random.Random(2020)
-    h = hashlib.sha256()
     for i in range(12):
         n = 1 + (i // 2) % 4
         a = SparseMatrix.from_dense(sym_random(rnd, n, 9))
-        h.update(repr(_bits(spectrum(a, 0.1, i))).encode())
-        if i % 2 == 0:
-            h.update(repr(_bits(list(eigendecompose(a, 0.1, i)))).encode())
-        else:
+        rect = None
+        if i % 2:
             m = 1 + (i // 2) % 2
             rect = SparseMatrix.from_dense([[rnd.randrange(-9, 10) for _ in range(m)]
                                             for _ in range(m + i % 3)])
-            h.update(repr(_bits(list(svd(rect, 0.1, i)))).encode())
+        yield i, a, rect
+
+
+def test_spectral_outputs_match_recorded_bits():
+    """eigendecompose and svd on the golden inputs: the sha256 of every
+    output bit.  A new hash means some output bit changed for a fixed
+    seed."""
+    h = hashlib.sha256()
+    for i, a, rect in _golden_inputs():
+        out = eigendecompose(a, 0.1, i) if rect is None else svd(rect, 0.1, i)
+        h.update(repr(_bits(list(out))).encode())
     assert h.hexdigest() == (
-        "4bfb94b10dbec3b2c93df8041c5dcd1082dcad967c17fa61f922c7fc2284c829")
+        "85183eeb2cc23569d205f5e8b19bdc0930a7344b5e6fd14659373e726fc11f43")
+
+
+def test_spectrum_outputs_match_recorded_bits():
+    """spectrum on the golden inputs' symmetric matrices: the sha256 of
+    every output bit, recorded with the eps/2 stop."""
+    h = hashlib.sha256()
+    for i, a, _ in _golden_inputs():
+        h.update(repr(_bits(spectrum(a, 0.1, i))).encode())
+    assert h.hexdigest() == (
+        "ec66e1c832b6ce83771d488e85c534eaf4cf824fb75c0843925ee9c2e3cfdee5")
