@@ -2,22 +2,26 @@
 
 Vectors are lists of residues in [0, p).  The fused Krylov and Horner
 kernels run only on word-size moduli (``word_size``), as numpy int64
-vector operations over the reduced copy of one matrix A (``Field.coo``),
-in one of two forms.  For A itself every Krylov or Horner step is one
-gather, one mulmod, one ``np.add.reduceat`` over the row segments and one
-``% p``.  Krylov carries its dot product x.y as one extra row of the
-matrix (columns 0..m-1, entries x), so a step yields A y and x.y
-together; Horner carries its ``+ c z`` as one extra column (entries z,
-multiplied by the coefficient c), so a step maps acc to A acc + c z.
-For the Gram product A^T A (``gram=True``), optionally scaled by a
-diagonal d, a step is that same row pass, giving w = A y reduced, then a
-scatter-add of the products a_rc w_r into the m column slots, one
-``% p``, and for d one more mulmod; Krylov takes its dot product and
-Horner its ``+ c z`` separately, Horner's as the column sums' starting
-value.  The kernels compute exact residues and hand back Python ints.
-Wider moduli have no fused kernel: ``LinearOperator`` runs its generic
-loop over exact products instead.  numpy is imported on the first kernel
-call, so commands whose moduli are all wide never load it.
+vector operations over one matrix A, in one of two forms.  For A itself
+they read its entries reduced mod p (``Field.coo``), and every Krylov or
+Horner step is one gather, one mulmod, one ``np.add.reduceat`` over the
+row segments and one ``% p``.  Krylov carries its dot product x.y as one
+extra row of the matrix (columns 0..m-1, entries x), so a step yields
+A y and x.y together; Horner carries its ``+ c z`` as one extra column
+(entries z, multiplied by the coefficient c), so a step maps acc to
+A acc + c z.  For the Gram product A^T A (``gram=True``), optionally
+scaled by a diagonal d, they read A's own signed int64 words
+(``Field.gram_coo``), with no reduced copy.  A step is two passes, each a
+gather, one int64 multiply, one sum and one ``% p``: the row pass gives
+w = A y reduced (``np.add.reduceat``), and the column pass scatters the
+products a_rc w_r into the m column slots (``np.add.at``); for d one
+mulmod follows.  Krylov takes its dot product and Horner its ``+ c z``
+separately, Horner's as the column sums' starting value.  The kernels
+compute exact residues and hand back Python ints.  Wider moduli have no
+fused kernel: ``LinearOperator`` runs its generic loop over exact
+products instead.  numpy is imported on the first kernel call or word
+product (``linop``), so commands whose moduli are all wide and whose
+matrices are small never load it.
 
 Why the kernels are exact.  Let a, b be residues in [0, p) with
 p < 2^50, and x = ab/p < 2^50.  a and b are exact in float64, so the
@@ -29,15 +33,24 @@ numpy int64 arrays wrap modulo 2^64 and |r| < 2^63, so the wrapped
 difference is r exactly (``_mulmod_lazy``).  A sum of k such terms lies
 in (-kp, 2kp), inside int64 when k*p < 2^62.  In an n x m matrix a row
 sum has at most m terms, Krylov's extra row m terms and a row extended
-by Horner's column at most m + 1.  In a Gram step a column sum has at
-most n terms, one per row, plus Horner's one, and the dot product m
-terms; a diagonal's mulmod follows a ``% p``, so its sum has two terms.
-So every kernel on A or on A^T A needs p < 2^50 and
+by Horner's column at most m + 1.  A Gram step's dot product has m
+terms, and a diagonal's mulmod follows a ``% p``, so its sum with
+Horner's term has two.  So every kernel needs p < 2^50 and
 (max(n, m) + 1) * p < 2^62 for the n x m matrix A (``word_size``, whose
 exclusive top over p is ``word_top``), and reduces each sum once with
-``% p`` (numpy's remainder takes the sign of the divisor).  numpy does
-not report int64 overflow, so ``Field.coo``, ``krylov`` and ``horner``
-raise ValueError on any other modulus: that check is the only guard.
+``% p`` (numpy's remainder takes the sign of the divisor).
+
+The Gram passes multiply signed entries a, |a| <= U, by residues in
+[0, p) with no mulmod, so their sums are bounded by l1 norms instead.
+A row pass sums a row of A against y: its absolute value is at most the
+row's l1 norm times p - 1.  A column pass sums a column against w, plus
+Horner's term in (-p, 2p) where there is no diagonal: it lies in
+(-(c + 1) p, (c + 2) p) for the column's l1 norm c.  So the Gram kernels
+are exact when also max(max row l1, max column l1 + 2) * p < 2^63
+(``gram_top``, which ``SparseMatrix.l1_norms`` feeds once per matrix).
+numpy does not report int64 overflow, so ``Field.coo``, ``krylov`` and
+``horner`` raise ValueError on a modulus outside word_size, and the Gram
+step on one at or above gram_top: those checks are the only guard.
 
 Everything here is deterministic; randomness stays in the callers.
 """
@@ -64,6 +77,15 @@ def word_top(shape):
     exact on an n x m matrix: p < 2^50 and (max(n, m) + 1) * p < 2^62
     (see the module docstring)."""
     return min(1 << 50, ((1 << 62) - 1) // (max(shape) + 1) + 1)
+
+
+def gram_top(shape, row_l1, col_l1):
+    """The exclusive top of the moduli for which the Gram kernels are
+    exact on an n x m matrix whose rows have l1 norm at most row_l1 and
+    columns at most col_l1: word_top and
+    max(row_l1, col_l1 + 2) * p < 2^63 (see the module docstring)."""
+    return min(word_top(shape),
+               ((1 << 63) - 1) // max(row_l1, col_l1 + 2) + 1)
 
 
 def word_size(p, shape):
@@ -176,18 +198,29 @@ class Field:
             vals %= p
         return rows, cols, vals, shape, starts
 
+    def gram_coo(self, a):
+        """The SparseMatrix a as the Gram kernels read it: its own signed
+        int64 words (rows, cols, vals), the shape, the row segments'
+        starts and (max row l1, max column l1).  Nothing is copied."""
+        rows, cols, vals, starts = a.words()
+        return rows, cols, vals, (a.n, a.m), starts, a.l1_norms
+
     def coo_bits(self, coo):
         rows, shape = coo[0], coo[3]
         return len(rows) * (2 * max(shape).bit_length() + self.p.bit_length() + 1)
 
     def _gram_step(self, coo, diag):
         """The step (y, add) -> M y + add mod p for M = A^T A, or
-        diag(d) A^T A, of the matrix A of coo: the row pass gives w = A y
-        reduced, then the products a_rc w_r are scattered into the m
-        column slots.  add is None or an int64 m-vector in (-p, 2p)."""
+        diag(d) A^T A, of the matrix A of a ``gram_coo``: the row pass
+        gives w = A y reduced, then the products a_rc w_r are scattered
+        into the m column slots, both on A's signed words.  add is None or
+        a new int64 m-vector in (-p, 2p), which the step may take over."""
         p = self.p
-        _, cols, vals, (_, m), starts = coo
-        vals_p = vals / p
+        _, cols, vals, shape, starts, l1 = coo
+        if p >= gram_top(shape, *l1):
+            raise ValueError(f"modulus {p} is too wide for the Gram kernels "
+                             f"on a matrix with l1 norms {l1}")
+        m = shape[1]
         # entry k lies in the row segment seg[k]
         seg = np.repeat(np.arange(len(starts)),
                         np.diff(starts, append=len(vals)))
@@ -196,14 +229,14 @@ class Field:
             d_p = d / p
 
         def step(y, add=None):
-            out = np.zeros(m, np.int64)
             if add is not None and diag is None:
-                out += add      # add starts the column sums
+                out = add       # add starts the column sums
+            else:
+                out = np.zeros(m, np.int64)
             if len(starts):
-                w = np.add.reduceat(
-                    _mulmod_lazy(vals, vals_p, y[cols], p), starts)
+                w = np.add.reduceat(vals * y[cols], starts)
                 w %= p
-                np.add.at(out, cols, _mulmod_lazy(vals, vals_p, w[seg], p))
+                np.add.at(out, cols, vals * w[seg])
             if diag is not None:
                 out %= p
                 out = _mulmod_lazy(d, d_p, out, p)
@@ -215,8 +248,9 @@ class Field:
         return step
 
     def krylov(self, coo, x, y, *, count, gram=False, diag=None):
-        """[x.y, x.My, ..., x.M^(count-1) y] for M = A, the matrix of coo,
-        or with gram for M = A^T A, or diag(diag) A^T A."""
+        """[x.y, x.My, ..., x.M^(count-1) y] for M = A, the matrix of coo
+        (``coo``), or with gram for M = A^T A, or diag(diag) A^T A, with A
+        the matrix of a ``gram_coo``."""
         p = self.p
         _require_word_size(p, coo[3])
         np = _numpy()

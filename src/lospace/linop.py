@@ -16,21 +16,34 @@ with a descriptor:
 
 ``apply_int`` is exact integer arithmetic and the one implementation of
 each composition; callers keep query entries within the documented
-n^6 U^2 bound.  ``apply_mod`` is that product reduced mod p.  The fused
-Krylov/Horner kernels run on BASE, GRAM and DIAG_SCALE over a matrix,
-and on DIAG_SCALE over such a GRAM (the determinant's preconditioner),
-when the prime is word-size for the shape of the matrix they read
-(``kernels.word_size``); ``prime_top`` is the exclusive top of those
-primes, so callers can draw them.  Each fused call builds the matrix's
-entries reduced mod p (``Field.coo``) from its int64 words
-(``SparseMatrix.words``), charges that copy to the meter and drops it
-when the call returns; nothing outlives the call.  A DIAG_SCALE over a
-matrix folds the diagonal into the copy's entries (d_r a_rc mod p), so
-the kernels see one matrix; over a GRAM the copy is the GRAM's matrix and
-the kernels apply the diagonal per step.  A GRAM copy is charged one
-n-word vector more, the kernels' w = A y.  Every other case, a wider
-prime included, runs one generic Krylov/Horner loop over ``apply_mod``
-and builds no copy.  On that generic path GRAM/GRAM_T never materialize
+n^6 U^2 bound.  A matrix's products (A v, A^T v, and the GRAM's
+A^T (A v)) run on its int64 words (``SparseMatrix.words``) whenever
+they can hold the inputs: entries of v that are ints within int64, and
+a matrix of at least ``WORD_NNZ`` entries whose l1 norms stay below
+2^61.  Each pass sums its products in int64, splitting its input into
+limbs narrow enough that a limb's sums cannot overflow, and the limbs'
+sums are joined as Python ints.  Their numpy scratch, O(nnz) words and
+for the GRAM A v itself, lives for one product and is not charged to
+the meter.  The Python loops remain for the inputs the words cannot
+hold, such as svd's Fractions, and for small matrices, where numpy's
+per-call cost exceeds the loop's.  ``apply_mod`` is the exact product
+reduced mod p.
+
+The fused Krylov/Horner kernels run on BASE, GRAM and DIAG_SCALE over a
+matrix, and on DIAG_SCALE over such a GRAM (the determinant's
+preconditioner), for primes below ``prime_top``, so callers can draw
+them: ``kernels.word_top`` for the shape of the matrix they read, and
+for the Gram kinds also ``kernels.gram_top`` of its l1 norms.  A fused
+call on BASE or DIAG_SCALE over it builds the matrix's entries reduced
+mod p (``Field.coo``) from its words, folding a diagonal into them
+(d_r a_rc mod p), so the kernels see one matrix.  A Gram call builds no
+copy: the kernels read the words themselves (``Field.gram_coo``) and
+apply a diagonal per step.  Either call charges a reduced copy's size to
+the meter while it runs, since its numpy temporaries are that large, and
+a Gram call one n-word vector more, the kernels' w = A y; nothing
+outlives the call.  Every other case, a wider prime included, runs one
+generic Krylov/Horner loop over ``apply_mod`` and builds no copy.  On
+that generic path the Python loops of GRAM/GRAM_T never materialize
 A x: their working space stays proportional to the output dimension.
 
 Text formats (1-indexed, decimal):
@@ -42,15 +55,21 @@ Text formats (1-indexed, decimal):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import meter
-from .kernels import Field, _numpy, word_size, word_top
+from .kernels import Field, _numpy, gram_top, word_top
 
 BASE = "BASE"
 DIAG_SCALE = "DIAG_SCALE"
 SHIFT = "SHIFT"
 GRAM = "GRAM"
 GRAM_T = "GRAM_T"
+
+# the fewest entries whose products run on the int64 words: a word
+# product costs about 10 us whatever its size, which the Python loop
+# beats below some 50-60 entries (measured on 3x3 to 8x8 matrices)
+WORD_NNZ = 64
 
 
 class DimensionMismatch(ValueError):
@@ -145,29 +164,40 @@ class LinearOperator:
             return self.base._kernel_matrix()
         return None
 
+    def _is_gram(self):
+        """True for GRAM and DIAG_SCALE over GRAM."""
+        return self.kind == GRAM or (self.kind == DIAG_SCALE
+                                     and self.base.kind == GRAM)
+
     def prime_top(self):
         """Exclusive top of the primes the fused kernels take for this
-        operator (``kernels.word_top`` of the matrix they read), or None
-        when it has no fused kernel."""
+        operator (``kernels.word_top`` of the matrix they read, and for
+        the Gram kinds ``kernels.gram_top`` of its l1 norms), or None when
+        it has no fused kernel."""
         a = self._kernel_matrix()
-        return None if a is None else word_top((a.n, a.m))
+        if a is None:
+            return None
+        if self._is_gram():
+            return gram_top((a.n, a.m), *a.l1_norms)
+        return word_top((a.n, a.m))
 
     def _fused(self, p):
         """True when the fused kernels run this operator mod p."""
-        a = self._kernel_matrix()
-        return a is not None and word_size(p, (a.n, a.m))
+        top = self.prime_top()
+        return top is not None and p < top
 
     def _kernel(self, kernel, f, *args, **kwargs):
-        """One fused kernel call on a copy of the matrix reduced mod f.p,
-        built for this call and charged to the meter while it runs."""
+        """One fused kernel call: on a copy of the matrix reduced mod f.p
+        for BASE and DIAG_SCALE over it, on the matrix's own words for the
+        Gram kinds; the copy's size is charged to the meter while it runs."""
         a = self._kernel_matrix()
-        gram = self.kind == GRAM or (self.kind == DIAG_SCALE
-                                     and self.base.kind == GRAM)
-        coo = f.coo(a, None if gram else self.diag)
-        bits = f.coo_bits(coo)
-        if gram:
-            bits += a.n * (f.p.bit_length() + 1)
+        if self._is_gram():
+            coo = f.gram_coo(a)
+            bits = f.coo_bits(coo) + a.n * (f.p.bit_length() + 1)
             kwargs.update(gram=True, diag=self.diag)
+        else:
+            coo = f.coo(a, self.diag)
+            bits = f.coo_bits(coo)
         with meter.track("linop.mod_cache", bits):
             return kernel(coo, *args, **kwargs)
 
@@ -215,6 +245,11 @@ class LinearOperator:
             w = a.apply_int(v)
             return [wi + d * vi for wi, d, vi in zip(w, self.diag, v)]
         if self.kind == GRAM:
+            if a._words_hold(v):
+                rows, cols, vals, _ = a.words()
+                row_l1, col_l1 = a.l1_norms
+                w = _word_sum(rows, cols, vals, row_l1, v, a.n)
+                return _word_sum(cols, rows, vals, col_l1, w, a.m)
             out = [0] * a.m
             nnz = a.nnz
             k = 0
@@ -252,10 +287,21 @@ class SparseMatrix(LinearOperator):
     def nnz(self):
         return len(self.vals)
 
-    @property
+    # the matrix is read-only input, so its norms are computed once
+    @cached_property
     def max_abs(self):
         """max |entry|, 0 for a zero matrix."""
-        return max((abs(v) for v in self.vals), default=0)
+        return max(map(abs, self.vals), default=0)
+
+    @cached_property
+    def l1_norms(self):
+        """(max row l1 norm, max column l1 norm), 0 for a zero matrix: the
+        sum bounds of the Gram kernels and of the word products."""
+        row, col = [0] * self.n, [0] * self.m
+        for i, j, v in zip(self.rows, self.cols, map(abs, self.vals)):
+            row[i] += v
+            col[j] += v
+        return max(row, default=0), max(col, default=0)
 
     @staticmethod
     def from_entries(n, m, entries):
@@ -291,12 +337,15 @@ class SparseMatrix(LinearOperator):
 
     def words(self):
         """(rows, cols, vals, starts) as int64 arrays, starts the first
-        entry of each nonempty row's segment: what the fused kernels read.
+        entry of each nonempty row's segment: what the fused kernels and
+        the word products read, the Gram kernels with no reduced copy.
         Built on first use and kept with the matrix, which is read-only
         input, so they are neither released nor charged to the meter.
-        Every entry fits int64 whenever a fused kernel runs: the
-        determinant and the solver hand the kernels only primes above U
-        (p >= max(16, n^2 U)) and below 2^50, so |entry| < 2^50."""
+        Every entry fits int64 whenever they are read: the word products
+        need l1 norms below 2^61, the Gram kernels primes below
+        ``gram_top``, and the determinant and the solver hand the other
+        kernels only primes above U (p >= max(16, n^2 U)) and below 2^50,
+        so |entry| < 2^50."""
         if self._words is None:
             np = _numpy()
             rows = np.array(self.rows, np.int64)
@@ -314,9 +363,20 @@ class SparseMatrix(LinearOperator):
         d = {(i, j): v for i, j, v in zip(self.rows, self.cols, self.vals)}
         return all(d.get((j, i), 0) == v for (i, j), v in d.items())
 
+    def _words_hold(self, v):
+        """True when the products with v run on the int64 words: v's
+        entries are ints within int64, and the matrix has at least
+        WORD_NNZ entries and l1 norms below 2^61."""
+        return (self.nnz >= WORD_NNZ and max(self.l1_norms) < 1 << 61
+                and {*map(type, v)} <= {int}
+                and (not v or -(1 << 63) <= min(v) and max(v) < 1 << 63))
+
     def apply_int(self, v):
         if len(v) != self.m:
             raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
+        if self._words_hold(v):
+            rows, cols, vals, _ = self.words()
+            return _word_sum(rows, cols, vals, self.l1_norms[0], v, self.n)
         out = [0] * self.n
         for i, j, a in zip(self.rows, self.cols, self.vals):
             out[i] += a * v[j]
@@ -325,10 +385,39 @@ class SparseMatrix(LinearOperator):
     def apply_transpose_int(self, v):
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} != {self.n}")
+        if self._words_hold(v):
+            rows, cols, vals, _ = self.words()
+            return _word_sum(cols, rows, vals, self.l1_norms[1], v, self.m)
         out = [0] * self.m
         for i, j, a in zip(self.rows, self.cols, self.vals):
             out[j] += a * v[i]
         return out
+
+
+def _word_sum(dest, src, vals, l1, v, size):
+    """The size-vector with sum_k vals[k] v[src[k]] in slot dest[k],
+    exact, as Python ints; vals are int64 words, v is a list of ints of
+    any size, and l1 < 2^61 bounds the sum of |vals| into any one slot.
+    When l1 max |v| >= 2^63, v is split into limbs of b = 62 - bitlen(l1)
+    bits, the top one signed, so every limb's sums stay below 2^62."""
+    np = _numpy()
+
+    def sums(limb):
+        out = np.zeros(size, np.int64)
+        np.add.at(out, dest, vals * np.array(limb, np.int64)[src])
+        return out.tolist()
+
+    top = max(map(abs, v), default=0)
+    if top * max(l1, 1) < 1 << 63:
+        return sums(v)
+    b = 62 - l1.bit_length()
+    mask = (1 << b) - 1
+    shift = (top.bit_length() - 1) // b * b
+    out = sums([x >> shift for x in v])
+    for shift in range(shift - b, -1, -b):
+        out = [(o << b) + s
+               for o, s in zip(out, sums([(x >> shift) & mask for x in v]))]
+    return out
 
 
 # -- text formats ---------------------------------------------------------------

@@ -4,7 +4,7 @@ Sampling draws uniform integers from a window [N, hi] and rejects
 non-primes and repeats; conditioned on success the first k primes of a
 stream are a uniform k-subset of the primes in the window.  The window is
 [N, N^2], or [N, top - 1] for an exclusive top with 2N <= top < N^2:
-callers pass the word bound of their fused kernels as top.  PrimePool
+callers pass the prime top of their fused kernels as top.  PrimePool
 keeps one seeded stream per window.
 
 Why a capped window still works.  Write T for the window's exclusive

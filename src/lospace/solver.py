@@ -22,11 +22,11 @@ stream per block; digits are seeded identically per block so K never
 changes the output.
 
 Both draw from one prime stream per operator, the window
-[max(16, n^3 U), ..^2] (``_prime_window``), capped below the operator's
-word bound (``LinearOperator.prime_top``) when it has fused kernels and
-the cap leaves the window at least twice its lower end (``primes`` shows
-the window still holds enough primes); every step then runs on the int64
-kernels.  The lift takes the first prime of the stream that does not
+[max(16, n^3 U), ..^2] (``_prime_window``), capped below the top of its
+fused kernels' primes (``LinearOperator.prime_top``) when it has them
+and the cap leaves the window at least twice its lower end (``primes``
+shows the window still holds enough primes); every step then runs on
+the int64 kernels.  The lift takes the first prime of the stream that does not
 divide det, usually one the determinant already drew, so a fresh pool
 holds no prime that no residue or lift used.  The one exception is the
 determinant of an operator whose n^3 U window starts above half its word
@@ -141,7 +141,7 @@ def gram_bound(a: SparseMatrix):
 def _prime_window(op, det=False):
     """(lower, top) of the one prime stream an operator draws from, for
     ``shared_pool.get``: lower = max(16, n^3 U), and top =
-    op.prime_top(), the word bound of its fused kernels (None without
+    op.prime_top(), the top of its fused kernels' primes (None without
     them).  The lifting prime and the determinant's CRT primes share
     that stream, so a fresh pool holds only primes some residue or lift
     used.
@@ -178,7 +178,7 @@ def determinant(a, rng=None, window=None) -> int:
 
     Primes are drawn one at a time from the operator's window
     (``_prime_window``: [max(16, n^3 U), ..^2], or the n^2 U window where
-    only that one fits the word bound, capped below op.prime_top()), or
+    only that one fits under op.prime_top(), capped below it), or
     from the (lower, top) window passed, which must cover it, until
     their product exceeds twice the Hadamard bound: the row-norm bound for
     a plain matrix, the column-norm bound for a Gram product (a zero row

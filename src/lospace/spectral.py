@@ -500,9 +500,17 @@ def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stop=0, stats=None):
     raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")
 
 
+def _check_eps(eps):
+    """The public entry points take eps in (0, 1), as RationalSolver does:
+    the root interval and the perturbation's bounds assume it."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+
+
 def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
     """All eigenvalues of symmetric a to within +-eps, ascending FixedL list,
     each the midpoint of a node <= eps/2 wide holding one of B's."""
+    _check_eps(eps)
     if not a.is_symmetric():
         raise ValueError("spectrum needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
@@ -545,6 +553,7 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None):
     """Yields n (lambda_i, v_i) pairs, eigenvalues ascending, one vector
     live at a time; |lambda_i(a) - lambda_i| <= eps, |v_i|^2 in [1 +- eps],
     |A v_i - lambda_i v_i| <= eps, pairwise inner products <= eps."""
+    _check_eps(eps)
     if isinstance(a, SparseMatrix) and not a.is_symmetric():
         raise ValueError("eigendecompose needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
@@ -563,6 +572,7 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     sigma_i are FloatL; u_i, v_i are FixedL lists.  v_i = sigma^-1 A^T u_i
     is computed from the live u_i only.
     """
+    _check_eps(eps)
     n, m = a.n, a.m
     if n < m:
         raise ValueError("svd wants n >= m")

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from lospace import meter
-from lospace.kernels import Field, _bm, word_size
+from lospace import meter, primes
+from lospace.kernels import Field, _bm, gram_top, word_size, word_top
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.oracle import dense_of, oracle_det_bareiss
+from lospace.primes import PRIME
 from lospace.solver import determinant, lin_solve
 from lospace.wiedemann import determinant_zp
 
@@ -98,10 +99,13 @@ def test_kernels_match_naive_reference(p):
                 assert f.krylov(coo, x, y, count=count) == want
                 assert f.horner(coo, coeffs, x) == want_h
 
-    # Gram products of n x m matrices, some rows and columns empty
+    # Gram products of n x m matrices, some rows and columns empty, with
+    # signed entries in [-100, 100]: the Gram kernels read them unreduced,
+    # and their l1 norms keep every word-size p of PRIMES fused
     for _ in range(10):
         n, m = rnd.randrange(1, 12), rnd.randrange(1, 8)
-        rows, cols, vals = _rand_coo(rnd, n, m, rnd.randrange(0, n * m + 1), p)
+        rows, cols, vals = _rand_coo(rnd, n, m, rnd.randrange(0, n * m + 1), 201)
+        vals = [v - 100 for v in vals]
         a = _dense(rows, cols, vals, n, m)
         mat = SparseMatrix(n, m, rows, cols, vals)
         gram = LinearOperator.gram(mat)
@@ -134,7 +138,7 @@ def test_kernels_match_naive_reference(p):
             assert got == want_h
             assert type(got) is list and all(type(v) is int for v in got)
             if gram._fused(p):
-                coo = f.coo(mat)
+                coo = f.gram_coo(mat)
                 assert f.krylov(coo, x, y, count=count, gram=True,
                                 diag=diag) == want
                 assert f.horner(coo, coeffs, x, gram=True, diag=diag) == want_h
@@ -392,19 +396,33 @@ def test_word_kernels_at_the_sum_bound():
     assert f.horner(f.coo(mat), coeffs, x) == want
 
 
+def _gram_apply_mod(entries, k, diag, w, p):
+    """diag(diag) A^T A w mod p for A given by its (i, j, v) entries, one
+    row at a time in Python: the reference the kernels are held to."""
+    inner, out = {}, [0] * k
+    for i, j, v in entries:
+        inner[i] = inner.get(i, 0) + v * w[j]
+    for i, j, v in entries:
+        out[j] += v * inner[i]
+    if diag is not None:
+        out = [di * o for di, o in zip(diag, out)]
+    return [o % p for o in out]
+
+
 def test_gram_kernels_at_the_sum_bound():
-    """A Gram step sums one product per row of A into each column slot,
-    plus Horner's c z: on a 4095 x 2 matrix with a full first column,
-    4096 terms at p just below 2^50 sit just under the word bound, so the
-    GRAM operator and its diagonal scaling are fused and exact; with
-    4096 rows they run the generic loop."""
+    """A Gram step's dot product and diagonal mulmod keep the word bound
+    (max(n, m) + 1) p < 2^62, and its column pass the l1 bound
+    (col l1 + 2) p < 2^63: on a 4095 x 2 matrix whose first column is
+    full of +-2, p just below 2^50 sits just under both, so the GRAM
+    operator and its diagonal scaling are fused and exact; with 4096
+    rows the word bound sends them to the generic loop."""
     p = (1 << 50) - 27
     k = 2
     rnd = random.Random(12)
     f = Field(p)
     for n, fused in ((4095, True), (4096, False)):
-        entries = [(i, 0, rnd.randrange(p - 1000, p)) for i in range(n)]
-        entries += [(i, 1, rnd.randrange(p)) for i in range(0, n, 7)]
+        entries = [(i, 0, rnd.choice((-2, 2))) for i in range(n)]
+        entries += [(i, 1, rnd.choice((-2, 2))) for i in range(0, n, 7)]
         a = SparseMatrix.from_entries(n, k, entries)
         gram = LinearOperator.gram(a)
         d = [rnd.randrange(1, p) for _ in range(k)]
@@ -416,14 +434,82 @@ def test_gram_kernels_at_the_sum_bound():
             want, w = [], list(x)
             for _ in range(2 * k + 1):
                 want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
-                w = op.apply_mod(w, p)
+                w = _gram_apply_mod(entries, k, diag, w, p)
             assert op.krylov_scalars(x, x, 2 * k + 1, f) == want
             want_h, power = [0] * k, list(x)
             for c in coeffs:
                 want_h = [(wi + c * pi) % p for wi, pi in zip(want_h, power)]
-                power = op.apply_mod(power, p)
+                power = _gram_apply_mod(entries, k, diag, power, p)
             assert op.horner_apply(coeffs, x, f) == want_h
             if fused:
-                coo = f.coo(a)
+                coo = f.gram_coo(a)
                 assert f.krylov(coo, x, x, count=2 * k + 1, gram=True,
                                 diag=diag) == want
+
+
+def _prime_near(x, step):
+    """The first prime from x on, stepping by step (+1 or -1)."""
+    while primes.test_prime(x, rng=random.Random(0)) != PRIME:
+        x += step
+    return x
+
+
+def test_gram_kernels_at_the_l1_bound():
+    """The Gram passes multiply A's signed words by residues with no
+    mulmod, so their sums are bounded by l1 norms.  A 20 x 5 matrix has
+    sixteen entries s 2^16 in column 0 (l1 norm c = 2^20), empty rows and
+    columns and a few small entries of both signs; its Gram top is the
+    l1 bound, far below word_top.  At the largest prime q under it,
+    (c + 2)(q - 1) sits just below 2^63, and y_0 = -1/(s 2^16) mod q makes
+    every w_r of column 0 equal q - 1, so the column sum reaches
+    -+c (q - 1).  Krylov and Horner, with and without a diagonal, match a
+    big-int reference; at the next prime up the kernels raise ValueError
+    and the operator takes the generic loop, which still matches."""
+    rnd = random.Random(13)
+    n, m, c = 20, 5, 1 << 20
+    for s in (-1, 1):
+        a0 = s << 16
+        entries = [(r, 0, a0) for r in range(16)]
+        entries += [(18, 2, -7), (18, 3, 5), (19, 2, 3)]
+        a = SparseMatrix.from_entries(n, m, entries)
+        assert a.l1_norms == (1 << 16, c)
+        gram = LinearOperator.gram(a)
+        top = gram.prime_top()
+        assert top == gram_top((n, m), 1 << 16, c) < word_top((n, m))
+        q = _prime_near(top - 1, -1)
+        assert (1 << 63) - (1 << 40) < (c + 2) * (q - 1) < 1 << 63
+        wide = _prime_near(top, 1)
+        d = [rnd.randrange(1, q) for _ in range(m)]
+        for diag in (None, d):
+            op = gram if diag is None else LinearOperator.diag_scale(diag, gram)
+            assert op.prime_top() == top
+            for p in (q, wide):
+                f = Field(p)
+                y = [-pow(a0, -1, p) % p] + [rnd.randrange(p - 9, p)
+                                             for _ in range(m - 1)]
+                x = [rnd.randrange(p - 9, p) for _ in range(m)]
+                coeffs = [p - 1, p - 2, 1]
+                want, w = [], list(y)
+                for _ in range(2 * m + 1):
+                    want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
+                    w = _gram_apply_mod(entries, m, diag, w, p)
+                want_h, power = [0] * m, list(y)
+                for coef in coeffs:
+                    want_h = [(wi + coef * pi) % p
+                              for wi, pi in zip(want_h, power)]
+                    power = _gram_apply_mod(entries, m, diag, power, p)
+                assert op.krylov_scalars(x, y, 2 * m + 1, f) == want
+                assert op.horner_apply(coeffs, y, f) == want_h
+                coo = f.gram_coo(a)
+                if p == q:
+                    assert op._fused(p)
+                    assert f.krylov(coo, x, y, count=2 * m + 1, gram=True,
+                                    diag=diag) == want
+                    assert f.horner(coo, coeffs, y, gram=True,
+                                    diag=diag) == want_h
+                else:
+                    assert not op._fused(p) and word_size(p, (n, m))
+                    with pytest.raises(ValueError):
+                        f.krylov(coo, x, y, count=3, gram=True, diag=diag)
+                    with pytest.raises(ValueError):
+                        f.horner(coo, coeffs, y, gram=True, diag=diag)

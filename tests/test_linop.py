@@ -1,9 +1,12 @@
 import io
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lospace import meter
+from lospace import linop, meter
 from lospace.kernels import Field
 from lospace.linop import (
     DimensionMismatch,
@@ -221,3 +224,89 @@ def test_symmetry_check():
     assert SparseMatrix.from_dense([[1, 2], [2, 3]]).is_symmetric()
     assert not SparseMatrix.from_dense([[1, 2], [0, 3]]).is_symmetric()
     assert not SparseMatrix.from_entries(2, 3, []).is_symmetric()
+
+
+def _loop_product(entries, v, size, transpose=False):
+    """A v, or A^T v, of the (i, j, a) entries, one entry at a time."""
+    out = [0] * size
+    for i, j, a in entries:
+        if transpose:
+            out[j] += a * v[i]
+        else:
+            out[i] += a * v[j]
+    return out
+
+
+# vector entries: small, anywhere in int64, and at +-2^62 and the int64 ends
+_WORD = (st.integers(-3, 3) | st.integers(-(1 << 63), (1 << 63) - 1)
+         | st.sampled_from([1 << 62, -(1 << 62), (1 << 62) - 1, 1 - (1 << 62),
+                            (1 << 63) - 1, -(1 << 63)]))
+
+
+@st.composite
+def _product_cases(draw):
+    """(n, m, entries, v of length m, u of length n): n, m in 0..6, any
+    subset of cells (zero rows and columns included), entries up to 2^40
+    and now and then 2^60, whose l1 norms may pass 2^61."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = sorted(draw(st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                          st.integers(0, max(m - 1, 0))),
+                                max_size=n * m))) if n and m else []
+    entry = (st.integers(-(1 << 40), 1 << 40).filter(bool)
+             | st.sampled_from([1 << 60, -(1 << 60), 1, -1]))
+    entries = [(i, j, draw(entry)) for i, j in cells]
+    v = draw(st.lists(_WORD, min_size=m, max_size=m))
+    u = draw(st.lists(_WORD, min_size=n, max_size=n))
+    return n, m, entries, v, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_product_cases())
+def test_word_products_match_the_loops(case):
+    """A v, A^T u and the GRAM's A^T (A v) on the int64 words equal the
+    Python loops exactly, for every shape down to 0 x 0 and for vector
+    entries up to the int64 ends, which the GRAM's second pass meets as
+    limbs.  With WORD_NNZ at 0 the words take every matrix whose l1
+    norms stay below 2^61; the others take the loop."""
+    n, m, entries, v, u = case
+    a = SparseMatrix.from_entries(n, m, entries)
+    want_v = _loop_product(entries, v, n)
+    want_u = _loop_product(entries, u, m, transpose=True)
+    want_g = _loop_product(entries, want_v, m, transpose=True)
+    with (mock.patch.object(linop, "WORD_NNZ", 0),
+          mock.patch.object(linop, "_word_sum", wraps=linop._word_sum) as spy):
+        got = (a.apply_int(v), a.apply_transpose_int(u),
+               LinearOperator.gram(a).apply_int(v))
+    assert got == (want_v, want_u, want_g)
+    assert all(type(x) is int for out in got for x in out)
+    assert spy.call_count == (4 if max(a.l1_norms) < 1 << 61 else 0)
+
+
+def test_products_the_words_cannot_hold_take_the_loop():
+    """Vector entries past int64, such as 10^400, non-integer vectors
+    such as svd's Fractions, and matrix entries past int64 take the
+    Python loop and still match it; a vector of int64 entries on a
+    matrix of WORD_NNZ entries takes the words by default."""
+    rnd = random.Random(6)
+    n, m = 9, 8
+    entries = [(i, j, rnd.randrange(-100, 101)) for i in range(n)
+               for j in range(m)]
+    big = [(i, j, a * 10 ** 400) for i, j, a in entries]
+    assert len(entries) >= linop.WORD_NNZ
+    cases = [(entries, [10 ** 400 * rnd.randrange(-9, 10) for _ in range(m)],
+              False),
+             (entries, [Fraction(rnd.randrange(-99, 100), rnd.randrange(1, 99))
+                        for _ in range(m)], False),
+             (big, [rnd.randrange(-99, 100) for _ in range(m)], False),
+             (entries, [rnd.randrange(-(1 << 63), 1 << 63) for _ in range(m)],
+              True)]
+    for ents, v, words in cases:
+        a = SparseMatrix.from_entries(n, m, ents)
+        u = v + v[:n - m]
+        with mock.patch.object(linop, "_word_sum",
+                               wraps=linop._word_sum) as spy:
+            assert a.apply_int(v) == _loop_product(ents, v, n)
+            assert a.apply_transpose_int(u) == _loop_product(ents, u, m, True)
+            assert LinearOperator.gram(a).apply_int(v) == _loop_product(
+                ents, _loop_product(ents, v, n), m, True)
+        assert spy.call_count == (4 if words else 0)

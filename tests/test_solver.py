@@ -756,3 +756,43 @@ def test_gram_determinant_runs_fused_kernels(monkeypatch):
         assert determinant(gram, rng=6) == want
     assert mtr.current_bits == 0
     assert calls and all(calls)
+
+
+def test_large_entry_gram_primes_stay_under_the_l1_bound(monkeypatch):
+    """With U = 2^15 the Gram operator's prime top is its l1 bound,
+    kernels.gram_top, well below word_top.  Its determinant and lifting
+    primes still come from the capped window, so every Krylov and Horner
+    call runs the fused Gram kernels below that top, and the determinant
+    and the solve agree with the oracle.  An empty row is included."""
+    rnd = random.Random(15)
+    n, m, u, eps = 13, 4, 1 << 15, 1e-6
+    dense = _dense_nonzero(rnd, n - 1, m, u) + [[0] * m]
+    a = SparseMatrix.from_dense(dense)
+    gram = LinearOperator.gram(a)
+    top = gram.prime_top()
+    row_l1, col_l1 = a.l1_norms
+    assert col_l1 == max(sum(abs(row[j]) for row in dense) for j in range(m))
+    assert top == kernels.gram_top((n, m), row_l1, col_l1)
+    assert top < kernels.word_top((n, m)) >> 4
+    primes = []
+    krylov, horner = kernels.Field.krylov, kernels.Field.horner
+
+    def spy(kernel):
+        def run(self, *args, **kwargs):
+            assert kwargs.get("gram")
+            primes.append(self.p)
+            return kernel(self, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(kernels.Field, "krylov", spy(krylov))
+    monkeypatch.setattr(kernels.Field, "horner", spy(horner))
+    ata = [[sum(row[i] * row[j] for row in dense) for j in range(m)]
+           for i in range(m)]
+    b = [rnd.randrange(-u, u + 1) for _ in range(m)]
+    with RationalSolver(gram, eps, 3) as rs:
+        assert rs.det == oracle_det_bareiss(ata) != 0
+        x = rs.solve(b).x
+    assert primes and all(p < top for p in primes)
+    assert rs.prime < top
+    for xi, w in zip(x, oracle_solve_exact(ata, b)):
+        assert _close_mult(xi, w, eps)

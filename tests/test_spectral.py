@@ -731,3 +731,18 @@ def test_spectrum_outputs_match_recorded_bits():
         h.update(repr(_bits(spectrum(a, 0.1, i))).encode())
     assert h.hexdigest() == (
         "ec66e1c832b6ce83771d488e85c534eaf4cf824fb75c0843925ee9c2e3cfdee5")
+
+
+@pytest.mark.parametrize("eps", [0, 1, 100, -0.5, float("nan")])
+def test_eps_outside_the_unit_interval_is_refused(eps):
+    """spectrum, eigendecompose and svd refuse eps outside (0, 1) with
+    ValueError, as RationalSolver and the CLI do.  A larger eps let the
+    perturbation move an eigenvalue of diag(1, -1) out of the root
+    interval (ResultCountMismatch), and eps = 0 divided by zero."""
+    a = SparseMatrix.from_dense([[1, 0], [0, -1]])
+    with pytest.raises(ValueError, match="eps"):
+        spectrum(a, eps, 1)
+    with pytest.raises(ValueError, match="eps"):
+        list(eigendecompose(a, eps, 1))
+    with pytest.raises(ValueError, match="eps"):
+        list(svd(a, eps, 1))
