@@ -13,13 +13,41 @@ The solver multiplies the system by det(A) so the solution is integral,
 then recovers it digit by digit in base p for one prime p >= n^3 U without
 ever holding a big residual vector: the small integer carry r~ and the
 current digits are the only n-vectors in play, while two nonnegative
-L-bit-float accumulators per tracked coordinate absorb the digits.  The
-positive/negative decision falls out of which accumulator stayed small,
-and a per-coordinate all-digits-zero flag preserves exact zeros.  When
-the accuracy target is fine enough to need more mantissa than a word per
-coordinate, coordinates are processed in K blocks, re-running the digit
-stream per block; digits are seeded identically per block so K never
-changes the output.
+L-bit-float accumulators per tracked coordinate absorb the digits of
+v = det x_i mod p^T: y+ = sum d_i p^i and y- = sum (p - 1 - d_i) p^i.
+A per-coordinate all-digits-zero flag preserves exact zeros.  Three rules
+size the lift (Dixon, Numer. Math. 40, 1982, for the lifting itself):
+
+- Lift margin (``lift_length``).  T is the least length with p^T above
+  4 C, C a Cramer bound on |det x_i|.  Then y+ = v <= p^T / 4 and
+  y- = p^T - 1 - v >= 3 p^T / 4 - 1 for v >= 0, and the other way round
+  for v < 0 (y- = |v| - 1), so the true pair differs by a factor of at
+  least 3 - 4 / p^T >= 2.75 > e: the accumulator that stays small gives
+  the sign whenever both are within e^(1/2) of exact, as the next rule
+  keeps them.
+- Accumulator precision (``solve``).  Each rounding at L bits is within
+  e^(2^-L), and a sum of same-sign terms is within e^(k 2^-L) of exact
+  when every term has passed at most k roundings (``numeric``).  Digit i
+  (0 <= i < T) passes: fl_p's rounding, which p^i holds i times; the i
+  products of the p^i chain; the term's fl_from_int and fl_mul; and the
+  add that takes it in with every later add, at most T - i.  That is
+  T + i + 2 <= 2T + 1, and the negative branch's +1 makes k = 2T + 2.
+  Accumulating at L_acc = max(16, ceil(log2((2T + 2) / eps)) + 2) keeps
+  both accumulators within e^(eps/4), e^(1/4) at worst.  The quotient
+  y / det is the one rounding at the output precision L, which has at
+  least ceil(log2(1 / eps)) + 2 bits of the requested eps and so adds
+  at most eps/4 more: every entry is within e^(eps/2), and the other
+  half of eps is slack.  Exponents reach T log2 p, so L_acc widens until
+  they are representable.  Below the clamp,
+  eps < 2^-(2n ceil(log2(2nU))), the accumulators are exact instead,
+  with a mantissa for every digit of p^T, and only the quotient rounds.
+- Block count (``block_count``).  A coordinate's accumulator pair is
+  charged 2 (2 L_acc + 64) bits.  Coordinates go in K blocks, the fewest
+  whose pairs fit B = 16 n ceil(log2(2nU)) bits:
+  K = ceil(n / max(1, floor(B / (2 (2 L_acc + 64))))).  One block's
+  accumulators so never exceed B bits, or one pair's 2 (2 L_acc + 64)
+  when a block holds a single coordinate.  The digit stream is re-run
+  per block, seeded identically, so K never changes the output.
 
 Both draw from one prime stream per operator, the window
 [max(16, n^3 U), ..^2] (``_prime_window``), capped below the top of its
@@ -223,7 +251,9 @@ def sign_combine(y_plus: FloatL, y_minus: FloatL, all_digits_zero: bool) -> Floa
     The digit stream encodes v mod p^T with v = det * x_i; the positive
     branch keeps y+ small (= v) while the negative branch keeps y- small
     (= |v| - 1).  Exact zeros are reported via the digits-all-zero flag
-    because y- alone cannot distinguish 0 from p^T - 1.
+    because y- alone cannot distinguish 0 from p^T - 1.  With p^T above
+    4 |v| (lift_length) the exact pair differs by a factor of at least
+    2.75, so the comparison is right while both are within e^(1/2).
     """
     if all_digits_zero:
         return fl_zero(y_plus.L)
@@ -233,10 +263,11 @@ def sign_combine(y_plus: FloatL, y_minus: FloatL, all_digits_zero: bool) -> Floa
     return fl_neg(fl_add_same_sign(y_minus, one))
 
 
-def _fl_div_int(x: FloatL, d: int) -> FloatL:
-    """x / d for a plain integer d, in one rounding."""
-    sign = -1 if d < 0 else 1
-    return _round_to_l(sign * x.mantissa, abs(d), x.exponent, x.L)
+def _exponent_room(L, top_exp):
+    """L widened in steps of 8 until exponents up to top_exp + L fit."""
+    while (1 << L) < top_exp + L:
+        L += 8
+    return L
 
 
 class RationalSolver:
@@ -274,12 +305,17 @@ class RationalSolver:
         if self.det != 0:
             self.prime = self._pick_prime()
         n, u = self.n, self.u
-        # clamp: accuracy beyond 2^(-2 n log2(2nU)) is exact territory.
-        # The bounds take log2 of the integer n U, which has no float range
-        cap_bits = 2 * n * max(1, math.ceil(math.log2(2 * n * u)))
+        # ceil(log2(2nU)) on the exact integer n U, which has no float range
+        self._word_bits = max(1, (2 * n * u - 1).bit_length())
+        # clamp: accuracy beyond 2^(-2 n log2(2nU)) is exact territory
+        cap_bits = 2 * n * self._word_bits
         self._clamped = -math.log2(eps) > cap_bits
         self.eps = max(float(eps), 2.0 ** -cap_bits) if cap_bits < 1000 else float(eps)
-        self.L = max(16, math.ceil(2 * (math.log2(n * u) - math.log2(self.eps))))
+        # the output precision, which spectral's inverse power computes at
+        # too; its last term keeps the quotient's one rounding within
+        # e^(eps/4) of the requested eps, below the clamp included
+        self.L = max(16, math.ceil(2 * (math.log2(n * u) - math.log2(self.eps))),
+                     math.ceil(-math.log2(eps)) + 2)
 
     def _pick_prime(self):
         from .wiedemann import RetriesExhausted
@@ -344,16 +380,19 @@ class RationalSolver:
                         ppow_bits.resize(int_bits(ppow))
 
     def lift_length(self, b):
-        """T with p^T certifiably above 2 max |det * (A^-1 b)_i| (Cramer),
+        """T with p^T certifiably above 4 max |det * (A^-1 b)_i| (Cramer),
         from (U sqrt(n))^(n-1) |b|_inf sqrt(n) or, for a plain matrix, the
         smaller Hadamard row bound on A with a column replaced by b, which
-        counts b_r in every row: far smaller unless |b| dwarfs U."""
+        counts b_r in every row: far smaller unless |b| dwarfs U.  The
+        factor 4, not the 2 that recovery alone needs, is the margin that
+        keeps sign_combine's comparison right on rounded accumulators
+        (module docstring)."""
         n, u = self.n, self.u
         colnorm = u * _isqrt_ceil(n)
         bnorm = max((abs(x) for x in b), default=0) * _isqrt_ceil(n)
-        bound = 2 * colnorm ** max(0, n - 1) * max(1, bnorm)
+        bound = 4 * colnorm ** max(0, n - 1) * max(1, bnorm)
         if self.op.kind == BASE:
-            bound = min(bound, 2 * row_norm_bound(self.op, b))
+            bound = min(bound, 4 * row_norm_bound(self.op, b))
         T = 1
         ppow = self.prime
         while ppow <= bound:
@@ -361,31 +400,48 @@ class RationalSolver:
             T += 1
         return T
 
-    def block_count(self):
-        n, u = self.n, self.u
-        k = math.ceil(-math.log2(self.eps) / math.log2(2 * n * u))
-        return min(n, max(1, k))
+    def block_count(self, L):
+        """K, the fewest coordinate blocks whose accumulator pairs, at
+        2 (2L + 64) bits each for accumulator precision L, fit the linear
+        budget B = 16 n ceil(log2(2nU)) bits; a block holds one coordinate
+        when a single pair exceeds B."""
+        n = self.n
+        budget = 16 * n * self._word_bits
+        per_block = max(1, budget // (2 * (2 * L + 64)))
+        return -(-n // per_block)
 
     def solve(self, b, K=None) -> SolveOutcome:
+        """Entry-wise e^eps approximation of A^-1 b, exact zeros kept.
+
+        The lift runs T = lift_length(b) digits into accumulators of
+        L_acc = max(16, ceil(log2((2T + 2) / eps)) + 2) bits, the rounding
+        count of the module docstring, widened until the exponents of p^T
+        are representable, or exact below the clamp; y / det is then
+        rounded once at self.L, widened the same way when the exponents
+        need it.  K blocks (block_count(L_acc) unless given) re-run the
+        digit stream and never change the output."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
         if self.det == 0:
             return SolveOutcome(True)
         n, p = self.n, self.prime
         T = self.lift_length(b)
-        # exponents reach T * log2(p); widen L until they are representable.
+        # exponents reach T * log2(p); widen until they are representable.
         # The widening stays local, so a solve never depends on earlier ones
-        L = self.L
-        while (1 << L) < T * (p.bit_length() + 1) + L + 64:
-            L += 8
+        top_exp = T * (p.bit_length() + 1) + 64
+        L_out = _exponent_room(self.L, top_exp)
+        # 2T + 2 roundings of 2^-L each stay within e^(eps/4)
+        L = _exponent_room(max(16, math.ceil(
+            math.log2(2 * T + 2) - math.log2(self.eps)) + 2), top_exp)
         if self._clamped:
             # below the clamp the accumulators must be exact: give the
             # mantissa room for every digit of p^T
             L = max(L, T * (p.bit_length() + 1) + 8)
-        K = K or self.block_count()
+        K = K or self.block_count(L)
         block = math.ceil(n / K)
         out = [None] * n
         fl_p = fl_from_int(p, L)
+        sign = -1 if self.det < 0 else 1
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             with meter.track("lift.accumulators",
@@ -409,7 +465,9 @@ class RationalSolver:
                     ppow_fl = fl_mul(ppow_fl, fl_p)
                 for k in range(hi - lo):
                     y = sign_combine(y_plus[k], y_minus[k], all_zero[k])
-                    out[lo + k] = _fl_div_int(y, self.det)
+                    # y / det, rounded once at the output precision
+                    out[lo + k] = _round_to_l(sign * y.mantissa, abs(self.det),
+                                              y.exponent, L_out)
         return SolveOutcome(False, out)
 
 

@@ -92,6 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import meter
+from .meter import intvec_bits
 from .numeric import (
     FixedL,
     FloatL,
@@ -328,8 +329,11 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
         raise ValueError("midpoint off the dyadic grid")
     delta_scaled = (hi - lo) / 2 * (1 << scale_pow)
     hint = Fraction(12, 10) * delta_scaled
-    res = _inverse_power(LinearOperator.shift(b_scaled, -mid.numerator), 0.1,
-                         delta_scaled, rng, hint=hint, det=det, window=window)
+    shifted = LinearOperator.shift(b_scaled, -mid.numerator)
+    # the folded SHIFT holds its own n-entry diagonal
+    with meter.track("spectrum.bmatrix", intvec_bits(shifted.diag)):
+        res = _inverse_power(shifted, 0.1, delta_scaled, rng, hint=hint,
+                             det=det, window=window)
     return YES if fl_cmp_fraction(res.lam, hint) == LESS else NO
 
 
@@ -382,6 +386,12 @@ def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
     return ka, kb
 
 
+def _scaled_bits(b_scaled):
+    """The bits 2^s B = SHIFT(DIAG_SCALE(base)) holds besides its input:
+    two n-entry diagonals, DIAG_SCALE's 2^s and the shifted perturbation."""
+    return intvec_bits(b_scaled.diag) + intvec_bits(b_scaled.base.diag)
+
+
 def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
                   pad: Fraction, rng, stop, stats=None):
     """Ascending eigenvalue estimates of B as integers in units of 2^-s,
@@ -408,7 +418,6 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
     # the window of 2^s B + M I covers every shift's (module docstring)
     window = _prime_window(
         LinearOperator.shift(b_scaled, math.ceil(pad * (1 << s)) - m0))
-    bits = n * (s + 8)
     exact = []     # grid points that are eigenvalues, as shifts
     odd = []       # intervals holding an odd number of eigenvalues
     pending = []   # intervals of even or unknown count
@@ -417,8 +426,11 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
         """det(2^s B - (m0 + k step) I), exactly: negative exactly when an
         odd number of eigenvalues lie below grid point k, and zero exactly
         when it is one."""
-        return determinant(LinearOperator.shift(b_scaled, -(m0 + k * step)),
-                           rng=derive_rng(rng, "det", *labels), window=window)
+        shifted = LinearOperator.shift(b_scaled, -(m0 + k * step))
+        # the folded SHIFT holds its own n-entry diagonal
+        with meter.track("spectrum.bmatrix", intvec_bits(shifted.diag)):
+            return determinant(shifted, rng=derive_rng(rng, "det", *labels),
+                               window=window)
 
     def split(iv, f_mid):
         ka, kb, label, f_lo, f_hi = iv
@@ -441,7 +453,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
             # holds no eigenvalue and one of unknown parity only the
             # split-point eigenvalue at its end, already in `exact`
 
-    with meter.track("spectrum.bmatrix", bits):
+    with meter.track("spectrum.bmatrix", _scaled_bits(b_scaled)):
         place([(0, 1 << depth, 0, fl_from_int(1, 64),
                 fl_from_int((-1) ** n, 64))])
         # odd intervals and split-point eigenvalues are disjoint, each worth
@@ -540,13 +552,15 @@ def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
     g5 = math.ceil(sep / 5 * (1 << scale_pow))
     delta = sep / 10 * (1 << scale_pow)
     order = range(len(vals))
-    for i in reversed(order) if descending else order:
-        shifted = LinearOperator.shift(b_scaled, -(vals[i] + g5))
-        _, v_fl = inv_power_gap(shifted, vec_eps, delta,
-                                derive_rng(rng, "vec", i), window)
-        if v_fl is None:
-            raise ResultCountMismatch(f"no eigenvector for eigenvalue {i}")
-        yield vals[i], scale_pow, v_fl
+    with meter.track("spectrum.bmatrix", _scaled_bits(b_scaled)):
+        for i in reversed(order) if descending else order:
+            shifted = LinearOperator.shift(b_scaled, -(vals[i] + g5))
+            with meter.track("spectrum.bmatrix", intvec_bits(shifted.diag)):
+                _, v_fl = inv_power_gap(shifted, vec_eps, delta,
+                                        derive_rng(rng, "vec", i), window)
+            if v_fl is None:
+                raise ResultCountMismatch(f"no eigenvector for eigenvalue {i}")
+            yield vals[i], scale_pow, v_fl
 
 
 def eigendecompose(a: SparseMatrix, eps: float, rng=None):

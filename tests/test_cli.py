@@ -192,6 +192,23 @@ def test_solve_entry_past_double_range(tmp_path):
         assert math.exp(-1e-6) <= x / w <= math.exp(1e-6)
 
 
+def test_solve_below_the_clamp_meets_eps(tmp_path):
+    """At eps = 1e-45, below the clamp 2^-(2n ceil(log2(2nU))) = 2^-16 of
+    [[3, 1], [1, 2]], the accumulators are exact and the one quotient is
+    rounded for the requested eps: x = (2/5, -1/5) within e^eps, where a
+    quotient sized by the clamped eps missed it by 9e-13."""
+    (tmp_path / "a.mtx").write_text("2 2 4\n1 1 3\n1 2 1\n2 1 1\n2 2 2\n")
+    (tmp_path / "b.vec").write_text("2\n1\n0\n")
+    code, out = run_cli(["solve", str(tmp_path / "a.mtx"),
+                         str(tmp_path / "b.vec"), "--epsilon", "1e-45"])
+    assert code == 0
+    eps = Fraction(1e-45)
+    for line, want in zip(out.splitlines(), (Fraction(2, 5), Fraction(-1, 5)),
+                          strict=True):
+        # |ratio - 1| <= eps - eps^2 keeps the ratio inside [e^-eps, e^eps]
+        assert abs(_literal(line) / want - 1) <= eps - eps * eps
+
+
 def test_svd_gram_bound_past_double_range(tmp_path):
     """svd of [[3, 0], [10^26, 0]] at eps 0.1: its scaled Gram operator's
     n U over the solver's eps passes 2^1024, yet the singular values come

@@ -644,7 +644,7 @@ def test_dense_and_tridiagonal_spectrum_peaks_agree(n):
     """spectrum reads its input through products only: a dense symmetric
     matrix and a tridiagonal one of the same n and U reach the same meter
     peak, up to the bit lengths of their determinant values, and charge
-    the same n (s + 8) bits for 2^s B.  Copying 2^s B made the dense
+    the same bits for 2^s B and its shifts' diagonals.  Copying 2^s B made the dense
     peak the larger by 800 bits at n = 6 and 3,359 at n = 10."""
     rnd = random.Random(n)
     u = 10
