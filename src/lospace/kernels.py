@@ -2,20 +2,21 @@
 
 Vectors are lists of residues in [0, p).  The fused Krylov and Horner
 kernels run only on word-size moduli (``word_size``), as numpy int64
-vector operations over one matrix A, in one of two forms.  For A itself
-they read its entries reduced mod p (``Field.coo``), and every Krylov or
+vector operations over one matrix A.  They read A's own signed int64
+words (``Field.coo``, from ``SparseMatrix.words``); the one copy made is
+the preconditioner's diag(d) A, whose entries d_r a_rc are folded mod p
+with one mulmod and one ``% p``.  For A (or diag(d) A) every Krylov or
 Horner step is one gather, one mulmod, one ``np.add.reduceat`` over the
 row segments and one ``% p``.  Krylov carries its dot product x.y as one
 extra row of the matrix (columns 0..m-1, entries x), so a step yields
 A y and x.y together; Horner carries its ``+ c z`` as one extra column
 (entries z, multiplied by the coefficient c), so a step maps acc to
 A acc + c z.  For the Gram product A^T A (``gram=True``), optionally
-scaled by a diagonal d, they read A's own signed int64 words
-(``Field.gram_coo``), with no reduced copy.  A step is two passes, each a
-gather, one int64 multiply, one sum and one ``% p``: the row pass gives
-w = A y reduced (``np.add.reduceat``), and the column pass scatters the
-products a_rc w_r into the m column slots (``np.add.at``); for d one
-mulmod follows.  Krylov takes its dot product and Horner its ``+ c z``
+scaled by a diagonal d, a step is two passes, each a gather, one int64
+multiply, one sum and one ``% p``: the row pass gives w = A y reduced
+(``np.add.reduceat``), and the column pass scatters the products
+a_rc w_r into the m column slots (``np.add.at``); for d one mulmod
+follows.  Krylov takes its dot product and Horner its ``+ c z``
 separately, Horner's as the column sums' starting value.  The kernels
 compute exact residues and hand back Python ints.  Wider moduli have no
 fused kernel: ``LinearOperator`` runs its generic loop over exact
@@ -23,34 +24,39 @@ products instead.  numpy is imported on the first kernel call or word
 product (``linop``), so commands whose moduli are all wide and whose
 matrices are small never load it.
 
-Why the kernels are exact.  Let a, b be residues in [0, p) with
-p < 2^50, and x = ab/p < 2^50.  a and b are exact in float64, so the
+Why the kernels are exact.  Let a be an int64 word with |a| < 2^50 (a
+signed entry of A, or a residue), b a residue in [0, p) with p < 2^50,
+and x = ab/p, so |x| < |a| < 2^50.  a and b are exact in float64, so the
 computed quotient y = fl(fl(a/p)*b) = x(1 + e1)(1 + e2) with
-|e1|, |e2| <= 2^-53, hence |y - x| <= x(2^-52 + 2^-106) < 1/2.  y >= 0,
-so q = trunc(y) = floor(y) is within 1 of floor(x), and
-r = ab - qp = p(x - q) lies in (-p, 2p).  ab and qp overflow int64, but
+|e1|, |e2| <= 2^-53, hence |y - x| <= |x|(2^-52 + 2^-106) < 1/2.
+q = trunc(y) lies within 1 of y on the side of 0, so |x - q| < 3/2 and
+r = ab - qp = p(x - q) lies in (-2p, 2p).  ab and qp overflow int64, but
 numpy int64 arrays wrap modulo 2^64 and |r| < 2^63, so the wrapped
 difference is r exactly (``_mulmod_lazy``).  A sum of k such terms lies
-in (-kp, 2kp), inside int64 when k*p < 2^62.  In an n x m matrix a row
+in (-2kp, 2kp), inside int64 when k*p < 2^62.  In an n x m matrix a row
 sum has at most m terms, Krylov's extra row m terms and a row extended
 by Horner's column at most m + 1.  A Gram step's dot product has m
 terms, and a diagonal's mulmod follows a ``% p``, so its sum with
 Horner's term has two.  So every kernel needs p < 2^50 and
 (max(n, m) + 1) * p < 2^62 for the n x m matrix A (``word_size``, whose
-exclusive top over p is ``word_top``), and reduces each sum once with
-``% p`` (numpy's remainder takes the sign of the divisor).
+exclusive top over p is ``word_top``), the plain kernels and the
+diagonal fold also |a| < 2^50 for every entry of A (``ENTRY_TOP``), and
+each reduces its sums once with ``% p`` (numpy's remainder takes the
+sign of the divisor).
 
 The Gram passes multiply signed entries a, |a| <= U, by residues in
 [0, p) with no mulmod, so their sums are bounded by l1 norms instead.
 A row pass sums a row of A against y: its absolute value is at most the
 row's l1 norm times p - 1.  A column pass sums a column against w, plus
-Horner's term in (-p, 2p) where there is no diagonal: it lies in
-(-(c + 1) p, (c + 2) p) for the column's l1 norm c.  So the Gram kernels
+Horner's term in (-2p, 2p) where there is no diagonal: it lies in
+(-(c + 2) p, (c + 2) p) for the column's l1 norm c.  So the Gram kernels
 are exact when also max(max row l1, max column l1 + 2) * p < 2^63
-(``gram_top``, which ``SparseMatrix.l1_norms`` feeds once per matrix).
-numpy does not report int64 overflow, so ``Field.coo``, ``krylov`` and
-``horner`` raise ValueError on a modulus outside word_size, and the Gram
-step on one at or above gram_top: those checks are the only guard.
+(``gram_top``, from the l1 norms ``Field.coo`` hands over with the
+words).  numpy does not report int64 overflow, so ``Field.coo``,
+``krylov`` and ``horner`` raise ValueError on a modulus outside
+word_size and the Gram step on one at or above gram_top, and
+``LinearOperator`` calls the plain kernels only on entries below
+ENTRY_TOP: those checks are the only guard.
 
 Everything here is deterministic; randomness stays in the callers.
 """
@@ -70,6 +76,10 @@ def _numpy():
 
         np = numpy
     return np
+
+
+# the exclusive top of |a| for the entries a that meet a mulmod
+ENTRY_TOP = 1 << 50
 
 
 def word_top(shape):
@@ -101,9 +111,9 @@ def _require_word_size(p, shape):
 
 
 def _mulmod_lazy(a, a_p, b, p):
-    """a*b mod p up to a multiple of p, in (-p, 2p); a and b are int64
-    arrays (or one int) of residues in [0, p), p < 2^50, and a_p is a / p
-    in float64, computed once per kernel call."""
+    """a*b mod p up to a multiple of p, in (-2p, 2p); a and b are int64
+    arrays (or one int), |a| < 2^50 and b in [0, p) with p < 2^50, and a_p
+    is a / p in float64, computed once per kernel call."""
     r = a * b
     r -= (a_p * b).astype(np.int64) * p
     return r
@@ -183,27 +193,19 @@ class Field:
 
     # structured kernels ---------------------------------------------------
     def coo(self, a, scale=None):
-        """The SparseMatrix a, or diag(scale) a, with entries reduced mod
-        a word-size p: int64 arrays (rows, cols, vals), the shape and the
-        start of each nonempty row's segment; rows sorted.  Only vals is
-        new, computed from ``a.words()`` with one ``% p`` and for scale
-        one mulmod and one more ``% p``; the rest are a's own arrays."""
+        """The SparseMatrix a, or diag(scale) a, as the kernels read it
+        for a word-size p: its own signed int64 words (rows, cols, vals),
+        rows sorted, the shape, the start of each nonempty row's segment
+        and (max row l1, max column l1).  Only a scale makes a copy: vals
+        becomes d_r a_rc mod p, with one mulmod and one ``% p``."""
         p = self.p
         shape = (a.n, a.m)
         _require_word_size(p, shape)
         rows, cols, vals, starts = a.words()
-        vals = vals % p
         if scale is not None:
             vals = _mulmod_lazy(vals, vals / p, self._words(scale)[rows], p)
             vals %= p
-        return rows, cols, vals, shape, starts
-
-    def gram_coo(self, a):
-        """The SparseMatrix a as the Gram kernels read it: its own signed
-        int64 words (rows, cols, vals), the shape, the row segments'
-        starts and (max row l1, max column l1).  Nothing is copied."""
-        rows, cols, vals, starts = a.words()
-        return rows, cols, vals, (a.n, a.m), starts, a.l1_norms
+        return rows, cols, vals, shape, starts, a.l1_norms
 
     def coo_bits(self, coo):
         rows, shape = coo[0], coo[3]
@@ -211,7 +213,7 @@ class Field:
 
     def _gram_step(self, coo, diag):
         """The step (y, add) -> M y + add mod p for M = A^T A, or
-        diag(d) A^T A, of the matrix A of a ``gram_coo``: the row pass
+        diag(d) A^T A, of the matrix A of a ``coo``: the row pass
         gives w = A y reduced, then the products a_rc w_r are scattered
         into the m column slots, both on A's signed words.  add is None or
         a new int64 m-vector in (-p, 2p), which the step may take over."""
@@ -249,8 +251,7 @@ class Field:
 
     def krylov(self, coo, x, y, *, count, gram=False, diag=None):
         """[x.y, x.My, ..., x.M^(count-1) y] for M = A, the matrix of coo
-        (``coo``), or with gram for M = A^T A, or diag(diag) A^T A, with A
-        the matrix of a ``gram_coo``."""
+        (``coo``), or with gram for M = A^T A, or diag(diag) A^T A."""
         p = self.p
         _require_word_size(p, coo[3])
         np = _numpy()
@@ -264,7 +265,7 @@ class Field:
                 if i + 1 < count:
                     y = step(y)
             return seq
-        rows, cols, vals, (n, m), starts = coo
+        rows, cols, vals, (n, m), starts, _ = coo
         # row n of the extended matrix is x: a step gives (A y, x.y)
         dest = None if len(starts) == n else rows[starts]
         cols = np.concatenate((cols, np.arange(m)))
@@ -300,7 +301,7 @@ class Field:
             for i in range(len(coeffs) - 2, -1, -1):
                 acc = step(acc, _mulmod_lazy(z, z_p, coeffs[i] % p, p))
             return acc.tolist()
-        rows, cols, vals, (n, m), _ = coo
+        rows, cols, vals, (n, m), _, _ = coo
         # row r of the extended matrix is A's row r followed by z_r in
         # column m, so a step maps v = (acc, c) to A acc + c z; every row
         # has a segment

@@ -1,10 +1,9 @@
 """Sparse integer matrices and composed black-box linear operators.
 
-A SparseMatrix is coordinate-form with entries sorted by (row, col); this
-row-major order is what lets the Gram operator evaluate (A^T A) v in one
-pass with only the output-sized accumulator live.  A SparseMatrix is
-itself the BASE operator; every other operator composes a base operator
-with a descriptor:
+A SparseMatrix is coordinate-form with entries sorted by (row, col), so
+each row is one segment of its entries.  A SparseMatrix is itself the
+BASE operator; every other operator composes a base operator with a
+descriptor:
 
     BASE         A                               (the SparseMatrix itself)
     DIAG_SCALE   diag(d) . A                     (Wiedemann preconditioner)
@@ -16,35 +15,35 @@ with a descriptor:
 
 ``apply_int`` is exact integer arithmetic and the one implementation of
 each composition; callers keep query entries within the documented
-n^6 U^2 bound.  A matrix's products (A v, A^T v, and the GRAM's
-A^T (A v)) run on its int64 words (``SparseMatrix.words``) whenever
-they can hold the inputs: entries of v that are ints within int64, and
-a matrix of at least ``WORD_NNZ`` entries whose l1 norms stay below
-2^61.  Each pass sums its products in int64, splitting its input into
-limbs narrow enough that a limb's sums cannot overflow, and the limbs'
-sums are joined as Python ints.  Their numpy scratch, O(nnz) words and
-for the GRAM A v itself, lives for one product and is not charged to
-the meter.  The Python loops remain for the inputs the words cannot
-hold, such as svd's Fractions, and for small matrices, where numpy's
-per-call cost exceeds the loop's.  ``apply_mod`` is the exact product
-reduced mod p.
+n^6 U^2 bound.  A matrix has two products, A v and A^T w
+(``SparseMatrix.apply_int`` and ``apply_transpose_int``), and GRAM and
+GRAM_T compose them as A^T (A v) and A (A^T w), holding the inner
+product (n or m entries) for the length of one product.  Each product
+runs on the matrix's int64 words (``SparseMatrix.words``) whenever they
+can hold its input: entries that are ints within int64, and a matrix of
+at least ``WORD_NNZ`` entries whose l1 norms stay below 2^61.  It sums
+in int64, splitting its input into limbs narrow enough that a limb's
+sums cannot overflow, and joins the limbs' sums as Python ints.  Its
+numpy scratch, O(nnz) words, lives for one product and is not charged
+to the meter.  The Python loop remains for the inputs the words cannot
+hold, such as svd's Fractions or an A v past int64, and for small
+matrices, where numpy's per-call cost exceeds the loop's.  ``apply_mod``
+is the exact product reduced mod p.
 
 The fused Krylov/Horner kernels run on BASE, GRAM and DIAG_SCALE over a
 matrix, and on DIAG_SCALE over such a GRAM (the determinant's
 preconditioner), for primes below ``prime_top``, so callers can draw
 them: ``kernels.word_top`` for the shape of the matrix they read, and
-for the Gram kinds also ``kernels.gram_top`` of its l1 norms.  A fused
-call on BASE or DIAG_SCALE over it builds the matrix's entries reduced
-mod p (``Field.coo``) from its words, folding a diagonal into them
-(d_r a_rc mod p), so the kernels see one matrix.  A Gram call builds no
-copy: the kernels read the words themselves (``Field.gram_coo``) and
-apply a diagonal per step.  Either call charges a reduced copy's size to
-the meter while it runs, since its numpy temporaries are that large, and
-a Gram call one n-word vector more, the kernels' w = A y; nothing
-outlives the call.  Every other case, a wider prime included, runs one
-generic Krylov/Horner loop over ``apply_mod`` and builds no copy.  On
-that generic path the Python loops of GRAM/GRAM_T never materialize
-A x: their working space stays proportional to the output dimension.
+for the Gram kinds also ``kernels.gram_top`` of its l1 norms; the plain
+kinds also need every entry below ``kernels.ENTRY_TOP``.  Every fused
+call reads one operand, the matrix's own words (``Field.coo``).  Over a
+matrix a DIAG_SCALE's diagonal is folded into a copy of its entries
+(d_r a_rc mod p); over a Gram product it is applied per step.  Each call
+charges a reduced copy's size to the meter while it runs, since its
+numpy temporaries are that large, and a Gram call one n-word vector
+more, the kernels' w = A y; nothing outlives the call.  Every other
+case, a wider prime included, runs one generic Krylov/Horner loop over
+``apply_mod`` and builds no copy.
 
 Text formats (1-indexed, decimal):
 
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import meter
-from .kernels import Field, _numpy, gram_top, word_top
+from .kernels import ENTRY_TOP, Field, _numpy, gram_top, word_top
 
 BASE = "BASE"
 DIAG_SCALE = "DIAG_SCALE"
@@ -155,51 +154,46 @@ class LinearOperator:
     # -- mod-p application ------------------------------------------------
 
     def _kernel_matrix(self):
-        """The matrix the fused kernels read, or None when this kind has
-        no fused kernel: a matrix itself, GRAM and DIAG_SCALE over a matrix,
-        and DIAG_SCALE over such a GRAM."""
+        """(A, gram): the matrix the fused kernels read and whether they
+        run its Gram product, or None when this kind has no fused kernel.
+        A matrix itself, GRAM and DIAG_SCALE over a matrix, and DIAG_SCALE
+        over such a GRAM have one."""
         if self.kind == GRAM and self.base.kind == BASE:
-            return self.base
+            return self.base, True
         if self.kind == DIAG_SCALE and self.base.kind in (BASE, GRAM):
             return self.base._kernel_matrix()
         return None
-
-    def _is_gram(self):
-        """True for GRAM and DIAG_SCALE over GRAM."""
-        return self.kind == GRAM or (self.kind == DIAG_SCALE
-                                     and self.base.kind == GRAM)
 
     def prime_top(self):
         """Exclusive top of the primes the fused kernels take for this
         operator (``kernels.word_top`` of the matrix they read, and for
         the Gram kinds ``kernels.gram_top`` of its l1 norms), or None when
         it has no fused kernel."""
-        a = self._kernel_matrix()
-        if a is None:
+        k = self._kernel_matrix()
+        if k is None:
             return None
-        if self._is_gram():
-            return gram_top((a.n, a.m), *a.l1_norms)
-        return word_top((a.n, a.m))
+        a, gram = k
+        return gram_top((a.n, a.m), *a.l1_norms) if gram else word_top((a.n, a.m))
 
     def _fused(self, p):
-        """True when the fused kernels run this operator mod p."""
-        top = self.prime_top()
-        return top is not None and p < top
+        """True when the fused kernels run this operator mod p: p is below
+        ``prime_top``, and the plain kinds' entries below ``ENTRY_TOP``."""
+        k = self._kernel_matrix()
+        if k is None or p >= self.prime_top():
+            return False
+        a, gram = k
+        return gram or a.max_abs < ENTRY_TOP
 
     def _kernel(self, kernel, f, *args, **kwargs):
-        """One fused kernel call: on a copy of the matrix reduced mod f.p
-        for BASE and DIAG_SCALE over it, on the matrix's own words for the
-        Gram kinds; the copy's size is charged to the meter while it runs."""
-        a = self._kernel_matrix()
-        if self._is_gram():
-            coo = f.gram_coo(a)
-            bits = f.coo_bits(coo) + a.n * (f.p.bit_length() + 1)
-            kwargs.update(gram=True, diag=self.diag)
-        else:
-            coo = f.coo(a, self.diag)
-            bits = f.coo_bits(coo)
+        """One fused kernel call on the matrix's words, charged to the
+        meter while it runs at a reduced copy's size, plus w = A y for a
+        Gram product."""
+        a, gram = self._kernel_matrix()
+        coo = f.coo(a, None if gram else self.diag)
+        bits = f.coo_bits(coo) + (a.n * (f.p.bit_length() + 1) if gram else 0)
         with meter.track("linop.mod_cache", bits):
-            return kernel(coo, *args, **kwargs)
+            return kernel(coo, *args, gram=gram,
+                          diag=self.diag if gram else None, **kwargs)
 
     def apply_mod(self, v, p):
         """Exact product mod p: the integer product, reduced."""
@@ -245,25 +239,7 @@ class LinearOperator:
             w = a.apply_int(v)
             return [wi + d * vi for wi, d, vi in zip(w, self.diag, v)]
         if self.kind == GRAM:
-            if a._words_hold(v):
-                rows, cols, vals, _ = a.words()
-                row_l1, col_l1 = a.l1_norms
-                w = _word_sum(rows, cols, vals, row_l1, v, a.n)
-                return _word_sum(cols, rows, vals, col_l1, w, a.m)
-            out = [0] * a.m
-            nnz = a.nnz
-            k = 0
-            while k < nnz:
-                row = a.rows[k]
-                k2 = k
-                inner = 0
-                while k2 < nnz and a.rows[k2] == row:
-                    inner += a.vals[k2] * v[a.cols[k2]]
-                    k2 += 1
-                for t in range(k, k2):
-                    out[a.cols[t]] += a.vals[t] * inner
-                k = k2
-            return out
+            return a.apply_transpose_int(a.apply_int(v))
         if self.kind == GRAM_T:
             return a.apply_int(a.apply_transpose_int(v))
         raise AssertionError(self.kind)
@@ -337,15 +313,13 @@ class SparseMatrix(LinearOperator):
 
     def words(self):
         """(rows, cols, vals, starts) as int64 arrays, starts the first
-        entry of each nonempty row's segment: what the fused kernels and
-        the word products read, the Gram kernels with no reduced copy.
-        Built on first use and kept with the matrix, which is read-only
-        input, so they are neither released nor charged to the meter.
-        Every entry fits int64 whenever they are read: the word products
-        need l1 norms below 2^61, the Gram kernels primes below
-        ``gram_top``, and the determinant and the solver hand the other
-        kernels only primes above U (p >= max(16, n^2 U)) and below 2^50,
-        so |entry| < 2^50."""
+        entry of each nonempty row's segment: the one operand of the fused
+        kernels and of the word products.  Built on first use and kept
+        with the matrix, which is read-only input, so they are neither
+        released nor charged to the meter.  Every entry fits int64
+        whenever they are read: the word products need l1 norms below
+        2^61, the Gram kernels primes below ``gram_top`` and the plain
+        kernels entries below ``ENTRY_TOP``."""
         if self._words is None:
             np = _numpy()
             rows = np.array(self.rows, np.int64)
@@ -355,7 +329,7 @@ class SparseMatrix(LinearOperator):
         return self._words
 
     def _kernel_matrix(self):
-        return self
+        return self, False
 
     def is_symmetric(self):
         if self.n != self.m:
@@ -363,34 +337,32 @@ class SparseMatrix(LinearOperator):
         d = {(i, j): v for i, j, v in zip(self.rows, self.cols, self.vals)}
         return all(d.get((j, i), 0) == v for (i, j), v in d.items())
 
-    def _words_hold(self, v):
-        """True when the products with v run on the int64 words: v's
-        entries are ints within int64, and the matrix has at least
-        WORD_NNZ entries and l1 norms below 2^61."""
-        return (self.nnz >= WORD_NNZ and max(self.l1_norms) < 1 << 61
-                and {*map(type, v)} <= {int}
-                and (not v or -(1 << 63) <= min(v) and max(v) < 1 << 63))
-
     def apply_int(self, v):
-        if len(v) != self.m:
-            raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
-        if self._words_hold(v):
-            rows, cols, vals, _ = self.words()
-            return _word_sum(rows, cols, vals, self.l1_norms[0], v, self.n)
-        out = [0] * self.n
-        for i, j, a in zip(self.rows, self.cols, self.vals):
-            out[i] += a * v[j]
-        return out
+        return self._product(v, transpose=False)
 
     def apply_transpose_int(self, v):
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector length {len(v)} != {self.n}")
-        if self._words_hold(v):
+        return self._product(v, transpose=True)
+
+    def _product(self, v, transpose):
+        """A v, or A^T v: on the int64 words when they hold v, its
+        entries ints within int64 and the matrix of at least WORD_NNZ
+        entries with l1 norms below 2^61, otherwise one entry at a time
+        in Python."""
+        size, length = (self.m, self.n) if transpose else (self.n, self.m)
+        if len(v) != length:
+            raise DimensionMismatch(f"vector length {len(v)} != {length}")
+        if (self.nnz >= WORD_NNZ and max(self.l1_norms) < 1 << 61
+                and {*map(type, v)} <= {int}
+                and (not v or -(1 << 63) <= min(v) and max(v) < 1 << 63)):
             rows, cols, vals, _ = self.words()
-            return _word_sum(cols, rows, vals, self.l1_norms[1], v, self.m)
-        out = [0] * self.m
-        for i, j, a in zip(self.rows, self.cols, self.vals):
-            out[j] += a * v[i]
+            if transpose:
+                rows, cols = cols, rows
+            return _word_sum(rows, cols, vals, self.l1_norms[transpose],
+                             v, size)
+        rows, cols = (self.cols, self.rows) if transpose else (self.rows, self.cols)
+        out = [0] * size
+        for i, j, a in zip(rows, cols, self.vals):
+            out[i] += a * v[j]
         return out
 
 

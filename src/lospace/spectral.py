@@ -605,22 +605,25 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     vec_eps = _double_target(math.ldexp(eps_scaled ** 2, -4 * t))
     out_bits = max(32, math.ceil(4 * t + math.log2(4 / eps_scaled ** 2)) + 6)
     L = 64
-    for idx, (lam, scale_pow, v_fl) in enumerate(
-            _eigenvectors(gram, eps_scaled, vec_eps, rng, descending=True)):
-        uvec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
-        if idx >= m:
-            yield uvec, None, None
-            continue
-        # an eigenvalue of A A^T + eps0
-        lam_frac = Fraction(lam, 1 << (scale_pow + 2 * t))
-        sig_sq = lam_frac - eps0_eff
-        if sig_sq <= 0:
-            yield uvec, fl_zero(L), [FixedL(0, out_bits)] * m
-            continue
-        sigma = fl_sqrt(fl_from_bigratio(sig_sq.numerator, sig_sq.denominator, L))
-        atu = a.apply_transpose_int([x.to_fraction() for x in v_fl])
-        inv_sigma = fl_recip(sigma)
-        vvec = [fl_mul(fl_from_bigratio(x.numerator, x.denominator, L), inv_sigma)
-                for x in atu]
-        yield uvec, sigma, [fixed_from_fraction(x.to_fraction(), out_bits)
-                            for x in vvec]
+    # the two diagonals of the composed 2^2t A A^T + ridge I live for
+    # the whole call
+    with meter.track("spectrum.bmatrix", _scaled_bits(gram)):
+        for idx, (lam, scale_pow, v_fl) in enumerate(
+                _eigenvectors(gram, eps_scaled, vec_eps, rng, descending=True)):
+            uvec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
+            if idx >= m:
+                yield uvec, None, None
+                continue
+            # an eigenvalue of A A^T + eps0
+            lam_frac = Fraction(lam, 1 << (scale_pow + 2 * t))
+            sig_sq = lam_frac - eps0_eff
+            if sig_sq <= 0:
+                yield uvec, fl_zero(L), [FixedL(0, out_bits)] * m
+                continue
+            sigma = fl_sqrt(fl_from_bigratio(sig_sq.numerator, sig_sq.denominator, L))
+            atu = a.apply_transpose_int([x.to_fraction() for x in v_fl])
+            inv_sigma = fl_recip(sigma)
+            vvec = [fl_mul(fl_from_bigratio(x.numerator, x.denominator, L), inv_sigma)
+                    for x in atu]
+            yield uvec, sigma, [fixed_from_fraction(x.to_fraction(), out_bits)
+                                for x in vvec]

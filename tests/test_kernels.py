@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lospace import meter, primes
-from lospace.kernels import Field, _bm, gram_top, word_size, word_top
+from lospace.kernels import ENTRY_TOP, Field, _bm, gram_top, word_size, word_top
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.oracle import dense_of, oracle_det_bareiss
 from lospace.primes import PRIME
@@ -46,19 +46,27 @@ PRIMES = [97, (1 << 31) - 1, (1 << 50) - 27, (1 << 50) + 55, (1 << 61) - 1]
 @pytest.mark.parametrize("p", PRIMES)
 def test_kernels_match_naive_reference(p):
     """Krylov scalars and Horner of BASE, DIAG_SCALE, GRAM and DIAG_SCALE
-    over GRAM operators against a dense, one-step-at-a-time reference
-    mod p, on both sides of the word bound; the fused kernels are called
-    directly where p is word-size."""
+    over GRAM operators against a dense, one-step-at-a-time big-int
+    reference mod p, on both sides of the word bound; the fused kernels
+    are called directly where p is word-size.  Every kernel reads the
+    matrix's signed words, so the plain matrices have entries of both
+    signs, below and above p and at +-(ENTRY_TOP - 1), and an empty row."""
     rnd = random.Random(3)
     f = Field(p)
     for _ in range(10):
         n = rnd.randrange(2, 12)
-        # nnz from 0 up: all-zero matrices and empty rows included
-        rows, cols, vals = _rand_coo(rnd, n, n, rnd.randrange(0, n * n + 1), p)
+        # nnz from 0 up: all-zero matrices included, and row `empty` empty
+        rows, cols, _ = _rand_coo(rnd, n, n, rnd.randrange(0, n * n + 1), p)
+        empty = rnd.randrange(n)
+        keep = [(r, c) for r, c in zip(rows, cols) if r != empty]
+        rows, cols = [r for r, _ in keep], [c for _, c in keep]
+        vals = [rnd.choice((-1, 1)) * rnd.choice(
+                    (rnd.randrange(1, p), rnd.randrange(1, ENTRY_TOP),
+                     ENTRY_TOP - 1)) for _ in rows]
         a = _dense(rows, cols, vals, n, n)
         mat = SparseMatrix(n, n, rows, cols, vals)
         word = word_size(p, (n, n))
-        assert word == (p < 1 << 50)
+        assert word == (p < 1 << 50) == mat._fused(p)
         x = [rnd.randrange(p) for _ in range(n)]
         y = [rnd.randrange(p) for _ in range(n)]
         assert mat.apply_mod(x, p) == _dense_apply(a, x, p)
@@ -138,7 +146,7 @@ def test_kernels_match_naive_reference(p):
             assert got == want_h
             assert type(got) is list and all(type(v) is int for v in got)
             if gram._fused(p):
-                coo = f.gram_coo(mat)
+                coo = f.coo(mat)
                 assert f.krylov(coo, x, y, count=count, gram=True,
                                 diag=diag) == want
                 assert f.horner(coo, coeffs, x, gram=True, diag=diag) == want_h
@@ -367,7 +375,7 @@ def test_word_kernels_at_the_sum_bound():
     entries |= {(i, i) for i in range(n)}
     rows, cols = zip(*sorted(entries))
     vals = [rnd.randrange(p) for _ in rows]
-    mat = SparseMatrix(n, n, list(rows), list(cols), vals)
+    mat = SparseMatrix(n, n, rows, cols, vals)
     f = Field(p)
     x = [rnd.randrange(p) for _ in range(n)]
     d = [rnd.randrange(p) for _ in range(n)]
@@ -442,7 +450,7 @@ def test_gram_kernels_at_the_sum_bound():
                 power = _gram_apply_mod(entries, k, diag, power, p)
             assert op.horner_apply(coeffs, x, f) == want_h
             if fused:
-                coo = f.gram_coo(a)
+                coo = f.coo(a)
                 assert f.krylov(coo, x, x, count=2 * k + 1, gram=True,
                                 diag=diag) == want
 
@@ -500,7 +508,7 @@ def test_gram_kernels_at_the_l1_bound():
                     power = _gram_apply_mod(entries, m, diag, power, p)
                 assert op.krylov_scalars(x, y, 2 * m + 1, f) == want
                 assert op.horner_apply(coeffs, y, f) == want_h
-                coo = f.gram_coo(a)
+                coo = f.coo(a)
                 if p == q:
                     assert op._fused(p)
                     assert f.krylov(coo, x, y, count=2 * m + 1, gram=True,

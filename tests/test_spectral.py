@@ -639,6 +639,30 @@ def _spectrum_peak(a, seed):
     return m.peak_bits, m.by_label["spectrum.bmatrix"][1]
 
 
+def test_svd_charges_its_operators_diagonals(monkeypatch):
+    """svd's operator 2^2t A A^T + ridge I holds two n-entry diagonals,
+    the 2^2t of its DIAG_SCALE and the ridge of its SHIFT, for the whole
+    call: they are live under spectrum.bmatrix before the eigenvectors
+    start, and released when the call ends."""
+    seen = []
+    eigenvectors = spectral._eigenvectors
+
+    def spy(op, *args, **kwargs):
+        live = meter.current().by_label.get("spectrum.bmatrix", [0, 0])[0]
+        seen.append((live, meter.intvec_bits(op.diag)
+                     + meter.intvec_bits(op.base.diag)))
+        yield from eigenvectors(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_eigenvectors", spy)
+    a = SparseMatrix.from_dense([[3, -1], [2, 5], [0, 4]])
+    m = meter.WorkspaceMeter()
+    with m.activate():
+        assert len(list(svd(a, 0.05, 1))) == 3
+    (live, bits), = seen
+    assert live == bits > 0
+    assert m.current_bits == 0
+
+
 @pytest.mark.parametrize("n", [6, 10])
 def test_dense_and_tridiagonal_spectrum_peaks_agree(n):
     """spectrum reads its input through products only: a dense symmetric

@@ -218,3 +218,19 @@ def test_minpoly_workspace_linear():
         ratios.append(words / n)
     assert max(ratios) <= 24, ratios
     assert max(ratios) / min(ratios) < 2.0, ratios
+
+
+def test_entries_past_the_word_bound_take_the_generic_loop():
+    """A plain matrix with an entry past int64 (2^70), or just past the
+    kernels' signed-entry bound (2^50), under a word-size prime: the
+    fused kernels cannot read it, so determinant_zp and FpSolver run the
+    generic loop and still match the exact residues."""
+    p = 1009
+    for big in (1 << 70, -(1 << 50), (1 << 50) - 1):
+        a = SparseMatrix.from_dense([[big, 1], [3, 4]])
+        assert a._fused(p) is (abs(big) < 1 << 50)
+        det = determinant_zp(a, p, rng=random.Random(1))
+        assert det == (4 * big - 3) % p
+        with FpSolver(a, p, random.Random(1)) as solver:
+            x = solver.solve([1, 2])
+        assert [(big * x[0] + x[1]) % p, (3 * x[0] + 4 * x[1]) % p] == [1, 2]
