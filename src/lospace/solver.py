@@ -42,12 +42,17 @@ size the lift (Dixon, Numer. Math. 40, 1982, for the lifting itself):
   eps < 2^-(2n ceil(log2(2nU))), the accumulators are exact instead,
   with a mantissa for every digit of p^T, and only the quotient rounds.
 - Block count (``block_count``).  A coordinate's accumulator pair is
-  charged 2 (2 L_acc + 64) bits.  Coordinates go in K blocks, the fewest
-  whose pairs fit B = 16 n ceil(log2(2nU)) bits:
-  K = ceil(n / max(1, floor(B / (2 (2 L_acc + 64))))).  One block's
-  accumulators so never exceed B bits, or one pair's 2 (2 L_acc + 64)
-  when a block holds a single coordinate.  The digit stream is re-run
-  per block, seeded identically, so K never changes the output.
+  charged what it can hold (``pair_bits``):
+  P = 2 ((L_acc + 1) + int_bits(top_exp)) + 1 bits, with
+  top_exp = T (bitlen(p) + 1) + 64.  Each accumulator is a canonical
+  FloatL of a nonnegative integer: an odd mantissa below 2^L_acc, at most
+  L_acc + 1 bits with its sign, and an exponent in [0, top_exp], since
+  both sums stay below 2 p^T; the last bit is the all-digits-zero flag.
+  Coordinates go in K blocks, the fewest whose pairs fit
+  B = 16 n ceil(log2(2nU)) bits: K = ceil(n / max(1, floor(B / P))).
+  One block's accumulators so never exceed B bits, or one pair's P when
+  a block holds a single coordinate.  The digit stream is re-run per
+  block, seeded identically, so K never changes the output.
 
 Both draw from one prime stream per operator, the window
 [max(16, n^3 U), ..^2] (``_prime_window``), capped below the top of its
@@ -270,6 +275,14 @@ def _exponent_room(L, top_exp):
     return L
 
 
+def pair_bits(L, top_exp):
+    """Bits one coordinate's accumulators hold at most: two canonical
+    L-bit floats of nonnegative integers, each an odd mantissa below 2^L
+    (L + 1 bits with its sign) and an exponent in [0, top_exp], plus the
+    all-digits-zero flag (module docstring, "Block count")."""
+    return 2 * ((L + 1) + int_bits(top_exp)) + 1
+
+
 class RationalSolver:
     """Repeated entry-wise-approximate solves against one fixed matrix.
 
@@ -400,14 +413,15 @@ class RationalSolver:
             T += 1
         return T
 
-    def block_count(self, L):
+    def block_count(self, pair):
         """K, the fewest coordinate blocks whose accumulator pairs, at
-        2 (2L + 64) bits each for accumulator precision L, fit the linear
-        budget B = 16 n ceil(log2(2nU)) bits; a block holds one coordinate
-        when a single pair exceeds B."""
+        ``pair`` bits each (``pair_bits``: two canonical FloatL of
+        (L_acc + 1) + int_bits(top_exp) bits and the all-digits-zero flag),
+        fit the linear budget B = 16 n ceil(log2(2nU)) bits; a block holds
+        one coordinate when a single pair exceeds B."""
         n = self.n
         budget = 16 * n * self._word_bits
-        per_block = max(1, budget // (2 * (2 * L + 64)))
+        per_block = max(1, budget // pair)
         return -(-n // per_block)
 
     def solve(self, b, K=None) -> SolveOutcome:
@@ -418,13 +432,23 @@ class RationalSolver:
         count of the module docstring, widened until the exponents of p^T
         are representable, or exact below the clamp; y / det is then
         rounded once at self.L, widened the same way when the exponents
-        need it.  K blocks (block_count(L_acc) unless given) re-run the
-        digit stream and never change the output."""
+        need it.  One coordinate's pair is charged
+        pair_bits(L_acc, top_exp) bits, top_exp = T (bitlen(p) + 1) + 64,
+        which bounds its two canonical accumulators (odd mantissas below
+        2^L_acc, exponents in [0, top_exp]) and its flag.  K blocks
+        re-run the digit stream and never change the output: K = None
+        takes block_count of that pair, and any other K must be an int in
+        1..n (ValueError otherwise)."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
+        n = self.n
+        if K is not None and (not isinstance(K, int) or isinstance(K, bool)
+                              or not 1 <= K <= n):
+            raise ValueError(f"block count K must be an int in 1..{n}, "
+                             f"got {K!r}")
         if self.det == 0:
             return SolveOutcome(True)
-        n, p = self.n, self.prime
+        p = self.prime
         T = self.lift_length(b)
         # exponents reach T * log2(p); widen until they are representable.
         # The widening stays local, so a solve never depends on earlier ones
@@ -437,15 +461,16 @@ class RationalSolver:
             # below the clamp the accumulators must be exact: give the
             # mantissa room for every digit of p^T
             L = max(L, T * (p.bit_length() + 1) + 8)
-        K = K or self.block_count(L)
+        pair = pair_bits(L, top_exp)
+        if K is None:
+            K = self.block_count(pair)
         block = math.ceil(n / K)
         out = [None] * n
         fl_p = fl_from_int(p, L)
         sign = -1 if self.det < 0 else 1
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            with meter.track("lift.accumulators",
-                             2 * (hi - lo) * (2 * L + 64)):
+            with meter.track("lift.accumulators", (hi - lo) * pair):
                 y_plus = [fl_zero(L)] * (hi - lo)
                 y_minus = [fl_zero(L)] * (hi - lo)
                 all_zero = [True] * (hi - lo)

@@ -162,19 +162,24 @@ class FpSolver:
         self._c0inv = self.f.inv((-g[0]) % self.p)
 
     def solve(self, b):
-        """x with A x = b (mod p), verified; raises RetriesExhausted."""
+        """x with A x = b (mod p), verified; raises RetriesExhausted.
+
+        b holds residues in [0, p) and is read as it is, not copied; an
+        entry outside that range raises ValueError.  Only the two vectors
+        a solve makes, the Horner result and x, are charged."""
         f, p, op = self.f, self.p, self.op
-        bvec = f.vec(b)
+        if min(b, default=0) < 0 or max(b, default=0) >= p:
+            raise ValueError(f"right-hand side entries must lie in [0, {p})")
         for attempt in range(self._budget):
             if self._gbar is None:
                 self._refresh_poly(boost=1 + attempt)
                 if self._gbar is None:
                     continue
             g = self._gbar
-            with meter.track("fpsolver.vecs", 3 * f.vec_bits(bvec)):
-                acc = op.horner_apply(g[1:], bvec, f)
+            with meter.track("fpsolver.vecs", 2 * f.vec_bits(b)):
+                acc = op.horner_apply(g[1:], b, f)
                 x = f.scale(self._c0inv, acc)
-                if op.apply_mod(x, p) == bvec:
+                if op.apply_mod(x, p) == b:
                     return x
             self._gbar = None
         raise RetriesExhausted("FpSolver verification kept failing")

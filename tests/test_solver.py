@@ -1,14 +1,16 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lospace import kernels, meter, solver
 from lospace.cli import bench_matrix
 from lospace.linop import DIAG_SCALE, GRAM, LinearOperator, SparseMatrix
+from lospace.meter import int_bits
 from lospace.numeric import FloatL, fl_from_int, fl_mul, fl_add_same_sign, fl_zero, EQUAL
 from lospace.oracle import SINGULAR as ORACLE_SINGULAR
 from lospace.oracle import oracle_det_bareiss, oracle_solve_exact
@@ -21,6 +23,7 @@ from lospace.solver import (
     hadamard_bound,
     lin_solve,
     linear_regression,
+    pair_bits,
     row_norm_bound,
     sign_combine,
 )
@@ -385,35 +388,53 @@ def test_block_equivalence():
         a = SparseMatrix.from_dense(d)
         eps = 1e-9
         base = lin_solve(a, b, eps, 100 + trial, K=1)
-        for K in (2, 3, n):
+        for K in range(2, n + 1):
             other = lin_solve(a, b, eps, 100 + trial, K=K)
             assert [(v.mantissa, v.exponent) for v in base.x] == \
                    [(v.mantissa, v.exponent) for v in other.x]
 
 
 def test_block_count_fits_the_linear_budget():
-    """block_count(L) is the fewest blocks whose accumulator pairs, at
-    2 (2L + 64) bits each, fit B = 16 n ceil(log2(2nU)) bits, one
-    coordinate per block when a single pair exceeds B.  On the benchmark's
-    n = 64, U = 100 system that is 3 blocks at eps = 1e-30 (L = 107) and
-    2 at eps = 1e-6 (L = 27)."""
+    """block_count(pair) is the fewest blocks whose accumulator pairs, at
+    pair_bits(L, top_exp) = 2 ((L + 1) + int_bits(top_exp)) + 1 bits each,
+    fit B = 16 n ceil(log2(2nU)) bits, one coordinate per block when a
+    single pair exceeds B.  On the benchmark's n = 64, U = 100 system
+    (T = 10 digits of a 48-bit prime, top_exp = 554) that is 2 blocks at
+    eps = 1e-30 (L = 107) and 1 at eps = 1e-6 (L = 27)."""
     rnd = random.Random(1)
     a = bench_matrix(64, rnd)
-    cases = [(a, 107, 3), (a, 27, 2), (SparseMatrix.identity(4), 27, 4)]
-    for op, L, want in cases:
-        with RationalSolver(op, 1e-6, 0) as s:
-            assert s.block_count(L) == want
+    b = [rnd.randrange(-100, 101) for _ in range(64)]
+    with RationalSolver(a, 1e-6, 0) as s:
+        T = s.lift_length(b)
+        top_exp = T * (s.prime.bit_length() + 1) + 64
+        assert (T, s.prime.bit_length(), top_exp) == (10, 48, 554)
+        assert s.block_count(pair_bits(107, top_exp)) == 2
+        assert s.block_count(pair_bits(27, top_exp)) == 1
+    with RationalSolver(SparseMatrix.identity(4), 1e-6, 0) as s:
+        assert s.block_count(pair_bits(107, 554)) == 4
     for n, u in ((1, 1), (4, 1), (5, 9), (64, 100), (200, 10 ** 6)):
         op = SparseMatrix.from_entries(n, n, [(i, i, u) for i in range(n)])
         budget = 16 * n * math.ceil(math.log2(2 * n * u))
         with RationalSolver(op, 1e-6, 0, det=u ** n) as s:
             for L in (16, 27, 64, 107, 300, 3000):
-                K = s.block_count(L)
-                pair = 2 * (2 * L + 64)
-                assert 1 <= K <= n
-                assert math.ceil(n / K) * pair <= max(budget, pair)
-                if K > 1:
-                    assert math.ceil(n / (K - 1)) * pair > budget
+                for top_exp in (64, 554, 10 ** 5):
+                    pair = pair_bits(L, top_exp)
+                    assert pair == 2 * (L + 1 + top_exp.bit_length() + 1) + 1
+                    K = s.block_count(pair)
+                    assert 1 <= K <= n
+                    assert math.ceil(n / K) * pair <= max(budget, pair)
+                    if K > 1:
+                        assert math.ceil(n / (K - 1)) * pair > budget
+
+
+@pytest.mark.parametrize("K", [-1, 0, 3, 1.0, True])
+def test_solve_refuses_a_block_count_outside_1_to_n(K):
+    """An explicit K must be an int in 1..n: a negative K would range the
+    block loop backwards and return no entries, and K = 0 would silently
+    stand for the default, which only K = None asks for."""
+    a = SparseMatrix.from_dense([[3, 1], [1, 2]])
+    with pytest.raises(ValueError, match="block count"):
+        lin_solve(a, [1, 0], 1e-6, 0, K=K)
 
 
 def test_digit_reconstruction_exact_mode():
@@ -474,11 +495,11 @@ def _systems(draw):
 def test_lin_solve_meets_eps_at_every_precision(system, seed):
     """Every entry lands within e^eps of the exact solution, exact zeros
     exact, for eps down to 1e-45, below the clamp included, and K = 1, 2
-    and n blocks give the same bits."""
+    (when n >= 2) and n blocks give the same bits."""
     dense, b, eps = system
     a = SparseMatrix.from_dense(dense)
     n = a.n
-    outs = [lin_solve(a, b, eps, seed, K=K).x for K in (1, 2, n)]
+    outs = [lin_solve(a, b, eps, seed, K=K).x for K in (1, min(2, n), n)]
     for x, w in zip(outs[0], oracle_solve_exact(dense, b)):
         assert _close_mult(x, w, eps), (x, w)
     assert outs[0] == outs[1] == outs[2]
@@ -486,29 +507,53 @@ def test_lin_solve_meets_eps_at_every_precision(system, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(system=_systems(), seed=st.integers(0, 2 ** 32))
+@example(system=([[2, 1], [1, 3]], [5, -7], 1e-45), seed=0)
 def test_lift_accumulators_fit_the_linear_budget(system, seed):
-    """On the same draws, the default blocks' lift.accumulators peak never
-    exceeds B = 16 n ceil(log2(2nU)) bits, or one accumulator pair's
-    2 (2L + 64) bits when a block holds a single coordinate."""
+    """On the same draws, clamped exact mode included, after every digit:
+    the bits the block's accumulators hold (int_bits of each mantissa and
+    exponent, plus one bit per all-digits-zero flag) never exceed its
+    lift.accumulators charge, (hi - lo) pairs of pair_bits(L, top_exp);
+    that charge fits B = 16 n ceil(log2(2nU)) bits, or is exactly one pair
+    when a block holds one coordinate; and K - 1 blocks would not fit."""
     dense, b, eps = system
     a = SparseMatrix.from_dense(dense)
     n = a.n
-    seen = []
+    budget = 16 * n * math.ceil(math.log2(2 * n * a.entry_bound))
+    seen, digits_seen = [], []
     block_count = RationalSolver.block_count
+    digit_vectors = RationalSolver.digit_vectors
+    m = meter.WorkspaceMeter()
 
-    def spy(self, L):
-        seen.append((L, block_count(self, L)))
+    def count_spy(self, pair):
+        seen.append((pair, block_count(self, pair)))
         return seen[-1][1]
 
-    m = meter.WorkspaceMeter()
+    def digit_spy(self, b, T):
+        # the caller is solve's block loop: its locals hold the accumulators
+        block = sys._getframe(1)
+        for digits in digit_vectors(self, b, T):
+            yield digits
+            held = block.f_locals
+            lo, hi = held["lo"], held["hi"]
+            bits = sum(int_bits(y.mantissa) + int_bits(y.exponent)
+                       for y in held["y_plus"] + held["y_minus"])
+            bits += len(held["all_zero"])
+            charge = m.by_label["lift.accumulators"][0]
+            (pair, K), = seen
+            assert charge == (hi - lo) * pair
+            assert bits <= charge, (bits, charge, held["L"], hi - lo)
+            assert charge <= budget or (hi - lo == 1 and charge == pair)
+            if K > 1:
+                assert math.ceil(n / (K - 1)) * pair > budget
+            digits_seen.append(hi)
+
     with pytest.MonkeyPatch.context() as mp, m.activate():
-        mp.setattr(RationalSolver, "block_count", spy)
+        mp.setattr(RationalSolver, "block_count", count_spy)
+        mp.setattr(RationalSolver, "digit_vectors", digit_spy)
         lin_solve(a, b, eps, seed)
-    (L, K), = seen
-    budget = 16 * n * math.ceil(math.log2(2 * n * a.entry_bound))
-    peak = m.by_label["lift.accumulators"][1]
-    assert peak <= budget or (math.ceil(n / K) == 1
-                              and peak == 2 * (2 * L + 64)), (peak, budget, L, K)
+    (pair, K), = seen
+    assert digits_seen and digits_seen[-1] == n
+    assert m.by_label["lift.accumulators"][1] == math.ceil(n / K) * pair
 
 
 def test_determinism_same_seed():
@@ -609,14 +654,15 @@ def test_meter_balances_after_solve():
 
 
 def test_failed_solve_releases_every_charge(monkeypatch):
-    """A Las Vegas failure deep inside the lift unwinds every charge: the
-    lift's, the accumulators', the cached polynomial's and det's."""
+    """A Las Vegas failure inside the lift, on the second and last digit of
+    its one block, unwinds every charge: the lift's, the accumulators',
+    the cached polynomial's and det's."""
     calls = []
     real_solve = FpSolver.solve
 
     def failing_solve(self, b):
         calls.append(b)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise RetriesExhausted("injected")
         return real_solve(self, b)
 
@@ -627,7 +673,7 @@ def test_failed_solve_releases_every_charge(monkeypatch):
     m = meter.WorkspaceMeter()
     with m.activate(), pytest.raises(RetriesExhausted, match="injected"):
         lin_solve(a, b, 1e-6, 5)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert {"solver.det", "fpsolver.poly", "lift.accumulators", "lift.rtilde",
             "lift.ppow", "lift.rhs+digits"} <= set(m.by_label)
     assert m.current_bits == 0

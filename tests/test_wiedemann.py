@@ -121,10 +121,10 @@ def test_linsolve_zp_always_verified():
         from lospace.oracle import oracle_det_bareiss
         if oracle_det_bareiss(dense) % p == 0:
             continue
-        b = [rnd.randrange(-50, 51) for _ in range(n)]
+        b = [rnd.randrange(-50, 51) % p for _ in range(n)]
         a = SparseMatrix.from_dense(dense)
         x = _fp_solve(a, b, p, rnd)
-        assert a.apply_mod(x, p) == [v % p for v in b]
+        assert a.apply_mod(x, p) == b
 
 
 def test_determinant_zp_examples():
@@ -200,6 +200,25 @@ def test_fpsolver_degree_zero_recurrence_is_a_failed_trial():
     with FpSolver(SparseMatrix.from_dense([[3]]), 5, random.Random(2)) as solver:
         x = solver.solve([1])
     assert 3 * x[0] % 5 == 1
+
+
+def test_fpsolver_takes_residues_as_they_are():
+    """A right-hand side is read in place: an entry outside [0, p) raises
+    ValueError, and a solve charges fpsolver.vecs for the two vectors it
+    makes, the Horner result and x, on the fused and the loop path."""
+    p = 10007
+    a = SparseMatrix.from_dense([[3, 1, 0], [1, 4, 1], [0, 1, 5]])
+    with FpSolver(a, p, random.Random(3)) as solver:
+        for bad in ([1, -1, 0], [1, p, 0]):
+            with pytest.raises(ValueError, match="right-hand side"):
+                solver.solve(bad)
+    for op in (a, SparseMatrix.from_dense([[1 << 70, 1], [3, 4]])):
+        b = list(range(1, op.n + 1))
+        m = meter.WorkspaceMeter()
+        with m.activate(), FpSolver(op, p, random.Random(3)) as solver:
+            x = solver.solve(b)
+        assert op.apply_mod(x, p) == b
+        assert m.by_label["fpsolver.vecs"][1] == 2 * op.n * (p.bit_length() + 1)
 
 
 def test_minpoly_workspace_linear():
