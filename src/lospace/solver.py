@@ -1,13 +1,37 @@
 """Exact determinants and the linear-space rational system solver.
 
-The determinant is CRT over primes drawn one at a time from the
-operator's prime window (below), until their product exceeds twice a
-Hadamard bound on |det|, which certifies exact signed recovery.  For a
-plain matrix the bound is the row-norm form prod_i |row_i|_2, and for a
-Gram product A^T A, which is positive semidefinite, the product of its
-diagonal prod_j |col_j|_2^2; a zero row or column makes the bound 0 and
-the determinant is then 0 outright.  Other composed operators (shifts)
-use U^n n^(n/2) from their entry bound U.
+Determinant.  H bounds |det|: for a plain matrix the row-norm form
+prod_i |row_i|_2, for a Gram product A^T A, which is positive
+semidefinite, the product of its diagonal prod_j |col_j|_2^2 (a zero row
+or column makes H = 0 and the determinant 0 outright), and for other
+composed operators (shifts) U^n n^(n/2) from their entry bound U.  The
+residue det mod p at the first prime p of the operator's stream (below)
+comes first.  Where the fused kernels run the operator mod p and that
+residue is nonzero, det = d c with d from one p-adic lift (Pan, Inf.
+Process. Lett. 28, 1988; Abbott, Bronstein & Mulders, ISSAC 1999):
+
+- Lift x = A^-1 b' for a random +-1 vector b' to T' digits and keep
+  v = r.x mod M, M = p^T', for one random r with entries below 2^16.
+- By Cramer's rule det x_i is an integer, |det x_i| <= C
+  (``_cramer_bound``), so r.x = (r.det x) / det: in lowest terms
+  num / d with |num| <= N = |r|_1 C and d dividing det, so d <= H.
+- T' is the least length with M > 2 (N + 1) H.  Two fractions within
+  those bounds that agree mod M differ by a multiple of M of size at
+  most 2 N H, so they are equal: rational reconstruction (Wang, Guy &
+  Davenport, SIGSAM Bull. 16(2), 1982) recovers num / d from v alone.
+- c = det / d comes by CRT from residues det mod q * d^-1 mod q, the one
+  at p included and any q dividing d skipped, until their product
+  exceeds 2 H / d, which certifies signed recovery of |c| <= H / d.
+
+A zero residue at p, or an operator without fused kernels (every shift),
+takes d = 1: the CRT of det itself, until the product exceeds 2 H, which
+also decides whether A is singular or p divides det.  The lift's mod-p
+solves start from the residue's own certificate, the characteristic
+polynomial g of diag(delta) A (``determinant_zp``), so they run no
+Wiedemann trial, and the solver below keeps that FpSolver when its lift
+prime is p.  d divides the largest invariant factor of A, and misses
+more of det where b' or r cancels a factor; that costs residues of c,
+never correctness.
 
 The solver multiplies the system by det(A) so the solution is integral,
 then recovers it digit by digit in base p for one prime p >= n^3 U without
@@ -75,8 +99,13 @@ proofs above need only primes at or above the operator's own lower end
 (every prime exceeds n^2 U, and the lift's p >= n^3 U); a window starting
 lower, or with another top, is refused with ValueError.
 
-Hot loops run against one cached minimal polynomial per (matrix, prime):
-each lifting step is a Horner application plus one verification product.
+Every lift, the determinant's and the solver's, runs one digit
+recurrence (``_lift_digits``) against one FpSolver per (operator,
+prime): each step is a Horner application of its recurrence plus one
+verification product and one exact product for the carry.  A solver
+that gets no recurrence from its determinant (a det= hand-off, or a
+determinant drawn from the n^2 U window) builds one before its first
+lift opens any buffer.
 """
 
 from __future__ import annotations
@@ -206,20 +235,37 @@ def _checked_window(op, window, det=False):
     return lower, top
 
 
-def determinant(a, rng=None, window=None) -> int:
+def determinant(a, rng=None, window=None, keep=None) -> int:
     """Exact det(a) with failure probability <= n^-C.
 
     Primes are drawn one at a time from the operator's window
     (``_prime_window``: [max(16, n^3 U), ..^2], or the n^2 U window where
     only that one fits under op.prime_top(), capped below it), or
-    from the (lower, top) window passed, which must cover it, until
-    their product exceeds twice the Hadamard bound: the row-norm bound for
-    a plain matrix, the column-norm bound for a Gram product (a zero row
-    or column returns 0 without drawing a prime) and hadamard_bound(n, U)
-    for any other composed operator.  Every prime exceeds n^2 U, so at
-    most n primes (two when n = 1) are ever needed, usually far fewer.
-    Each residue is a finite-field determinant; reconstruction is
-    incremental CRT with signed recovery.
+    from the (lower, top) window passed, which must cover it.  H is the
+    Hadamard bound: the row-norm bound for a plain matrix, the column-norm
+    bound for a Gram product (a zero row or column returns 0 without
+    drawing a prime) and hadamard_bound(n, U) for any other composed
+    operator.  Each residue is a finite-field determinant
+    (``determinant_zp``).
+
+    The residue at the stream's first prime p comes first.  Where the
+    fused kernels run the operator mod p (``LinearOperator._fused``) and
+    that residue is nonzero, one p-adic lift (``_lift_denominator``) gives
+    d, the denominator of r.x for x = a^-1 b': T' digits with
+    p^T' > 2 (N + 1) H, N = |r|_1 C and C the Cramer bound, make the
+    fraction r.x = num / d with |num| <= N and d <= H the only one its
+    residue mod p^T' admits, and d divides det since det x is integral
+    (Cramer).  Then det = d c with c = det / d by CRT: residues
+    det mod q * d^-1 mod q, the one at p included and any q dividing d
+    skipped, until their product exceeds 2 H / d, which certifies signed
+    recovery of |c| <= H / d.  Otherwise, a zero residue at p or another
+    operator, d = 1 and the CRT runs until the product exceeds 2 H; that
+    also decides whether a is singular or p divides det.  No prime count
+    is fixed in advance: the bound stops the draws.
+
+    keep, a list, receives the lift's FpSolver (its recurrence and
+    diagonal, uncharged once this returns), so that a RationalSolver
+    lifting with the same prime builds none of its own.
     """
     if a.n != a.m:
         raise ValueError("determinant needs a square matrix")
@@ -229,25 +275,144 @@ def determinant(a, rng=None, window=None) -> int:
     lower, top = _checked_window(a, window, det=True)
     u = a.entry_bound
     if a.kind == BASE:
-        bound = 2 * row_norm_bound(a)
+        h = row_norm_bound(a)
     elif a.kind == GRAM:
-        bound = 2 * gram_bound(a.base)
+        h = gram_bound(a.base)
     else:
-        bound = 2 * hadamard_bound(n, u)
-    if bound == 0:
+        h = hadamard_bound(n, u)
+    if h == 0:
         return 0
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     # pooled primes: every residue is certificate-checked, so sharing the
     # prime stream across calls costs nothing in correctness
-    primes, prod = [], 1
-    while prod <= bound:
-        primes = shared_pool.get(lower, len(primes) + 1, top=top)
-        prod *= primes[-1]
     delta = min(0.01, float(n) ** -(C + 2))
-    residues = [determinant_zp(a, q, delta, random.Random(rng.getrandbits(63)))
-                for q in primes]
-    P, R = crt_combine(zip(primes, residues))
-    return R if 2 * R < P else R - P
+    p = shared_pool.get(lower, 1, top=top)[0]
+    residue, diag, g = determinant_zp(
+        a, p, delta, random.Random(rng.getrandbits(63)), certificate=True)
+    d = 1
+    if residue and a._fused(p):
+        fp = FpSolver(a, p, random.Random(rng.getrandbits(63)), delta,
+                      diag=diag, poly=g)
+        with fp:
+            d = _lift_denominator(a, u, fp, h, rng)
+        if keep is not None:
+            keep.append(fp)
+    pairs, prod, count = [(p, residue * pow(d, -1, p) % p)], p, 1
+    while prod * d <= 2 * h:
+        count += 1
+        q = shared_pool.get(lower, count, top=top)[-1]
+        if d % q == 0:
+            continue
+        residue = determinant_zp(a, q, delta, random.Random(rng.getrandbits(63)))
+        pairs.append((q, residue * pow(d, -1, q) % q))
+        prod *= q
+    P, R = crt_combine(pairs)
+    return d * (R if 2 * R < P else R - P)
+
+
+def _cramer_bound(op, u, b):
+    """C >= max_i |det(op) (op^-1 b)_i|, the determinant of op with one
+    column replaced by b (Cramer), for op's entry bound u:
+    (u sqrt(n))^(n-1) |b|_inf sqrt(n) or, for a plain matrix, the
+    smaller Hadamard row bound on that matrix, which counts b_r in every
+    row: far smaller unless |b| dwarfs u."""
+    n = op.n
+    colnorm = u * _isqrt_ceil(n)
+    bnorm = max((abs(x) for x in b), default=0) * _isqrt_ceil(n)
+    bound = colnorm ** max(0, n - 1) * max(1, bnorm)
+    if op.kind == BASE:
+        bound = min(bound, row_norm_bound(op, b))
+    return bound
+
+
+def _lift_denominator(a, u, fp, h, rng):
+    """d, the denominator of r.x for x = a^-1 b' (module docstring,
+    "Determinant"): b' a random +-1 vector, r one with entries below
+    2^16, x lifted through fp's prime p to T' digits, the fewest with
+    M = p^T' > 2 (N + 1) H, N = |r|_1 C and C = ``_cramer_bound(a, u, b')``.
+    b', r and the running r.x mod M are charged as ``lift.accumulators``,
+    M and the running power of p as ``lift.ppow``."""
+    n, p = a.n, fp.p
+    b = [rng.choice((-1, 1)) for _ in range(n)]
+    r = [rng.randrange(1 << 16) for _ in range(n)]
+    nb = sum(r) * _cramer_bound(a, u, b)
+    T, M = 1, p
+    while M <= 2 * (nb + 1) * h:
+        M *= p
+        T += 1
+    # r.digits < n 2^16 p, so the running sum stays below n 2^16 M
+    with (meter.track("lift.accumulators", intvec_bits(b) + intvec_bits(r)
+                      + int_bits(n * M << 16)),
+          meter.track("lift.ppow", 2 * int_bits(M))):
+        acc, ppow = 0, 1
+        for digits in _lift_digits(a, u, fp, b, 1, T):
+            acc += ppow * sum(ri * yi for ri, yi in zip(r, digits))
+            ppow *= p
+        acc %= M
+        return _reconstructed_denominator(acc, M, nb, h)
+
+
+def _reconstructed_denominator(v, M, nb, h):
+    """The denominator of the one fraction num/den with |num| <= nb,
+    0 < den <= h and num = den v (mod M), for M > 2 (nb + 1) h (Wang, Guy
+    & Davenport, SIGSAM Bull. 16(2), 1982).  The extended Euclidean
+    remainders r_i = s_i M + t_i v stop at the first r_i <= nb; any such
+    fraction is then an integer multiple of (r_i, t_i) (Shoup, "A
+    Computational Introduction to Number Theory and Algebra", ch. 4,
+    rational reconstruction), so |t_i| / gcd(r_i, t_i) is den in lowest
+    terms.  r0, r1, t0, t1 and the quotient stay below M: they are
+    charged as ``lift.accumulators``."""
+    with meter.track("lift.accumulators", 5 * int_bits(M)):
+        r0, r1, t0, t1 = M, v, 0, 1
+        while r1 > nb:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if not 0 < abs(t1) <= h:
+            raise RuntimeError("rational reconstruction found no "
+                               "denominator within the Hadamard bound")
+        return abs(t1) // math.gcd(r1, t1)
+
+
+def _lift_digits(op, u, fp, b, mult, T):
+    """Yields the base-p digit vectors of (mult * op^-1 b) mod p^T, p =
+    fp.p, each digit vector fp's mod-p solve; u is op's entry bound.
+
+    Exactly the lifting recurrence: rhs_i = (floor(b mult / p^i) - r~) mod p,
+    digits = op^-1 rhs_i mod p, r~ <- floor((r~ + op digits) / p).  The
+    solver lifts det * x with mult = det, the determinant x itself with
+    mult = 1.
+    """
+    n = op.n
+    p = fp.p
+    maxbd = max((abs(x) for x in b), default=0) * abs(mult)
+    # once p^i outruns |b_j mult|, the quotient is frozen at 0 or -1
+    tails = [(-1 if bj * mult < 0 else 0) for bj in b]
+    r_tilde = [0] * n
+    bound_r = 2 * n * u
+    with (meter.track("lift.rtilde", n * (bound_r.bit_length() + 2)),
+          meter.track("lift.ppow", 1) as ppow_bits,
+          meter.track("lift.rhs+digits", 2 * n * (p.bit_length() + 1))):
+        ppow = 1
+        for i in range(T):
+            if ppow is not None:
+                rhs = [((bj * mult // ppow) - rj) % p
+                       for bj, rj in zip(b, r_tilde)]
+            else:
+                rhs = [(tj - rj) % p for tj, rj in zip(tails, r_tilde)]
+            digits = fp.solve(rhs)
+            yield digits
+            ay = op.apply_int(digits)
+            r_tilde = [(rj + aj) // p for rj, aj in zip(r_tilde, ay)]
+            if any(abs(rj) > bound_r for rj in r_tilde):
+                raise RuntimeError("carry bound exceeded")
+            if ppow is not None:
+                ppow *= p
+                if ppow > maxbd:
+                    ppow = None
+                    ppow_bits.resize(1)
+                else:
+                    ppow_bits.resize(int_bits(ppow))
 
 
 def sign_combine(y_plus: FloatL, y_minus: FloatL, all_digits_zero: bool) -> FloatL:
@@ -292,8 +457,10 @@ class RationalSolver:
     its own right-hand side.  lin_solve is the one-shot wrapper.
 
     Solves run inside a ``with`` block, which charges det as
-    ``solver.det`` and holds the FpSolver the first solve builds (its
-    ``fpsolver.poly`` charge included) until the block ends.
+    ``solver.det`` and holds the lift prime's FpSolver until the block
+    ends, its ``fpsolver.poly`` (and ``det.diag``) charges included: the
+    determinant's, when it lifted with the same prime, or else one the
+    first solve builds.
     """
 
     def __init__(self, a, eps: float, rng_or_seed=0, det: int | None = None,
@@ -303,6 +470,9 @@ class RationalSolver:
         self.op = a
         if a.n != a.m:
             raise ValueError("solver needs a square matrix")
+        if a.n == 0:
+            raise ValueError("solver needs a nonempty system, got a 0 x 0 "
+                             "matrix")
         self.window = _checked_window(self.op, window)
         self.n = self.op.n
         self.u = self.op.entry_bound
@@ -311,12 +481,17 @@ class RationalSolver:
         self.rng = rng
         # drawn either way, so the streams derived after it stay put
         det_rng = derive_rng(rng, "det")
-        self.det = (determinant(self.op, det_rng, window)
+        kept = []
+        self.det = (determinant(self.op, det_rng, window, keep=kept)
                     if det is None else det)
         self.prime = None
         self._fp = None
         if self.det != 0:
             self.prime = self._pick_prime()
+            # the determinant's lift prime, when it is this one, comes
+            # with its recurrence
+            if kept and kept[0].p == self.prime:
+                self._fp = kept[0]
         n, u = self.n, self.u
         # ceil(log2(2nU)) on the exact integer n U, which has no float range
         self._word_bits = max(1, (2 * n * u - 1).bit_length())
@@ -343,6 +518,8 @@ class RationalSolver:
     def __enter__(self):
         self._held = ExitStack()
         self._held.enter_context(meter.track("solver.det", int_bits(self.det)))
+        if self._fp is not None:
+            self._held.enter_context(self._fp)
         return self
 
     def __exit__(self, *exc):
@@ -350,62 +527,29 @@ class RationalSolver:
 
     # -- digit stream ----------------------------------------------------
 
-    def digit_vectors(self, b, T):
-        """Yields the base-p digit vectors of (det * A^-1 b) mod p^T.
-
-        Exactly the lifting recurrence: rhs_i = (floor(b det / p^i) - r~) mod p,
-        digits = A^-1 rhs_i mod p, r~ <- floor((r~ + A digits) / p).
-        """
-        n, p, det = self.n, self.prime, self.det
+    def _mod_p_solver(self):
+        """The FpSolver of the lift prime: the determinant's when it lifted
+        with this prime, otherwise one built here, whose recurrence is
+        built at once, before the caller opens any lift buffer."""
         if self._fp is None:
-            # one cached minimal polynomial serves every solve on this matrix
             self._fp = self._held.enter_context(
-                FpSolver(self.op, p, derive_rng(self.rng, "mu"),
-                         delta=float(n) ** -(C + 2)))
-        solver = self._fp
-        maxbd = max((abs(x) for x in b), default=0) * abs(det)
-        # once p^i outruns |b_j det|, the quotient is frozen at 0 or -1
-        tails = [(-1 if bj * det < 0 else 0) for bj in b]
-        r_tilde = [0] * n
-        bound_r = 2 * n * self.u
-        with (meter.track("lift.rtilde", n * (bound_r.bit_length() + 2)),
-              meter.track("lift.ppow", 1) as ppow_bits,
-              meter.track("lift.rhs+digits", 2 * n * (p.bit_length() + 1))):
-            ppow = 1
-            for i in range(T):
-                if ppow is not None:
-                    rhs = [((bj * det // ppow) - rj) % p
-                           for bj, rj in zip(b, r_tilde)]
-                else:
-                    rhs = [(tj - rj) % p for tj, rj in zip(tails, r_tilde)]
-                digits = solver.solve(rhs)
-                yield digits
-                ay = self.op.apply_int(digits)
-                r_tilde = [(rj + aj) // p for rj, aj in zip(r_tilde, ay)]
-                if any(abs(rj) > bound_r for rj in r_tilde):
-                    raise RuntimeError("carry bound exceeded")
-                if ppow is not None:
-                    ppow *= p
-                    if ppow > maxbd:
-                        ppow = None
-                        ppow_bits.resize(1)
-                    else:
-                        ppow_bits.resize(int_bits(ppow))
+                FpSolver(self.op, self.prime, derive_rng(self.rng, "mu"),
+                         delta=float(self.n) ** -(C + 2)))
+            self._fp._refresh_poly(boost=1)
+        return self._fp
+
+    def digit_vectors(self, b, T):
+        """Yields the base-p digit vectors of (det * A^-1 b) mod p^T: the
+        one lifting recurrence (``_lift_digits``) with multiplier det."""
+        yield from _lift_digits(self.op, self.u, self._mod_p_solver(), b,
+                                self.det, T)
 
     def lift_length(self, b):
-        """T with p^T certifiably above 4 max |det * (A^-1 b)_i| (Cramer),
-        from (U sqrt(n))^(n-1) |b|_inf sqrt(n) or, for a plain matrix, the
-        smaller Hadamard row bound on A with a column replaced by b, which
-        counts b_r in every row: far smaller unless |b| dwarfs U.  The
-        factor 4, not the 2 that recovery alone needs, is the margin that
-        keeps sign_combine's comparison right on rounded accumulators
-        (module docstring)."""
-        n, u = self.n, self.u
-        colnorm = u * _isqrt_ceil(n)
-        bnorm = max((abs(x) for x in b), default=0) * _isqrt_ceil(n)
-        bound = 4 * colnorm ** max(0, n - 1) * max(1, bnorm)
-        if self.op.kind == BASE:
-            bound = min(bound, 4 * row_norm_bound(self.op, b))
+        """T with p^T certifiably above 4 max |det * (A^-1 b)_i|, from
+        ``_cramer_bound``.  The factor 4, not the 2 that recovery alone
+        needs, is the margin that keeps sign_combine's comparison right on
+        rounded accumulators (module docstring)."""
+        bound = 4 * _cramer_bound(self.op, self.u, b)
         T = 1
         ppow = self.prime
         while ppow <= bound:
@@ -448,6 +592,7 @@ class RationalSolver:
                              f"got {K!r}")
         if self.det == 0:
             return SolveOutcome(True)
+        self._mod_p_solver()
         p = self.prime
         T = self.lift_length(b)
         # exponents reach T * log2(p); widen until they are representable.

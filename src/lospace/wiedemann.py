@@ -77,7 +77,7 @@ def minimal_polynomial(a, p, boost=1, rng=None):
     return best
 
 
-def determinant_zp(a, p, delta=1e-9, rng=None):
+def determinant_zp(a, p, delta=1e-9, rng=None, certificate=False):
     """det(a) mod p via the random-diagonal preconditioner.
 
     Each run draws d with every d_i nonzero and takes the recurrence g of
@@ -96,6 +96,11 @@ def determinant_zp(a, p, delta=1e-9, rng=None):
     orthogonal to h(M) y, at most 2/p together, and every prime window
     starts above 16.  Every answer is certified: when no run yields a
     certificate the routine raises RetriesExhausted.
+
+    With certificate=True the result is (det mod p, d, g).  A nonzero
+    residue comes only from the first outcome, so its g is the
+    characteristic polynomial of diag(d) A, a recurrence an FpSolver over
+    that matrix can start from (``FpSolver(..., diag=d, poly=g)``).
     """
     if a.n != a.m:
         raise ValueError("determinant_zp needs a square operator")
@@ -113,60 +118,89 @@ def determinant_zp(a, p, delta=1e-9, rng=None):
                 prod = 1
                 for di in d:
                     prod = prod * di % p
-                return sign * g[0] * f.inv(prod) % p
+                residue = sign * g[0] * f.inv(prod) % p
+                return (residue, d, g) if certificate else residue
     raise RetriesExhausted("determinant_zp found no certificate")
 
 
 class FpSolver:
-    """Repeated solves against one invertible matrix mod p.
+    """Repeated solves against one invertible matrix A mod p.
 
-    Computes the minimal polynomial once; each solve is then a Horner
-    application:  x = -g(0)^-1 (g_1 I + g_2 A + ... + g_d A^(d-1)) b,
-    exact whenever the cached recurrence is the true minimal polynomial
-    and verified against A x = b either way.  On a verification failure
-    the recurrence is rebuilt with fresh randomness.
+    Keeps one recurrence g of M, A itself or diag(diag) A when a diagonal
+    with every entry nonzero mod p is passed.  Each solve is then a Horner
+    application, x = -g(0)^-1 (g_1 I + g_2 M + ... + g_d M^(d-1)) c with
+    c = b, or c = diag(diag) b, exact whenever g is the true minimal
+    polynomial of M and verified against A x = b either way.  The
+    recurrence is built on first use, unless poly passes one to start
+    from (``determinant_zp``'s certificate), and rebuilt with fresh
+    randomness after a verification failure.
 
-    A context manager: the cached recurrence is charged to the meter as
-    ``fpsolver.poly`` until the ``with`` block ends.
+    A context manager: the recurrence is charged to the meter as
+    ``fpsolver.poly``, and the diagonal, when there is one, as
+    ``det.diag``, until the ``with`` block ends.
     """
 
-    def __init__(self, a, p, rng, delta=1e-9):
+    def __init__(self, a, p, rng, delta=1e-9, diag=None, poly=None):
         self.op = a
         if a.n != a.m:
             raise ValueError("FpSolver needs a square operator")
         self.p = p
         self.rng = rng
         self.f = Field(p)
-        self.delta = delta
+        self._diag = diag
+        self._m = a if diag is None else LinearOperator.diag_scale(diag, a)
+        self._word = p.bit_length() + 1
         self._gbar = None
+        if poly is not None:
+            self._keep(poly)
         self._budget = max(6, math.ceil(math.log2(1 / delta)))
-        self._poly = meter.track("fpsolver.poly", 0)
+        self._poly = meter.track(
+            "fpsolver.poly", 0 if self._gbar is None else len(poly) * self._word)
+        self._tracks = [self._poly]
+        if diag is not None:
+            self._tracks.append(meter.track("det.diag", a.n * self._word))
 
     def __enter__(self):
-        self._poly.__enter__()
+        for t in self._tracks:
+            t.__enter__()
         return self
 
     def __exit__(self, *exc):
-        self._poly.__exit__(*exc)
+        for t in self._tracks:
+            t.__exit__(*exc)
 
-    def _refresh_poly(self, boost):
-        g = minimal_polynomial(self.op, self.p, boost=boost, rng=self.rng)
+    def _keep(self, g):
+        """Cache g, unless it expresses no inverse: a degree-0 recurrence
+        (all-zero Krylov scalars), or one X divides, which every candidate
+        factor is only if M is singular mod p; for an invertible matrix
+        both are failed trials."""
         if len(g) == 1 or g[0] % self.p == 0:
-            # a degree-0 recurrence (all-zero Krylov scalars) expresses no
-            # inverse, and X divides every candidate factor only if A is
-            # singular mod p; for an invertible matrix both are failed trials
             self._gbar = None
             return
-        self._poly.resize(len(g) * (self.p.bit_length() + 1))
         self._gbar = g
         self._c0inv = self.f.inv((-g[0]) % self.p)
+
+    def _refresh_poly(self, boost):
+        self._keep(minimal_polynomial(self._m, self.p, boost=boost,
+                                      rng=self.rng))
+        if self._gbar is not None:
+            self._poly.resize(len(self._gbar) * self._word)
+
+    def _scaled(self, b):
+        """c = b, or diag(diag) b mod p, the vector M^-1 is applied to."""
+        if self._diag is None:
+            return b
+        p = self.p
+        return [d * bi % p for d, bi in zip(self._diag, b)]
 
     def solve(self, b):
         """x with A x = b (mod p), verified; raises RetriesExhausted.
 
         b holds residues in [0, p) and is read as it is, not copied; an
-        entry outside that range raises ValueError.  Only the two vectors
-        a solve makes, the Horner result and x, are charged."""
+        entry outside that range raises ValueError.  A solve holds two
+        vectors at a time, and they are what is charged: c, when the
+        diagonal makes it a copy, with the Horner result while Horner
+        runs, then that result and x."""
         f, p, op = self.f, self.p, self.op
         if min(b, default=0) < 0 or max(b, default=0) >= p:
             raise ValueError(f"right-hand side entries must lie in [0, {p})")
@@ -177,7 +211,7 @@ class FpSolver:
                     continue
             g = self._gbar
             with meter.track("fpsolver.vecs", 2 * f.vec_bits(b)):
-                acc = op.horner_apply(g[1:], b, f)
+                acc = self._m.horner_apply(g[1:], self._scaled(b), f)
                 x = f.scale(self._c0inv, acc)
                 if op.apply_mod(x, p) == b:
                     return x

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lospace import kernels, meter, solver
+from lospace import kernels, meter, solver, wiedemann
 from lospace.cli import bench_matrix
 from lospace.linop import DIAG_SCALE, GRAM, LinearOperator, SparseMatrix
 from lospace.meter import int_bits
@@ -139,12 +139,39 @@ def _spy_on_determinant_zp(monkeypatch):
     calls = []
     zp = solver.determinant_zp
 
-    def spy(op, p, *args):
+    def spy(op, p, *args, **kwargs):
         calls.append(p)
-        return zp(op, p, *args)
+        return zp(op, p, *args, **kwargs)
 
     monkeypatch.setattr(solver, "determinant_zp", spy)
     return calls
+
+
+def _spy_on_lift(monkeypatch):
+    """The list of denominators d that solver.determinant's lifts return."""
+    found = []
+    lift = solver._lift_denominator
+
+    def spy(*args):
+        found.append(lift(*args))
+        return found[-1]
+
+    monkeypatch.setattr(solver, "_lift_denominator", spy)
+    return found
+
+
+def _c_primes(lower, bound, d, top=None, pool=shared_pool):
+    """The primes whose residues give c = det / d: the shortest pool
+    prefix whose primes not dividing d multiply past bound / d, with the
+    primes dividing d left out."""
+    primes, prod, k = [], 1, 0
+    while prod * d <= bound:
+        k += 1
+        q = pool.get(lower, k, top=top)[-1]
+        if d % q:
+            primes.append(q)
+            prod *= q
+    return primes
 
 
 def _pool_prefix(lower, bound, top=None):
@@ -158,31 +185,40 @@ def _pool_prefix(lower, bound, top=None):
 
 def test_determinant_stops_at_the_row_norm_bound(monkeypatch):
     """On seeded tridiagonal-plus-noise matrices (n = 64, U = 100) the
-    determinant computes one residue per prime of the shortest prefix of
-    the operator's pool window [n^3 U, ..^2] whose product exceeds twice
-    the row-norm bound, fewer than the entry-bound form U^n n^(n/2)
-    needs."""
+    determinant lifts one divisor d > 1 of det at the first prime of the
+    operator's pool window [n^3 U, ..^2], then computes one residue per
+    prime of the shortest prefix of that window, primes dividing d left
+    out, whose product exceeds 2 H / d, H the row-norm bound.  That is
+    fewer primes than the prefix past 2 H that the CRT of det itself
+    needs, which is fewer than the entry-bound form U^n n^(n/2) needs."""
     calls = _spy_on_determinant_zp(monkeypatch)
+    lifts = _spy_on_lift(monkeypatch)
     n = 64
     for seed in (1, 2, 3):
         a = bench_matrix(n, random.Random(seed))
         lower = max(16, n ** 3 * a.entry_bound)
         top = a.prime_top()
         calls.clear()
+        lifts.clear()
         det = determinant(a, rng=seed)
-        assert det != 0
-        want = _pool_prefix(lower, 2 * row_norm_bound(a), top)
-        assert calls == shared_pool.get(lower, want, top=top)
-        assert want < _pool_prefix(lower, 2 * hadamard_bound(n, a.entry_bound),
-                                   top)
+        (d,) = lifts
+        assert det != 0 and d > 1 and det % d == 0
+        bound = 2 * row_norm_bound(a)
+        assert calls == _c_primes(lower, bound, d, top)
+        assert len(calls) < _pool_prefix(lower, bound, top)
+        assert _pool_prefix(lower, bound, top) < _pool_prefix(
+            lower, 2 * hadamard_bound(n, a.entry_bound), top)
 
 
 def test_gram_determinant_stops_at_the_column_norm_bound(monkeypatch):
-    """det(A^T A) <= prod_j |col_j|^2 (Hadamard, A^T A positive
-    semidefinite): the determinant of a Gram operator computes one residue
-    per prime of the shortest pool prefix past twice that bound, fewer
-    than the entry-bound form needs, and still matches the oracle."""
+    """det(A^T A) <= prod_j |col_j|^2 = H (Hadamard, A^T A positive
+    semidefinite): the determinant of a Gram operator lifts a divisor d of
+    det, then computes one residue per prime of the shortest pool prefix,
+    primes dividing d left out, whose product exceeds 2 H / d.  That is
+    fewer primes than the prefix past 2 H, which is fewer than the
+    entry-bound form needs, and the result matches the oracle."""
     calls = _spy_on_determinant_zp(monkeypatch)
+    lifts = _spy_on_lift(monkeypatch)
     rnd = random.Random(7)
     n, m = 24, 8
     dense = [[rnd.randrange(-100, 101) for _ in range(m)] for _ in range(n)]
@@ -193,13 +229,308 @@ def test_gram_determinant_stops_at_the_column_norm_bound(monkeypatch):
     bound = math.prod(sum(row[j] ** 2 for row in dense) for j in range(m))
     assert gram_bound(a) == bound
     det = determinant(gram, rng=5)
-    want = _pool_prefix(lower, 2 * bound, top)
-    assert calls == shared_pool.get(lower, want, top=top)
-    assert want < _pool_prefix(lower, 2 * hadamard_bound(m, gram.entry_bound),
-                               top)
+    (d,) = lifts
+    assert det % d == 0
+    assert calls == _c_primes(lower, 2 * bound, d, top)
+    assert len(calls) < _pool_prefix(lower, 2 * bound, top)
+    assert _pool_prefix(lower, 2 * bound, top) < _pool_prefix(
+        lower, 2 * hadamard_bound(m, gram.entry_bound), top)
     gram_dense = [[sum(row[i] * row[j] for row in dense) for j in range(m)]
                   for i in range(m)]
     assert det == oracle_det_bareiss(gram_dense)
+
+
+class _HeadPool:
+    """The shared pool with given primes moved to the front of every
+    stream."""
+
+    def __init__(self, head):
+        self.head = head
+
+    def get(self, lower, count, top=None):
+        rest = shared_pool.get(lower, count + len(self.head), top=top)
+        return (self.head + [q for q in rest if q not in self.head])[:count]
+
+
+def _lower_unit(rnd, n):
+    return [[1 if i == j else rnd.randrange(-3, 4) if j < i else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _times(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
+            for row in x]
+
+
+def _with_pivots(rnd, pivots):
+    """L diag(pivots) L'^T for unit lower-triangular L, L' with small
+    entries: a dense matrix whose determinant is prod(pivots)."""
+    n = len(pivots)
+    low = _lower_unit(rnd, n)
+    up = [list(col) for col in zip(*_lower_unit(rnd, n))]
+    mid = [[v if i == j else 0 for j in range(n)]
+           for i, v in enumerate(pivots)]
+    return _times(_times(low, mid), up)
+
+
+def test_determinant_is_d_times_c_on_seeded_families(monkeypatch):
+    """det = d c equals Bareiss on seeded sparse, dense and Gram families,
+    singular ones included: a nonzero residue at the first prime lifts a
+    divisor d of det, and a singular matrix's zero residue runs no lift."""
+    lifts = _spy_on_lift(monkeypatch)
+    rnd = random.Random(2026)
+    cases = []
+    for n in (8, 16, 33):
+        sparse = bench_matrix(n, rnd)
+        dense = [[0] * n for _ in range(n)]
+        for i, j, v in zip(sparse.rows, sparse.cols, sparse.vals):
+            dense[i][j] = v
+        cases.append((sparse, dense))
+        # a repeated row makes it singular
+        twice = [row[:] for row in dense]
+        twice[n - 1] = twice[0][:]
+        cases.append((SparseMatrix.from_dense(twice), twice))
+    for n in (5, 12):
+        dense = _dense_nonzero(rnd, n, n, 100)
+        cases.append((SparseMatrix.from_dense(dense), dense))
+        low = [row[:] for row in dense]
+        low[1] = [2 * v for v in low[0]]
+        cases.append((SparseMatrix.from_dense(low), low))
+    for n, m in ((20, 6), (30, 9)):
+        tall = _dense_nonzero(rnd, n, m, 100)
+        for cols in (tall, [row[:m - 1] + [row[0]] for row in tall]):
+            ata = [[sum(r[i] * r[j] for r in cols) for j in range(m)]
+                   for i in range(m)]
+            cases.append((LinearOperator.gram(SparseMatrix.from_dense(cols)),
+                          ata))
+    singular = 0
+    for k, (op, dense) in enumerate(cases):
+        lifts.clear()
+        want = oracle_det_bareiss(dense)
+        assert determinant(op, rng=k) == want
+        if want == 0:
+            singular += 1
+            assert lifts == []
+        else:
+            (d,) = lifts
+            assert want % d == 0
+    assert singular == 7
+
+
+def test_prime_dividing_det_falls_back_to_the_crt(monkeypatch):
+    """When the first prime divides det, its residue is 0 and no lift
+    runs: the CRT over that prime and the next ones decides det, exactly,
+    as before the lift existed.  The pool is patched to put such a prime
+    first."""
+    calls = _spy_on_determinant_zp(monkeypatch)
+    lifts = _spy_on_lift(monkeypatch)
+    rnd = random.Random(97)
+    q = 1_000_003
+    dense = _with_pivots(rnd, [q, 7, -5, 3, 11, 2])
+    a = SparseMatrix.from_dense(dense)
+    assert oracle_det_bareiss(dense) == q * 7 * -5 * 3 * 11 * 2
+    assert a._fused(q)
+    pool = _HeadPool([q])
+    monkeypatch.setattr(solver, "shared_pool", pool)
+    assert determinant(a, rng=3) == q * 7 * -5 * 3 * 11 * 2
+    assert lifts == []
+    lower, top = solver._prime_window(a, det=True)
+    assert calls == _c_primes(lower, 2 * row_norm_bound(a), 1, top, pool)
+    assert calls[0] == q
+
+
+def test_prime_dividing_d_is_skipped(monkeypatch):
+    """A prime that divides the lift's denominator d carries no residue
+    of c = det / d: the CRT skips it and takes the next one.  The pool is
+    patched to put such a prime second; det is still exact."""
+    calls = _spy_on_determinant_zp(monkeypatch)
+    lifts = _spy_on_lift(monkeypatch)
+    rnd = random.Random(98)
+    q = 1_000_003
+    pivots = [q, q, 9, -7, 5, 3]
+    dense = _with_pivots(rnd, pivots)
+    a = SparseMatrix.from_dense(dense)
+    want = math.prod(pivots)
+    assert oracle_det_bareiss(dense) == want
+    lower, top = solver._prime_window(a, det=True)
+    p = shared_pool.get(lower, 1, top=top)[0]
+    assert want % p
+    pool = _HeadPool([p, q])
+    monkeypatch.setattr(solver, "shared_pool", pool)
+    assert determinant(a, rng=4) == want
+    (d,) = lifts
+    assert d % q == 0 and want % d == 0
+    assert calls == _c_primes(lower, 2 * row_norm_bound(a), d, top, pool)
+    assert calls[0] == p and q not in calls and len(calls) > 1
+
+
+def test_sparse_determinant_runs_at_most_three_berlekamp_massey_calls(
+        monkeypatch):
+    """On the seeded n = 64 tridiagonal-plus-noise family a determinant
+    makes at most 3 Berlekamp-Massey calls: the residue at the lift prime
+    and those of c = det / d, where the CRT of det itself makes one per
+    prime, 9 on this family."""
+    count = []
+    bm = kernels.Field.berlekamp_massey
+
+    def spy(self, seq):
+        count.append(len(seq))
+        return bm(self, seq)
+
+    monkeypatch.setattr(kernels.Field, "berlekamp_massey", spy)
+    for seed in (1, 2, 3, 4, 5):
+        count.clear()
+        assert determinant(bench_matrix(64, random.Random(seed)), rng=seed)
+        assert 1 <= len(count) <= 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10 ** 30, 10 ** 30), den=st.integers(1, 10 ** 20),
+       slack=st.integers(0, 10 ** 6))
+def test_reconstruction_recovers_every_fraction_in_bounds(num, den, slack):
+    """For M > 2 (N + 1) H, N >= |num| and H >= den, the reconstruction
+    returns den / gcd(num, den) from num / den mod M alone."""
+    nb, h = abs(num) + slack, den + slack
+    M = next(q for q in range(2 * (nb + 1) * h + 1, 2 * (nb + 1) * h + 10 ** 4)
+             if math.gcd(q, den) == 1)
+    v = num * pow(den, -1, M) % M
+    got = solver._reconstructed_denominator(v, M, nb, h)
+    assert got == den // math.gcd(num, den)
+
+
+def test_determinant_lift_charges_what_it_holds(monkeypatch):
+    """On seeded sparse, dense and Gram operators, after every lift digit
+    and every reconstruction step, the determinant's new buffers hold at
+    most what is charged: b', r and the running r.x (with the
+    reconstruction's r0, r1, t0, t1 and quotient) as lift.accumulators,
+    M and the power of p as lift.ppow, the FpSolver's diagonal as
+    det.diag and its recurrence as fpsolver.poly; the meter balances."""
+    m = meter.WorkspaceMeter()
+    lift_digits = solver._lift_digits
+    checks = []
+
+    def live(label):
+        return m.by_label.get(label, [0])[0]
+
+    def digits_spy(op, u, fp, b, mult, T):
+        caller = sys._getframe(1)
+        for digits in lift_digits(op, u, fp, b, mult, T):
+            yield digits
+            if caller.f_code.co_name != "_lift_denominator":
+                continue
+            held = caller.f_locals
+            assert (int_bits(held["acc"]) + meter.intvec_bits(held["b"])
+                    + meter.intvec_bits(held["r"])
+                    <= live("lift.accumulators"))
+            assert (int_bits(held["ppow"]) + int_bits(held["M"])
+                    <= live("lift.ppow"))
+            assert meter.intvec_bits(fp._diag) <= live("det.diag")
+            assert meter.intvec_bits(fp._gbar) <= live("fpsolver.poly")
+            checks.append("digit")
+
+    code = solver._reconstructed_denominator.__code__
+
+    def steps(frame, event, arg):
+        if event == "line":
+            outer = frame.f_back.f_locals
+            held = sum(int_bits(frame.f_locals[name])
+                       for name in ("r0", "r1", "t0", "t1", "q")
+                       if name in frame.f_locals)
+            held += (int_bits(outer["acc"]) + meter.intvec_bits(outer["b"])
+                     + meter.intvec_bits(outer["r"]))
+            assert held <= live("lift.accumulators")
+            checks.append("step")
+        return steps
+
+    def calls(frame, event, arg):
+        return steps if event == "call" and frame.f_code is code else None
+
+    monkeypatch.setattr(solver, "_lift_digits", digits_spy)
+    rnd = random.Random(3)
+    ops = [bench_matrix(40, rnd),
+           SparseMatrix.from_dense(_dense_nonzero(rnd, 12, 12, 100)),
+           LinearOperator.gram(SparseMatrix.from_dense(
+               _dense_nonzero(rnd, 30, 9, 100)))]
+    previous = sys.gettrace()
+    for k, op in enumerate(ops):
+        checks.clear()
+        sys.settrace(calls)
+        try:
+            with m.activate():
+                assert determinant(op, rng=k) != 0
+        finally:
+            sys.settrace(previous)
+        assert "digit" in checks and "step" in checks
+        assert m.current_bits == 0
+        assert {label: v for label, (v, _) in m.by_label.items() if v} == {}
+
+
+def test_solve_reuses_the_determinants_recurrence(monkeypatch):
+    """RationalSolver keeps the FpSolver its determinant lifted with when
+    its own lift prime is that prime, as it is on a plain sparse matrix
+    and on a Gram operator: a solve then runs no Wiedemann trial, and its
+    output equals the one from a solver that built its own recurrence."""
+    trials = []
+    trial = wiedemann._one_wiedemann_trial
+
+    def spy(*args):
+        trials.append(args[0].kind)
+        return trial(*args)
+
+    monkeypatch.setattr(wiedemann, "_one_wiedemann_trial", spy)
+    rnd = random.Random(11)
+    sparse = bench_matrix(64, rnd)
+    gram = LinearOperator.gram(SparseMatrix.from_dense(
+        _dense_nonzero(rnd, 40, 12, 100)))
+    for op in (sparse, gram):
+        b = [rnd.randrange(-100, 101) for _ in range(op.n)]
+        kept = []
+        det = determinant(op, rng=5, keep=kept)
+        with RationalSolver(op, 1e-6, 5) as s:
+            assert s._fp is not None and s._fp.p == s.prime == kept[0].p
+            trials.clear()
+            x = s.solve(b).x
+            assert trials == []
+        with RationalSolver(op, 1e-6, 5, det=det) as own:
+            assert own.prime == s.prime
+            assert own.solve(b).x == x
+            assert trials == [op.kind]
+
+
+def test_recurrence_is_built_before_the_lift_buffers(monkeypatch):
+    """Where no residue is handed over, the solver's Wiedemann trial runs
+    before any lift buffer opens: after the spectral-style det= hand-off,
+    and on a dense U = 10^12 matrix whose determinant draws from the
+    n^2 U window while the lift keeps the n^3 U one."""
+    m = meter.WorkspaceMeter()
+    trials = []
+    trial = wiedemann._one_wiedemann_trial
+
+    def spy(*args):
+        trials.append([label for label, (v, _) in m.by_label.items()
+                       if v and label.startswith("lift.")])
+        return trial(*args)
+
+    monkeypatch.setattr(wiedemann, "_one_wiedemann_trial", spy)
+    rnd = random.Random(40)
+    sparse = bench_matrix(24, rnd)
+    band = SparseMatrix.from_dense(_dense_nonzero(rnd, 12, 12, 10 ** 12))
+    assert 2 * window_floor(12 ** 3 * band.entry_bound) > band.prime_top()
+    for op, det in ((sparse, determinant(sparse, rng=1)), (band, None)):
+        b = [rnd.randrange(-100, 101) for _ in range(op.n)]
+        with RationalSolver(op, 1e-6, 7, det=det) as s:
+            assert s._fp is None
+            with m.activate():
+                trials.clear()
+                s.solve(b)
+        assert trials and trials == [[]] * len(trials)
+
+
+def test_lin_solve_refuses_the_empty_system():
+    """A 0 x 0 system raises a ValueError that names it, not a math
+    domain error from a logarithm of n U."""
+    with pytest.raises(ValueError, match="nonempty system"):
+        lin_solve(SparseMatrix.from_entries(0, 0, []), [], 1e-6)
 
 
 def test_row_norm_bound_with_b_dominates_cramer_numerators():
@@ -514,7 +845,9 @@ def test_lift_accumulators_fit_the_linear_budget(system, seed):
     exponent, plus one bit per all-digits-zero flag) never exceed its
     lift.accumulators charge, (hi - lo) pairs of pair_bits(L, top_exp);
     that charge fits B = 16 n ceil(log2(2nU)) bits, or is exactly one pair
-    when a block holds one coordinate; and K - 1 blocks would not fit."""
+    when a block holds one coordinate; and K - 1 blocks would not fit.
+    The meter runs for the solve alone: the determinant's own lift charges
+    the same label (test_determinant_lift_charges_what_it_holds)."""
     dense, b, eps = system
     a = SparseMatrix.from_dense(dense)
     n = a.n
@@ -547,10 +880,11 @@ def test_lift_accumulators_fit_the_linear_budget(system, seed):
                 assert math.ceil(n / (K - 1)) * pair > budget
             digits_seen.append(hi)
 
-    with pytest.MonkeyPatch.context() as mp, m.activate():
+    with (pytest.MonkeyPatch.context() as mp,
+          RationalSolver(a, eps, seed) as s, m.activate()):
         mp.setattr(RationalSolver, "block_count", count_spy)
         mp.setattr(RationalSolver, "digit_vectors", digit_spy)
-        lin_solve(a, b, eps, seed)
+        s.solve(b)
     (pair, K), = seen
     assert digits_seen and digits_seen[-1] == n
     assert m.by_label["lift.accumulators"][1] == math.ceil(n / K) * pair
@@ -661,7 +995,9 @@ def test_failed_solve_releases_every_charge(monkeypatch):
     real_solve = FpSolver.solve
 
     def failing_solve(self, b):
-        calls.append(b)
+        # count only the solve's own lift, once solver.det is charged
+        if meter.current().by_label.get("solver.det", [0])[0]:
+            calls.append(b)
         if len(calls) == 2:
             raise RetriesExhausted("injected")
         return real_solve(self, b)
@@ -838,8 +1174,10 @@ def test_solver_lifts_with_the_determinants_stream(monkeypatch):
 def test_band_determinant_stays_on_the_fused_kernels(monkeypatch):
     """Dense n = 40 at U = 10^10: the n^3 U window starts above half the
     word bound, so its primes are all too wide for the int64 kernels.
-    The determinant falls back to the capped n^2 U window and every
-    Krylov and Horner call is fused; the lift keeps the n^3 U window.
+    The determinant falls back to the capped n^2 U window: its lift runs
+    at that window's first prime, its residues at the shortest prefix of
+    that window whose primes, those dividing the lift's d left out,
+    multiply past 2 H / d, and every Krylov and Horner call is fused.
     The result equals Bareiss."""
     rnd = random.Random(40)
     n, u = 40, 10 ** 10
@@ -856,9 +1194,13 @@ def test_band_determinant_stays_on_the_fused_kernels(monkeypatch):
 
     monkeypatch.setattr(LinearOperator, "_fused", spy)
     calls = _spy_on_determinant_zp(monkeypatch)
+    lifts = _spy_on_lift(monkeypatch)
     assert determinant(a, rng=9) == oracle_det_bareiss(dense)
     assert fused and all(fused)
-    assert calls == shared_pool.get(n * n * a.entry_bound, len(calls), top=top)
+    (d,) = lifts
+    lower = n * n * a.entry_bound
+    assert calls == _c_primes(lower, 2 * row_norm_bound(a), d, top)
+    assert len(calls) < _pool_prefix(lower, 2 * row_norm_bound(a), top)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
