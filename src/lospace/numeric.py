@@ -196,6 +196,20 @@ def fl_add_same_sign(x: FloatL, y: FloatL) -> FloatL:
     return _round_to_l(total, 1, lo.exponent, L)
 
 
+def fl_add_scaled(x: FloatL, k: int, y: FloatL) -> FloatL:
+    """x + k * y for an integer k, any signs, in one rounding at x's L.
+
+    y may carry another L: its value is taken exactly, so the result is
+    the nearest x.L-bit float to the exact x + k y.  A zero k y returns x.
+    """
+    t = k * y.mantissa
+    if not t:
+        return x
+    e = min(x.exponent, y.exponent)
+    total = (x.mantissa << (x.exponent - e)) + (t << (y.exponent - e))
+    return _round_to_l(total, 1, e, x.L)
+
+
 def fl_mul(x: FloatL, y: FloatL) -> FloatL:
     """x * y in one rounding."""
     if x.L != y.L:

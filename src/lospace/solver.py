@@ -36,47 +36,47 @@ never correctness.
 The solver multiplies the system by det(A) so the solution is integral,
 then recovers it digit by digit in base p for one prime p >= n^3 U without
 ever holding a big residual vector: the small integer carry r~ and the
-current digits are the only n-vectors in play, while two nonnegative
-L-bit-float accumulators per tracked coordinate absorb the digits of
-v = det x_i mod p^T: y+ = sum d_i p^i and y- = sum (p - 1 - d_i) p^i.
-A per-coordinate all-digits-zero flag preserves exact zeros.  Three rules
-size the lift (Dixon, Numer. Math. 40, 1982, for the lifting itself):
+current digits are the only n-vectors in play, while one signed L-bit
+float accumulator per tracked coordinate absorbs the balanced digits
+d_i in [-(p - 1)/2, (p - 1)/2] of z = det x_i as s = sum d_i p^i.  Three
+rules size the lift (Dixon, Numer. Math. 40, 1982, for the lifting itself):
 
 - Lift margin (``lift_length``).  T is the least length with p^T above
-  4 C, C a Cramer bound on |det x_i|.  Then y+ = v <= p^T / 4 and
-  y- = p^T - 1 - v >= 3 p^T / 4 - 1 for v >= 0, and the other way round
-  for v < 0 (y- = |v| - 1), so the true pair differs by a factor of at
-  least 3 - 4 / p^T >= 2.75 > e: the accumulator that stays small gives
-  the sign whenever both are within e^(1/2) of exact, as the next rule
-  keeps them.
-- Accumulator precision (``solve``).  Each rounding at L bits is within
-  e^(2^-L), and a sum of same-sign terms is within e^(k 2^-L) of exact
-  when every term has passed at most k roundings (``numeric``).  Digit i
-  (0 <= i < T) passes: fl_p's rounding, which p^i holds i times; the i
-  products of the p^i chain; the term's fl_from_int and fl_mul; and the
-  add that takes it in with every later add, at most T - i.  That is
-  T + i + 2 <= 2T + 1, and the negative branch's +1 makes k = 2T + 2.
-  Accumulating at L_acc = max(16, ceil(log2((2T + 2) / eps)) + 2) keeps
-  both accumulators within e^(eps/4), e^(1/4) at worst.  The quotient
-  y / det is the one rounding at the output precision L, which has at
-  least ceil(log2(1 / eps)) + 2 bits of the requested eps and so adds
-  at most eps/4 more: every entry is within e^(eps/2), and the other
-  half of eps is slack.  Exponents reach T log2 p, so L_acc widens until
-  they are representable.  Below the clamp,
-  eps < 2^-(2n ceil(log2(2nU))), the accumulators are exact instead,
-  with a mantissa for every digit of p^T, and only the quotient rounds.
-- Block count (``block_count``).  A coordinate's accumulator pair is
-  charged what it can hold (``pair_bits``):
-  P = 2 ((L_acc + 1) + int_bits(top_exp)) + 1 bits, with
-  top_exp = T (bitlen(p) + 1) + 64.  Each accumulator is a canonical
-  FloatL of a nonnegative integer: an odd mantissa below 2^L_acc, at most
-  L_acc + 1 bits with its sign, and an exponent in [0, top_exp], since
-  both sums stay below 2 p^T; the last bit is the all-digits-zero flag.
-  Coordinates go in K blocks, the fewest whose pairs fit
-  B = 16 n ceil(log2(2nU)) bits: K = ceil(n / max(1, floor(B / P))).
-  One block's accumulators so never exceed B bits, or one pair's P when
-  a block holds a single coordinate.  The digit stream is re-run per
-  block, seeded identically, so K never changes the output.
+  2 C, C a Cramer bound on |z|.  T balanced digits represent each integer
+  of magnitude at most (p^T - 1)/2 exactly once, and the lift's digits
+  agree with z mod p^T, so sum d_i p^i = z: the sign and the exact zeros
+  come from the sum itself, and every digit past z's top one is zero.
+- Accumulator precision (``solve``).  A nonzero digit is taken in one
+  rounding, s <- round_L(s + d_i P_i) (``numeric.fl_add_scaled``), and a
+  zero digit is skipped.  P_i = round(p P_(i-1)) is carried at
+  L + 1 + 2 bitlen(i) bits, so its roundings add up to a relative
+  2^-L / 4 whatever i.  Only the top digit d_t can cancel: each partial
+  sum below it is at most (p^(k+1) - 1)/2 while |z| >= (p^t + 1)/2, so
+  the exact partial sums add up to less than (2 + 1/(p - 1)) |z| and
+  sum |d_i| p^i < 3 |z|.  To first order s is so within
+  (2.75 + 1/(p - 1)) 2^-L |z| of z, less than 4 2^-L |z| for every odd p
+  with the second-order terms, whatever T (the recursive-summation
+  analysis of Higham, SIAM J. Sci. Comput. 14(4), 1993).  Accumulating
+  at L_acc = max(16, ceil(log2(1 / eps)) + 4) keeps s within a relative
+  eps/4 of z, so within e^(eps/3).  The quotient s / det is the one
+  rounding at the output precision L, which has at least
+  ceil(log2(1 / eps)) + 2 bits of the requested eps and so adds at most
+  eps/4 more: every entry is within e^(7 eps/12), and the rest of eps is
+  slack.  Exponents reach T log2 p, so L_acc widens until they are
+  representable.  Below the clamp, eps < 2^-(2n ceil(log2(2nU))),
+  L_acc >= T (bitlen(p) + 1) + 8 instead, which holds every p^i and every
+  partial sum exactly, and only the quotient rounds.
+- Block count (``block_count``).  A coordinate's accumulator is charged
+  what it can hold: (L_acc + 1) + int_bits(top_exp) bits, with
+  top_exp = T (bitlen(p) + 1) + 64.  It is a canonical FloatL of an
+  integer of magnitude below p^T: an odd mantissa below 2^L_acc, at most
+  L_acc + 1 bits with its sign, and an exponent in [0, top_exp].
+  Coordinates go in K blocks, the fewest whose accumulators fit
+  B = 16 n ceil(log2(2nU)) bits: K = ceil(n / max(1, floor(B / A))), A
+  the charge of one.  One block's accumulators so never exceed B bits, or
+  one accumulator's A when a block holds a single coordinate.  The digit
+  stream is re-run per block, seeded identically, so K never changes the
+  output.
 
 Both draw from one prime stream per operator, the window
 [max(16, n^3 U), ..^2] (``_prime_window``), capped below the top of its
@@ -114,22 +114,12 @@ import math
 import random
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 
 from . import meter
 from .meter import int_bits, intvec_bits
-from .numeric import (
-    GREATER,
-    FloatL,
-    _round_to_l,
-    fl_add_same_sign,
-    fl_cmp,
-    fl_from_int,
-    fl_mul,
-    fl_neg,
-    fl_zero,
-)
+from .numeric import _round_to_l, fl_add_scaled, fl_from_int, fl_zero
 from .linop import BASE, GRAM, LinearOperator, SparseMatrix
 from .primes import crt_combine, shared_pool, window_floor
 from .wiedemann import FpSolver, determinant_zp
@@ -189,15 +179,24 @@ def row_norm_bound(a: SparseMatrix, b=None):
     return _isqrt_ceil(prod) if rows == a.n else 0
 
 
-def gram_bound(a: SparseMatrix):
+def gram_bound(a: SparseMatrix, b=None):
     """prod_j |col_j|_2^2, Hadamard's bound on det(a^T a): a positive
     semidefinite matrix's determinant is at most the product of its
-    diagonal.  0 when a column of a is zero."""
+    diagonal.  0 when a column of a is zero.  With b, Hadamard's column
+    bound on a^T a with any one column replaced by b, so on
+    |det(a^T a) ((a^T a)^-1 b)_i| (Cramer): column j of a^T a is a^T a_j,
+    of norm at most |a_j|_2 |a|_F, which makes it
+    ceil(|b|_2 |a|_F^(m-1) prod |a_j|_2) over the m - 1 largest |a_j|_2."""
     sq = [0] * a.m
     with meter.track("det.colnorms", a.m * int_bits(a.n * a.entry_bound ** 2)):
         for j, v in zip(a.cols, a.vals):
             sq[j] += v * v
-        return math.prod(sq)
+        if b is None:
+            return math.prod(sq)
+        frob = sum(sq)
+        sq.remove(min(sq))
+        return _isqrt_ceil(sum(x * x for x in b) * frob ** len(sq)
+                           * math.prod(sq))
 
 
 def _prime_window(op, det=False):
@@ -313,15 +312,18 @@ def determinant(a, rng=None, window=None, keep=None) -> int:
 def _cramer_bound(op, u, b):
     """C >= max_i |det(op) (op^-1 b)_i|, the determinant of op with one
     column replaced by b (Cramer), for op's entry bound u:
-    (u sqrt(n))^(n-1) |b|_inf sqrt(n) or, for a plain matrix, the
-    smaller Hadamard row bound on that matrix, which counts b_r in every
-    row: far smaller unless |b| dwarfs u."""
+    (u sqrt(n))^(n-1) |b|_inf sqrt(n) or, when smaller, Hadamard's bound
+    on that matrix from the operator's own norms: for a plain matrix its
+    row bound, which counts b_r in every row, far smaller unless |b|
+    dwarfs u; for a Gram product its column bound (``gram_bound``)."""
     n = op.n
     colnorm = u * _isqrt_ceil(n)
     bnorm = max((abs(x) for x in b), default=0) * _isqrt_ceil(n)
     bound = colnorm ** max(0, n - 1) * max(1, bnorm)
     if op.kind == BASE:
         bound = min(bound, row_norm_bound(op, b))
+    elif op.kind == GRAM:
+        bound = min(bound, gram_bound(op.base, b))
     return bound
 
 
@@ -340,7 +342,7 @@ def _lift_denominator(a, u, fp, h, rng):
     while M <= 2 * (nb + 1) * h:
         M *= p
         T += 1
-    # r.digits < n 2^16 p, so the running sum stays below n 2^16 M
+    # |r.digits| < n 2^16 p, so the running sum stays below n 2^16 M
     with (meter.track("lift.accumulators", intvec_bits(b) + intvec_bits(r)
                       + int_bits(n * M << 16)),
           meter.track("lift.ppow", 2 * int_bits(M))):
@@ -375,13 +377,22 @@ def _reconstructed_denominator(v, M, nb, h):
 
 
 def _lift_digits(op, u, fp, b, mult, T):
-    """Yields the base-p digit vectors of (mult * op^-1 b) mod p^T, p =
-    fp.p, each digit vector fp's mod-p solve; u is op's entry bound.
+    """Yields the balanced base-p digit vectors of (mult * op^-1 b) mod
+    p^T, p = fp.p: each is fp's mod-p solve with its entries moved into
+    [-(p - 1)/2, (p - 1)/2]; u is op's entry bound.
 
     Exactly the lifting recurrence: rhs_i = (floor(b mult / p^i) - r~) mod p,
-    digits = op^-1 rhs_i mod p, r~ <- floor((r~ + op digits) / p).  The
-    solver lifts det * x with mult = det, the determinant x itself with
-    mult = 1.
+    digits = op^-1 rhs_i mod p, balanced, r~ <- floor((r~ + op digits) / p).
+    Any digit representatives keep sum_i digits_i p^i = mult op^-1 b
+    (mod p^T); balanced ones make the sum exact once p^T exceeds twice its
+    magnitude.  The solver lifts det * x with mult = det, the determinant
+    x itself with mult = 1.
+
+    The carry stays within n u: |op digits| <= n u (p - 1)/2, so if
+    |r~| <= n u, the numerator r~ + op digits - c, c in [0, p) the
+    remainder the floor drops, is below n u (p + 1)/2 + p <= p (n u + 1)
+    in magnitude, and the next carry, an integer below n u + 1, is again
+    at most n u.
     """
     n = op.n
     p = fp.p
@@ -389,7 +400,8 @@ def _lift_digits(op, u, fp, b, mult, T):
     # once p^i outruns |b_j mult|, the quotient is frozen at 0 or -1
     tails = [(-1 if bj * mult < 0 else 0) for bj in b]
     r_tilde = [0] * n
-    bound_r = 2 * n * u
+    bound_r = n * u
+    half = p // 2
     with (meter.track("lift.rtilde", n * (bound_r.bit_length() + 2)),
           meter.track("lift.ppow", 1) as ppow_bits,
           meter.track("lift.rhs+digits", 2 * n * (p.bit_length() + 1))):
@@ -400,7 +412,7 @@ def _lift_digits(op, u, fp, b, mult, T):
                        for bj, rj in zip(b, r_tilde)]
             else:
                 rhs = [(tj - rj) % p for tj, rj in zip(tails, r_tilde)]
-            digits = fp.solve(rhs)
+            digits = [d - p if d > half else d for d in fp.solve(rhs)]
             yield digits
             ay = op.apply_int(digits)
             r_tilde = [(rj + aj) // p for rj, aj in zip(r_tilde, ay)]
@@ -415,24 +427,6 @@ def _lift_digits(op, u, fp, b, mult, T):
                     ppow_bits.resize(int_bits(ppow))
 
 
-def sign_combine(y_plus: FloatL, y_minus: FloatL, all_digits_zero: bool) -> FloatL:
-    """Resolve the signed accumulator pair into one value.
-
-    The digit stream encodes v mod p^T with v = det * x_i; the positive
-    branch keeps y+ small (= v) while the negative branch keeps y- small
-    (= |v| - 1).  Exact zeros are reported via the digits-all-zero flag
-    because y- alone cannot distinguish 0 from p^T - 1.  With p^T above
-    4 |v| (lift_length) the exact pair differs by a factor of at least
-    2.75, so the comparison is right while both are within e^(1/2).
-    """
-    if all_digits_zero:
-        return fl_zero(y_plus.L)
-    if fl_cmp(y_plus, y_minus) != GREATER:
-        return y_plus
-    one = fl_from_int(1, y_minus.L)
-    return fl_neg(fl_add_same_sign(y_minus, one))
-
-
 def _exponent_room(L, top_exp):
     """L widened in steps of 8 until exponents up to top_exp + L fit."""
     while (1 << L) < top_exp + L:
@@ -440,12 +434,20 @@ def _exponent_room(L, top_exp):
     return L
 
 
-def pair_bits(L, top_exp):
-    """Bits one coordinate's accumulators hold at most: two canonical
-    L-bit floats of nonnegative integers, each an odd mantissa below 2^L
-    (L + 1 bits with its sign) and an exponent in [0, top_exp], plus the
-    all-digits-zero flag (module docstring, "Block count")."""
-    return 2 * ((L + 1) + int_bits(top_exp)) + 1
+def _signed_sums(digit_vectors, lo, hi, p, L):
+    """One L-bit float per coordinate lo..hi-1 of the balanced base-p
+    digit vectors: s <- round_L(s + d_i P_i) for each nonzero digit, with
+    P_i = p^i rounded at L + 1 + 2 bitlen(i) bits (module docstring,
+    "Accumulator precision")."""
+    acc = [fl_zero(L)] * (hi - lo)
+    power = fl_from_int(1, L)
+    for i, digits in enumerate(digit_vectors, 1):
+        for k, d in enumerate(islice(digits, lo, hi)):
+            if d:
+                acc[k] = fl_add_scaled(acc[k], d, power)
+        power = _round_to_l(p * power.mantissa, 1, power.exponent,
+                            L + 1 + 2 * i.bit_length())
+    return acc
 
 
 class RationalSolver:
@@ -539,17 +541,17 @@ class RationalSolver:
         return self._fp
 
     def digit_vectors(self, b, T):
-        """Yields the base-p digit vectors of (det * A^-1 b) mod p^T: the
-        one lifting recurrence (``_lift_digits``) with multiplier det."""
+        """Yields the balanced base-p digit vectors of det * A^-1 b mod
+        p^T: the one lifting recurrence (``_lift_digits``) with multiplier
+        det."""
         yield from _lift_digits(self.op, self.u, self._mod_p_solver(), b,
                                 self.det, T)
 
     def lift_length(self, b):
-        """T with p^T certifiably above 4 max |det * (A^-1 b)_i|, from
-        ``_cramer_bound``.  The factor 4, not the 2 that recovery alone
-        needs, is the margin that keeps sign_combine's comparison right on
-        rounded accumulators (module docstring)."""
-        bound = 4 * _cramer_bound(self.op, self.u, b)
+        """T with p^T certifiably above 2 max |det * (A^-1 b)_i|, from
+        ``_cramer_bound``: T balanced digits then sum to det * (A^-1 b)_i
+        exactly (module docstring, "Lift margin")."""
+        bound = 2 * _cramer_bound(self.op, self.u, b)
         T = 1
         ppow = self.prime
         while ppow <= bound:
@@ -557,32 +559,31 @@ class RationalSolver:
             T += 1
         return T
 
-    def block_count(self, pair):
-        """K, the fewest coordinate blocks whose accumulator pairs, at
-        ``pair`` bits each (``pair_bits``: two canonical FloatL of
-        (L_acc + 1) + int_bits(top_exp) bits and the all-digits-zero flag),
-        fit the linear budget B = 16 n ceil(log2(2nU)) bits; a block holds
-        one coordinate when a single pair exceeds B."""
+    def block_count(self, acc_bits):
+        """K, the fewest coordinate blocks whose accumulators, at
+        ``acc_bits`` bits each (a canonical FloatL of
+        (L_acc + 1) + int_bits(top_exp) bits), fit the linear budget
+        B = 16 n ceil(log2(2nU)) bits; a block holds one coordinate when a
+        single accumulator exceeds B."""
         n = self.n
         budget = 16 * n * self._word_bits
-        per_block = max(1, budget // pair)
+        per_block = max(1, budget // acc_bits)
         return -(-n // per_block)
 
     def solve(self, b, K=None) -> SolveOutcome:
         """Entry-wise e^eps approximation of A^-1 b, exact zeros kept.
 
-        The lift runs T = lift_length(b) digits into accumulators of
-        L_acc = max(16, ceil(log2((2T + 2) / eps)) + 2) bits, the rounding
-        count of the module docstring, widened until the exponents of p^T
-        are representable, or exact below the clamp; y / det is then
+        The lift runs T = lift_length(b) balanced digits into one signed
+        accumulator per coordinate of L_acc = max(16, ceil(log2(1 / eps))
+        + 4) bits (``_signed_sums``), widened until the exponents of p^T
+        are representable, or exact below the clamp; s / det is then
         rounded once at self.L, widened the same way when the exponents
-        need it.  One coordinate's pair is charged
-        pair_bits(L_acc, top_exp) bits, top_exp = T (bitlen(p) + 1) + 64,
-        which bounds its two canonical accumulators (odd mantissas below
-        2^L_acc, exponents in [0, top_exp]) and its flag.  K blocks
-        re-run the digit stream and never change the output: K = None
-        takes block_count of that pair, and any other K must be an int in
-        1..n (ValueError otherwise)."""
+        need it.  One accumulator is charged (L_acc + 1) + int_bits(top_exp)
+        bits, top_exp = T (bitlen(p) + 1) + 64, which bounds its canonical
+        float (an odd mantissa below 2^L_acc, an exponent in
+        [0, top_exp]).  K blocks re-run the digit stream and never change
+        the output: K = None takes block_count of that charge, and any
+        other K must be an int in 1..n (ValueError otherwise)."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
         n = self.n
@@ -599,45 +600,27 @@ class RationalSolver:
         # The widening stays local, so a solve never depends on earlier ones
         top_exp = T * (p.bit_length() + 1) + 64
         L_out = _exponent_room(self.L, top_exp)
-        # 2T + 2 roundings of 2^-L each stay within e^(eps/4)
-        L = _exponent_room(max(16, math.ceil(
-            math.log2(2 * T + 2) - math.log2(self.eps)) + 2), top_exp)
+        # a relative 4 * 2^-L of the sum stays within eps/4
+        L = _exponent_room(max(16, math.ceil(-math.log2(self.eps)) + 4),
+                           top_exp)
         if self._clamped:
             # below the clamp the accumulators must be exact: give the
             # mantissa room for every digit of p^T
             L = max(L, T * (p.bit_length() + 1) + 8)
-        pair = pair_bits(L, top_exp)
+        acc_bits = (L + 1) + int_bits(top_exp)
         if K is None:
-            K = self.block_count(pair)
+            K = self.block_count(acc_bits)
         block = math.ceil(n / K)
         out = [None] * n
-        fl_p = fl_from_int(p, L)
         sign = -1 if self.det < 0 else 1
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            with meter.track("lift.accumulators", (hi - lo) * pair):
-                y_plus = [fl_zero(L)] * (hi - lo)
-                y_minus = [fl_zero(L)] * (hi - lo)
-                all_zero = [True] * (hi - lo)
-                ppow_fl = fl_from_int(1, L)
-                for digits in self.digit_vectors(b, T):
-                    for j in range(lo, hi):
-                        d = digits[j]
-                        k = j - lo
-                        if d:
-                            all_zero[k] = False
-                            y_plus[k] = fl_add_same_sign(
-                                y_plus[k], fl_mul(fl_from_int(d, L), ppow_fl))
-                        comp = p - 1 - d
-                        if comp:
-                            y_minus[k] = fl_add_same_sign(
-                                y_minus[k], fl_mul(fl_from_int(comp, L), ppow_fl))
-                    ppow_fl = fl_mul(ppow_fl, fl_p)
-                for k in range(hi - lo):
-                    y = sign_combine(y_plus[k], y_minus[k], all_zero[k])
-                    # y / det, rounded once at the output precision
-                    out[lo + k] = _round_to_l(sign * y.mantissa, abs(self.det),
-                                              y.exponent, L_out)
+            with meter.track("lift.accumulators", (hi - lo) * acc_bits):
+                sums = _signed_sums(self.digit_vectors(b, T), lo, hi, p, L)
+                for k, s in enumerate(sums, lo):
+                    # s / det, rounded once at the output precision
+                    out[k] = _round_to_l(sign * s.mantissa, abs(self.det),
+                                         s.exponent, L_out)
         return SolveOutcome(False, out)
 
 

@@ -15,6 +15,7 @@ from lospace.numeric import (
     SignMismatch,
     fixed_from_fraction,
     fl_add_same_sign,
+    fl_add_scaled,
     fl_cmp,
     fl_cmp_fraction,
     fl_div,
@@ -94,6 +95,34 @@ def test_add_huge_exponent_gap_returns_big_operand():
     big = FloatL(5, 4000, 16)
     small = FloatL(3, -4000, 16)
     assert fl_add_same_sign(big, small) == big
+
+
+@settings(max_examples=300, deadline=None)
+@given(xm=st.integers(-(1 << 12), 1 << 12), xe=st.integers(-40, 40),
+       k=st.integers(-(1 << 20), 1 << 20), ym=st.integers(-(1 << 30), 1 << 30),
+       ye=st.integers(-40, 40), L=st.integers(7, 12))
+def test_add_scaled_is_one_nearest_rounding(xm, xe, k, ym, ye, L):
+    """fl_add_scaled(x, k, y) is the nearest x.L-bit float to the exact
+    x + k y, ties to even as fl_from_bigratio rounds them, for any signs
+    and a y wider than x: one rounding, never two."""
+    x = fl_from_bigratio(xm * 2 ** max(xe, 0), 2 ** max(-xe, 0), L)
+    y = fl_from_bigratio(ym * 2 ** max(ye, 0), 2 ** max(-ye, 0), 32)
+    exact = x.to_fraction() + k * y.to_fraction()
+    got = fl_add_scaled(x, k, y)
+    assert got == fl_from_bigratio(exact.numerator, exact.denominator, L)
+    assert abs(got.to_fraction() - exact) <= abs(exact) * Fraction(1, 2 ** L)
+
+
+def test_add_scaled_exact_cases():
+    x = fl_from_int(5, 8)
+    y = FloatL(3, 4, 20)
+    assert fl_add_scaled(x, 0, y) is x
+    assert fl_add_scaled(x, -1, fl_from_int(5, 20)).is_zero()
+    assert fl_add_scaled(fl_zero(8), -2, y).to_fraction() == -96
+    assert fl_add_scaled(x, 2, y).to_fraction() == 101
+    # 1 + 2^-20 rounds back to 1 at 8 bits, and 255 + 2 to 256
+    assert fl_add_scaled(fl_from_int(1, 8), 1, FloatL(1, -20, 4)).to_fraction() == 1
+    assert fl_add_scaled(fl_from_int(255, 8), 2, fl_from_int(1, 8)) == FloatL(1, 8, 8)
 
 
 def test_mul_exact_and_identity():

@@ -11,21 +11,20 @@ from lospace import kernels, meter, solver, wiedemann
 from lospace.cli import bench_matrix
 from lospace.linop import DIAG_SCALE, GRAM, LinearOperator, SparseMatrix
 from lospace.meter import int_bits
-from lospace.numeric import FloatL, fl_from_int, fl_mul, fl_add_same_sign, fl_zero, EQUAL
+from lospace.numeric import FloatL
 from lospace.oracle import SINGULAR as ORACLE_SINGULAR
 from lospace.oracle import oracle_det_bareiss, oracle_solve_exact
 from lospace.solver import (
     RationalSolver,
     SingularMatrix,
     _isqrt_ceil,
+    _signed_sums,
     determinant,
     gram_bound,
     hadamard_bound,
     lin_solve,
     linear_regression,
-    pair_bits,
     row_norm_bound,
-    sign_combine,
 )
 from lospace.primes import PrimePool, shared_pool, window_floor
 from lospace.wiedemann import FpSolver, RetriesExhausted
@@ -611,32 +610,70 @@ def test_bad_eps_raises_before_the_determinant(monkeypatch):
     assert m.current_bits == 0
 
 
-def test_sign_combine_matches_enumeration():
-    """For p=5, T=2 enumerate every representable signed value and check the
-    accumulator pair resolves back to it."""
-    p, T = 5, 2
-    L = 32
-    for v in range(-12, 13):
-        digits = []
-        acc = v % p ** T
-        for _ in range(T):
-            digits.append(acc % p)
-            acc //= p
-        yp, ym = fl_zero(L), fl_zero(L)
-        pw = fl_from_int(1, L)
-        for d in digits:
-            if d:
-                yp = fl_add_same_sign(yp, fl_mul(fl_from_int(d, L), pw))
-            if p - 1 - d:
-                ym = fl_add_same_sign(ym, fl_mul(fl_from_int(p - 1 - d, L), pw))
-            pw = fl_mul(pw, fl_from_int(p, L))
-        got = sign_combine(yp, ym, all(d == 0 for d in digits))
-        assert got.to_fraction() == v, (v, digits)
+def _balanced_digits(z, p, T):
+    """The T balanced base-p digits of z, |z| <= (p^T - 1)/2."""
+    digits = []
+    for _ in range(T):
+        d = z % p
+        d -= p if d > p // 2 else 0
+        digits.append(d)
+        z = (z - d) // p
+    assert z == 0
+    return digits
 
 
-def test_sign_combine_zero_flag():
-    z = sign_combine(fl_zero(16), fl_from_int(99, 16), True)
-    assert z.is_zero()
+def _summed(digits, p, L):
+    """_signed_sums over one coordinate's digit stream, as a Fraction."""
+    (s,) = _signed_sums(([d] for d in digits), 0, 1, p, L)
+    return s.to_fraction()
+
+
+def test_signed_sums_match_enumeration():
+    """For small p and T, every balanced digit string, so every z with
+    |z| <= (p^T - 1)/2, maximal cancellation (a top digit +-1 over an
+    opposite partial sum near p^t / 2) and z = 0 included: the one
+    signed accumulator lands within 4 2^-L |z| of z = sum d_i p^i at
+    mantissas down to L = 4, z = 0 stays exactly 0, and at
+    L = T (bitlen(p) + 1) + 8, the exact mode below the clamp, every sum
+    is z itself."""
+    for p, T in ((3, 6), (5, 5), (7, 4), (11, 3)):
+        top = (p ** T - 1) // 2
+        for z in range(-top, top + 1):
+            digits = _balanced_digits(z, p, T)
+            for L in (4, 6, 9):
+                got = _summed(digits, p, L)
+                assert abs(got - z) <= Fraction(4 * abs(z), 2 ** L), (p, z, L)
+            assert _summed(digits, p, T * (p.bit_length() + 1) + 8) == z
+    # maximal cancellation at a word-size prime: a top digit +-1 over the
+    # opposite partial sum -+(p^t - 1)/2, and random strings, at L = 16
+    p, rnd = 2 ** 31 - 1, random.Random(7)
+    h = (p - 1) // 2
+    for t in range(1, 8):
+        for sign in (1, -1):
+            digits = [-sign * h] * t + [sign] + [0] * 2
+            z = sum(d * p ** i for i, d in enumerate(digits))
+            assert abs(_summed(digits, p, 16) - z) <= Fraction(4 * abs(z), 2 ** 16)
+        digits = [rnd.randint(-h, h) for _ in range(t + 1)]
+        z = sum(d * p ** i for i, d in enumerate(digits))
+        assert abs(_summed(digits, p, 16) - z) <= Fraction(4 * abs(z), 2 ** 16)
+
+
+def test_digits_past_the_top_are_skipped(monkeypatch):
+    """A solve that runs T + 3 digits gives the same bits as one that
+    runs T: balanced digits past the top of det x_i are zero, so no
+    accumulator takes them in, and the powers of p keep their precision
+    whatever T is."""
+    rnd = random.Random(11)
+    a = bench_matrix(16, rnd)
+    b = [rnd.randrange(-100, 101) for _ in range(16)]
+    lift_length = RationalSolver.lift_length
+    # 1e-120 lies below the clamp, 2^-384 here
+    for eps in (1e-6, 1e-30, 1e-80, 1e-120):
+        want = lin_solve(a, b, eps, 5).x
+        with monkeypatch.context() as mp:
+            mp.setattr(RationalSolver, "lift_length",
+                       lambda self, b: lift_length(self, b) + 3)
+            assert lin_solve(a, b, eps, 5).x == want
 
 
 def _close_mult(x: FloatL, want: Fraction, eps: float) -> bool:
@@ -725,13 +762,20 @@ def test_block_equivalence():
                    [(v.mantissa, v.exponent) for v in other.x]
 
 
+def _acc_bits(L, top_exp):
+    """What one coordinate's accumulator is charged: a canonical L-bit
+    float, an odd mantissa of L + 1 bits with its sign and an exponent in
+    [0, top_exp]."""
+    return (L + 1) + int_bits(top_exp)
+
+
 def test_block_count_fits_the_linear_budget():
-    """block_count(pair) is the fewest blocks whose accumulator pairs, at
-    pair_bits(L, top_exp) = 2 ((L + 1) + int_bits(top_exp)) + 1 bits each,
-    fit B = 16 n ceil(log2(2nU)) bits, one coordinate per block when a
-    single pair exceeds B.  On the benchmark's n = 64, U = 100 system
-    (T = 10 digits of a 48-bit prime, top_exp = 554) that is 2 blocks at
-    eps = 1e-30 (L = 107) and 1 at eps = 1e-6 (L = 27)."""
+    """block_count(acc) is the fewest blocks whose accumulators, at
+    acc = (L + 1) + int_bits(top_exp) bits each, fit
+    B = 16 n ceil(log2(2nU)) bits, one coordinate per block when a single
+    accumulator exceeds B.  On the benchmark's n = 64, U = 100 system
+    (T = 10 digits of a 48-bit prime, top_exp = 554) that is 1 block at
+    eps = 1e-30 (L = 104) and at eps = 1e-6 (L = 24)."""
     rnd = random.Random(1)
     a = bench_matrix(64, rnd)
     b = [rnd.randrange(-100, 101) for _ in range(64)]
@@ -739,23 +783,22 @@ def test_block_count_fits_the_linear_budget():
         T = s.lift_length(b)
         top_exp = T * (s.prime.bit_length() + 1) + 64
         assert (T, s.prime.bit_length(), top_exp) == (10, 48, 554)
-        assert s.block_count(pair_bits(107, top_exp)) == 2
-        assert s.block_count(pair_bits(27, top_exp)) == 1
+        assert s.block_count(_acc_bits(104, top_exp)) == 1
+        assert s.block_count(_acc_bits(24, top_exp)) == 1
     with RationalSolver(SparseMatrix.identity(4), 1e-6, 0) as s:
-        assert s.block_count(pair_bits(107, 554)) == 4
+        assert s.block_count(_acc_bits(107, 554)) == 4
     for n, u in ((1, 1), (4, 1), (5, 9), (64, 100), (200, 10 ** 6)):
         op = SparseMatrix.from_entries(n, n, [(i, i, u) for i in range(n)])
         budget = 16 * n * math.ceil(math.log2(2 * n * u))
         with RationalSolver(op, 1e-6, 0, det=u ** n) as s:
             for L in (16, 27, 64, 107, 300, 3000):
                 for top_exp in (64, 554, 10 ** 5):
-                    pair = pair_bits(L, top_exp)
-                    assert pair == 2 * (L + 1 + top_exp.bit_length() + 1) + 1
-                    K = s.block_count(pair)
+                    acc = _acc_bits(L, top_exp)
+                    K = s.block_count(acc)
                     assert 1 <= K <= n
-                    assert math.ceil(n / K) * pair <= max(budget, pair)
+                    assert math.ceil(n / K) * acc <= max(budget, acc)
                     if K > 1:
-                        assert math.ceil(n / (K - 1)) * pair > budget
+                        assert math.ceil(n / (K - 1)) * acc > budget
 
 
 @pytest.mark.parametrize("K", [-1, 0, 3, 1.0, True])
@@ -797,8 +840,8 @@ def _systems(draw):
     1e-45, log-uniform, so many draws fall below the clamp.  Half are
     diagonal with b_i in {0, +-a_ii c}: with one nonzero b_i,
     |det x_i| = |det| c sits at the Cramer bound |det| sqrt(1 + c^2) up to
-    a factor below 1 + 1/c^2, so the sign decision runs at the lift's
-    margin."""
+    a factor below 1 + 1/c^2, so the balanced digits run up to the lift's
+    margin, p^T > 2 |det x_i|."""
     def upto(top):
         """An integer in [-top, top], its bit length uniform."""
         bits = draw(st.integers(0, top.bit_length()))
@@ -841,13 +884,14 @@ def test_lin_solve_meets_eps_at_every_precision(system, seed):
 @example(system=([[2, 1], [1, 3]], [5, -7], 1e-45), seed=0)
 def test_lift_accumulators_fit_the_linear_budget(system, seed):
     """On the same draws, clamped exact mode included, after every digit:
-    the bits the block's accumulators hold (int_bits of each mantissa and
-    exponent, plus one bit per all-digits-zero flag) never exceed its
-    lift.accumulators charge, (hi - lo) pairs of pair_bits(L, top_exp);
-    that charge fits B = 16 n ceil(log2(2nU)) bits, or is exactly one pair
-    when a block holds one coordinate; and K - 1 blocks would not fit.
-    The meter runs for the solve alone: the determinant's own lift charges
-    the same label (test_determinant_lift_charges_what_it_holds)."""
+    the bits the block's accumulators hold (int_bits of each one's
+    mantissa and exponent) never exceed its lift.accumulators charge,
+    (hi - lo) accumulators of (L + 1) + int_bits(top_exp) bits; that
+    charge fits B = 16 n ceil(log2(2nU)) bits, or is exactly one
+    accumulator when a block holds one coordinate; and K - 1 blocks would
+    not fit.  The meter runs for the solve alone: the determinant's own
+    lift charges the same label
+    (test_determinant_lift_charges_what_it_holds)."""
     dense, b, eps = system
     a = SparseMatrix.from_dense(dense)
     n = a.n
@@ -857,27 +901,27 @@ def test_lift_accumulators_fit_the_linear_budget(system, seed):
     digit_vectors = RationalSolver.digit_vectors
     m = meter.WorkspaceMeter()
 
-    def count_spy(self, pair):
-        seen.append((pair, block_count(self, pair)))
+    def count_spy(self, acc):
+        seen.append((acc, block_count(self, acc)))
         return seen[-1][1]
 
     def digit_spy(self, b, T):
-        # the caller is solve's block loop: its locals hold the accumulators
-        block = sys._getframe(1)
+        # the caller is _signed_sums: its locals hold the accumulators
+        sums = sys._getframe(1)
         for digits in digit_vectors(self, b, T):
             yield digits
-            held = block.f_locals
+            held = sums.f_locals
             lo, hi = held["lo"], held["hi"]
             bits = sum(int_bits(y.mantissa) + int_bits(y.exponent)
-                       for y in held["y_plus"] + held["y_minus"])
-            bits += len(held["all_zero"])
+                       for y in held["acc"])
             charge = m.by_label["lift.accumulators"][0]
-            (pair, K), = seen
-            assert charge == (hi - lo) * pair
+            (acc, K), = seen
+            assert len(held["acc"]) == hi - lo
+            assert charge == (hi - lo) * acc
             assert bits <= charge, (bits, charge, held["L"], hi - lo)
-            assert charge <= budget or (hi - lo == 1 and charge == pair)
+            assert charge <= budget or (hi - lo == 1 and charge == acc)
             if K > 1:
-                assert math.ceil(n / (K - 1)) * pair > budget
+                assert math.ceil(n / (K - 1)) * acc > budget
             digits_seen.append(hi)
 
     with (pytest.MonkeyPatch.context() as mp,
@@ -885,9 +929,9 @@ def test_lift_accumulators_fit_the_linear_budget(system, seed):
         mp.setattr(RationalSolver, "block_count", count_spy)
         mp.setattr(RationalSolver, "digit_vectors", digit_spy)
         s.solve(b)
-    (pair, K), = seen
+    (acc, K), = seen
     assert digits_seen and digits_seen[-1] == n
-    assert m.by_label["lift.accumulators"][1] == math.ceil(n / K) * pair
+    assert m.by_label["lift.accumulators"][1] == math.ceil(n / K) * acc
 
 
 def test_determinism_same_seed():
@@ -929,10 +973,10 @@ def test_solver_outputs_match_recorded_bits(monkeypatch):
     assert [hashlib.sha256(repr([(v.mantissa, v.exponent, v.L)
                                  for v in x]).encode()).hexdigest()
             for x in outs] == [
-        "2b774988cdcd3e1cc73c7f8a9efd91ab57c6f180ce9d97e6b27c54617be2ac91",
-        "45d54af89734d33b7b08ea708477994ed4be6adb4c7056450c85361c96c1c3b1",
-        "15c68e995419d090420657f613cad3741a0fcd24d6300229ea37566e53db0b1b",
-        "c301c4015743eedb7d38b878f28c89096c155ed3ad515d1abc8aa85839ae8c51"]
+        "0c79c3e4b45da7ce874842eb91f4058fb81ab037a6a94c0c685af3c1e050826c",
+        "be0692fac0391348f2899198cee0a6792b806d086cfdad9809bac841d2dc5e9e",
+        "5d1be95086475e08d69620bddb166d9cc89b07a759993318ee8185f05a42623a",
+        "80d86d0aefb1d8bc1e3274f98f4bc57e9a45323aa3549a50861d1580191a639d"]
 
 
 def test_solve_independent_of_call_history():
