@@ -162,13 +162,6 @@ def fl_from_bigratio(num: int, den: int, L: int) -> FloatL:
     return _round_to_l(num, den, 0, L)
 
 
-def fl_scale_pow2(x: FloatL, k: int) -> FloatL:
-    """x * 2**k, exact (exponent shift only)."""
-    if x.is_zero():
-        return x
-    return _canonical(x.mantissa, x.exponent + k, x.L)
-
-
 def fl_neg(x: FloatL) -> FloatL:
     return FloatL(-x.mantissa, x.exponent, x.L)
 
@@ -187,13 +180,15 @@ def fl_add_same_sign(x: FloatL, y: FloatL) -> FloatL:
     if (x.mantissa < 0) != (y.mantissa < 0):
         raise SignMismatch("fl_add_same_sign on opposite signs")
     L = x.L
-    hi, lo = (x, y) if x.exponent >= y.exponent else (y, x)
-    gap = hi.exponent - lo.exponent
-    if gap > L + 4:
-        # |lo| < ulp(hi)/8: the rounded sum is hi itself
-        return hi
-    total = (hi.mantissa << gap) + lo.mantissa
-    return _round_to_l(total, 1, lo.exponent, L)
+    # |x| lies in [2^(top - 1), 2^top) for top = exponent + bitlen(mantissa)
+    gap = (x.exponent + abs(x.mantissa).bit_length()
+           - y.exponent - abs(y.mantissa).bit_length())
+    if abs(gap) >= L + 2:
+        # the smaller is below a quarter ulp of the larger, which is the sum
+        return x if gap > 0 else y
+    e = min(x.exponent, y.exponent)
+    total = (x.mantissa << (x.exponent - e)) + (y.mantissa << (y.exponent - e))
+    return _round_to_l(total, 1, e, L)
 
 
 def fl_add_scaled(x: FloatL, k: int, y: FloatL) -> FloatL:

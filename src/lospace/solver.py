@@ -56,16 +56,15 @@ rules size the lift (Dixon, Numer. Math. 40, 1982, for the lifting itself):
   sum |d_i| p^i < 3 |z|.  To first order s is so within
   (2.75 + 1/(p - 1)) 2^-L |z| of z, less than 4 2^-L |z| for every odd p
   with the second-order terms, whatever T (the recursive-summation
-  analysis of Higham, SIAM J. Sci. Comput. 14(4), 1993).  Accumulating
-  at L_acc = max(16, ceil(log2(1 / eps)) + 4) keeps s within a relative
-  eps/4 of z, so within e^(eps/3).  The quotient s / det is the one
-  rounding at the output precision L, which has at least
-  ceil(log2(1 / eps)) + 2 bits of the requested eps and so adds at most
-  eps/4 more: every entry is within e^(7 eps/12), and the rest of eps is
-  slack.  Exponents reach T log2 p, so L_acc widens until they are
-  representable.  Below the clamp, eps < 2^-(2n ceil(log2(2nU))),
-  L_acc >= T (bitlen(p) + 1) + 8 instead, which holds every p^i and every
-  partial sum exactly, and only the quotient rounds.
+  analysis of Higham, SIAM J. Sci. Comput. 14(4), 1993).  One rule, this
+  repository's (PAPER.md holds only the abstract), sizes both widths:
+  L_acc = min(ceil(log2(1 / eps)) + 4, T (bitlen(p) + 1) + 8) keeps s
+  within a relative eps/4 of z, so within e^(eps/3), as the second term
+  holds every p^i and every partial sum exactly; the quotient s / det is
+  the one rounding at the output precision L = ceil(log2(1 / eps)) + 2,
+  which adds at most eps/4 more: every entry is within e^(7 eps/12), and
+  the rest of eps is slack.  Exponents reach T log2 p, so both widen
+  until they are representable (``_exponent_room``).
 - Block count (``block_count``).  A coordinate's accumulator is charged
   what it can hold: (L_acc + 1) + int_bits(top_exp) bits, with
   top_exp = T (bitlen(p) + 1) + 64.  It is a canonical FloatL of an
@@ -494,18 +493,11 @@ class RationalSolver:
             # with its recurrence
             if kept and kept[0].p == self.prime:
                 self._fp = kept[0]
-        n, u = self.n, self.u
         # ceil(log2(2nU)) on the exact integer n U, which has no float range
-        self._word_bits = max(1, (2 * n * u - 1).bit_length())
-        # clamp: accuracy beyond 2^(-2 n log2(2nU)) is exact territory
-        cap_bits = 2 * n * self._word_bits
-        self._clamped = -math.log2(eps) > cap_bits
-        self.eps = max(float(eps), 2.0 ** -cap_bits) if cap_bits < 1000 else float(eps)
-        # the output precision, which spectral's inverse power computes at
-        # too; its last term keeps the quotient's one rounding within
-        # e^(eps/4) of the requested eps, below the clamp included
-        self.L = max(16, math.ceil(2 * (math.log2(n * u) - math.log2(self.eps))),
-                     math.ceil(-math.log2(eps)) + 2)
+        self._word_bits = max(1, (2 * self.n * self.u - 1).bit_length())
+        # the output precision, which spectral's inverse power computes at too
+        self._eps_bits = math.ceil(-math.log2(eps))
+        self.L = self._eps_bits + 2
 
     def _pick_prime(self):
         from .wiedemann import RetriesExhausted
@@ -573,17 +565,16 @@ class RationalSolver:
     def solve(self, b, K=None) -> SolveOutcome:
         """Entry-wise e^eps approximation of A^-1 b, exact zeros kept.
 
-        The lift runs T = lift_length(b) balanced digits into one signed
-        accumulator per coordinate of L_acc = max(16, ceil(log2(1 / eps))
-        + 4) bits (``_signed_sums``), widened until the exponents of p^T
-        are representable, or exact below the clamp; s / det is then
-        rounded once at self.L, widened the same way when the exponents
-        need it.  One accumulator is charged (L_acc + 1) + int_bits(top_exp)
-        bits, top_exp = T (bitlen(p) + 1) + 64, which bounds its canonical
-        float (an odd mantissa below 2^L_acc, an exponent in
-        [0, top_exp]).  K blocks re-run the digit stream and never change
-        the output: K = None takes block_count of that charge, and any
-        other K must be an int in 1..n (ValueError otherwise)."""
+        T = lift_length(b) balanced digits go into one signed accumulator
+        per coordinate (``_signed_sums``) of
+        L_acc = min(ceil(log2(1 / eps)) + 4, T (bitlen(p) + 1) + 8) bits,
+        exact at the second term, and s / det is rounded once at
+        self.L = ceil(log2(1 / eps)) + 2, the module docstring's one rule;
+        both widen until exponents up to top_exp = T (bitlen(p) + 1) + 64
+        fit.  One accumulator is charged (L_acc + 1) + int_bits(top_exp)
+        bits (``block_count``).  K blocks re-run the digit stream and never
+        change the output: K = None takes block_count of that charge, and
+        any other K must be an int in 1..n (ValueError otherwise)."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
         n = self.n
@@ -598,15 +589,12 @@ class RationalSolver:
         T = self.lift_length(b)
         # exponents reach T * log2(p); widen until they are representable.
         # The widening stays local, so a solve never depends on earlier ones
-        top_exp = T * (p.bit_length() + 1) + 64
+        exact = T * (p.bit_length() + 1)
+        top_exp = exact + 64
         L_out = _exponent_room(self.L, top_exp)
-        # a relative 4 * 2^-L of the sum stays within eps/4
-        L = _exponent_room(max(16, math.ceil(-math.log2(self.eps)) + 4),
-                           top_exp)
-        if self._clamped:
-            # below the clamp the accumulators must be exact: give the
-            # mantissa room for every digit of p^T
-            L = max(L, T * (p.bit_length() + 1) + 8)
+        # a relative 4 * 2^-L of the sum stays within eps/4, and exact + 8
+        # bits hold every p^i and partial sum exactly
+        L = _exponent_room(min(self._eps_bits + 4, exact + 8), top_exp)
         acc_bits = (L + 1) + int_bits(top_exp)
         if K is None:
             K = self.block_count(acc_bits)

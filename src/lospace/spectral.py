@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import meter
-from .meter import intvec_bits
+from .meter import int_bits, intvec_bits
 from .numeric import (
     FixedL,
     FloatL,
@@ -109,12 +109,12 @@ from .numeric import (
     fl_mul,
     fl_neg,
     fl_recip,
-    fl_scale_pow2,
     fl_sqrt,
     fl_zero,
 )
 from .linop import LinearOperator, SparseMatrix
-from .solver import RationalSolver, _prime_window, derive_rng, determinant
+from .solver import (RationalSolver, _cramer_bound, _exponent_room,
+                     _prime_window, derive_rng, determinant)
 
 YES, NO = "YES", "NO"
 
@@ -253,28 +253,34 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, want_vector=False,
     plateau_eps = max(eps, 1e-9)
     with RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
                         det=det, window=window) as solver:
+        L = solver.L
         if solver.det == 0:
-            return PowerResult(fl_zero(64), None)
-        grid_bits = max(48, math.ceil(math.log2(1 / solver_eps)) + 8)
+            return PowerResult(fl_zero(L), None)
+        grid_bits = L + 6
         v_int = None
         while v_int is None:
             v_int = [round(rng.gauss(0.0, 1.0) * (1 << grid_bits))
                      for _ in range(n)]
             if not any(v_int):
                 v_int = None
-        L = solver.L
         history = []   # the last 10 estimates, all _plateaued reads
         lam = None
         v_fl = None
         thresh_sq = Fraction(2) / (delta * delta) if delta > 0 else None
-        with meter.track("invpower.iterates", 3 * n * (grid_bits + 64)):
+        # Live at once: v_int and the next grid vector, within vmax, and
+        # u = A^-1 v_int and the kept v, L-bit quotients s / det (L >= 42
+        # needs no exponent room) with 1/2 <= |s| <= 2C, C the Cramer bound
+        # at vmax, charged as the lift charges one accumulator
+        vmax = max(1 << grid_bits, max(map(abs, v_int)))
+        c = _cramer_bound(op_int, op_int.entry_bound, [vmax] * n)
+        fl_bits = L + 1 + int_bits(int_bits(2 * c) + int_bits(solver.det) + L)
+        held = 2 * n * (int_bits(vmax) + fl_bits)
+        with meter.track("invpower.iterates", held):
             for _it in range(1, t_cap + 1):
-                out = solver.solve(v_int)
-                # v_int sits on the 2^-grid_bits grid: bring u back to the
-                # units of v before comparing norms
-                u_fl = [fl_scale_pow2(x, -grid_bits) for x in out.x]
-                vnorm_sq = fl_from_bigratio(
-                    sum(x * x for x in v_int), 1 << (2 * grid_bits), L)
+                # u and v_int's norms share the scale 2^grid_bits, which
+                # the ratio, the regrid and the unit vector all drop
+                u_fl = solver.solve(v_int).x
+                vnorm_sq = fl_from_int(sum(x * x for x in v_int), L)
                 unorm_sq = _norm_sq(u_fl)
                 if unorm_sq.is_zero():
                     return PowerResult(fl_zero(L), None)
@@ -512,17 +518,19 @@ def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stop=0, stats=None):
     raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")
 
 
-def _check_eps(eps):
-    """The public entry points take eps in (0, 1), as RationalSolver does:
-    the root interval and the perturbation's bounds assume it."""
+def _check_input(a, eps):
+    """A nonempty matrix and eps in (0, 1), as RationalSolver takes: the
+    root interval and the perturbation's bounds assume both."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
+    if a.n == 0:
+        raise ValueError(f"needs a nonempty matrix, got a 0 x {a.m} matrix")
 
 
 def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
     """All eigenvalues of symmetric a to within +-eps, ascending FixedL list,
     each the midpoint of a node <= eps/2 wide holding one of B's."""
-    _check_eps(eps)
+    _check_input(a, eps)
     if not a.is_symmetric():
         raise ValueError("spectrum needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
@@ -531,12 +539,14 @@ def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
     return [FixedL(m, scale_pow) for m in vals]
 
 
-def _double_target(vec_eps: float) -> float:
-    """vec_eps, which inverse power takes as a double, dividing it by 256
-    and 4n by it: targets below 2^-1000 raise FloatOverflow."""
+def _out_bits(vec_eps: float) -> int:
+    """Fixed-point bits for the entries of a unit vector computed to the
+    target vec_eps: ceil(log2(4 / vec_eps)) + 6, at least 32.  Inverse
+    power takes vec_eps as a double, dividing it by 256 and 4n by it:
+    targets below 2^-1000 raise FloatOverflow."""
     if vec_eps < 2.0 ** -1000:
         raise FloatOverflow("eigenvector accuracy target below the double range")
-    return vec_eps
+    return max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
 
 
 def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
@@ -567,13 +577,13 @@ def eigendecompose(a: SparseMatrix, eps: float, rng=None):
     """Yields n (lambda_i, v_i) pairs, eigenvalues ascending, one vector
     live at a time; |lambda_i(a) - lambda_i| <= eps, |v_i|^2 in [1 +- eps],
     |A v_i - lambda_i v_i| <= eps, pairwise inner products <= eps."""
-    _check_eps(eps)
+    _check_input(a, eps)
     if isinstance(a, SparseMatrix) and not a.is_symmetric():
         raise ValueError("eigendecompose needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
     n, u = a.n, a.entry_bound
-    vec_eps = _double_target(float(Fraction(eps) / (60 * n * u)) ** 2)
-    out_bits = max(32, math.ceil(math.log2(4 / vec_eps)) + 6)
+    vec_eps = float(Fraction(eps) / (60 * n * u)) ** 2
+    out_bits = _out_bits(vec_eps)
     for lam, scale_pow, v_fl in _eigenvectors(a, eps, vec_eps, rng):
         vec = [fixed_from_fraction(x.to_fraction(), out_bits) for x in v_fl]
         yield FixedL(lam, scale_pow), vec
@@ -586,7 +596,7 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     sigma_i are FloatL; u_i, v_i are FixedL lists.  v_i = sigma^-1 A^T u_i
     is computed from the live u_i only.
     """
-    _check_eps(eps)
+    _check_input(a, eps)
     n, m = a.n, a.m
     if n < m:
         raise ValueError("svd wants n >= m")
@@ -602,9 +612,10 @@ def svd(a: SparseMatrix, eps: float, rng=None):
     # eps0_eff / 10 = eps_scaled 2^-2t and vec_eps its square, built from
     # the small integer ridge so that no float holds 2^2t
     eps_scaled = ridge / 10
-    vec_eps = _double_target(math.ldexp(eps_scaled ** 2, -4 * t))
-    out_bits = max(32, math.ceil(4 * t + math.log2(4 / eps_scaled ** 2)) + 6)
-    L = 64
+    vec_eps = math.ldexp(eps_scaled ** 2, -4 * t)
+    out_bits = _out_bits(vec_eps)
+    # sigma to eps absolute: its integer bits, eps's bits and 6 guard bits
+    sig_bits = math.ceil(-math.log2(eps)) + 6
     # the two diagonals of the composed 2^2t A A^T + ridge I live for
     # the whole call
     with meter.track("spectrum.bmatrix", _scaled_bits(gram)):
@@ -618,12 +629,17 @@ def svd(a: SparseMatrix, eps: float, rng=None):
             lam_frac = Fraction(lam, 1 << (scale_pow + 2 * t))
             sig_sq = lam_frac - eps0_eff
             if sig_sq <= 0:
-                yield uvec, fl_zero(L), [FixedL(0, out_bits)] * m
+                yield uvec, fl_zero(sig_bits), [FixedL(0, out_bits)] * m
                 continue
-            sigma = fl_sqrt(fl_from_bigratio(sig_sq.numerator, sig_sq.denominator, L))
+            # with room for sig_sq's exponent, down to -(s + 2t)
+            L = _exponent_room((_ceil_log2(sig_sq) + 1) // 2 + sig_bits,
+                               scale_pow + 2 * t)
+            num, den = sig_sq.numerator, sig_sq.denominator
+            sigma = fl_sqrt(fl_from_bigratio(num, den, L))
+            # v = A^T u / sigma, its entries within 1 in magnitude, to out_bits
+            root = fl_sqrt(fl_from_bigratio(num, den, out_bits))
             atu = a.apply_transpose_int([x.to_fraction() for x in v_fl])
-            inv_sigma = fl_recip(sigma)
-            vvec = [fl_mul(fl_from_bigratio(x.numerator, x.denominator, L), inv_sigma)
-                    for x in atu]
+            vvec = [fl_div(fl_from_bigratio(x.numerator, x.denominator,
+                                            out_bits), root) for x in atu]
             yield uvec, sigma, [fixed_from_fraction(x.to_fraction(), out_bits)
                                 for x in vvec]

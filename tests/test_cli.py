@@ -192,11 +192,12 @@ def test_solve_entry_past_double_range(tmp_path):
         assert math.exp(-1e-6) <= x / w <= math.exp(1e-6)
 
 
-def test_solve_below_the_clamp_meets_eps(tmp_path):
-    """At eps = 1e-45, below the clamp 2^-(2n ceil(log2(2nU))) = 2^-16 of
-    [[3, 1], [1, 2]], the accumulators are exact and the one quotient is
-    rounded for the requested eps: x = (2/5, -1/5) within e^eps, where a
-    quotient sized by the clamped eps missed it by 9e-13."""
+def test_solve_with_exact_accumulators_meets_eps(tmp_path):
+    """At eps = 1e-45 on [[3, 1], [1, 2]], T (bitlen(p) + 1) + 8 bits are
+    fewer than ceil(log2(1/eps)) + 4, so the accumulators are exact and
+    the one quotient is rounded for the requested eps: x = (2/5, -1/5)
+    within e^eps, where a quotient sized by an eps clamped to 2^-16
+    missed it by 9e-13."""
     (tmp_path / "a.mtx").write_text("2 2 4\n1 1 3\n1 2 1\n2 1 1\n2 2 2\n")
     (tmp_path / "b.vec").write_text("2\n1\n0\n")
     code, out = run_cli(["solve", str(tmp_path / "a.mtx"),

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lospace.numeric import (
     EQUAL,
@@ -24,7 +24,6 @@ from lospace.numeric import (
     fl_mul,
     fl_neg,
     fl_recip,
-    fl_scale_pow2,
     fl_sqrt,
     fl_zero,
     format_decimal,
@@ -111,6 +110,25 @@ def test_add_scaled_is_one_nearest_rounding(xm, xe, k, ym, ye, L):
     got = fl_add_scaled(x, k, y)
     assert got == fl_from_bigratio(exact.numerator, exact.denominator, L)
     assert abs(got.to_fraction() - exact) <= abs(exact) * Fraction(1, 2 ** L)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xm=st.integers(1, 1 << 12), xe=st.integers(-40, 40),
+       ym=st.integers(1, 1 << 12), ye=st.integers(-40, 40),
+       sign=st.sampled_from((1, -1)), L=st.integers(7, 12))
+@example(xm=1, xe=30, ym=65535, ye=0, sign=1, L=16)
+def test_add_same_sign_is_one_nearest_rounding(xm, xe, ym, ye, sign, L):
+    """fl_add_same_sign(x, y) is the nearest L-bit float to the exact
+    x + y, ties to even, for same-sign operands whose canonical mantissas
+    may be far shorter than L: an operand is dropped only below a quarter
+    of the other's ulp, never because its exponent alone is small.  At
+    L = 16, 2^30 + 65535 rounded to 2^30 breaks the one-rounding bound."""
+    x = fl_from_bigratio(sign * xm * 2 ** max(xe, 0), 2 ** max(-xe, 0), L)
+    y = fl_from_bigratio(sign * ym * 2 ** max(ye, 0), 2 ** max(-ye, 0), L)
+    exact = x.to_fraction() + y.to_fraction()
+    got = fl_add_same_sign(x, y)
+    assert got == fl_from_bigratio(exact.numerator, exact.denominator, L)
+    assert fl_add_same_sign(y, x) == got
 
 
 def test_add_scaled_exact_cases():
@@ -298,11 +316,6 @@ def test_text_forms():
     assert format_decimal(fl_from_bigratio(3, 4, 20), 8) == "0.75000000"
     assert format_decimal(fl_from_bigratio(-3, 4, 20), 2) == "-0.75"
     assert format_decimal(fl_zero(8), 3) == "0.000"
-
-
-def test_scale_pow2_exact():
-    x = FloatL(5, 3, 12)
-    assert fl_scale_pow2(x, -7).to_fraction() == Fraction(5, 16)
 
 
 def test_fixed_point():

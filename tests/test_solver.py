@@ -634,8 +634,8 @@ def test_signed_sums_match_enumeration():
     opposite partial sum near p^t / 2) and z = 0 included: the one
     signed accumulator lands within 4 2^-L |z| of z = sum d_i p^i at
     mantissas down to L = 4, z = 0 stays exactly 0, and at
-    L = T (bitlen(p) + 1) + 8, the exact mode below the clamp, every sum
-    is z itself."""
+    L = T (bitlen(p) + 1) + 8, the exact accumulator width, every sum is
+    z itself."""
     for p, T in ((3, 6), (5, 5), (7, 4), (11, 3)):
         top = (p ** T - 1) // 2
         for z in range(-top, top + 1):
@@ -667,7 +667,7 @@ def test_digits_past_the_top_are_skipped(monkeypatch):
     a = bench_matrix(16, rnd)
     b = [rnd.randrange(-100, 101) for _ in range(16)]
     lift_length = RationalSolver.lift_length
-    # 1e-120 lies below the clamp, 2^-384 here
+    # from 1e-80 on, the accumulators run at their exact width
     for eps in (1e-6, 1e-30, 1e-80, 1e-120):
         want = lin_solve(a, b, eps, 5).x
         with monkeypatch.context() as mp:
@@ -837,7 +837,7 @@ def test_digit_reconstruction_exact_mode():
 def _systems(draw):
     """(dense, b, eps): n <= 6, entries within +-9, b with zeros and
     entries up to 10^40, their bit lengths uniform, eps from 0.9 down to
-    1e-45, log-uniform, so many draws fall below the clamp.  Half are
+    1e-45, log-uniform, so many draws run exact accumulators.  Half are
     diagonal with b_i in {0, +-a_ii c}: with one nonzero b_i,
     |det x_i| = |det| c sits at the Cramer bound |det| sqrt(1 + c^2) up to
     a factor below 1 + 1/c^2, so the balanced digits run up to the lift's
@@ -868,7 +868,7 @@ def _systems(draw):
 @given(system=_systems(), seed=st.integers(0, 2 ** 32))
 def test_lin_solve_meets_eps_at_every_precision(system, seed):
     """Every entry lands within e^eps of the exact solution, exact zeros
-    exact, for eps down to 1e-45, below the clamp included, and K = 1, 2
+    exact, for eps down to 1e-45, exact accumulators included, and K = 1, 2
     (when n >= 2) and n blocks give the same bits."""
     dense, b, eps = system
     a = SparseMatrix.from_dense(dense)
@@ -883,7 +883,7 @@ def test_lin_solve_meets_eps_at_every_precision(system, seed):
 @given(system=_systems(), seed=st.integers(0, 2 ** 32))
 @example(system=([[2, 1], [1, 3]], [5, -7], 1e-45), seed=0)
 def test_lift_accumulators_fit_the_linear_budget(system, seed):
-    """On the same draws, clamped exact mode included, after every digit:
+    """On the same draws, exact accumulators included, after every digit:
     the bits the block's accumulators hold (int_bits of each one's
     mantissa and exponent) never exceed its lift.accumulators charge,
     (hi - lo) accumulators of (L + 1) + int_bits(top_exp) bits; that
@@ -973,10 +973,23 @@ def test_solver_outputs_match_recorded_bits(monkeypatch):
     assert [hashlib.sha256(repr([(v.mantissa, v.exponent, v.L)
                                  for v in x]).encode()).hexdigest()
             for x in outs] == [
-        "0c79c3e4b45da7ce874842eb91f4058fb81ab037a6a94c0c685af3c1e050826c",
-        "be0692fac0391348f2899198cee0a6792b806d086cfdad9809bac841d2dc5e9e",
-        "5d1be95086475e08d69620bddb166d9cc89b07a759993318ee8185f05a42623a",
-        "80d86d0aefb1d8bc1e3274f98f4bc57e9a45323aa3549a50861d1580191a639d"]
+        "81729f820b96fb9922a43e0383be09ff6f8445d29dfc96edc2aaf8e84de42d15",
+        "497f227c92185d31f0625add81a7ad9e813cff97499ca57f3a79459a72e0c12f",
+        "5e9c6782a19362a37758d4572e6ef69f0c8b1ac6645cbcdfe5ead27e8d584e45",
+        "83770723fa2e2866fd4495a9fc0800f59b0c01bb6e8256753afbe477c229fccd"]
+
+
+def test_solve_mantissas_follow_eps():
+    """On the sparse n = 64 system of the recorded-bits test, every solve
+    output is a float of ceil(log2(1/eps)) + 2 bits, which exponent room
+    does not widen here: 22 at eps 1e-6 and 102 at 1e-30."""
+    rnd = random.Random(2024)
+    a = bench_matrix(64, rnd)
+    b = [rnd.randrange(-100, 101) for _ in range(64)]
+    for eps, L in ((1e-6, 22), (1e-30, 102)):
+        x = lin_solve(a, b, eps, 1).x
+        assert {v.L for v in x} == {L}
+        assert max(abs(v.mantissa).bit_length() for v in x) <= L
 
 
 def test_solve_independent_of_call_history():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lospace import meter, solver, spectral
+from lospace.meter import int_bits, intvec_bits
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.numeric import FloatL, fl_from_bigratio
 from lospace.oracle import dense_of, oracle_det_bareiss, oracle_eigs_bisect
@@ -744,7 +745,7 @@ def test_spectral_outputs_match_recorded_bits():
         out = eigendecompose(a, 0.1, i) if rect is None else svd(rect, 0.1, i)
         h.update(repr(_bits(list(out))).encode())
     assert h.hexdigest() == (
-        "e212dd6017defcc7667d1103b811e1f146ec6cf635c0a45d4f1eed8593a3b0c1")
+        "311870f9f5d5081bc34e1eaa218b2241fc8bf0ab4f8119e41da95c23b5d947c4")
 
 
 def test_spectrum_outputs_match_recorded_bits():
@@ -755,6 +756,19 @@ def test_spectrum_outputs_match_recorded_bits():
         h.update(repr(_bits(spectrum(a, 0.1, i))).encode())
     assert h.hexdigest() == (
         "ec66e1c832b6ce83771d488e85c534eaf4cf824fb75c0843925ee9c2e3cfdee5")
+
+
+def test_empty_matrix_is_refused():
+    """spectrum, eigendecompose and svd refuse a 0 x 0 matrix with a
+    ValueError that names it, as RationalSolver does, instead of dividing
+    by zero."""
+    a = SparseMatrix.from_dense([])
+    with pytest.raises(ValueError, match="0 x 0"):
+        spectrum(a, 0.1, 1)
+    with pytest.raises(ValueError, match="0 x 0"):
+        list(eigendecompose(a, 0.1, 1))
+    with pytest.raises(ValueError, match="0 x 0"):
+        list(svd(a, 0.1, 1))
 
 
 @pytest.mark.parametrize("eps", [0, 1, 100, -0.5, float("nan")])
@@ -770,3 +784,70 @@ def test_eps_outside_the_unit_interval_is_refused(eps):
         list(eigendecompose(a, eps, 1))
     with pytest.raises(ValueError, match="eps"):
         list(svd(a, eps, 1))
+
+
+@pytest.mark.parametrize("big", [10 ** 20 + 1, 2 ** 70 + 3, 3 ** 45])
+def test_svd_sigma_width_follows_its_magnitude(big):
+    """svd of [[3, 0], [big, 0]] at eps 0.1: A^T A = diag(big^2 + 9, 0),
+    so sigma is sqrt(big^2 + 9) and 0, each within eps, and
+    |A v - sigma u| <= eps.  sigma carries its own integer bits besides
+    eps's: at a fixed 64 bits these odd values of 67 to 72 bits came out
+    off by 1, 3 and 83."""
+    dense = [[3, 0], [big, 0]]
+    eps = Fraction(1, 10)
+    out = list(svd(SparseMatrix.from_dense(dense), 0.1, 1))
+    assert len(out) == 2
+    for (u, sigma, v), lam in zip(out, [big * big + 9, 0]):
+        s = sigma.to_fraction()
+        assert max(s - eps, 0) ** 2 <= lam <= (s + eps) ** 2
+        u = [x.to_fraction() for x in u]
+        v = [x.to_fraction() for x in v]
+        res = [sum(dense[i][j] * v[j] for j in range(2)) - s * u[i]
+               for i in range(2)]
+        assert sum(r * r for r in res) <= eps * eps
+
+
+def test_inverse_power_iterates_fit_their_charge(monkeypatch):
+    """After every inverse-power iteration of eigendecompose (n = 3) and
+    svd (2 x 2) on seeded inputs, U = 10 and eps 0.05: the bits the
+    iterates hold never exceed the invpower.iterates charge.  Held is
+    int_bits of every entry of the integer vectors and of every float's
+    mantissa and exponent: v_int, u and the kept v when u's norm is taken,
+    and v_int, the next grid vector and u when the regrid returns."""
+    m = meter.WorkspaceMeter()
+    seen = []
+
+    def held(ints, floats):
+        charge = m.by_label["invpower.iterates"][0]
+        bits = sum(intvec_bits(v) for v in ints)
+        bits += sum(int_bits(x.mantissa) + int_bits(x.exponent)
+                    for vec in floats if vec is not None for x in vec)
+        seen.append((bits, charge))
+
+    norm_sq, regrid = spectral._norm_sq, spectral._regrid
+
+    def norm_spy(vec):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_inverse_power":
+            loc = caller.f_locals
+            held([loc["v_int"]], [loc["u_fl"], loc["v_fl"]])
+        return norm_sq(vec)
+
+    def regrid_spy(vec, bits):
+        nxt = regrid(vec, bits)
+        loc = sys._getframe(1).f_locals
+        held([loc["v_int"], nxt or []], [loc["u_fl"]])
+        return nxt
+
+    monkeypatch.setattr(spectral, "_norm_sq", norm_spy)
+    monkeypatch.setattr(spectral, "_regrid", regrid_spy)
+    rnd = random.Random(31)
+    with m.activate():
+        for seed in range(2):
+            sym = SparseMatrix.from_dense(sym_random(rnd, 3, 10))
+            list(eigendecompose(sym, 0.05, seed))
+            rect = SparseMatrix.from_dense(
+                [[rnd.randrange(-10, 11) for _ in range(2)] for _ in range(2)])
+            list(svd(rect, 0.05, seed))
+    assert seen
+    assert all(bits <= charge for bits, charge in seen), max(seen)
