@@ -30,6 +30,12 @@ hold, such as svd's Fractions or an A v past int64, and for small
 matrices, where numpy's per-call cost exceeds the loop's.  ``apply_mod``
 is the exact product reduced mod p.
 
+An operator can carry its characteristic polynomial at one prime
+(``chi``, set by a caller that certified it).  A scalar shift keeps it,
+since det(X I - (A + c I)) = g(X - c), and ``charpoly`` derives the
+shifted coefficients when they are read; every other composition drops
+it.
+
 The fused Krylov/Horner kernels run on BASE, GRAM and DIAG_SCALE over a
 matrix, and on DIAG_SCALE over such a GRAM (the determinant's
 preconditioner), for primes below ``prime_top``, so callers can draw
@@ -90,6 +96,11 @@ class LinearOperator:
     over the GRAM of a matrix, which has a fused kernel.
     """
 
+    # (p, g, c) when det(X I - A) = g(X - c) mod p is known, g monic and
+    # low coefficient first: set by the caller that certified g (spectral's
+    # 2^s B), carried by scalar shifts, read through ``charpoly``
+    chi = None
+
     def __init__(self, kind, base, n, m, diag=None):
         self.kind = kind
         self.base = base
@@ -109,16 +120,25 @@ class LinearOperator:
     def shift(a, c):
         """A + diag(c); c is a scalar or a per-coordinate vector.  A shift
         of a SHIFT folds into one SHIFT of its base, with the diagonals
-        summed, so repeated shifts add no level to a product."""
+        summed, so repeated shifts add no level to a product.  A scalar
+        shift keeps A's known characteristic polynomial g as g(X - c),
+        derived when read (``charpoly``); a vector shift drops it."""
         if a.n != a.m:
             raise DimensionMismatch("shift needs a square base")
-        d = list(c) if isinstance(c, (list, tuple)) else [c] * a.n
+        scalar = not isinstance(c, (list, tuple))
+        d = [c] * a.n if scalar else list(c)
         if len(d) != a.n:
             raise DimensionMismatch("diagonal length != rows")
+        chi = None
+        if scalar and a.chi is not None:
+            p, g, c0 = a.chi
+            chi = (p, g, c0 + c)
         if a.kind == SHIFT:
             d = [x + y for x, y in zip(a.diag, d)]
             a = a.base
-        return LinearOperator(SHIFT, a, a.n, a.m, diag=d)
+        op = LinearOperator(SHIFT, a, a.n, a.m, diag=d)
+        op.chi = chi
+        return op
 
     @staticmethod
     def gram(a: SparseMatrix):
@@ -150,6 +170,21 @@ class LinearOperator:
         """U: max_abs, at least 1; the floor applies once, to the
         composition, so a product over a zero matrix scales no phantom 1."""
         return self.max_abs or 1
+
+    def charpoly(self, p):
+        """det(X I - A) mod p, low coefficient first, when it is known at p
+        (``chi``), else None: g(X - c) by a Taylor shift of g, n(n + 1)/2
+        multiply-adds mod p."""
+        if self.chi is None or self.chi[0] != p:
+            return None
+        _, g, c = self.chi
+        out, t = list(g), -c % p
+        # synthetic division by Y - t, repeated: out[j] becomes the
+        # coefficient of (Y - t)^j in g(Y), which is g(X + t)'s of X^j
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] = (out[j] + t * out[j + 1]) % p
+        return out
 
     # -- mod-p application ------------------------------------------------
 

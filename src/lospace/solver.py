@@ -6,9 +6,12 @@ semidefinite, the product of its diagonal prod_j |col_j|_2^2 (a zero row
 or column makes H = 0 and the determinant 0 outright), and for other
 composed operators (shifts) U^n n^(n/2) from their entry bound U.  The
 residue det mod p at the first prime p of the operator's stream (below)
-comes first.  Where the fused kernels run the operator mod p and that
-residue is nonzero, det = d c with d from one p-adic lift (Pan, Inf.
-Process. Lett. 28, 1988; Abbott, Bronstein & Mulders, ISSAC 1999):
+comes first: (-1)^n g(0) when the operator's characteristic polynomial g
+mod p is known (``LinearOperator.charpoly``, which ``spectral``'s shifted
+operators carry), else ``determinant_zp``'s.  Where the fused kernels
+run the operator mod p and that residue is nonzero, det = d c with d
+from one p-adic lift (Pan, Inf. Process. Lett. 28, 1988; Abbott,
+Bronstein & Mulders, ISSAC 1999):
 
 - Lift x = A^-1 b' for a random +-1 vector b' to T' digits and keep
   v = r.x mod M, M = p^T', for one random r with entries below 2^16.
@@ -101,10 +104,13 @@ lower, or with another top, is refused with ValueError.
 Every lift, the determinant's and the solver's, runs one digit
 recurrence (``_lift_digits``) against one FpSolver per (operator,
 prime): each step is a Horner application of its recurrence plus one
-verification product and one exact product for the carry.  A solver
-that gets no recurrence from its determinant (a det= hand-off, or a
-determinant drawn from the n^2 U window) builds one before its first
-lift opens any buffer.
+verification product and one exact product for the carry.  The
+solver's recurrence comes from one of three places: the determinant's
+FpSolver, when its lift used the same prime; else the operator's
+characteristic polynomial, when it is known at the lift prime; else a
+Wiedemann trial that the solver runs before its first lift opens any
+buffer (a det= hand-off, a determinant drawn from the n^2 U window, or
+a lift prime past a first one that divides det).
 """
 
 from __future__ import annotations
@@ -219,6 +225,12 @@ def _prime_window(op, det=False):
     return lower, top
 
 
+def _first_prime(window):
+    """The first prime of a (lower, top) window's stream."""
+    lower, top = window
+    return shared_pool.get(lower, 1, top=top)[0]
+
+
 def _checked_window(op, window, det=False):
     """window, or op's own ``_prime_window`` when it is None.  A shared
     window must start at or above op's own lower end and keep its top:
@@ -244,7 +256,9 @@ def determinant(a, rng=None, window=None, keep=None) -> int:
     bound for a Gram product (a zero row or column returns 0 without
     drawing a prime) and hadamard_bound(n, U) for any other composed
     operator.  Each residue is a finite-field determinant
-    (``determinant_zp``).
+    (``determinant_zp``), except the first where the operator's
+    characteristic polynomial g is known at p (``LinearOperator.charpoly``):
+    that residue is (-1)^n g(0).
 
     The residue at the stream's first prime p comes first.  Where the
     fused kernels run the operator mod p (``LinearOperator._fused``) and
@@ -284,9 +298,15 @@ def determinant(a, rng=None, window=None, keep=None) -> int:
     # pooled primes: every residue is certificate-checked, so sharing the
     # prime stream across calls costs nothing in correctness
     delta = min(0.01, float(n) ** -(C + 2))
-    p = shared_pool.get(lower, 1, top=top)[0]
-    residue, diag, g = determinant_zp(
-        a, p, delta, random.Random(rng.getrandbits(63)), certificate=True)
+    p = _first_prime((lower, top))
+    # drawn either way, so the later residues' streams stay put
+    seed = rng.getrandbits(63)
+    g, diag = a.charpoly(p), None
+    if g is not None:
+        residue = (-1) ** n * g[0] % p
+    else:
+        residue, diag, g = determinant_zp(a, p, delta, random.Random(seed),
+                                          certificate=True)
     d = 1
     if residue and a._fused(p):
         fp = FpSolver(a, p, random.Random(rng.getrandbits(63)), delta,
@@ -523,13 +543,17 @@ class RationalSolver:
 
     def _mod_p_solver(self):
         """The FpSolver of the lift prime: the determinant's when it lifted
-        with this prime, otherwise one built here, whose recurrence is
-        built at once, before the caller opens any lift buffer."""
+        with this prime, otherwise one built here, which starts from the
+        operator's characteristic polynomial when that is known at the
+        prime (``LinearOperator.charpoly``) and else builds its recurrence
+        at once, before the caller opens any lift buffer."""
         if self._fp is None:
+            chi = self.op.charpoly(self.prime)
             self._fp = self._held.enter_context(
                 FpSolver(self.op, self.prime, derive_rng(self.rng, "mu"),
-                         delta=float(self.n) ** -(C + 2)))
-            self._fp._refresh_poly(boost=1)
+                         delta=float(self.n) ** -(C + 2), poly=chi))
+            if chi is None:
+                self._fp._refresh_poly(boost=1)
         return self._fp
 
     def digit_vectors(self, b, T):

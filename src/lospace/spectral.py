@@ -79,6 +79,23 @@ from that one window: one prime stream per call (per attempt, when the
 perturbation is retried), instead of one per power of two of n^3 U that
 the shifts reach.
 
+One characteristic polynomial serves that window's first prime p.  Once
+per attempt, one plain Wiedemann trial on 2^s B mod p, a second when the
+first falls short, gives a recurrence; a monic factor of the minimal
+polynomial of degree n is the characteristic polynomial chi, so degree n
+certifies it, and 2^s B carries it (``LinearOperator.chi``).  Its trial
+stream is derive_rng(p, "charpoly"), named by p alone, so no other
+stream moves.  Each shift 2^s B - m I then has the characteristic
+polynomial chi(X + m), which ``LinearOperator.shift`` carries and
+``charpoly`` derives by Taylor shift: a determinant takes its residue at
+p as (-1)^n chi(m), and a solver lifting with p starts from chi(X + m),
+neither with a Wiedemann trial.  Residues mod p and solves mod p are
+unique, so every output bit is the one the per-shift trials give.  With
+no certificate after two trials, every shift runs its own trials, and a
+shift whose determinant p divides lifts with the next prime, building
+its recurrence itself.  chi, n + 1 words of p, is charged with 2^s B's
+diagonals for the call.
+
 Probabilistic failures (a perturbation that left two eigenvalues closer
 than a leaf) surface as ResultCountMismatch after one retry with a fresh
 perturbation.
@@ -114,7 +131,8 @@ from .numeric import (
 )
 from .linop import LinearOperator, SparseMatrix
 from .solver import (RationalSolver, _cramer_bound, _exponent_room,
-                     _prime_window, derive_rng, determinant)
+                     _first_prime, _prime_window, derive_rng, determinant)
+from .wiedemann import minimal_polynomial
 
 YES, NO = "YES", "NO"
 
@@ -394,15 +412,35 @@ def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
 
 def _scaled_bits(b_scaled):
     """The bits 2^s B = SHIFT(DIAG_SCALE(base)) holds besides its input:
-    two n-entry diagonals, DIAG_SCALE's 2^s and the shifted perturbation."""
-    return intvec_bits(b_scaled.diag) + intvec_bits(b_scaled.base.diag)
+    two n-entry diagonals, DIAG_SCALE's 2^s and the shifted perturbation,
+    and, once known, its characteristic polynomial, n + 1 words of p."""
+    bits = intvec_bits(b_scaled.diag) + intvec_bits(b_scaled.base.diag)
+    if b_scaled.chi is not None:
+        p, g, _ = b_scaled.chi
+        bits += len(g) * (p.bit_length() + 1)
+    return bits
+
+
+def _certify_charpoly(b_scaled, window):
+    """Gives 2^s B its characteristic polynomial mod p, p the window's
+    first prime, when one of at most two plain Wiedemann trials reaches
+    degree n: a monic factor of the minimal polynomial of degree n is the
+    characteristic polynomial.  The trials' stream is named by p alone,
+    so they take no draw from any other stream."""
+    p = _first_prime(window)
+    g = minimal_polynomial(b_scaled, p, boost=2,
+                           rng=derive_rng(p, "charpoly"))
+    if len(g) == b_scaled.n + 1:
+        b_scaled.chi = (p, g, 0)
 
 
 def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
                   pad: Fraction, rng, stop, stats=None):
     """Ascending eigenvalue estimates of B as integers in units of 2^-s,
     exactly n of them or fewer, with s, 2^s B and the prime window of the
-    call: the window of shifts up to pad beyond the root interval.  An
+    call: the window of shifts up to pad beyond the root interval.  2^s B
+    carries its characteristic polynomial at the window's first prime
+    when a trial certifies it (``_certify_charpoly``).  An
     isolated eigenvalue is reported by its leaf's left end if stop = 0,
     else by the midpoint of the widest node no wider than stop (_narrow).
 
@@ -459,7 +497,9 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
             # holds no eigenvalue and one of unknown parity only the
             # split-point eigenvalue at its end, already in `exact`
 
-    with meter.track("spectrum.bmatrix", _scaled_bits(b_scaled)):
+    with meter.track("spectrum.bmatrix", _scaled_bits(b_scaled)) as held:
+        _certify_charpoly(b_scaled, window)
+        held.resize(_scaled_bits(b_scaled))
         place([(0, 1 << depth, 0, fl_from_int(1, 64),
                 fl_from_int((-1) ** n, 64))])
         # odd intervals and split-point eigenvalues are disjoint, each worth

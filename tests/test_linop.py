@@ -17,6 +17,7 @@ from lospace.linop import (
     read_matrix,
     read_vector,
 )
+from lospace.oracle import oracle_charpoly_mod
 from test_kernels import PRIMES
 
 
@@ -63,6 +64,27 @@ def test_shift_operator():
     p = 13
     f = Field(p)
     assert s.apply_mod(f.vec([1, 1]), p) == [(-2) % 13, 2]
+
+
+def test_scalar_shifts_carry_the_characteristic_polynomial():
+    """An operator with chi = (p, g, 0), g = det(X I - A) mod p: scalar
+    shifts, folded or chained, give charpoly(p) = det(X I - (A + c I))
+    mod p; another prime, a vector shift or a DIAG_SCALE knows none."""
+    rnd = random.Random(7)
+    p = PRIMES[0]
+    for n in range(1, 6):
+        dense = [[rnd.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        op = LinearOperator.shift(SparseMatrix.from_dense(dense), [0] * n)
+        assert op.charpoly(p) is None
+        op.chi = (p, oracle_charpoly_mod(dense, p), 0)
+        for c in (0, 5, -7, 10 ** 30):
+            shifted = LinearOperator.shift(LinearOperator.shift(op, c), 3)
+            want = [[dense[i][j] + (c + 3 if i == j else 0) for j in range(n)]
+                    for i in range(n)]
+            assert shifted.charpoly(p) == oracle_charpoly_mod(want, p)
+            assert shifted.charpoly(PRIMES[1]) is None
+            assert LinearOperator.shift(shifted, [1] * n).charpoly(p) is None
+            assert LinearOperator.diag_scale([1] * n, shifted).charpoly(p) is None
 
 
 def _dense_mul(dense, v):

@@ -736,26 +736,40 @@ def _golden_inputs():
         yield i, a, rect
 
 
-def test_spectral_outputs_match_recorded_bits():
-    """eigendecompose and svd on the golden inputs: the sha256 of every
-    output bit.  A new hash means some output bit changed for a fixed
-    seed."""
+SPECTRAL_BITS = (
+    "311870f9f5d5081bc34e1eaa218b2241fc8bf0ab4f8119e41da95c23b5d947c4")
+SPECTRUM_BITS = (
+    "ec66e1c832b6ce83771d488e85c534eaf4cf824fb75c0843925ee9c2e3cfdee5")
+
+
+def spectral_digest():
+    """The sha256 of every output bit of eigendecompose and svd on the
+    golden inputs."""
     h = hashlib.sha256()
     for i, a, rect in _golden_inputs():
         out = eigendecompose(a, 0.1, i) if rect is None else svd(rect, 0.1, i)
         h.update(repr(_bits(list(out))).encode())
-    assert h.hexdigest() == (
-        "311870f9f5d5081bc34e1eaa218b2241fc8bf0ab4f8119e41da95c23b5d947c4")
+    return h.hexdigest()
 
 
-def test_spectrum_outputs_match_recorded_bits():
-    """spectrum on the golden inputs' symmetric matrices: the sha256 of
-    every output bit, recorded with the eps/2 stop."""
+def spectrum_digest():
+    """The sha256 of every output bit of spectrum on the golden inputs'
+    symmetric matrices."""
     h = hashlib.sha256()
     for i, a, _ in _golden_inputs():
         h.update(repr(_bits(spectrum(a, 0.1, i))).encode())
-    assert h.hexdigest() == (
-        "ec66e1c832b6ce83771d488e85c534eaf4cf824fb75c0843925ee9c2e3cfdee5")
+    return h.hexdigest()
+
+
+def test_spectral_outputs_match_recorded_bits():
+    """eigendecompose and svd on the golden inputs: a new hash means some
+    output bit changed for a fixed seed."""
+    assert spectral_digest() == SPECTRAL_BITS
+
+
+def test_spectrum_outputs_match_recorded_bits():
+    """spectrum on the golden inputs, recorded with the eps/2 stop."""
+    assert spectrum_digest() == SPECTRUM_BITS
 
 
 def test_empty_matrix_is_refused():
