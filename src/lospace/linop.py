@@ -31,10 +31,11 @@ matrices, where numpy's per-call cost exceeds the loop's.  ``apply_mod``
 is the exact product reduced mod p.
 
 An operator can carry its characteristic polynomial at one prime
-(``chi``, set by a caller that certified it).  A scalar shift keeps it,
-since det(X I - (A + c I)) = g(X - c), and ``charpoly`` derives the
-shifted coefficients when they are read; every other composition drops
-it.
+(``chi``, set by a caller that certified it) and the prime window it
+shares with related operators (``window``, which ``solver._prime_window``
+reads and checks).  A scalar shift keeps both: det(X I - (A + c I)) =
+g(X - c), and ``charpoly`` derives the shifted coefficients when they
+are read.  Every other composition drops both.
 
 The fused Krylov/Horner kernels run on BASE, GRAM and DIAG_SCALE over a
 matrix, and on DIAG_SCALE over such a GRAM (the determinant's
@@ -55,6 +56,8 @@ Text formats (1-indexed, decimal):
 
     matrix: "n m nnz" then nnz lines "i j v"
     vector: "n" then n lines of (arbitrarily large) integers
+
+Only blank lines may follow the declared entries.
 """
 
 from __future__ import annotations
@@ -96,10 +99,12 @@ class LinearOperator:
     over the GRAM of a matrix, which has a fused kernel.
     """
 
-    # (p, g, c) when det(X I - A) = g(X - c) mod p is known, g monic and
-    # low coefficient first: set by the caller that certified g (spectral's
-    # 2^s B), carried by scalar shifts, read through ``charpoly``
-    chi = None
+    # chi = (p, g, c) when det(X I - A) = g(X - c) mod p is known, g monic
+    # and low coefficient first (read through ``charpoly``), and window =
+    # (lower, top), a prime window shared with related operators (read
+    # through ``solver._prime_window``): both set by their caller
+    # (spectral's 2^s B) and carried by scalar shifts
+    chi = window = None
 
     def __init__(self, kind, base, n, m, diag=None):
         self.kind = kind
@@ -121,23 +126,26 @@ class LinearOperator:
         """A + diag(c); c is a scalar or a per-coordinate vector.  A shift
         of a SHIFT folds into one SHIFT of its base, with the diagonals
         summed, so repeated shifts add no level to a product.  A scalar
-        shift keeps A's known characteristic polynomial g as g(X - c),
-        derived when read (``charpoly``); a vector shift drops it."""
+        shift keeps A's window and its known characteristic polynomial g
+        as g(X - c), derived when read (``charpoly``); a vector shift
+        drops both."""
         if a.n != a.m:
             raise DimensionMismatch("shift needs a square base")
         scalar = not isinstance(c, (list, tuple))
         d = [c] * a.n if scalar else list(c)
         if len(d) != a.n:
             raise DimensionMismatch("diagonal length != rows")
-        chi = None
-        if scalar and a.chi is not None:
-            p, g, c0 = a.chi
-            chi = (p, g, c0 + c)
+        chi = window = None
+        if scalar:
+            window = a.window
+            if a.chi is not None:
+                p, g, c0 = a.chi
+                chi = (p, g, c0 + c)
         if a.kind == SHIFT:
             d = [x + y for x, y in zip(a.diag, d)]
             a = a.base
         op = LinearOperator(SHIFT, a, a.n, a.m, diag=d)
-        op.chi = chi
+        op.chi, op.window = chi, window
         return op
 
     @staticmethod
@@ -459,6 +467,7 @@ def read_matrix(fp) -> SparseMatrix:
             raise MatrixFormatError(lineno, f"duplicate entry ({i},{j})")
         seen.add((i, j))
         entries.append((i - 1, j - 1, v))
+    _refuse_lines_past(lines, nnz)
     entries.sort()
     return SparseMatrix._from_sorted(n, m, entries)
 
@@ -482,4 +491,14 @@ def read_vector(fp) -> list:
             out.append(int(lines[lineno - 1]))
         except ValueError:
             raise MatrixFormatError(lineno, f"bad integer {lines[lineno - 1]!r}") from None
+    _refuse_lines_past(lines, n)
     return out
+
+
+def _refuse_lines_past(lines, count):
+    """MatrixFormatError at the first non-blank line after the header and
+    its count declared entries; trailing blank lines are fine."""
+    for lineno, line in enumerate(lines[count + 1:], count + 2):
+        if line.strip():
+            raise MatrixFormatError(
+                lineno, f"line past the {count} declared entries")

@@ -37,12 +37,12 @@ more of det where b' or r cancels a factor; that costs residues of c,
 never correctness.
 
 The solver multiplies the system by det(A) so the solution is integral,
-then recovers it digit by digit in base p for one prime p >= n^3 U without
-ever holding a big residual vector: the small integer carry r~ and the
-current digits are the only n-vectors in play, while one signed L-bit
-float accumulator per tracked coordinate absorbs the balanced digits
-d_i in [-(p - 1)/2, (p - 1)/2] of z = det x_i as s = sum d_i p^i.  Three
-rules size the lift (Dixon, Numer. Math. 40, 1982, for the lifting itself):
+then recovers it digit by digit in base p for one prime p not dividing
+det (Dixon, Numer. Math. 40, 1982) without ever holding a big residual
+vector: the small integer carry r~ and the current digits are the only
+n-vectors in play, while one signed L-bit float accumulator per tracked
+coordinate absorbs the balanced digits d_i in [-(p - 1)/2, (p - 1)/2] of
+z = det x_i as s = sum d_i p^i.  Three rules size the lift:
 
 - Lift margin (``lift_length``).  T is the least length with p^T above
   2 C, C a Cramer bound on |z|.  T balanced digits represent each integer
@@ -80,26 +80,24 @@ rules size the lift (Dixon, Numer. Math. 40, 1982, for the lifting itself):
   stream is re-run per block, seeded identically, so K never changes the
   output.
 
-Both draw from one prime stream per operator, the window
-[max(16, n^3 U), ..^2] (``_prime_window``), capped below the top of its
-fused kernels' primes (``LinearOperator.prime_top``) when it has them
-and the cap leaves the window at least twice its lower end (``primes``
-shows the window still holds enough primes); every step then runs on
-the int64 kernels.  The lift takes the first prime of the stream that does not
-divide det, usually one the determinant already drew, so a fresh pool
-holds no prime that no residue or lift used.  The one exception is the
-determinant of an operator whose n^3 U window starts above half its word
-bound: it falls back to the n^2 U window, which may still be capped, so
-that its residues stay on the int64 kernels.  Any prime not dividing det
-serves the lift, and any prime the CRT, so only the outputs' rounding,
-never det, depends on which window.
+Both draw from one prime stream per operator, named in one place
+(``_prime_window``): the window [max(16, n^3 U), ..^2], or the n^2 U one
+where the n^3 U window starts above half the top of the operator's fused
+kernels' primes (``LinearOperator.prime_top``), capped below that top
+when it has one and the cap leaves the window at least twice its lower
+end (``primes`` shows the window still holds enough primes); every step
+then runs on the int64 kernels.  The lift takes the first prime of the
+stream that does not divide det, usually the one the determinant lifted
+with, so a fresh pool holds no prime that no residue or lift used.  Any
+prime not dividing det serves the lift, and any prime the CRT, so only
+the outputs' rounding, never det, depends on which window.
 
-A caller that builds many operators can share one window among them by
-passing it as ``window``: ``spectral`` draws every determinant and lift of
-one call from the window of its widest shift.  That is sound because the
-proofs above need only primes at or above the operator's own lower end
-(every prime exceeds n^2 U, and the lift's p >= n^3 U); a window starting
-lower, or with another top, is refused with ValueError.
+An operator may carry a window it shares with related operators
+(``LinearOperator.window``): ``spectral`` sets the window of its widest
+shift on 2^s B, whose scalar shifts keep it, so every determinant and
+lift of one call draws from it.  That is sound because the proofs above
+need only primes at or above the operator's own lower end; a carried
+window starting lower, or with another top, is refused with ValueError.
 
 Every lift, the determinant's and the solver's, runs one digit
 recurrence (``_lift_digits``) against one FpSolver per (operator,
@@ -109,8 +107,8 @@ solver's recurrence comes from one of three places: the determinant's
 FpSolver, when its lift used the same prime; else the operator's
 characteristic polynomial, when it is known at the lift prime; else a
 Wiedemann trial that the solver runs before its first lift opens any
-buffer (a det= hand-off, a determinant drawn from the n^2 U window, or
-a lift prime past a first one that divides det).
+buffer (a det= hand-off, an operator without fused kernels, or a lift
+prime past a first one that divides det).
 """
 
 from __future__ import annotations
@@ -204,25 +202,26 @@ def gram_bound(a: SparseMatrix, b=None):
                            * math.prod(sq))
 
 
-def _prime_window(op, det=False):
-    """(lower, top) of the one prime stream an operator draws from, for
-    ``shared_pool.get``: lower = max(16, n^3 U), and top =
+def _prime_window(op):
+    """(lower, top) of the one prime stream op's determinant and lift
+    draw from, for ``shared_pool.get``.  op's own window has top =
     op.prime_top(), the top of its fused kernels' primes (None without
-    them).  The lifting prime and the determinant's CRT primes share
-    that stream, so a fresh pool holds only primes some residue or lift
-    used.
-
-    One exception, for the determinant (det=True) of an operator with a
-    top: where the n^3 U window is uncapped because it starts above top/2
-    (its primes would all be too wide for the int64 kernels), the
-    determinant draws from the n^2 U window instead, which may still be
-    capped below top; the lift keeps the n^3 U window.
-    """
+    them), and lower = max(16, n^3 U), or max(16, n^2 U) where the n^3 U
+    window starts above top/2, as its primes would all be too wide for
+    the int64 kernels.  The window op carries (``LinearOperator.window``)
+    replaces it when it starts at or above op's own lower end and keeps
+    its top, as larger primes serve every bound the determinant and the
+    lift rest on; any other carried window raises ValueError."""
     n, u, top = op.n, op.entry_bound, op.prime_top()
     lower = max(16, n ** 3 * u)
-    if det and top is not None and 2 * window_floor(lower) > top:
+    if top is not None and 2 * window_floor(lower) > top:
         lower = max(16, n * n * u)
-    return lower, top
+    if op.window is None:
+        return lower, top
+    if op.window[0] < lower or op.window[1] != top:
+        raise ValueError(f"prime window {op.window} does not cover this "
+                         f"operator's own window {(lower, top)}")
+    return op.window
 
 
 def _first_prime(window):
@@ -231,49 +230,36 @@ def _first_prime(window):
     return shared_pool.get(lower, 1, top=top)[0]
 
 
-def _checked_window(op, window, det=False):
-    """window, or op's own ``_prime_window`` when it is None.  A shared
-    window must start at or above op's own lower end and keep its top:
-    larger primes serve every bound the determinant and the lift rest on."""
-    own = _prime_window(op, det)
-    if window is None:
-        return own
-    lower, top = window
-    if lower < own[0] or top != own[1]:
-        raise ValueError(f"prime window {window} does not cover this "
-                         f"operator's own window {own}")
-    return lower, top
+def _digits_above(p, bound):
+    """(T, p^T) for the least T >= 1 with p^T > bound."""
+    T, M = 1, p
+    while M <= bound:
+        M *= p
+        T += 1
+    return T, M
 
 
-def determinant(a, rng=None, window=None, keep=None) -> int:
+def determinant(a, rng=None, keep=None) -> int:
     """Exact det(a) with failure probability <= n^-C.
 
-    Primes are drawn one at a time from the operator's window
-    (``_prime_window``: [max(16, n^3 U), ..^2], or the n^2 U window where
-    only that one fits under op.prime_top(), capped below it), or
-    from the (lower, top) window passed, which must cover it.  H is the
-    Hadamard bound: the row-norm bound for a plain matrix, the column-norm
-    bound for a Gram product (a zero row or column returns 0 without
-    drawing a prime) and hadamard_bound(n, U) for any other composed
-    operator.  Each residue is a finite-field determinant
-    (``determinant_zp``), except the first where the operator's
-    characteristic polynomial g is known at p (``LinearOperator.charpoly``):
-    that residue is (-1)^n g(0).
+    Primes are drawn one at a time from the operator's one stream
+    (``_prime_window``).  H is the Hadamard bound: the row-norm bound for
+    a plain matrix, the column-norm bound for a Gram product (a zero row
+    or column returns 0 without drawing a prime) and hadamard_bound(n, U)
+    for any other composed operator.  Each residue is a finite-field
+    determinant (``determinant_zp``), except the first where the
+    operator's characteristic polynomial g is known at p
+    (``LinearOperator.charpoly``): that residue is (-1)^n g(0).
 
     The residue at the stream's first prime p comes first.  Where the
     fused kernels run the operator mod p (``LinearOperator._fused``) and
-    that residue is nonzero, one p-adic lift (``_lift_denominator``) gives
-    d, the denominator of r.x for x = a^-1 b': T' digits with
-    p^T' > 2 (N + 1) H, N = |r|_1 C and C the Cramer bound, make the
-    fraction r.x = num / d with |num| <= N and d <= H the only one its
-    residue mod p^T' admits, and d divides det since det x is integral
-    (Cramer).  Then det = d c with c = det / d by CRT: residues
-    det mod q * d^-1 mod q, the one at p included and any q dividing d
-    skipped, until their product exceeds 2 H / d, which certifies signed
-    recovery of |c| <= H / d.  Otherwise, a zero residue at p or another
-    operator, d = 1 and the CRT runs until the product exceeds 2 H; that
-    also decides whether a is singular or p divides det.  No prime count
-    is fixed in advance: the bound stops the draws.
+    that residue is nonzero, det = d c (module docstring, "Determinant"):
+    d, which divides det, from one p-adic lift (``_lift_denominator``),
+    and c = det / d by CRT over residues det mod q * d^-1 mod q, the one
+    at p included and any q dividing d skipped, until their product
+    exceeds 2 H / d.  Otherwise d = 1 and the CRT runs until the product
+    exceeds 2 H; that also decides whether a is singular or p divides
+    det.  No prime count is fixed in advance: the bound stops the draws.
 
     keep, a list, receives the lift's FpSolver (its recurrence and
     diagonal, uncharged once this returns), so that a RationalSolver
@@ -284,7 +270,7 @@ def determinant(a, rng=None, window=None, keep=None) -> int:
     n = a.n
     if n == 0:
         return 1
-    lower, top = _checked_window(a, window, det=True)
+    lower, top = _prime_window(a)
     u = a.entry_bound
     if a.kind == BASE:
         h = row_norm_bound(a)
@@ -357,10 +343,7 @@ def _lift_denominator(a, u, fp, h, rng):
     b = [rng.choice((-1, 1)) for _ in range(n)]
     r = [rng.randrange(1 << 16) for _ in range(n)]
     nb = sum(r) * _cramer_bound(a, u, b)
-    T, M = 1, p
-    while M <= 2 * (nb + 1) * h:
-        M *= p
-        T += 1
+    T, M = _digits_above(p, 2 * (nb + 1) * h)
     # |r.digits| < n 2^16 p, so the running sum stays below n 2^16 M
     with (meter.track("lift.accumulators", intvec_bits(b) + intvec_bits(r)
                       + int_bits(n * M << 16)),
@@ -472,10 +455,12 @@ def _signed_sums(digit_vectors, lo, hi, p, L):
 class RationalSolver:
     """Repeated entry-wise-approximate solves against one fixed matrix.
 
-    Computes det(A), unless the caller passes it, and samples the lifting
-    prime once, both from the operator's window or the window passed
-    (``determinant``); every solve() then runs the digit recurrence for
-    its own right-hand side.  lin_solve is the one-shot wrapper.
+    Computes det(A), unless the caller passes it, and takes the lifting
+    prime once, the first prime of the operator's stream
+    (``_prime_window``) that does not divide det: the determinant's own
+    lift prime whenever it lifted; every solve() then runs the digit
+    recurrence for its own right-hand side.  lin_solve is the one-shot
+    wrapper.
 
     Solves run inside a ``with`` block, which charges det as
     ``solver.det`` and holds the lift prime's FpSolver until the block
@@ -484,8 +469,7 @@ class RationalSolver:
     first solve builds.
     """
 
-    def __init__(self, a, eps: float, rng_or_seed=0, det: int | None = None,
-                 window=None):
+    def __init__(self, a, eps: float, rng_or_seed=0, det: int | None = None):
         if not 0 < float(eps) < 1:
             raise ValueError("eps must lie in (0, 1)")
         self.op = a
@@ -494,7 +478,6 @@ class RationalSolver:
         if a.n == 0:
             raise ValueError("solver needs a nonempty system, got a 0 x 0 "
                              "matrix")
-        self.window = _checked_window(self.op, window)
         self.n = self.op.n
         self.u = self.op.entry_bound
         rng = (rng_or_seed if isinstance(rng_or_seed, random.Random)
@@ -503,7 +486,7 @@ class RationalSolver:
         # drawn either way, so the streams derived after it stay put
         det_rng = derive_rng(rng, "det")
         kept = []
-        self.det = (determinant(self.op, det_rng, window, keep=kept)
+        self.det = (determinant(self.op, det_rng, keep=kept)
                     if det is None else det)
         self.prime = None
         self._fp = None
@@ -522,7 +505,7 @@ class RationalSolver:
     def _pick_prime(self):
         from .wiedemann import RetriesExhausted
 
-        lower, top = self.window
+        lower, top = _prime_window(self.op)
         for count in range(1, 9):
             p = shared_pool.get(lower, count, top=top)[-1]
             if self.det % p:
@@ -568,12 +551,7 @@ class RationalSolver:
         ``_cramer_bound``: T balanced digits then sum to det * (A^-1 b)_i
         exactly (module docstring, "Lift margin")."""
         bound = 2 * _cramer_bound(self.op, self.u, b)
-        T = 1
-        ppow = self.prime
-        while ppow <= bound:
-            ppow *= self.prime
-            T += 1
-        return T
+        return _digits_above(self.prime, bound)[0]
 
     def block_count(self, acc_bits):
         """K, the fewest coordinate blocks whose accumulators, at

@@ -73,11 +73,12 @@ plus, for the eigenvector shifts lambda_i + g5, the gap g5 <= sep/5 +
 2^-s, so M = 2nU 2^s + ceil(sep 2^s).  The perturbation is nonnegative,
 so the entry bound 2^s U + max |d_i - m| of 2^s B - m I is at most
 2^s U + max d_i + M, its value at m = -M, and the window of 2^s B + M I
-(``solver._prime_window``) starts at or above every node's own n^3 U.  Determinants and lifts need only
-primes at or above their operator's own lower end, so all of them draw
-from that one window: one prime stream per call (per attempt, when the
-perturbation is retried), instead of one per power of two of n^3 U that
-the shifts reach.
+(``solver._prime_window``) starts at or above every node's own n^3 U.
+Determinants and lifts need only primes at or above their operator's own
+lower end, so 2^s B carries that window (``LinearOperator.window``), its
+scalar shifts keep it, and all of them draw from it: one prime stream
+per call (per attempt, when the perturbation is retried), instead of one
+per power of two of n^3 U that the shifts reach.
 
 One characteristic polynomial serves that window's first prime p.  Once
 per attempt, one plain Wiedemann trial on 2^s B mod p, a second when the
@@ -256,12 +257,11 @@ class PowerResult:
 
 
 def _inverse_power(op_int, eps, delta: Fraction, rng, want_vector=False,
-                   hint: Fraction | None = None, det: int | None = None,
-                   window=None):
+                   hint: Fraction | None = None, det: int | None = None):
     """Inverse power on the integer operator op_int; det = det(op_int)
-    when the caller already has it, window the call's prime window.  The
-    solves' accuracy and the iteration cap follow from eps: the cap is
-    logarithmic in 1/eps in gap mode (want_vector), linear otherwise."""
+    when the caller already has it.  The solves' accuracy and the
+    iteration cap follow from eps: the cap is logarithmic in 1/eps in gap
+    mode (want_vector), linear otherwise."""
     n = op_int.n
     solver_eps = min(2.0 ** -40, eps / 256)
     if want_vector:
@@ -270,7 +270,7 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, want_vector=False,
         t_cap = min(800, math.ceil(28 * math.log(16 * n / eps) / eps))
     plateau_eps = max(eps, 1e-9)
     with RationalSolver(op_int, solver_eps, derive_rng(rng, "solver"),
-                        det=det, window=window) as solver:
+                        det=det) as solver:
         L = solver.L
         if solver.det == 0:
             return PowerResult(fl_zero(L), None)
@@ -327,15 +327,14 @@ def _inverse_power(op_int, eps, delta: Fraction, rng, want_vector=False,
         return PowerResult(lam, vec)
 
 
-def inv_power_gap(a, eps: float, delta, rng=None, window=None):
+def inv_power_gap(a, eps: float, delta, rng=None):
     """(lambda, v): least-magnitude eigenvalue plus its eigenvector.
 
     The caller guarantees the 1.1x spectral gap; convergence is then
     geometric and the iteration count only logarithmic in the accuracy.
     """
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    res = _inverse_power(a, eps, Fraction(delta), rng, want_vector=True,
-                         window=window)
+    res = _inverse_power(a, eps, Fraction(delta), rng, want_vector=True)
     return res.lam, res.vector
 
 
@@ -343,11 +342,11 @@ def inv_power_gap(a, eps: float, delta, rng=None, window=None):
 
 
 def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
-                 rng, det: int | None = None, window=None) -> str:
+                 rng, det: int | None = None) -> str:
     """NO certifies (b/2^s) has no eigenvalue in [lo, hi]; YES places one
     within the interval widened by a quarter width on each side.  The
     midpoint must lie on the 2^-s grid.  det, when given, is
-    det(b_scaled - mid 2^s I), and window the call's prime window."""
+    det(b_scaled - mid 2^s I)."""
     mid = (lo + hi) / 2 * (1 << scale_pow)
     if mid.denominator != 1:
         raise ValueError("midpoint off the dyadic grid")
@@ -357,7 +356,7 @@ def shift_invert(b_scaled, scale_pow: int, lo: Fraction, hi: Fraction,
     # the folded SHIFT holds its own n-entry diagonal
     with meter.track("spectrum.bmatrix", intvec_bits(shifted.diag)):
         res = _inverse_power(shifted, 0.1, delta_scaled, rng, hint=hint,
-                             det=det, window=window)
+                             det=det)
     return YES if fl_cmp_fraction(res.lam, hint) == LESS else NO
 
 
@@ -421,13 +420,14 @@ def _scaled_bits(b_scaled):
     return bits
 
 
-def _certify_charpoly(b_scaled, window):
-    """Gives 2^s B its characteristic polynomial mod p, p the window's
-    first prime, when one of at most two plain Wiedemann trials reaches
-    degree n: a monic factor of the minimal polynomial of degree n is the
-    characteristic polynomial.  The trials' stream is named by p alone,
-    so they take no draw from any other stream."""
-    p = _first_prime(window)
+def _certify_charpoly(b_scaled):
+    """Gives 2^s B its characteristic polynomial mod p, p the first prime
+    of its window (``solver._prime_window``), when one of at most two
+    plain Wiedemann trials reaches degree n: a monic factor of the
+    minimal polynomial of degree n is the characteristic polynomial.  The
+    trials' stream is named by p alone, so they take no draw from any
+    other stream."""
+    p = _first_prime(_prime_window(b_scaled))
     g = minimal_polynomial(b_scaled, p, boost=2,
                            rng=derive_rng(p, "charpoly"))
     if len(g) == b_scaled.n + 1:
@@ -437,12 +437,12 @@ def _certify_charpoly(b_scaled, window):
 def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
                   pad: Fraction, rng, stop, stats=None):
     """Ascending eigenvalue estimates of B as integers in units of 2^-s,
-    exactly n of them or fewer, with s, 2^s B and the prime window of the
-    call: the window of shifts up to pad beyond the root interval.  2^s B
-    carries its characteristic polynomial at the window's first prime
-    when a trial certifies it (``_certify_charpoly``).  An
-    isolated eigenvalue is reported by its leaf's left end if stop = 0,
-    else by the midpoint of the widest node no wider than stop (_narrow).
+    exactly n of them or fewer, with s and 2^s B.  2^s B carries the prime
+    window of the call, that of shifts up to pad beyond the root interval,
+    and its characteristic polynomial at the window's first prime when a
+    trial certifies it (``_certify_charpoly``).  An isolated eigenvalue is
+    reported by its leaf's left end if stop = 0, else by the midpoint of
+    the widest node no wider than stop (_narrow).
 
     The root interval [-2nU, 2nU] (Gershgorin keeps every eigenvalue
     inside nU + eps/2) has 2^depth leaves, the fewest narrower than
@@ -460,7 +460,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
     step, m0 = 4 * nu << (s - depth), -(2 * nu << s)
     g = max(1, int(stop * (1 << depth) / (4 * nu))).bit_length() - 1
     # the window of 2^s B + M I covers every shift's (module docstring)
-    window = _prime_window(
+    b_scaled.window = _prime_window(
         LinearOperator.shift(b_scaled, math.ceil(pad * (1 << s)) - m0))
     exact = []     # grid points that are eigenvalues, as shifts
     odd = []       # intervals holding an odd number of eigenvalues
@@ -473,8 +473,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
         shifted = LinearOperator.shift(b_scaled, -(m0 + k * step))
         # the folded SHIFT holds its own n-entry diagonal
         with meter.track("spectrum.bmatrix", intvec_bits(shifted.diag)):
-            return determinant(shifted, rng=derive_rng(rng, "det", *labels),
-                               window=window)
+            return determinant(shifted, rng=derive_rng(rng, "det", *labels))
 
     def split(iv, f_mid):
         ka, kb, label, f_lo, f_hi = iv
@@ -498,7 +497,7 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
             # split-point eigenvalue at its end, already in `exact`
 
     with meter.track("spectrum.bmatrix", _scaled_bits(b_scaled)) as held:
-        _certify_charpoly(b_scaled, window)
+        _certify_charpoly(b_scaled)
         held.resize(_scaled_bits(b_scaled))
         place([(0, 1 << depth, 0, fl_from_int(1, 64),
                 fl_from_int((-1) ** n, 64))])
@@ -520,13 +519,13 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
                 if f_lo.sign() == f_mid.sign() == f_hi.sign() != 0 and \
                         shift_invert(b_scaled, s, Fraction(m0 + ka * step, 1 << s),
                                      Fraction(m0 + kb * step, 1 << s),
-                                     node_rng, det=d, window=window) == NO:
+                                     node_rng, det=d) == NO:
                     continue
                 place(split(iv, f_mid))
                 continue
             widest = max((iv[1] - iv[0] for iv in odd), default=0)
             if widest <= 1:
-                return sorted(exact), s, b_scaled, window
+                return sorted(exact), s, b_scaled
             chosen = [iv for iv in odd if iv[1] - iv[0] == widest]
             odd[:] = [iv for iv in odd if iv[1] - iv[0] != widest]
             for iv in chosen:
@@ -537,24 +536,25 @@ def _extract_eigs(b: PerturbedMatrix, u: int, leaf_width: Fraction,
             lo, hi = _narrow(lambda k: fl_from_int(det(k, "grid", k), 64),
                              ka, kb, f_lo, f_hi, 1 << depth, g, stats)
             exact.append(m0 + (lo + hi) * step // 2 if stop else m0 + lo * step)
-    return sorted(exact), s, b_scaled, window
+    return sorted(exact), s, b_scaled
 
 
 def _perturb_and_extract(a, eps: float, rng, leaf_div: int, stop=0, stats=None):
     """Shared front end of spectrum/eigendecompose/svd, with one retry on a
     fresh perturbation: 2^s B for B = a perturbed by at most eps/2, the
     eigenvalue estimates from tree leaves sep/leaf_div wide, narrowed to
-    stop (_extract_eigs), s, sep and the prime window of shifts up to sep
-    beyond the root interval, which covers the eigenvector shifts' gap."""
+    stop (_extract_eigs), s and sep.  2^s B carries the prime window of
+    shifts up to sep beyond the root interval, which covers the
+    eigenvector shifts' gap."""
     n, u = a.n, a.entry_bound
     sep = Fraction(eps) ** 2 / (4 * n ** 4 * u)  # separation after eps/2 perturb
     for attempt in range(2):
         b = perturb_spectrum(a, eps / 2, derive_rng(rng, "perturb", attempt))
-        vals, scale_pow, b_scaled, window = _extract_eigs(
+        vals, scale_pow, b_scaled = _extract_eigs(
             b, u, sep / leaf_div, sep, derive_rng(rng, "tree", attempt),
             stop, stats)
         if len(vals) == n:
-            return b_scaled, vals, scale_pow, sep, window
+            return b_scaled, vals, scale_pow, sep
     raise ResultCountMismatch(f"expected {n} eigenvalues, got {len(vals)}")
 
 
@@ -574,7 +574,7 @@ def spectrum(a: SparseMatrix, eps: float, rng=None, stats=None):
     if not a.is_symmetric():
         raise ValueError("spectrum needs a symmetric matrix")
     rng = rng if isinstance(rng, random.Random) else random.Random(rng or 0)
-    _, vals, scale_pow, _, _ = _perturb_and_extract(
+    _, vals, scale_pow, _ = _perturb_and_extract(
         a, eps, rng, 8, Fraction(eps) / 2, stats)
     return [FixedL(m, scale_pow) for m in vals]
 
@@ -595,9 +595,9 @@ def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
     FloatL eigenvector: one gap-mode inverse power against
     B - (lambda_i + g5) I, g5 the least point of the 2^-s grid >= sep/5,
     on the stream derive_rng(rng, "vec", i), drawn in the order the
-    vectors are yielded, and on the prime window of the tree.  One vector
-    is live at a time."""
-    b_scaled, vals, scale_pow, sep, window = _perturb_and_extract(
+    vectors are yielded, and on the prime window of the tree, which the
+    shift keeps.  One vector is live at a time."""
+    b_scaled, vals, scale_pow, sep = _perturb_and_extract(
         a, eps, rng, 16)
     g5 = math.ceil(sep / 5 * (1 << scale_pow))
     delta = sep / 10 * (1 << scale_pow)
@@ -607,7 +607,7 @@ def _eigenvectors(a, eps: float, vec_eps: float, rng, descending=False):
             shifted = LinearOperator.shift(b_scaled, -(vals[i] + g5))
             with meter.track("spectrum.bmatrix", intvec_bits(shifted.diag)):
                 _, v_fl = inv_power_gap(shifted, vec_eps, delta,
-                                        derive_rng(rng, "vec", i), window)
+                                        derive_rng(rng, "vec", i))
             if v_fl is None:
                 raise ResultCountMismatch(f"no eigenvector for eigenvalue {i}")
             yield vals[i], scale_pow, v_fl

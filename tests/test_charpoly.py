@@ -40,12 +40,12 @@ def _no_rebuilt_recurrence(*args, **kwargs):
 
 @pytest.mark.parametrize("k", range(6))
 def test_charpoly_gives_every_shift_its_residue_and_recurrence(k, monkeypatch):
-    """chi, certified on 2^s B at the first prime p of the window of
-    shifts up to 2^s (2nU + 1), is det(X I - 2^s B) mod p, and for random
-    integer shifts m in that reach (-1)^n chi(m) is determinant_zp's
-    residue of 2^s B - m I at p, while an FpSolver started from the
-    Taylor-shifted chi(X + m) solves, checked by its own apply_mod,
-    without building a recurrence."""
+    """chi, certified on 2^s B at the first prime p of the window it
+    carries, that of shifts up to 2^s (2nU + 1), is det(X I - 2^s B) mod
+    p, and for random integer shifts m in that reach, which keep the
+    window, (-1)^n chi(m) is determinant_zp's residue of 2^s B - m I at
+    p, while an FpSolver started from the Taylor-shifted chi(X + m)
+    solves, checked by its own apply_mod, without building a recurrence."""
     base = _bases()[k]
     n = base.n
     rng = random.Random(k)
@@ -54,7 +54,8 @@ def test_charpoly_gives_every_shift_its_residue_and_recurrence(k, monkeypatch):
     b_scaled = b.scaled(s)
     reach = (2 * n * base.entry_bound + 1) << s
     window = _prime_window(LinearOperator.shift(b_scaled, reach))
-    spectral._certify_charpoly(b_scaled, window)
+    b_scaled.window = window
+    spectral._certify_charpoly(b_scaled)
     p, g, c = b_scaled.chi
     assert p == solver._first_prime(window) and c == 0
     assert g == oracle_charpoly_mod(dense_of(b_scaled), p)
@@ -66,7 +67,8 @@ def test_charpoly_gives_every_shift_its_residue_and_recurrence(k, monkeypatch):
         at_m = sum(gi * pow(m, i, p) for i, gi in enumerate(g)) % p
         residue = determinant_zp(shifted, p, 1e-6, random.Random(m))
         assert (-1) ** n * at_m % p == (-1) ** n * chi[0] % p == residue != 0
-        assert determinant(shifted, random.Random(m), window) == \
+        assert shifted.window == window
+        assert determinant(shifted, random.Random(m)) == \
             oracle_det_bareiss(dense_of(shifted))
         rhs = [rng.randrange(p) for _ in range(n)]
         with FpSolver(shifted, p, random.Random(m), poly=chi) as fp:
@@ -93,15 +95,15 @@ def test_integer_eigenvalue_reads_zero_and_is_singular(monkeypatch):
     det = 0 with no determinant_zp, and the solver reports SINGULAR
     without choosing a prime."""
     op = LinearOperator.shift(SparseMatrix.from_dense([[2, 1], [1, 2]]), [0, 0])
-    window = _prime_window(LinearOperator.shift(op, 4))
-    spectral._certify_charpoly(op, window)
+    op.window = _prime_window(LinearOperator.shift(op, 4))
+    spectral._certify_charpoly(op)
     p = op.chi[0]
     primes = _det_primes(monkeypatch)
     at_one = LinearOperator.shift(op, -1)       # eigenvalues 1 and 3
     assert at_one.charpoly(p)[0] == 0
-    assert determinant(at_one, 1, window) == 0
+    assert determinant(at_one, 1) == 0
     assert primes == []
-    with RationalSolver(at_one, 0.1, 2, window=window) as s:
+    with RationalSolver(at_one, 0.1, 2) as s:
         assert s.det == 0 and s.prime is None
         assert s.solve([1, 0]).singular
 
@@ -128,10 +130,10 @@ def test_first_prime_dividing_det_falls_to_the_second(monkeypatch):
     monkeypatch.setattr(solver, "shared_pool", _FirstPrime(181))
     op = LinearOperator.shift(SparseMatrix.from_dense(dense), [0, 0, 0])
     window = _prime_window(op)
-    spectral._certify_charpoly(op, window)
+    spectral._certify_charpoly(op)
     assert op.chi[0] == 181
     primes = _det_primes(monkeypatch)
-    assert determinant(op, 1, window) == -362
+    assert determinant(op, 1) == -362
     assert primes and 181 not in primes
     built = []
     rebuild = wiedemann.minimal_polynomial
@@ -142,7 +144,7 @@ def test_first_prime_dividing_det_falls_to_the_second(monkeypatch):
 
     monkeypatch.setattr(wiedemann, "minimal_polynomial", spy)
     b = [5, -3, 8]
-    with RationalSolver(op, 1e-6, 3, det=-362, window=window) as s:
+    with RationalSolver(op, 1e-6, 3, det=-362) as s:
         x = s.solve(b).x
         assert s.prime == solver.shared_pool.get(window[0], 2)[1]
     assert built == [s.prime]

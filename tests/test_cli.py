@@ -98,6 +98,20 @@ def test_input_error_line_numbered(files, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["det", "extra.mtx"], 3),
+    (["solve", "d24.mtx", "extra.vec"], 4),
+])
+def test_lines_past_the_declared_entries_exit_2(files, capsys, argv, line):
+    """An entry line past the header's count is an input error naming its
+    line, not an entry silently dropped."""
+    (files / "extra.mtx").write_text("2 2 1\n1 1 3\n2 2 4\n")
+    (files / "extra.vec").write_text("2\n1\n2\n3\n")
+    code, out = run_cli([str(files / a) if "." in a else a for a in argv])
+    assert code == 2 and out == ""
+    assert f"line {line}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "d24.mtx", "b13.vec", "--epsilon", "0"],
     ["solve", "d24.mtx", "b13.vec", "--epsilon", "2"],

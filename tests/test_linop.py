@@ -67,24 +67,36 @@ def test_shift_operator():
 
 
 def test_scalar_shifts_carry_the_characteristic_polynomial():
-    """An operator with chi = (p, g, 0), g = det(X I - A) mod p: scalar
-    shifts, folded or chained, give charpoly(p) = det(X I - (A + c I))
-    mod p; another prime, a vector shift or a DIAG_SCALE knows none."""
+    """An operator with chi = (p, g, 0), g = det(X I - A) mod p, and a
+    prime window: scalar shifts, folded or chained, keep the window and
+    give charpoly(p) = det(X I - (A + c I)) mod p; another prime knows
+    no polynomial, and a vector shift, a DIAG_SCALE, GRAM and GRAM_T
+    carry neither."""
     rnd = random.Random(7)
     p = PRIMES[0]
+    window = (1 << 20, None)
     for n in range(1, 6):
         dense = [[rnd.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
         op = LinearOperator.shift(SparseMatrix.from_dense(dense), [0] * n)
-        assert op.charpoly(p) is None
+        assert op.charpoly(p) is None and op.window is None
         op.chi = (p, oracle_charpoly_mod(dense, p), 0)
+        op.window = window
         for c in (0, 5, -7, 10 ** 30):
-            shifted = LinearOperator.shift(LinearOperator.shift(op, c), 3)
+            once = LinearOperator.shift(op, c)
+            shifted = LinearOperator.shift(once, 3)
+            assert once.window == shifted.window == window
             want = [[dense[i][j] + (c + 3 if i == j else 0) for j in range(n)]
                     for i in range(n)]
             assert shifted.charpoly(p) == oracle_charpoly_mod(want, p)
             assert shifted.charpoly(PRIMES[1]) is None
-            assert LinearOperator.shift(shifted, [1] * n).charpoly(p) is None
-            assert LinearOperator.diag_scale([1] * n, shifted).charpoly(p) is None
+            for other in (LinearOperator.shift(shifted, [1] * n),
+                          LinearOperator.diag_scale([1] * n, shifted)):
+                assert other.charpoly(p) is None and other.window is None
+        matrix = SparseMatrix.from_dense(dense)
+        matrix.chi, matrix.window = op.chi, window
+        for other in (LinearOperator.gram(matrix),
+                      LinearOperator.gram_t(matrix)):
+            assert other.charpoly(p) is None and other.window is None
 
 
 def _dense_mul(dense, v):
@@ -241,6 +253,18 @@ def test_format_errors_carry_line_numbers():
     with pytest.raises(MatrixFormatError) as e:
         read_vector(io.StringIO("-1\n"))
     assert str(e.value) == "line 1: negative length"
+    # a non-blank line past the declared entries; blank ones are fine
+    with pytest.raises(MatrixFormatError) as e:
+        read_matrix(io.StringIO("2 2 1\n1 1 3\n2 2 4\n"))
+    assert "line 3" in str(e.value)
+    with pytest.raises(MatrixFormatError) as e:
+        read_matrix(io.StringIO("2 2 0\n\n1 1 3\n"))
+    assert "line 3" in str(e.value)
+    with pytest.raises(MatrixFormatError) as e:
+        read_vector(io.StringIO("2\n1\n2\n3\n"))
+    assert "line 4" in str(e.value)
+    assert read_matrix(io.StringIO("2 2 1\n1 1 3\n\n  \n")).vals == [3]
+    assert read_vector(io.StringIO("2\n1\n2\n\n\n")) == [1, 2]
 
 
 def test_symmetry_check():

@@ -333,7 +333,7 @@ def test_prime_dividing_det_falls_back_to_the_crt(monkeypatch):
     monkeypatch.setattr(solver, "shared_pool", pool)
     assert determinant(a, rng=3) == q * 7 * -5 * 3 * 11 * 2
     assert lifts == []
-    lower, top = solver._prime_window(a, det=True)
+    lower, top = solver._prime_window(a)
     assert calls == _c_primes(lower, 2 * row_norm_bound(a), 1, top, pool)
     assert calls[0] == q
 
@@ -351,7 +351,7 @@ def test_prime_dividing_d_is_skipped(monkeypatch):
     a = SparseMatrix.from_dense(dense)
     want = math.prod(pivots)
     assert oracle_det_bareiss(dense) == want
-    lower, top = solver._prime_window(a, det=True)
+    lower, top = solver._prime_window(a)
     p = shared_pool.get(lower, 1, top=top)[0]
     assert want % p
     pool = _HeadPool([p, q])
@@ -497,10 +497,11 @@ def test_solve_reuses_the_determinants_recurrence(monkeypatch):
 
 
 def test_recurrence_is_built_before_the_lift_buffers(monkeypatch):
-    """Where no residue is handed over, the solver's Wiedemann trial runs
-    before any lift buffer opens: after the spectral-style det= hand-off,
-    and on a dense U = 10^12 matrix whose determinant draws from the
-    n^2 U window while the lift keeps the n^3 U one."""
+    """Where no residue is handed over, after the spectral-style det=
+    hand-off, the solver's Wiedemann trial runs before any lift buffer
+    opens.  A dense U = 10^12 matrix, whose determinant and lift both
+    draw from the n^2 U window, keeps the determinant's FpSolver and runs
+    no trial at all."""
     m = meter.WorkspaceMeter()
     trials = []
     trial = wiedemann._one_wiedemann_trial
@@ -515,14 +516,19 @@ def test_recurrence_is_built_before_the_lift_buffers(monkeypatch):
     sparse = bench_matrix(24, rnd)
     band = SparseMatrix.from_dense(_dense_nonzero(rnd, 12, 12, 10 ** 12))
     assert 2 * window_floor(12 ** 3 * band.entry_bound) > band.prime_top()
-    for op, det in ((sparse, determinant(sparse, rng=1)), (band, None)):
-        b = [rnd.randrange(-100, 101) for _ in range(op.n)]
-        with RationalSolver(op, 1e-6, 7, det=det) as s:
-            assert s._fp is None
-            with m.activate():
-                trials.clear()
-                s.solve(b)
-        assert trials and trials == [[]] * len(trials)
+    b = [rnd.randrange(-100, 101) for _ in range(sparse.n)]
+    with RationalSolver(sparse, 1e-6, 7, det=determinant(sparse, rng=1)) as s:
+        assert s._fp is None
+        with m.activate():
+            trials.clear()
+            s.solve(b)
+    assert trials and trials == [[]] * len(trials)
+    b = [rnd.randrange(-100, 101) for _ in range(band.n)]
+    with RationalSolver(band, 1e-6, 7) as s:
+        assert s._fp is not None and s.prime < band.prime_top()
+        trials.clear()
+        s.solve(b)
+    assert trials == []
 
 
 def test_lin_solve_refuses_the_empty_system():
@@ -1151,28 +1157,29 @@ def test_shift_operator_primes_are_uncapped(monkeypatch):
 
 
 def test_shared_window_must_cover_the_operators_own():
-    """A caller's (lower, top) prime window serves an operator only when it
-    starts at or above the operator's own lower end and keeps its top: a
-    higher window gives the same det and lifts from its own primes, while
-    a lower one, or another top, raises ValueError in determinant and in
-    RationalSolver alike."""
+    """A (lower, top) prime window an operator carries serves it only when
+    it starts at or above the operator's own lower end and keeps its top:
+    a higher window gives the same det and lifts from its own primes,
+    while a lower one, or another top, raises ValueError in determinant
+    and in RationalSolver alike."""
     rnd = random.Random(73)
     a = SparseMatrix.from_dense(_dense_nonzero(rnd, 4, 4, 10))
     shifted = LinearOperator.shift(a, 3)
     lower, top = solver._prime_window(shifted)
     assert top is None
     want = determinant(shifted, rng=1)
-    higher = (lower << 20, top)
-    assert determinant(shifted, rng=1, window=higher) == want
-    with RationalSolver(shifted, 1e-6, 3, window=higher) as s:
+    shifted.window = (lower << 20, top)
+    assert determinant(shifted, rng=1) == want
+    with RationalSolver(shifted, 1e-6, 3) as s:
         assert s.det == want
         assert s.prime in shared_pool.get(lower << 20, 8)
     for op, bad in ((shifted, (lower - 1, top)), (shifted, (lower, 1 << 50)),
                     (a, (solver._prime_window(a)[0], None))):
+        op.window = bad
         with pytest.raises(ValueError, match="prime window"):
-            determinant(op, rng=1, window=bad)
+            determinant(op, rng=1)
         with pytest.raises(ValueError, match="prime window"):
-            RationalSolver(op, 1e-6, 3, window=bad)
+            RationalSolver(op, 1e-6, 3)
 
 
 def _fresh_pool(monkeypatch):
@@ -1258,6 +1265,30 @@ def test_band_determinant_stays_on_the_fused_kernels(monkeypatch):
     lower = n * n * a.entry_bound
     assert calls == _c_primes(lower, 2 * row_norm_bound(a), d, top)
     assert len(calls) < _pool_prefix(lower, 2 * row_norm_bound(a), top)
+
+
+def test_band_solver_lifts_with_the_determinants_prime(monkeypatch):
+    """On the same dense n = 40, U = 10^10 input the solver draws from
+    the determinant's n^2 U window too: it lifts with the determinant's
+    prime below the word bound and keeps its FpSolver, so lin_solve runs
+    one Wiedemann trial, the determinant's, and every entry is within
+    e^eps of the exact solution."""
+    rnd = random.Random(40)
+    n, u, eps = 40, 10 ** 10, 1e-6
+    dense = _dense_nonzero(rnd, n, n, u)
+    b = [rnd.randrange(-100, 101) for _ in range(n)]
+    trials = []
+    trial = wiedemann._one_wiedemann_trial
+
+    def spy(*args):
+        trials.append(args[1].p)
+        return trial(*args)
+
+    monkeypatch.setattr(wiedemann, "_one_wiedemann_trial", spy)
+    x = lin_solve(SparseMatrix.from_dense(dense), b, eps, 3).x
+    assert len(trials) == 1 and trials[0] < 1 << 50
+    for xi, w in zip(x, oracle_solve_exact(dense, b)):
+        assert _close_mult(xi, w, eps)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -257,7 +257,7 @@ def test_shift_invert_sees_only_even_intervals(monkeypatch):
     calls = []
     shift = spectral.shift_invert
 
-    def spy(b_scaled, scale_pow, lo, hi, rng, det=None, window=None):
+    def spy(b_scaled, scale_pow, lo, hi, rng, det=None):
         dense = dense_of(b_scaled)
         dets = []
         for m in (lo, (lo + hi) / 2, hi):
@@ -270,7 +270,7 @@ def test_shift_invert_sees_only_even_intervals(monkeypatch):
         assert signs[0] == signs[1] == signs[2] != 0, (lo, hi)
         assert det == dets[1]
         calls.append((lo, hi))
-        return shift(b_scaled, scale_pow, lo, hi, rng, det=det, window=window)
+        return shift(b_scaled, scale_pow, lo, hi, rng, det=det)
 
     monkeypatch.setattr(spectral, "shift_invert", spy)
     a = sym_random(random.Random(1), 4, 10)
