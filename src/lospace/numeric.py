@@ -33,10 +33,6 @@ class FloatOverflow(ArithmeticError):
     """Value left the representable range of L-bit floats."""
 
 
-class SignMismatch(ValueError):
-    """Same-sign addition was handed operands of strictly opposite sign."""
-
-
 class FloatL:
     """Immutable-by-convention L-bit float; see module docstring.
 
@@ -164,31 +160,6 @@ def fl_from_bigratio(num: int, den: int, L: int) -> FloatL:
 
 def fl_neg(x: FloatL) -> FloatL:
     return FloatL(-x.mantissa, x.exponent, x.L)
-
-
-def fl_add_same_sign(x: FloatL, y: FloatL) -> FloatL:
-    """x + y for operands of matching sign, in one rounding.
-
-    Zero is sign-neutral and acts as the identity.
-    """
-    if x.L != y.L:
-        raise ValueError("operands carry different L")
-    if x.mantissa == 0:
-        return y
-    if y.mantissa == 0:
-        return x
-    if (x.mantissa < 0) != (y.mantissa < 0):
-        raise SignMismatch("fl_add_same_sign on opposite signs")
-    L = x.L
-    # |x| lies in [2^(top - 1), 2^top) for top = exponent + bitlen(mantissa)
-    gap = (x.exponent + abs(x.mantissa).bit_length()
-           - y.exponent - abs(y.mantissa).bit_length())
-    if abs(gap) >= L + 2:
-        # the smaller is below a quarter ulp of the larger, which is the sum
-        return x if gap > 0 else y
-    e = min(x.exponent, y.exponent)
-    total = (x.mantissa << (x.exponent - e)) + (y.mantissa << (y.exponent - e))
-    return _round_to_l(total, 1, e, L)
 
 
 def fl_add_scaled(x: FloatL, k: int, y: FloatL) -> FloatL:

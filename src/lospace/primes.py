@@ -46,31 +46,25 @@ Webster, Math. Comp. 86, 2017):
     12       318665857834031151167461
     13       3317044064679887385961981   (about 2^81.5)
 
-So for x < psi_t the first t prime bases prove x prime or composite.
-``test_prime`` uses that: below psi_13, an x that survives its first
-random round is decided by the first t prime bases, t least with
-x < psi_t, instead of by more random rounds.  It still draws every base
-the random rounds would draw: an accepted x draws its remaining bases
-untested, and a rejected one keeps running random rounds until one of
-them finds a witness, or the rounds run out.  Its use of rng is
-therefore that of plain random rounds whenever those reach the right
-verdict, and its verdict is exact below psi_13.
+So for x < psi_t the first t prime bases prove x prime or composite:
+``is_prime`` decides every x below psi_13 on the first t prime bases, t
+least with x < psi_t, and reads no rng.
 
-The sampler goes further above 2^81.  Damgard, Landrock and Pomerance
-(Math. Comp. 61, 1993) bound the chance p_{k,t} that a uniformly random
-odd k-bit integer which passes t random rounds is composite; the t of
-``_SAMPLER_ROUNDS`` make it at most 2^-80, which is what 40 rounds give
-in the worst case.  For k >= 100 they are those of Menezes, van Oorschot
-and Vanstone (Handbook of Applied Cryptography, Table 4.4).  For
-82 <= k <= 99 they are the least t with
+From psi_13 up, ``is_prime`` takes random rounds.  Damgard, Landrock
+and Pomerance (Math. Comp. 61, 1993) bound the chance p_{k,t} that a
+uniformly random odd k-bit integer which passes t random rounds is
+composite; the t of ``_SAMPLER_ROUNDS`` make it at most 2^-80, which is
+what 40 rounds give in the worst case.  For k >= 100 they are those of
+Menezes, van Oorschot and Vanstone (Handbook of Applied Cryptography,
+Table 4.4).  For 82 <= k <= 99 they are the least t with
 
     p_{k,t} <= (1/7) k^(15/4) 2^(-k/2 - 2t) <= 2^-80,
 
 DLP's estimate for k >= 21 and t >= k/4, which every such t meets:
 31 rounds at 82 bits, 30 at 83-86, 29 at 87-91, 28 at 92-95 and 27 at
 96-99 (at 100 bits the same formula gives HAC's 27).  The bound applies
-to the sampler's candidates of k >= 82 bits, which only uncapped windows
-hold:
+to the sampler's candidates that reach the random rounds, all of k >= 82
+bits, which only uncapped windows hold:
 
   - an uncapped window is [2^a, 2^2a], so given its bit length k the
     candidate is uniform on all k-bit integers, and given that it is
@@ -84,12 +78,6 @@ hold:
   - a capped window ends below the word bound, 2^50 or less, so all its
     candidates lie below psi_13 and are decided exactly.
 
-An accepted candidate then draws the 40 - t bases it did not test, so a
-stream departs from that of 40 random rounds only where 40 rounds would
-have caught a composite that t rounds passed: probability 2^-80 per
-accepted prime.  Candidates below 82 bits keep 40 rounds, which the
-prime bases settle below psi_13.
-
 CRT reconstruction is incremental (Garner style): only the running product
 and remainder are live, never the full residue table.
 """
@@ -102,13 +90,10 @@ import random
 
 from . import meter
 
-PRIME = "PRIME"
-COMPOSITE = "COMPOSITE"
-
 _SMALL_PRIMES = frozenset(q for q in range(2, 512)
                           if all(q % d for d in range(2, math.isqrt(q) + 1)))
-# product of the odd primes below 512; a single gcd rejects most composites
-_PRIMORIAL = math.prod(q for q in _SMALL_PRIMES if q > 2)
+# product of the primes below 512; a single gcd rejects most composites
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 class SamplingExhausted(RuntimeError):
@@ -147,73 +132,39 @@ def _witness(a, d, r, x):
     return True
 
 
-def test_prime(x: int, rounds: int = 40, rng: random.Random | None = None) -> str:
-    """Miller-Rabin: PRIME for every prime, exact below psi_13; above it
-    composites escape w.p. <= 4^-rounds.  Draws rounds random bases from
-    rng whatever it finds, except that a composite stops at its first
-    random witness."""
-    if x < 2:
-        raise ValueError("test_prime wants x >= 2")
+def is_prime(x: int, rng: random.Random) -> bool:
+    """Miller-Rabin: exact below psi_13, where rng is not read; from
+    psi_13 up, the random rounds of _SAMPLER_ROUNDS on bases drawn from
+    rng, stopping at the first witness (module docstring)."""
     if x < 512:
-        return PRIME if x in _SMALL_PRIMES else COMPOSITE
-    if x & 1 == 0:
-        return COMPOSITE
-    if rounds < 1:
-        raise ValueError("test_prime wants rounds >= 1")
-    rng = rng or random.Random()
-    d = x - 1
-    r = 0
+        return x in _SMALL_PRIMES
+    if math.gcd(x, _PRIMORIAL) > 1:
+        return False
+    d, r = x - 1, 0
     while d & 1 == 0:
         d >>= 1
         r += 1
-    verdict = PRIME
-    for i in range(rounds):
-        if _witness(rng.randrange(2, x - 1), d, r, x):
-            return COMPOSITE
-        if i == 0 and x < _PSI[-1]:
-            t = bisect.bisect_right(_PSI, x) + 1
-            if not any(_witness(a, d, r, x) for a in _PRIME_BASES[:t]):
-                for _ in range(rounds - 1):
-                    rng.randrange(2, x - 1)
-                return PRIME
-            verdict = COMPOSITE
-    return verdict
+    if x < _PSI[-1]:
+        bases = _PRIME_BASES[:bisect.bisect_right(_PSI, x) + 1]
+    else:
+        t = next(t for bits, t in _SAMPLER_ROUNDS if x.bit_length() >= bits)
+        bases = (rng.randrange(2, x - 1) for _ in range(t))
+    return not any(_witness(a, d, r, x) for a in bases)
 
 
-def _looks_prime(x, rng):
-    """The sampler's test: like test_prime(x, 40, rng), rng use included,
-    but with the rounds of _SAMPLER_ROUNDS above 2^81."""
-    if x < 512:
-        return x in _SMALL_PRIMES
-    if x & 1 == 0 or math.gcd(x, _PRIMORIAL) > 1:
-        return False
-    k = x.bit_length()
-    t = next((t for bits, t in _SAMPLER_ROUNDS if k >= bits), 40)
-    if test_prime(x, t, rng) == COMPOSITE:
-        return False
-    for _ in range(40 - t):
-        rng.randrange(2, x - 1)
-    return True
-
-
-def _draw_prime(rng: random.Random, lower: int, seen: set,
-                hi: int | None = None) -> int:
-    """One prime from [lower, hi] (hi = lower^2 by default) not in seen, by
-    rejection; adds it to seen.
+def _draw_prime(rng: random.Random, lower: int, seen: set, hi: int) -> int:
+    """One prime from [lower, hi] not in seen, by rejection; adds it to
+    seen.
 
     The budget of draws comes from the prime density bound 1/(8*log2 n)
     for n >= 16, which holds on [lower, hi] for lower^2 >= hi >= 2 lower
     (see the module docstring); exhausting it has probability below
     lower^-4.
     """
-    if hi is None:
-        hi = lower * lower
     budget = math.ceil(8 * 4 * math.log2(lower) ** 2)
     for _attempt in range(budget):
         x = rng.randrange(lower, hi + 1)
-        if x in seen:
-            continue
-        if _looks_prime(x, rng):
+        if x not in seen and is_prime(x, rng):
             seen.add(x)
             return x
     raise SamplingExhausted(
@@ -230,9 +181,8 @@ class PrimePool:
     """Deterministic lazily-extended streams of distinct primes per window.
 
     The stream for a window is seeded from its bounds alone, so any two
-    runs (or two callers in one run) see the same primes; an uncapped
-    window [m, m^2] keeps the seed label of m alone.  Reusing primes is
-    sound wherever the per-prime work is certificate-checked: a residue
+    runs (or two callers in one run) see the same primes.  Reusing primes
+    is sound wherever the per-prime work is certificate-checked: a residue
     computed mod any prime is a valid CRT input.
     """
 
@@ -248,12 +198,11 @@ class PrimePool:
 
         lower = window_floor(lower)
         hi = lower * lower
-        label = f"lospace.primepool|{lower}"
         if top is not None and 2 * lower <= top < hi:
             hi = top - 1
-            label += f"|{hi}"
         st = self._streams.get((lower, hi))
         if st is None:
+            label = f"lospace.primepool|{lower}|{hi}"
             seed = int.from_bytes(
                 hashlib.sha256(label.encode()).digest()[:16], "big")
             st = {"rng": random.Random(seed), "primes": [], "seen": set()}

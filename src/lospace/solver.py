@@ -291,8 +291,8 @@ def determinant(a, rng=None, keep=None) -> int:
     if g is not None:
         residue = (-1) ** n * g[0] % p
     else:
-        residue, diag, g = determinant_zp(a, p, delta, random.Random(seed),
-                                          certificate=True)
+        residue, diag, g = determinant_zp(
+            a, p, delta, rng=random.Random(seed), certificate=True)
     d = 1
     if residue and a._fused(p):
         fp = FpSolver(a, p, random.Random(rng.getrandbits(63)), delta,
@@ -307,7 +307,8 @@ def determinant(a, rng=None, keep=None) -> int:
         q = shared_pool.get(lower, count, top=top)[-1]
         if d % q == 0:
             continue
-        residue = determinant_zp(a, q, delta, random.Random(rng.getrandbits(63)))
+        residue = determinant_zp(a, q, delta,
+                                 rng=random.Random(rng.getrandbits(63)))
         pairs.append((q, residue * pow(d, -1, q) % q))
         prod *= q
     P, R = crt_combine(pairs)

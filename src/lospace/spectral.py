@@ -77,8 +77,8 @@ so the entry bound 2^s U + max |d_i - m| of 2^s B - m I is at most
 Determinants and lifts need only primes at or above their operator's own
 lower end, so 2^s B carries that window (``LinearOperator.window``), its
 scalar shifts keep it, and all of them draw from it: one prime stream
-per call (per attempt, when the perturbation is retried), instead of one
-per power of two of n^3 U that the shifts reach.
+per call (per attempt, when the perturbation is retried), however many
+powers of two of n^3 U the shifts span.
 
 One characteristic polynomial serves that window's first prime p.  Once
 per attempt, one plain Wiedemann trial on 2^s B mod p, a second when the
@@ -118,7 +118,7 @@ from .numeric import (
     GREATER,
     LESS,
     fixed_from_fraction,
-    fl_add_same_sign,
+    fl_add_scaled,
     fl_cmp,
     fl_cmp_fraction,
     fl_div,
@@ -192,7 +192,7 @@ def _norm_sq(vec_fl):
     acc = None
     for x in vec_fl:
         sq = fl_mul(x, x)
-        acc = sq if acc is None else fl_add_same_sign(acc, sq)
+        acc = sq if acc is None else fl_add_scaled(acc, 1, sq)
     return acc
 
 
@@ -393,7 +393,7 @@ def _narrow(f, ka: int, kb: int, f_lo: FloatL, f_hi: FloatL, leaves: int,
         x = mid = Fraction(ka + kb, 2)
         if ka != 0 and kb != leaves:
             w, a, b = kb - ka, _abs(f_lo), _abs(f_hi)
-            x = ka + w * fl_div(a, fl_add_same_sign(a, b)).to_fraction()
+            x = ka + w * fl_div(a, fl_add_scaled(a, 1, b)).to_fraction()
             d = min(abs(mid - x) - Fraction(w * w, 2 * w0), Fraction(reach - w, 2))
             x = mid - max(0, d) if x < mid else mid + max(0, d)
         reach >>= 1

@@ -18,7 +18,6 @@ Horner with two live vectors.
 from __future__ import annotations
 
 import math
-import random
 
 from . import meter
 from .kernels import Field
@@ -57,7 +56,7 @@ def _one_wiedemann_trial(op, f, rng):
             return f.berlekamp_massey(seq)
 
 
-def minimal_polynomial(a, p, boost=1, rng=None):
+def minimal_polynomial(a, p, boost=1, *, rng):
     """Best-of-`boost` Wiedemann trials; keeps the largest-degree recurrence.
 
     The result is always a monic factor of the minimal polynomial of
@@ -65,7 +64,6 @@ def minimal_polynomial(a, p, boost=1, rng=None):
     least 1 - 2^-Omega(boost) when p > n.  Degree n ends the trials early
     since no factor can be larger.
     """
-    rng = rng or random.Random()
     f = Field(p)
     best = [1]
     for _ in range(max(1, boost)):
@@ -77,7 +75,7 @@ def minimal_polynomial(a, p, boost=1, rng=None):
     return best
 
 
-def determinant_zp(a, p, delta=1e-9, rng=None, certificate=False):
+def determinant_zp(a, p, delta=1e-9, *, rng, certificate=False):
     """det(a) mod p via the random-diagonal preconditioner.
 
     Each run draws d with every d_i nonzero and takes the recurrence g of
@@ -104,7 +102,6 @@ def determinant_zp(a, p, delta=1e-9, rng=None, certificate=False):
     """
     if a.n != a.m:
         raise ValueError("determinant_zp needs a square operator")
-    rng = rng or random.Random()
     f = Field(p)
     n = a.n
     runs = max(1, math.ceil(40 * math.log(1 / delta)))

@@ -15,7 +15,7 @@ import pytest
 
 from lospace.cli import bench_run
 from lospace.linop import SparseMatrix
-from lospace.numeric import fl_from_int, fl_mul, fl_add_same_sign
+from lospace.numeric import fl_from_int, fl_mul, fl_add_scaled
 from lospace.oracle import (
     SINGULAR,
     oracle_det_bareiss,
@@ -308,7 +308,7 @@ def test_criterion_10_property_suites():
         for _ in range(ops):
             k = rnd.randrange(1, 9)
             if rnd.random() < 0.5:
-                x = fl_add_same_sign(x, fl_from_int(k, L))
+                x = fl_add_scaled(x, 1, fl_from_int(k, L))
                 exact += k
             else:
                 x = fl_mul(x, fl_from_int(k, L))

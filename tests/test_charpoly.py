@@ -65,7 +65,7 @@ def test_charpoly_gives_every_shift_its_residue_and_recurrence(k, monkeypatch):
         shifted = LinearOperator.shift(b_scaled, -m)
         chi = shifted.charpoly(p)
         at_m = sum(gi * pow(m, i, p) for i, gi in enumerate(g)) % p
-        residue = determinant_zp(shifted, p, 1e-6, random.Random(m))
+        residue = determinant_zp(shifted, p, 1e-6, rng=random.Random(m))
         assert (-1) ** n * at_m % p == (-1) ** n * chi[0] % p == residue != 0
         assert shifted.window == window
         assert determinant(shifted, random.Random(m)) == \
@@ -167,15 +167,15 @@ def _spied_call(monkeypatch, run):
         trials.append(f.p)
         return trial(op, f, rng)
 
-    def certify(a, p, boost=1, rng=None):
+    def certify(a, p, boost=1, *, rng):
         before = len(trials)
-        g = minpoly(a, p, boost, rng)
+        g = minpoly(a, p, boost, rng=rng)
         certified.append((p, len(trials) - before, len(g) == a.n + 1))
         return g
 
-    def rebuild(a, p, boost=1, rng=None):
+    def rebuild(a, p, boost=1, *, rng):
         rebuilt.append(p)
-        return minpoly(a, p, boost, rng)
+        return minpoly(a, p, boost, rng=rng)
 
     def attempt(*args, **kwargs):
         attempts.append(1)
@@ -252,7 +252,7 @@ def test_short_polynomial_trial_keeps_the_per_node_path(monkeypatch):
     returns to zero."""
     firsts = []
 
-    def short(a, p, boost=1, rng=None):
+    def short(a, p, boost=1, *, rng):
         firsts.append(p)
         return [1]
 

@@ -6,7 +6,6 @@ from lospace import meter, primes
 from lospace.kernels import ENTRY_TOP, Field, _bm, gram_top, word_size, word_top
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.oracle import dense_of, oracle_det_bareiss
-from lospace.primes import PRIME
 from lospace.solver import determinant, lin_solve
 from lospace.wiedemann import determinant_zp
 
@@ -457,7 +456,7 @@ def test_gram_kernels_at_the_sum_bound():
 
 def _prime_near(x, step):
     """The first prime from x on, stepping by step (+1 or -1)."""
-    while primes.test_prime(x, rng=random.Random(0)) != PRIME:
+    while not primes.is_prime(x, random.Random(0)):
         x += step
     return x
 

@@ -12,9 +12,7 @@ from lospace.numeric import (
     FixedL,
     FloatL,
     FloatOverflow,
-    SignMismatch,
     fixed_from_fraction,
-    fl_add_same_sign,
     fl_add_scaled,
     fl_cmp,
     fl_cmp_fraction,
@@ -68,67 +66,44 @@ def test_from_bigratio_one_third_L4():
 def test_add_exact_and_identity():
     a = fl_from_int(3, 10)
     b = fl_from_int(5, 10)
-    assert fl_add_same_sign(a, b).to_fraction() == 8
+    assert fl_add_scaled(a, 1, b).to_fraction() == 8
     z = fl_zero(10)
-    assert fl_add_same_sign(a, z) == a
-    assert fl_add_same_sign(z, a) == a
+    assert fl_add_scaled(a, 1, z) == a
+    assert fl_add_scaled(z, 1, a) == a
 
 
 def test_add_rounds_half_even_L3():
     a = fl_from_int(7, 3)
     b = fl_from_int(6, 3)
-    out = fl_add_same_sign(a, b)
+    out = fl_add_scaled(a, 1, b)
     # 13 rounds to 12 (mantissa 6 chosen over 7 by ties-to-even)
     assert out.to_fraction() == 12
     assert abs(float(out.to_fraction()) - 13) / 13 <= 2 ** -3
 
 
-def test_add_sign_mismatch():
-    a = fl_from_int(3, 8)
-    b = fl_from_int(-2, 8)
-    with pytest.raises(SignMismatch):
-        fl_add_same_sign(a, b)
-
-
 def test_add_huge_exponent_gap_returns_big_operand():
     big = FloatL(5, 4000, 16)
     small = FloatL(3, -4000, 16)
-    assert fl_add_same_sign(big, small) == big
+    assert fl_add_scaled(big, 1, small) == big
 
 
 @settings(max_examples=300, deadline=None)
 @given(xm=st.integers(-(1 << 12), 1 << 12), xe=st.integers(-40, 40),
        k=st.integers(-(1 << 20), 1 << 20), ym=st.integers(-(1 << 30), 1 << 30),
        ye=st.integers(-40, 40), L=st.integers(7, 12))
+@example(xm=1, xe=30, k=1, ym=65535, ye=0, L=16)
 def test_add_scaled_is_one_nearest_rounding(xm, xe, k, ym, ye, L):
     """fl_add_scaled(x, k, y) is the nearest x.L-bit float to the exact
     x + k y, ties to even as fl_from_bigratio rounds them, for any signs
-    and a y wider than x: one rounding, never two."""
+    and a y wider than x: one rounding, never two.  At L = 16, x = 2^30
+    has a one-bit canonical mantissa; rounding 2^30 + 65535 to 2^30, as a
+    shortcut that compares exponents alone would, breaks the bound."""
     x = fl_from_bigratio(xm * 2 ** max(xe, 0), 2 ** max(-xe, 0), L)
     y = fl_from_bigratio(ym * 2 ** max(ye, 0), 2 ** max(-ye, 0), 32)
     exact = x.to_fraction() + k * y.to_fraction()
     got = fl_add_scaled(x, k, y)
     assert got == fl_from_bigratio(exact.numerator, exact.denominator, L)
     assert abs(got.to_fraction() - exact) <= abs(exact) * Fraction(1, 2 ** L)
-
-
-@settings(max_examples=300, deadline=None)
-@given(xm=st.integers(1, 1 << 12), xe=st.integers(-40, 40),
-       ym=st.integers(1, 1 << 12), ye=st.integers(-40, 40),
-       sign=st.sampled_from((1, -1)), L=st.integers(7, 12))
-@example(xm=1, xe=30, ym=65535, ye=0, sign=1, L=16)
-def test_add_same_sign_is_one_nearest_rounding(xm, xe, ym, ye, sign, L):
-    """fl_add_same_sign(x, y) is the nearest L-bit float to the exact
-    x + y, ties to even, for same-sign operands whose canonical mantissas
-    may be far shorter than L: an operand is dropped only below a quarter
-    of the other's ulp, never because its exponent alone is small.  At
-    L = 16, 2^30 + 65535 rounded to 2^30 breaks the one-rounding bound."""
-    x = fl_from_bigratio(sign * xm * 2 ** max(xe, 0), 2 ** max(-xe, 0), L)
-    y = fl_from_bigratio(sign * ym * 2 ** max(ye, 0), 2 ** max(-ye, 0), L)
-    exact = x.to_fraction() + y.to_fraction()
-    got = fl_add_same_sign(x, y)
-    assert got == fl_from_bigratio(exact.numerator, exact.denominator, L)
-    assert fl_add_same_sign(y, x) == got
 
 
 def test_add_scaled_exact_cases():
@@ -273,7 +248,7 @@ def test_error_composition_chains():
             other = fl_from_int(arg, L)
             if rnd.random() < 0.5:
                 try:
-                    val = fl_add_same_sign(val, other)
+                    val = fl_add_scaled(val, 1, other)
                 except FloatOverflow:
                     break
                 exact = exact + arg

@@ -1,20 +1,17 @@
 import hashlib
-import math
 import random
 
 import pytest
+from mpmath.libmp import isprime as reference_is_prime
 
 from lospace import primes
 from lospace.primes import (
-    COMPOSITE,
-    PRIME,
     DuplicatePrime,
     PrimePool,
     _draw_prime,
     crt_combine,
-    window_floor,
+    is_prime,
 )
-from lospace.primes import test_prime as check_prime
 
 
 def sieve_upto(n):
@@ -29,31 +26,31 @@ def sieve_upto(n):
 
 
 def test_small_examples():
-    assert check_prime(2) == PRIME
-    assert check_prime(97) == PRIME
-    assert check_prime(91, rounds=40, rng=random.Random(0)) == COMPOSITE
+    rng = random.Random(0)
+    assert is_prime(2, rng)
+    assert is_prime(97, rng)
+    assert not is_prime(91, rng)
 
 
 def test_agrees_with_trial_division_upto_1e5():
     primes = set(sieve_upto(10 ** 5))
     rng = random.Random(123)
     for x in range(2, 10 ** 5 + 1):
-        want = PRIME if x in primes else COMPOSITE
-        assert check_prime(x, rounds=12, rng=rng) == want, x
+        assert is_prime(x, rng) == (x in primes), x
 
 
 def test_prime_large_known():
     rng = random.Random(5)
-    assert check_prime((1 << 61) - 1, rng=rng) == PRIME
-    assert check_prime((1 << 61) + 1, rng=rng) == COMPOSITE
+    assert is_prime((1 << 61) - 1, rng)
+    assert not is_prime((1 << 61) + 1, rng)
     # Carmichael number 561 must not fool the test
-    assert check_prime(561, rng=rng) == COMPOSITE
-    assert check_prime(512461, rng=rng) == COMPOSITE  # another Carmichael
+    assert not is_prime(561, rng)
+    assert not is_prime(512461, rng)  # another Carmichael
 
 
 def _draw(k, lower, rng):
     seen = set()
-    return [_draw_prime(rng, lower, seen) for _ in range(k)]
+    return [_draw_prime(rng, lower, seen, lower * lower) for _ in range(k)]
 
 
 def test_sample_basic_and_deterministic():
@@ -77,7 +74,7 @@ def test_sample_outputs_pass_primality_and_distinct():
     for lower, ps in ((400, out), (512, pooled)):
         assert len(set(ps)) == 20
         for p in ps:
-            assert check_prime(p, 40, check) == PRIME
+            assert is_prime(p, check)
             assert lower <= p <= lower * lower
 
 
@@ -86,7 +83,7 @@ def test_sample_uniformity_chi_square():
     targets = [p for p in sieve_upto(256) if p >= 16]
     counts = {p: 0 for p in targets}
     for seed in range(10 ** 4):
-        counts[_draw_prime(random.Random(seed), 16, set())] += 1
+        counts[_draw_prime(random.Random(seed), 16, set(), 256)] += 1
     expected = 10 ** 4 / len(targets)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     from scipy.stats import chi2 as chi2_dist
@@ -136,7 +133,7 @@ def test_capped_window_draws_below_top():
         ps = PrimePool().get(lower, k, top=top)
         assert len(set(ps)) == k
         assert all(lower <= p < top for p in ps)
-        assert all(check_prime(p, 40, check) == PRIME for p in ps)
+        assert all(is_prime(p, check) for p in ps)
         assert PrimePool().get(lower, k + 1, top=top)[:k] == ps
     # the capped and the uncapped window are separate streams
     pool = PrimePool()
@@ -160,15 +157,15 @@ def test_pool_grows_one_prime_at_a_time():
 
 def test_uncapped_window_keeps_its_stream():
     """A top that caps nothing (top >= lower^2, or top < 2 lower) leaves
-    the window [lower, lower^2] and its seed label as they were: the
+    the window [lower, lower^2] and so its stream as they were: the
     pinned primes are the stream's first draws."""
-    first = [224684153252341, 566981378571913, 282345534603607,
-             496692797470021, 710033071154423, 1037838347729089,
-             224457821524141, 208928608754759]
+    first = [841997035214077, 1068378927365833, 699209994254021,
+             435955549066249, 416975037916757, 1023083417341949,
+             412754343464167, 179774701289693]
     assert PrimePool().get(1 << 25, 8) == first
     assert PrimePool().get(1 << 25, 8, top=1 << 50) == first
     assert PrimePool().get(1 << 25, 8, top=(1 << 25) + 5) == first
-    assert PrimePool().get(16, 4, top=1 << 50) == [139, 229, 223, 83]
+    assert PrimePool().get(16, 4, top=1 << 50) == [97, 59, 37, 173]
 
 
 def test_draw_prime_capped_window():
@@ -179,66 +176,36 @@ def test_draw_prime_capped_window():
     assert sorted(out) == [17, 19, 23, 29, 31]
 
 
-# -- the 40-random-round sampler the settled tests must reproduce ------------
-
-PSI_13 = 3317044064679887385961981
+PSI_13 = primes._PSI[-1]
 
 
-def _mr_rounds(x, rounds, rng):
-    """Plain Miller-Rabin on rounds random bases, stopping at a witness."""
-    d, r = x - 1, 0
-    while d & 1 == 0:
-        d >>= 1
-        r += 1
-    for _ in range(rounds):
-        y = pow(rng.randrange(2, x - 1), d, x)
-        if y == 1 or y == x - 1:
-            continue
-        for _ in range(r - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return COMPOSITE
-    return PRIME
+def test_word_size_test_leaves_rng_untouched():
+    """Below psi_13 the prime bases decide, so is_prime leaves rng as it
+    found it."""
+    rnd = random.Random(7)
+    xs = [rnd.randrange(513, PSI_13) | 1 for _ in range(200)]
+    xs += PrimePool().get(1 << 30, 5, top=1 << 50)
+    for x in xs:
+        rng = random.Random(x)
+        state = rng.getstate()
+        assert is_prime(x, rng) == reference_is_prime(x), x
+        assert rng.getstate() == state, x
 
 
-def _reference_get(lower, count, top=None):
-    """PrimePool.get as 40 random rounds per candidate draw it."""
-    lower = window_floor(lower)
-    hi = lower * lower
-    label = f"lospace.primepool|{lower}"
-    if top is not None and 2 * lower <= top < hi:
-        hi = top - 1
-        label += f"|{hi}"
+def test_capped_stream_draws_once_per_candidate():
+    """A capped 2^50 window's stream, seeded from the label lower|hi,
+    spends exactly one randrange per candidate, so its primes are those
+    of a replay that draws candidates and keeps each new prime."""
+    lower, top = 1 << 30, 1 << 50
+    label = f"lospace.primepool|{lower}|{top - 1}"
     rng = random.Random(int.from_bytes(
         hashlib.sha256(label.encode()).digest()[:16], "big"))
-    small = set(sieve_upto(511))
-    odd_primorial = math.prod(q for q in small if q > 2)
-    out = []
-    while len(out) < count:
-        x = rng.randrange(lower, hi + 1)
-        if x in out:
-            continue
-        if x < 512:
-            ok = x in small
-        else:
-            ok = (x & 1 and math.gcd(x, odd_primorial) == 1
-                  and _mr_rounds(x, 40, rng) == PRIME)
-        if ok:
-            out.append(x)
-    return out
-
-
-def test_settled_streams_match_forty_rounds():
-    """Every pool window draws the primes 40 random rounds per candidate
-    drew: all windows through 2^64, where the prime bases decide, and
-    windows up to 2^260 across the bit lengths of _SAMPLER_ROUNDS."""
-    for a in list(range(4, 65)) + [76, 100, 126, 150, 176, 200, 226, 260]:
-        tops = (None, 1 << 50) if 26 <= a <= 49 else (None,)
-        for top in tops:
-            assert PrimePool().get(1 << a, 6, top=top) == \
-                _reference_get(1 << a, 6, top), (a, top)
+    want = []
+    while len(want) < 8:
+        x = rng.randrange(lower, top)
+        if x not in want and reference_is_prime(x):
+            want.append(x)
+    assert PrimePool().get(lower, 8, top=top) == want
 
 
 def _spy_pow(monkeypatch):
@@ -252,14 +219,13 @@ def _spy_pow(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("lower, top, most", [(1 << 25, 1 << 50, 10),
+@pytest.mark.parametrize("lower, top, most", [(1 << 25, 1 << 50, 9),
                                               (1 << 45, None, 31),
                                               (1 << 105, None, 15)],
                          ids=["capped-2^50", "uncapped-2^45", "uncapped-2^105"])
 def test_exponentiations_per_accepted_prime(monkeypatch, lower, top, most):
-    """An accepted word-size prime costs one random round plus at most 9
-    prime bases; one of 82 to 90 bits, at most 31 random rounds, and one
-    of over 200 bits, 15 (40 each before)."""
+    """An accepted word-size prime costs at most 9 prime bases; one of 82
+    to 90 bits, at most 31 random rounds, and one of over 200 bits, 15."""
     calls = _spy_pow(monkeypatch)
     ps = PrimePool().get(lower, 6, top=top)
     for p in ps:
@@ -267,44 +233,39 @@ def test_exponentiations_per_accepted_prime(monkeypatch, lower, top, most):
 
 
 def test_boundary_pseudoprimes_are_composite():
-    """psi_4, psi_9 and psi_12 pass every prime base below their own t but
-    not the next one: COMPOSITE for any seed and any number of rounds."""
-    for x in (3215031751, 3825123056546413051, 318665857834031151167461):
+    """Every psi_t passes the first t prime bases, yet is_prime finds it
+    composite for any seed."""
+    for t, x in enumerate(primes._PSI, 1):
+        d, r = x - 1, 0
+        while d & 1 == 0:
+            d >>= 1
+            r += 1
+        assert not any(primes._witness(a, d, r, x)
+                       for a in primes._PRIME_BASES[:t]), t
         for seed in range(50):
-            for rounds in (1, 2, 7, 40):
-                assert check_prime(x, rounds, random.Random(seed)) == COMPOSITE
+            assert not is_prime(x, random.Random(seed)), (t, seed)
 
 
 def test_psi13_takes_the_random_rounds(monkeypatch):
     """At psi_13 the prime bases no longer decide: every exponentiation is
-    on a base drawn from rng, as in plain random rounds."""
+    on a base drawn from rng, and rng draws no base it does not test."""
     calls = _spy_pow(monkeypatch)
     for seed in range(20):
         calls.clear()
-        rng, ref = random.Random(seed), random.Random(seed)
-        assert check_prime(PSI_13, 40, rng) == \
-            _mr_rounds(PSI_13, 40, ref) == COMPOSITE
-        assert rng.getstate() == ref.getstate()
+        rng = random.Random(seed)
+        assert not is_prime(PSI_13, rng)
         replay = random.Random(seed)
-        assert [b for b, _ in calls] == \
+        assert calls and [b for b, _ in calls] == \
             [replay.randrange(2, PSI_13 - 1) for _ in calls]
+        assert rng.getstate() == replay.getstate()
 
 
-def test_settled_test_uses_rng_as_random_rounds_do():
-    """On primes and composites below and above psi_13, test_prime gives
-    the right verdict (a composite may fool a few random rounds) and,
-    wherever random rounds get it right too, leaves rng where they do."""
+def test_verdicts_below_and_above_psi13():
+    """On primes and composites below and above psi_13, is_prime gives
+    the verdict of an independent Miller-Rabin test."""
     rnd = random.Random(99)
     xs = [rnd.randrange(513, 1 << k) | 1 for k in (12, 33, 50, 63, 81, 90, 130)
           for _ in range(40)]
     xs += PrimePool().get(1 << 30, 5, top=1 << 50) + PrimePool().get(1 << 45, 3)
-    agreed = 0
     for x in xs:
-        truth = _mr_rounds(x, 64, random.Random(-x))
-        for rounds in (1, 3, 40):
-            rng, ref = random.Random(x), random.Random(x)
-            assert check_prime(x, rounds, rng) == truth, x
-            if _mr_rounds(x, rounds, ref) == truth:
-                assert rng.getstate() == ref.getstate(), x
-                agreed += 1
-    assert agreed > 0.9 * 3 * len(xs)
+        assert is_prime(x, random.Random(x)) == reference_is_prime(x), x

@@ -780,7 +780,7 @@ def test_block_count_fits_the_linear_budget():
     acc = (L + 1) + int_bits(top_exp) bits each, fit
     B = 16 n ceil(log2(2nU)) bits, one coordinate per block when a single
     accumulator exceeds B.  On the benchmark's n = 64, U = 100 system
-    (T = 10 digits of a 48-bit prime, top_exp = 554) that is 1 block at
+    (T = 9 digits of a 50-bit prime, top_exp = 523) that is 1 block at
     eps = 1e-30 (L = 104) and at eps = 1e-6 (L = 24)."""
     rnd = random.Random(1)
     a = bench_matrix(64, rnd)
@@ -788,7 +788,7 @@ def test_block_count_fits_the_linear_budget():
     with RationalSolver(a, 1e-6, 0) as s:
         T = s.lift_length(b)
         top_exp = T * (s.prime.bit_length() + 1) + 64
-        assert (T, s.prime.bit_length(), top_exp) == (10, 48, 554)
+        assert (T, s.prime.bit_length(), top_exp) == (9, 50, 523)
         assert s.block_count(_acc_bits(104, top_exp)) == 1
         assert s.block_count(_acc_bits(24, top_exp)) == 1
     with RationalSolver(SparseMatrix.identity(4), 1e-6, 0) as s:

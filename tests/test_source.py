@@ -81,3 +81,17 @@ def test_every_public_name_has_a_caller_in_the_package():
                                   and node.lineno <= line <= node.end_lineno)
                          for where, ref, line in refs)]
     assert found == []
+
+
+def test_no_unseeded_random():
+    """A seed gives the same bits whatever the call history: no source
+    builds a ``random.Random()`` (or a bare ``Random()``) with no seed,
+    which draws from OS entropy."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr",
+                         getattr(node.func, "id", None)) == "Random"
+             and not node.args and not node.keywords]
+    assert found == []
