@@ -91,19 +91,36 @@ def test_add_huge_exponent_gap_returns_big_operand():
 @given(xm=st.integers(-(1 << 12), 1 << 12), xe=st.integers(-40, 40),
        k=st.integers(-(1 << 20), 1 << 20), ym=st.integers(-(1 << 30), 1 << 30),
        ye=st.integers(-40, 40), L=st.integers(7, 12))
-@example(xm=1, xe=30, k=1, ym=65535, ye=0, L=16)
 def test_add_scaled_is_one_nearest_rounding(xm, xe, k, ym, ye, L):
     """fl_add_scaled(x, k, y) is the nearest x.L-bit float to the exact
     x + k y, ties to even as fl_from_bigratio rounds them, for any signs
-    and a y wider than x: one rounding, never two.  At L = 16, x = 2^30
-    has a one-bit canonical mantissa; rounding 2^30 + 65535 to 2^30, as a
-    shortcut that compares exponents alone would, breaks the bound."""
+    and a y wider than x: one rounding, never two."""
     x = fl_from_bigratio(xm * 2 ** max(xe, 0), 2 ** max(-xe, 0), L)
     y = fl_from_bigratio(ym * 2 ** max(ye, 0), 2 ** max(-ye, 0), 32)
     exact = x.to_fraction() + k * y.to_fraction()
     got = fl_add_scaled(x, k, y)
     assert got == fl_from_bigratio(exact.numerator, exact.denominator, L)
     assert abs(got.to_fraction() - exact) <= abs(exact) * Fraction(1, 2 ** L)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xm=st.integers(1, 1 << 12), xe=st.integers(-40, 40),
+       ym=st.integers(1, 1 << 12), ye=st.integers(-40, 40),
+       sign=st.sampled_from((1, -1)), L=st.integers(7, 12))
+@example(xm=1, xe=30, ym=65535, ye=0, sign=1, L=16)
+def test_add_same_sign_is_one_nearest_rounding(xm, xe, ym, ye, sign, L):
+    """fl_add_scaled(x, 1, y) is the nearest L-bit float to the exact
+    x + y, ties to even, for same-sign operands at one L whose canonical
+    mantissas may be far shorter than L: an operand is dropped only below
+    a quarter of the other's ulp, never because its exponent alone is
+    small.  At L = 16, 2^30 + 65535 rounded to 2^30 breaks the
+    one-rounding bound."""
+    x = fl_from_bigratio(sign * xm * 2 ** max(xe, 0), 2 ** max(-xe, 0), L)
+    y = fl_from_bigratio(sign * ym * 2 ** max(ye, 0), 2 ** max(-ye, 0), L)
+    exact = x.to_fraction() + y.to_fraction()
+    got = fl_add_scaled(x, 1, y)
+    assert got == fl_from_bigratio(exact.numerator, exact.denominator, L)
+    assert fl_add_scaled(y, 1, x) == got
 
 
 def test_add_scaled_exact_cases():
