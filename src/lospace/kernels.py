@@ -4,11 +4,15 @@ Vectors are lists of residues in [0, p).  The fused Krylov and Horner
 kernels run only on word-size moduli (``word_size``), as numpy int64
 vector operations over one matrix A.  They read A's own signed int64
 words (``Field.coo``, from ``SparseMatrix.words``); the one copy made is
-the preconditioner's diag(d) A, whose entries d_r a_rc are folded mod p
-with one mulmod and one ``% p``.  For A (or diag(d) A) every Krylov or
-Horner step is one gather, one mulmod, one ``np.add.reduceat`` over the
-row segments and one ``% p``.  Krylov carries its dot product x.y as one
-extra row of the matrix (columns 0..m-1, entries x), so a step yields
+the preconditioner's diag(d) A, which a determinant builds only on the
+runs after a failed first one (``wiedemann``), its entries d_r a_rc
+folded mod p with one mulmod and one ``% p``.  For A every Krylov or
+Horner step is one gather, one int64 multiply, one ``np.add.reduceat``
+over the row segments and one ``% p``, plus one quotient vector of m or
+n entries (plain rows, below); where A's rows are past the l1 bound, or
+for a folded copy at a wide prime, the multiply is a mulmod over every
+entry instead.  Krylov carries its dot product x.y as one extra row of
+the matrix (columns 0..m-1, entries x), so a step yields
 A y and x.y together; Horner carries its ``+ c z`` as one extra column
 (entries z, multiplied by the coefficient c), so a step maps acc to
 A acc + c z.  For the Gram product A^T A (``gram=True``), optionally
@@ -43,6 +47,25 @@ exclusive top over p is ``word_top``), the plain kernels and the
 diagonal fold also |a| < 2^50 for every entry of A (``ENTRY_TOP``), and
 each reduces its sums once with ``% p`` (numpy's remainder takes the
 sign of the divisor).
+
+Plain rows.  A row of A summed against residues in [0, p) lies within
+its l1 norm times p - 1, so where (row_l1 + 2) p < 2^63, row_l1 the
+largest row l1 norm that ``Field.coo`` hands over (for a folded copy
+(p - 1) m, as its entries are residues), A's products need no mulmod.
+Only Krylov's x.y row and Horner's c z column multiply residue by
+residue, and those products can pass 2^63.  numpy int64 arrays wrap
+modulo 2^64, so the ``reduceat`` sums stay congruent to the true sums
+mod 2^64, and subtracting q p, for the one quotient vector
+q = trunc(fl(x/p) y) or trunc(fl(z/p) c), moves each such term to the
+r in (-2p, 2p) of the mulmod above.  The corrected sums are then exact:
+x.y's m terms lie within 2 m p < 2^63 (word_size), and a row with
+Horner's term within row_l1 (p - 1) + 2p < (row_l1 + 2) p < 2^63.  The
+correction runs on an m- or n-vector, not on the nnz + n products.
+Everything stays in int64 arrays, since numpy scalar arithmetic warns
+on overflow.  Past the bound every product is a mulmod
+(``_mulmod_lazy``): that branch serves a folded copy once
+((p - 1) m + 2) p reaches 2^63, and rows whose l1 norms are too large
+for the prime, such as dense rows of entries near 10^10.
 
 The Gram passes multiply signed entries a, |a| <= U, by residues in
 [0, p) with no mulmod, so their sums are bounded by l1 norms instead.
@@ -89,13 +112,17 @@ def word_top(shape):
     return min(1 << 50, ((1 << 62) - 1) // (max(shape) + 1) + 1)
 
 
+def _sum_top(weight):
+    """The exclusive top of the moduli p with weight * p < 2^63."""
+    return ((1 << 63) - 1) // weight + 1
+
+
 def gram_top(shape, row_l1, col_l1):
     """The exclusive top of the moduli for which the Gram kernels are
     exact on an n x m matrix whose rows have l1 norm at most row_l1 and
     columns at most col_l1: word_top and
     max(row_l1, col_l1 + 2) * p < 2^63 (see the module docstring)."""
-    return min(word_top(shape),
-               ((1 << 63) - 1) // max(row_l1, col_l1 + 2) + 1)
+    return min(word_top(shape), _sum_top(max(row_l1, col_l1 + 2)))
 
 
 def word_size(p, shape):
@@ -197,15 +224,18 @@ class Field:
         for a word-size p: its own signed int64 words (rows, cols, vals),
         rows sorted, the shape, the start of each nonempty row's segment
         and (max row l1, max column l1).  Only a scale makes a copy: vals
-        becomes d_r a_rc mod p, with one mulmod and one ``% p``."""
+        becomes d_r a_rc mod p, with one mulmod and one ``% p``, and its
+        l1 norms are bounded by (p - 1) times the row or column length."""
         p = self.p
         shape = (a.n, a.m)
         _require_word_size(p, shape)
         rows, cols, vals, starts = a.words()
+        l1 = a.l1_norms
         if scale is not None:
             vals = _mulmod_lazy(vals, vals / p, self._words(scale)[rows], p)
             vals %= p
-        return rows, cols, vals, shape, starts, a.l1_norms
+            l1 = ((p - 1) * a.m, (p - 1) * a.n)
+        return rows, cols, vals, shape, starts, l1
 
     def coo_bits(self, coo):
         rows, shape = coo[0], coo[3]
@@ -265,17 +295,24 @@ class Field:
                 if i + 1 < count:
                     y = step(y)
             return seq
-        rows, cols, vals, (n, m), starts, _ = coo
+        rows, cols, vals, (n, m), starts, (row_l1, _) = coo
         # row n of the extended matrix is x: a step gives (A y, x.y)
         dest = None if len(starts) == n else rows[starts]
+        nnz = len(vals)
         cols = np.concatenate((cols, np.arange(m)))
-        starts = np.append(starts, len(vals))
+        starts = np.append(starts, nnz)
         vals = np.concatenate((vals, x))
-        vals_p = vals / p
+        lazy = p >= _sum_top(row_l1 + 2)
+        # past the l1 bound every product is a mulmod, below it only x's
+        # row, whose quotients bring the wrapped x_c y_c back
+        lo = 0 if lazy else nnz
+        vals_p = vals[lo:] / p
         seq = []
         for _ in range(count - 1):
-            sums = np.add.reduceat(
-                _mulmod_lazy(vals, vals_p, y[cols], p), starts)
+            yc = y[cols]
+            prod = vals * yc
+            prod[lo:] -= (vals_p * yc[lo:]).astype(np.int64) * p
+            sums = np.add.reduceat(prod, starts)
             sums %= p
             seq.append(int(sums[-1]))
             if dest is None:
@@ -301,7 +338,7 @@ class Field:
             for i in range(len(coeffs) - 2, -1, -1):
                 acc = step(acc, _mulmod_lazy(z, z_p, coeffs[i] % p, p))
             return acc.tolist()
-        rows, cols, vals, (n, m), _, _ = coo
+        rows, cols, vals, (n, m), _, (row_l1, _) = coo
         # row r of the extended matrix is A's row r followed by z_r in
         # column m, so a step maps v = (acc, c) to A acc + c z; every row
         # has a segment
@@ -309,16 +346,25 @@ class Field:
         ends = np.searchsorted(rows, r, "right")
         cols = np.insert(cols, ends, m)
         vals = np.insert(vals, ends, z)
-        vals_p = vals / p
         starts = np.searchsorted(rows, r) + r
+        lazy = p >= _sum_top(row_l1 + 2)
+        z_p = z / p
+        if lazy:
+            vals_p = vals / p
         v = np.empty(m + 1, np.int64)
         acc = v[:n]
-        acc[:] = _mulmod_lazy(z, z / p, coeffs[-1] % p, p)
+        acc[:] = _mulmod_lazy(z, z_p, coeffs[-1] % p, p)
         acc %= p
         for i in range(len(coeffs) - 2, -1, -1):
-            v[m] = coeffs[i] % p
-            np.add.reduceat(_mulmod_lazy(vals, vals_p, v[cols], p),
-                            starts, out=acc)
+            c = v[m] = coeffs[i] % p
+            if lazy:
+                np.add.reduceat(_mulmod_lazy(vals, vals_p, v[cols], p),
+                                starts, out=acc)
+            else:
+                # A's products are exact and z_r c wraps: one quotient per
+                # row brings it back
+                np.add.reduceat(vals * v[cols], starts, out=acc)
+                acc -= (z_p * c).astype(np.int64) * p
             acc %= p
         return acc.tolist()
 

@@ -45,7 +45,11 @@ for the Gram kinds also ``kernels.gram_top`` of its l1 norms; the plain
 kinds also need every entry below ``kernels.ENTRY_TOP``.  Every fused
 call reads one operand, the matrix's own words (``Field.coo``).  Over a
 matrix a DIAG_SCALE's diagonal is folded into a copy of its entries
-(d_r a_rc mod p); over a Gram product it is applied per step.  Each call
+(d_r a_rc mod p); over a Gram product it is applied per step.  The
+determinant builds a DIAG_SCALE only for its preconditioned retries,
+after a first Wiedemann run on the operator itself failed
+(``wiedemann.determinant_zp``), so the fold, and a lift on the folded
+copy, happen only then.  Each call
 charges a reduced copy's size to the meter while it runs, since its
 numpy temporaries are that large, and a Gram call one n-word vector
 more, the kernels' w = A y; nothing outlives the call.  Every other

@@ -29,10 +29,17 @@ Bronstein & Mulders, ISSAC 1999):
 A zero residue at p, or an operator without fused kernels (every shift),
 takes d = 1: the CRT of det itself, until the product exceeds 2 H, which
 also decides whether A is singular or p divides det.  The lift's mod-p
-solves start from the residue's own certificate, the characteristic
-polynomial g of diag(delta) A (``determinant_zp``), so they run no
-Wiedemann trial, and the solver below keeps that FpSolver when its lift
-prime is p.  d divides the largest invariant factor of A, and misses
+solves start from the residue's own certificate (``determinant_zp``),
+so they run no Wiedemann trial, and the solver below keeps that
+FpSolver when its lift prime is p.  Whenever the residue's first,
+unpreconditioned run certifies, as it does for a nonderogatory A and a
+good draw, that certificate is A's own characteristic polynomial, and
+the lift, and every solve that keeps its FpSolver, runs on A's words
+with no diagonal: no fold of one into a copy and no mulmod per entry
+(``kernels``).  A derogatory A needs the preconditioner: its
+certificate is the characteristic polynomial of diag(delta) A, the lift
+runs on that product, and the later residues skip the first run.
+d divides the largest invariant factor of A, and misses
 more of det where b' or r cancels a factor; that costs residues of c,
 never correctness.
 
@@ -249,7 +256,10 @@ def determinant(a, rng=None, keep=None) -> int:
     for any other composed operator.  Each residue is a finite-field
     determinant (``determinant_zp``), except the first where the
     operator's characteristic polynomial g is known at p
-    (``LinearOperator.charpoly``): that residue is (-1)^n g(0).
+    (``LinearOperator.charpoly``): that residue is (-1)^n g(0).  When the
+    first residue needed the preconditioner, the later ones skip the
+    unpreconditioned first run, which would fail again on a derogatory
+    operator.
 
     The residue at the stream's first prime p comes first.  Where the
     fused kernels run the operator mod p (``LinearOperator._fused``) and
@@ -262,8 +272,8 @@ def determinant(a, rng=None, keep=None) -> int:
     det.  No prime count is fixed in advance: the bound stops the draws.
 
     keep, a list, receives the lift's FpSolver (its recurrence and
-    diagonal, uncharged once this returns), so that a RationalSolver
-    lifting with the same prime builds none of its own.
+    diagonal, if any, uncharged once this returns), so that a
+    RationalSolver lifting with the same prime builds none of its own.
     """
     if a.n != a.m:
         raise ValueError("determinant needs a square matrix")
@@ -308,7 +318,8 @@ def determinant(a, rng=None, keep=None) -> int:
         if d % q == 0:
             continue
         residue = determinant_zp(a, q, delta,
-                                 rng=random.Random(rng.getrandbits(63)))
+                                 rng=random.Random(rng.getrandbits(63)),
+                                 plain=diag is None)
         pairs.append((q, residue * pow(d, -1, q) % q))
         prod *= q
     P, R = crt_combine(pairs)
@@ -391,6 +402,16 @@ def _lift_digits(op, u, fp, b, mult, T):
     magnitude.  The solver lifts det * x with mult = det, the determinant
     x itself with mult = 1.
 
+    The unreduced right-hand side floor(b mult / p^i) - r~ is exactly the
+    residual (mult b - op sum_(j<i) digits_j p^j) / p^i: op digits_j + r~
+    is p times the next carry plus floor(b mult / p^j) mod p, so the sum
+    telescopes.  Once it is the zero vector, mult op^-1 b is the integer
+    sum of the digits so far and every later digit is 0, so the
+    generator stops: the digits' sum, and everything read from it, is
+    what the full T digits give.  An integral solution, det * x for the
+    solver, stops after its top digit; the determinant's rational x
+    never does.
+
     The carry stays within n u: |op digits| <= n u (p - 1)/2, so if
     |r~| <= n u, the numerator r~ + op digits - c, c in [0, p) the
     remainder the floor drops, is below n u (p + 1)/2 + p <= p (n u + 1)
@@ -405,16 +426,24 @@ def _lift_digits(op, u, fp, b, mult, T):
     r_tilde = [0] * n
     bound_r = n * u
     half = p // 2
+
+    def heads():
+        """floor(b_j mult / p^i) for every j, one at a time."""
+        if ppow is None:
+            return iter(tails)
+        return (bj * mult // ppow for bj in b)
+
     with (meter.track("lift.rtilde", n * (bound_r.bit_length() + 2)),
           meter.track("lift.ppow", 1) as ppow_bits,
           meter.track("lift.rhs+digits", 2 * n * (p.bit_length() + 1))):
         ppow = 1
         for i in range(T):
-            if ppow is not None:
-                rhs = [((bj * mult // ppow) - rj) % p
-                       for bj, rj in zip(b, r_tilde)]
-            else:
-                rhs = [(tj - rj) % p for tj, rj in zip(tails, r_tilde)]
+            rhs = [(h - rj) % p for h, rj in zip(heads(), r_tilde)]
+            # a zero residual makes rhs zero, so the exact test runs only
+            # then
+            if not any(rhs) and all(
+                    h == rj for h, rj in zip(heads(), r_tilde)):
+                return
             digits = [d - p if d > half else d for d in fp.solve(rhs)]
             yield digits
             ay = op.apply_int(digits)
@@ -482,7 +511,7 @@ class RationalSolver:
         self.n = self.op.n
         self.u = self.op.entry_bound
         rng = (rng_or_seed if isinstance(rng_or_seed, random.Random)
-               else random.Random(rng_or_seed))
+               else random.Random(rng_or_seed or 0))
         self.rng = rng
         # drawn either way, so the streams derived after it stay put
         det_rng = derive_rng(rng, "det")

@@ -10,6 +10,13 @@ full-degree recurrence *is* the characteristic polynomial, which makes its
 constant term exact, and a recurrence divisible by X proves M singular;
 no voting needed).  Every solve mod p is an FpSolver solve.
 
+A determinant's first run takes M = A itself: both certificates hold for
+any diagonal preconditioner, the identity included, so a nonderogatory A
+needs no diagonal and its FpSolver runs on A's own words.  The runs on
+diag(d) A with a fresh random d follow only when that run fails, and the
+budget counts the first run on top of theirs, so the failure bound is the
+preconditioner's.
+
 Space discipline: every routine holds O(1) vectors of n field elements
 plus the 2n+1 scalar sequence; polynomial-of-operator products go through
 Horner with two live vectors.
@@ -75,11 +82,14 @@ def minimal_polynomial(a, p, boost=1, *, rng):
     return best
 
 
-def determinant_zp(a, p, delta=1e-9, *, rng, certificate=False):
-    """det(a) mod p via the random-diagonal preconditioner.
+def determinant_zp(a, p, delta=1e-9, *, rng, certificate=False, plain=True):
+    """det(a) mod p from one Krylov recurrence per run.
 
-    Each run draws d with every d_i nonzero and takes the recurrence g of
-    one Krylov sequence of M = diag(d) A.  Two outcomes certify the answer:
+    Each run takes the recurrence g of one Krylov sequence of M: A itself
+    on the first run, diag(d) A for a fresh random d with every d_i
+    nonzero on each later one (Kaltofen & Saunders, AAECC-9, 1991).
+    Two outcomes certify the answer, whatever the diagonal, the identity
+    included:
 
     - g has degree n: it is the characteristic polynomial of M, so
       det A = (-1)^n g(0) / prod d;
@@ -88,32 +98,41 @@ def determinant_zp(a, p, delta=1e-9, *, rng, certificate=False):
       is singular, and so is A since diag(d) is not; the same formula
       then gives 0.
 
-    A run over a singular A fails only when neither appears.  Write the
-    minimal polynomial of M as X^c h(X) with h(0) != 0; the run then fails
-    only when y has no component in the generalized kernel of M or x is
-    orthogonal to h(M) y, at most 2/p together, and every prime window
-    starts above 16.  Every answer is certified: when no run yields a
-    certificate the routine raises RetriesExhausted.
+    The first run costs no fold of a diagonal into A, and it certifies
+    whenever A is nonderogatory mod p and the draw is good.  A derogatory
+    A (the identity, say) never has a degree-n recurrence, so a caller
+    that saw the first run fail passes plain=False for A's later primes,
+    which skips it.  The preconditioned runs, ceil(40 ln(1/delta)) of
+    them, carry the failure bound: a run over a singular A fails only
+    when neither outcome appears.  Write the minimal polynomial of M as
+    X^c h(X) with h(0) != 0; the run then fails only when y has no
+    component in the generalized kernel of M or x is orthogonal to
+    h(M) y, at most 2/p together, and every prime window starts above
+    16.  Every answer is certified: when no run yields a certificate the
+    routine raises RetriesExhausted.
 
-    With certificate=True the result is (det mod p, d, g).  A nonzero
-    residue comes only from the first outcome, so its g is the
-    characteristic polynomial of diag(d) A, a recurrence an FpSolver over
-    that matrix can start from (``FpSolver(..., diag=d, poly=g)``).
+    With certificate=True the result is (det mod p, d, g), d None when
+    the first run certified.  A nonzero residue comes only from the first
+    outcome, so its g is the characteristic polynomial of A, or of
+    diag(d) A, a recurrence an FpSolver over that matrix can start from
+    (``FpSolver(..., diag=d, poly=g)``).
     """
     if a.n != a.m:
         raise ValueError("determinant_zp needs a square operator")
     f = Field(p)
     n = a.n
-    runs = max(1, math.ceil(40 * math.log(1 / delta)))
+    runs = max(1, math.ceil(40 * math.log(1 / delta))) + int(plain)
     sign = -1 if n % 2 else 1
-    for _ in range(runs):
-        d = [rng.randrange(1, p) for _ in range(n)]
-        with meter.track("det.diag", n * (p.bit_length() + 1)):
-            da = LinearOperator.diag_scale(d, a)
-            g = _one_wiedemann_trial(da, f, rng)
+    for k in range(runs):
+        d = None if plain and k == 0 else [rng.randrange(1, p)
+                                           for _ in range(n)]
+        with meter.track("det.diag", 0 if d is None
+                         else n * (p.bit_length() + 1)):
+            m = a if d is None else LinearOperator.diag_scale(d, a)
+            g = _one_wiedemann_trial(m, f, rng)
             if len(g) == n + 1 or g[0] == 0:
                 prod = 1
-                for di in d:
+                for di in d or ():
                     prod = prod * di % p
                 residue = sign * g[0] * f.inv(prod) % p
                 return (residue, d, g) if certificate else residue

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lospace import meter, primes
+from lospace import kernels, meter, primes
 from lospace.kernels import ENTRY_TOP, Field, _bm, gram_top, word_size, word_top
 from lospace.linop import LinearOperator, SparseMatrix
 from lospace.oracle import dense_of, oracle_det_bareiss
@@ -520,3 +520,53 @@ def test_gram_kernels_at_the_l1_bound():
                         f.krylov(coo, x, y, count=3, gram=True, diag=diag)
                     with pytest.raises(ValueError):
                         f.horner(coo, coeffs, y, gram=True, diag=diag)
+
+
+def test_plain_kernels_at_the_l1_bound():
+    """Below the l1 bound the plain kernels multiply A's signed words by
+    residues with no mulmod, and only x.y (Krylov) and c z (Horner) wrap
+    and are corrected by one quotient vector.  Row 0 of a 12 x 12 matrix
+    holds four entries s 2^14, so its l1 norm is c = 2^16.  At the
+    largest prime q with (c + 2) q < 2^63 every kernel step sums
+    -+c (q - 1) in that row plus the corrected wrapped term, just inside
+    int64; at the next prime up the kernels take the mulmod branch.
+    Krylov and Horner match a big-int reference on both sides, with and
+    without a diagonal, and so does the operator's own dispatch."""
+    rnd = random.Random(14)
+    n, c = 12, 1 << 16
+    top = kernels._sum_top(c + 2)
+    q = _prime_near(top - 1, -1)
+    wide = _prime_near(top, 1)
+    assert (c + 2) * q < 1 << 63 <= (c + 2) * wide
+    for s in (-1, 1):
+        entries = [(0, j, s << 14) for j in range(4)]
+        entries += [(i, i, rnd.choice((-3, 5))) for i in range(1, n)]
+        entries += [(i, 0, rnd.randrange(-9, 10) or 1) for i in range(2, n, 3)]
+        a = SparseMatrix.from_entries(n, n, entries)
+        assert a.l1_norms[0] == c
+        dense = _dense(a.rows, a.cols, a.vals, n, n)
+        for p in (q, wide):
+            assert word_size(p, (n, n)) and a._fused(p)
+            f = Field(p)
+            # y_j = p - 1 on row 0's columns puts -+c (p - 1) in its sum
+            y = [p - 1] * 4 + [rnd.randrange(p) for _ in range(n - 4)]
+            x = [rnd.randrange(p - 9, p) for _ in range(n)]
+            coeffs = [p - 1, p - 2, 1]
+            for diag in (None, [rnd.randrange(1, p) for _ in range(n)]):
+                op = a if diag is None else LinearOperator.diag_scale(diag, a)
+                da = dense if diag is None else [
+                    [di * v for v in row] for di, row in zip(diag, dense)]
+                want, w = [], list(y)
+                for _ in range(2 * n + 1):
+                    want.append(sum(xi * wi for xi, wi in zip(x, w)) % p)
+                    w = _dense_apply(da, w, p)
+                want_h, power = [0] * n, list(y)
+                for coef in coeffs:
+                    want_h = [(wi + coef * pi) % p
+                              for wi, pi in zip(want_h, power)]
+                    power = _dense_apply(da, power, p)
+                coo = f.coo(a, diag)
+                assert f.krylov(coo, x, y, count=2 * n + 1) == want
+                assert f.horner(coo, coeffs, y) == want_h
+                assert op.krylov_scalars(x, y, 2 * n + 1, f) == want
+                assert op.horner_apply(coeffs, y, f) == want_h

@@ -13,7 +13,7 @@ from lospace.linop import DIAG_SCALE, GRAM, LinearOperator, SparseMatrix
 from lospace.meter import int_bits
 from lospace.numeric import FloatL
 from lospace.oracle import SINGULAR as ORACLE_SINGULAR
-from lospace.oracle import oracle_det_bareiss, oracle_solve_exact
+from lospace.oracle import dense_of, oracle_det_bareiss, oracle_solve_exact
 from lospace.solver import (
     RationalSolver,
     SingularMatrix,
@@ -131,6 +131,16 @@ def test_zero_row_determinant_draws_no_prime(monkeypatch):
     for a in (missing, stored):
         assert row_norm_bound(a) == 0
         assert determinant(a, rng=1) == 0
+
+
+def _block_diagonal(b, copies):
+    """diag(b, ..., b) with `copies` blocks: derogatory whenever copies > 1,
+    as each eigenvalue of b has as many Jordan blocks."""
+    n = b.n
+    return SparseMatrix.from_entries(
+        copies * n, copies * n,
+        [(k * n + i, k * n + j, v) for k in range(copies)
+         for i, j, v in zip(b.rows, b.cols, b.vals)])
 
 
 def _spy_on_determinant_zp(monkeypatch):
@@ -403,7 +413,10 @@ def test_determinant_lift_charges_what_it_holds(monkeypatch):
     most what is charged: b', r and the running r.x (with the
     reconstruction's r0, r1, t0, t1 and quotient) as lift.accumulators,
     M and the power of p as lift.ppow, the FpSolver's diagonal as
-    det.diag and its recurrence as fpsolver.poly; the meter balances."""
+    det.diag (none, 0 bits, where the first Wiedemann run certified) and
+    its recurrence as fpsolver.poly; the meter balances.  diag(B, B) is
+    derogatory, so its lift runs on a preconditioned copy and the
+    det.diag check meets a diagonal there."""
     m = meter.WorkspaceMeter()
     lift_digits = solver._lift_digits
     checks = []
@@ -423,9 +436,9 @@ def test_determinant_lift_charges_what_it_holds(monkeypatch):
                     <= live("lift.accumulators"))
             assert (int_bits(held["ppow"]) + int_bits(held["M"])
                     <= live("lift.ppow"))
-            assert meter.intvec_bits(fp._diag) <= live("det.diag")
+            assert meter.intvec_bits(fp._diag or ()) <= live("det.diag")
             assert meter.intvec_bits(fp._gbar) <= live("fpsolver.poly")
-            checks.append("digit")
+            checks.append("digit" if fp._diag is None else "diag digit")
 
     code = solver._reconstructed_denominator.__code__
 
@@ -449,7 +462,8 @@ def test_determinant_lift_charges_what_it_holds(monkeypatch):
     ops = [bench_matrix(40, rnd),
            SparseMatrix.from_dense(_dense_nonzero(rnd, 12, 12, 100)),
            LinearOperator.gram(SparseMatrix.from_dense(
-               _dense_nonzero(rnd, 30, 9, 100)))]
+               _dense_nonzero(rnd, 30, 9, 100))),
+           _block_diagonal(bench_matrix(8, rnd), 2)]
     previous = sys.gettrace()
     for k, op in enumerate(ops):
         checks.clear()
@@ -459,7 +473,8 @@ def test_determinant_lift_charges_what_it_holds(monkeypatch):
                 assert determinant(op, rng=k) != 0
         finally:
             sys.settrace(previous)
-        assert "digit" in checks and "step" in checks
+        digit = "digit" if k < 3 else "diag digit"
+        assert digit in checks and "step" in checks
         assert m.current_bits == 0
         assert {label: v for label, (v, _) in m.by_label.items() if v} == {}
 
@@ -936,7 +951,8 @@ def test_lift_accumulators_fit_the_linear_budget(system, seed):
         mp.setattr(RationalSolver, "digit_vectors", digit_spy)
         s.solve(b)
     (acc, K), = seen
-    assert digits_seen and digits_seen[-1] == n
+    # b = 0 has a zero residual from the start, so it yields no digit
+    assert (digits_seen and digits_seen[-1] == n) or not any(b)
     assert m.by_label["lift.accumulators"][1] == math.ceil(n / K) * acc
 
 
@@ -1410,3 +1426,151 @@ def test_large_entry_gram_primes_stay_under_the_l1_bound(monkeypatch):
     assert rs.prime < top
     for xi, w in zip(x, oracle_solve_exact(ata, b)):
         assert _close_mult(xi, w, eps)
+
+
+def _spy_on_first_runs(monkeypatch):
+    """[(plain, diag)] for every determinant_zp call solver.determinant
+    makes: whether it may try M = A first, and the diagonal its
+    certificate came with (None without certificate=True or when the
+    first run certified); and the list of operators every Wiedemann
+    trial ran on."""
+    calls, trials = [], []
+    zp, trial = solver.determinant_zp, wiedemann._one_wiedemann_trial
+
+    def zp_spy(op, p, *args, certificate=False, plain=True, **kwargs):
+        out = zp(op, p, *args, certificate=certificate, plain=plain, **kwargs)
+        calls.append((plain, out[1] if certificate else None))
+        return out
+
+    def trial_spy(op, f, rng):
+        trials.append(op)
+        return trial(op, f, rng)
+
+    monkeypatch.setattr(solver, "determinant_zp", zp_spy)
+    monkeypatch.setattr(wiedemann, "_one_wiedemann_trial", trial_spy)
+    return calls, trials
+
+
+def test_first_residue_and_lift_run_on_a_itself(monkeypatch):
+    """On seeded sparse (n = 64 tridiagonal plus noise), dense (n = 24)
+    and Gram (60 x 16) operators, all nonderogatory mod p, the first
+    Wiedemann run of the first residue, on A itself, certifies it: no
+    diagonal is drawn, every trial runs on the operator itself, and the
+    lift's FpSolver, which the solver keeps, has no diagonal.  The
+    determinant equals Bareiss."""
+    calls, trials = _spy_on_first_runs(monkeypatch)
+    rnd = random.Random(64)
+    ops = [bench_matrix(64, rnd),
+           SparseMatrix.from_dense(_dense_nonzero(rnd, 24, 24, 100)),
+           LinearOperator.gram(SparseMatrix.from_dense(
+               _dense_nonzero(rnd, 60, 16, 100)))]
+    for k, op in enumerate(ops):
+        calls.clear()
+        trials.clear()
+        kept = []
+        det = determinant(op, rng=k, keep=kept)
+        assert det == oracle_det_bareiss(dense_of(op))
+        assert calls and calls[0] == (True, None)
+        assert trials and all(t is op for t in trials)
+        (fp,) = kept
+        assert fp._diag is None and fp._m is op
+
+
+def _derogatory_matrices():
+    """The identity, diag(1, 1, 2, ..., 7) and diag(B, B) for a seeded
+    32 x 32 tridiagonal-plus-noise B: each has an eigenvalue with more
+    than one Jordan block, so no Krylov recurrence of A reaches degree n."""
+    rnd = random.Random(32)
+    return [SparseMatrix.identity(6),
+            SparseMatrix.from_dense([[v if i == j else 0 for j in range(8)]
+                                     for i, v in enumerate((1, 1, 2, 3, 4, 5,
+                                                            6, 7))]),
+            _block_diagonal(bench_matrix(32, rnd), 2)]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_derogatory_inputs_fall_back_to_the_preconditioner(monkeypatch, k):
+    """A derogatory A fails the first, unpreconditioned run: its residue
+    comes from a run on diag(d) A, and the lift runs on that product with
+    d as the FpSolver's diagonal.  Every later residue skips the first
+    run, so A itself sees one trial in all.  The determinant equals
+    Bareiss, and solves at two eps are within e^eps of the exact
+    solution."""
+    a = _derogatory_matrices()[k]
+    dense = dense_of(a)
+    calls, trials = _spy_on_first_runs(monkeypatch)
+    kept = []
+    assert determinant(a, rng=k, keep=kept) == oracle_det_bareiss(dense)
+    first_plain, diag = calls[0]
+    assert first_plain and diag is not None
+    assert all(not plain for plain, _ in calls[1:])
+    assert sum(t is a for t in trials) == 1
+    (fp,) = kept
+    assert fp._diag == diag
+    rnd = random.Random(k)
+    b = [rnd.randrange(-100, 101) for _ in range(a.n)]
+    want = oracle_solve_exact(dense, b)
+    for eps in (1e-6, 1e-30):
+        out = lin_solve(a, b, eps, k)
+        assert not out.singular
+        assert all(_close_mult(x, w, eps) for x, w in zip(out.x, want))
+
+
+def test_solve_lift_stops_after_its_top_digit(monkeypatch):
+    """A system with a small integral solution x (b = A x): the solver
+    lifts det x, whose balanced base-p digits end at the least t with
+    (p^t - 1)/2 >= max |det x_i|.  The digit stream stops after that
+    digit, well short of lift_length's T, the last digit it yields is
+    nonzero, and the solve is exact."""
+    rnd = random.Random(21)
+    a = bench_matrix(24, rnd)
+    x = [rnd.randrange(-3, 4) for _ in range(a.n)]
+    x[0] = 2
+    b = a.apply_int(x)
+    seen = []
+    digit_vectors = RationalSolver.digit_vectors
+
+    def spy(self, b, T):
+        seen.append(T)
+        for digits in digit_vectors(self, b, T):
+            seen.append(digits)
+            yield digits
+
+    monkeypatch.setattr(RationalSolver, "digit_vectors", spy)
+    with RationalSolver(a, 1e-6, 5) as s:
+        out = s.solve(b, K=1)
+        p, det = s.prime, s.det
+    T, *digits = seen
+    top = max(abs(det * xi) for xi in x)
+    t = 1
+    while (p ** t - 1) // 2 < top:
+        t += 1
+    assert len(digits) == t < T
+    assert any(digits[-1])
+    assert [v.to_fraction() for v in out.x] == x
+
+
+def test_a_none_seed_draws_seed_zeros_streams(monkeypatch):
+    """lin_solve and linear_regression map a None seed to 0, as
+    determinant and the spectral entry points do: two calls of each draw
+    identical internal streams, equal to seed 0's, instead of seeding
+    from OS entropy."""
+    streams = []
+    derive = solver.derive_rng
+
+    def spy(rng_or_seed, *labels):
+        out = derive(rng_or_seed, *labels)
+        streams.append((labels, out.getstate()))
+        return out
+
+    monkeypatch.setattr(solver, "derive_rng", spy)
+    a = SparseMatrix.from_dense([[3, 1], [1, 2]])
+    tall = SparseMatrix.from_dense([[3, 1], [1, 2], [4, -1]])
+    for call in (lambda seed: lin_solve(a, [1, -2], 1e-6, seed),
+                 lambda seed: linear_regression(tall, [1, 0, 2], 1e-6, seed)):
+        runs = []
+        for seed in (None, None, 0):
+            streams.clear()
+            call(seed)
+            runs.append(list(streams))
+        assert runs[0] and runs[0] == runs[1] == runs[2]
